@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import skewdrift as sd
-from skewdrift.measure import gaps_to_csv, mu_data_file, sweep_to_csv, with_gaps
+from skewdrift.measure import gaps_to_csv, mu_data_file, sweep_to_csv
 
 
 def main():
@@ -39,7 +39,6 @@ def main():
 
     result = sd.sweep(family, grid, args.depth, args.samples, args.seed)
     gaps = sd.detect_gaps(result, args.eps)
-    result = with_gaps(result, gaps)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -75,5 +75,3 @@ from .symbolic import (
     stationary_distribution,
     validate_transitive,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,6 +18,7 @@ from .drift import classify_point
 from .errors import ConfigError, ResourceBoundError
 from .fibers import validate_class
 from .measure import (
+    _fmt,
     detect_gaps,
     estimate_regions,
     family_member,
@@ -25,7 +26,6 @@ from .measure import (
     mu_data_file,
     sweep,
     sweep_to_csv,
-    with_gaps,
 )
 from .products import (
     LabeledPoint,
@@ -36,10 +36,6 @@ from .products import (
     multistep_approximation,
 )
 from .symbolic import SymbolWindow, validate_transitive
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _write(path: Path, text: str):
@@ -139,7 +135,6 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     a = cfg.analysis
     result = sweep(cfg.family, a.grid, a.depth, a.samples, a.seed)
     gaps = detect_gaps(result, a.gap_epsilon)
-    result = with_gaps(result, gaps)
     _write(out_dir / "sweep.csv", sweep_to_csv(result, a.seed, a.depth, a.samples))
     _write(out_dir / "gaps.csv", gaps_to_csv(gaps, a.seed, a.depth, a.samples))
     _write(out_dir / "mu.dat", mu_data_file(result, a.seed, a.depth, a.samples))

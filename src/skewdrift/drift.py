@@ -12,12 +12,13 @@ here are sound but deliberately incomplete: Unknown never lies.
 from __future__ import annotations
 
 import bisect
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 
-from .errors import IncompatibleProductsError, ResourceBoundError, WindowTooShortError
+from .errors import IncompatibleProductsError, InvalidRegionError, ResourceBoundError, WindowTooShortError
 from .fibers import EPS_ROUND, FiberMap
 from .products import WINDOW_CAP, LabeledPoint, MultistepSkewProduct
+from .regions import BoxRegion, merge_intervals
 from .symbolic import PeriodicWord, TransitionSystem
 
 # Strictness margin for every certified inequality: four orders above
@@ -68,16 +69,9 @@ class StepGraph:
 
     def refined(self, window: tuple[int, int]) -> "StepGraph":
         """Same function represented on a wider window."""
-        L2, R2 = window
-        L, R = self.window
-        if (L2, R2) == (L, R):
+        if tuple(window) == self.window:
             return self
-        if L2 < L or R2 < R:
-            raise ValueError(f"target window {window} does not contain {self.window}")
-        size = L + R + 1
-        start = L2 - L
-        values = {w: self.values[w[start : start + size]] for w in self.system.words(L2 + R2 + 1)}
-        return StepGraph(self.system, (L2, R2), values)
+        return StepGraph(self.system, window, self.system.refine_table(self.values, self.window, window))
 
     def value_at(self, point_window) -> float:
         """Graph level on the cylinder containing the given window."""
@@ -272,12 +266,9 @@ class _Witness:
 class _RegionIndex:
     """Per-word disjoint certified strips, each tagged with a covering witness."""
 
-    def __init__(self, system: TransitionSystem, window: tuple[int, int], raw_boxes):
+    def __init__(self, window: tuple[int, int], by_word: dict[tuple[int, ...], list]):
         self.window = window
         self.pieces: dict[tuple[int, ...], tuple[list, list, list]] = {}
-        by_word: dict[tuple[int, ...], list] = {}
-        for word, lo, hi, tag in raw_boxes:
-            by_word.setdefault(word, []).append((lo, hi, tag))
         for word, boxes in by_word.items():
             boxes.sort()
             starts: list[float] = []
@@ -304,20 +295,6 @@ class _RegionIndex:
         if i >= 0 and x <= ends[i]:
             return tags[i]
         return None
-
-    def intervals(self) -> dict[tuple[int, ...], list[tuple[float, float]]]:
-        """Disjoint intervals per word, adjacent pieces coalesced."""
-        out: dict[tuple[int, ...], list[tuple[float, float]]] = {}
-        for word, (starts, ends, _tags) in self.pieces.items():
-            merged: list[list[float]] = []
-            for lo, hi in zip(starts, ends):
-                if merged and lo <= merged[-1][1]:
-                    merged[-1][1] = max(merged[-1][1], hi)
-                else:
-                    merged.append([lo, hi])
-            if merged:
-                out[word] = [(lo, hi) for lo, hi in merged]
-        return out
 
 
 class DriftClassifier:
@@ -349,19 +326,20 @@ class DriftClassifier:
                 elif outcome.direction == "down":
                     self._down.append(_Witness(outcome.graph, outcome.image, outcome.margin))
                 graph = image
-        self._up_index = self._build_index(self._up, up=True)
-        self._down_index = self._build_index(self._down, up=False)
+        self._up_index, self._up_region = self._build_index(self._up, up=True)
+        self._down_index, self._down_region = self._build_index(self._down, up=False)
         self._check_disjoint()
 
-    def _build_index(self, witnesses: list[_Witness], up: bool) -> _RegionIndex:
+    def _build_index(self, witnesses: list[_Witness], up: bool) -> tuple[_RegionIndex, BoxRegion]:
+        """Witness-tagged strips for point lookup, and their union as a region."""
         system = self.product.base
         if not witnesses:
-            return _RegionIndex(system, (0, 0), [])
+            return _RegionIndex((0, 0), {}), BoxRegion.empty(system)
         window = (
             max(w.graph.window[0] for w in witnesses),
             max(w.graph.window[1] for w in witnesses),
         )
-        raw = []
+        by_word: dict[tuple[int, ...], list] = {}
         for tag, wit in enumerate(witnesses):
             g = wit.graph.refined(window)
             e = wit.image.refined(window)
@@ -373,39 +351,29 @@ class DriftClassifier:
                     lo = e.values[word] + DELTA_CERT
                     hi = g.values[word] - DELTA_CERT
                 if hi > lo:
-                    raw.append((word, lo, hi, tag))
-        return _RegionIndex(system, window, raw)
+                    by_word.setdefault(word, []).append((lo, hi, tag))
+        index = _RegionIndex(window, by_word)
+        intervals = {w: merge_intervals(zip(starts, ends)) for w, (starts, ends, _) in index.pieces.items()}
+        return index, BoxRegion(system, window, intervals)
 
     def _check_disjoint(self):
         # certified Up and Down strips can never overlap; a hit is a bug
-        up_iv = self._up_index.intervals()
-        down_iv = self._down_index.intervals()
-        if not up_iv or not down_iv:
-            return
-        L = max(self._up_index.window[0], self._down_index.window[0])
-        R = max(self._up_index.window[1], self._down_index.window[1])
-        u_start = L - self._up_index.window[0]
-        u_len = sum(self._up_index.window) + 1
-        d_start = L - self._down_index.window[0]
-        d_len = sum(self._down_index.window) + 1
-        for word in self.product.base.words(L + R + 1):
-            ups = up_iv.get(word[u_start : u_start + u_len], [])
-            downs = down_iv.get(word[d_start : d_start + d_len], [])
-            for ulo, uhi in ups:
-                for dlo, dhi in downs:
-                    if max(ulo, dlo) < min(uhi, dhi):
-                        raise RuntimeError(
-                            f"internal inconsistency: Up and Down strips overlap on word {word}"
-                        )
+        up, down = self._up_region, self._down_region
+        window = (max(up.window[0], down.window[0]), max(up.window[1], down.window[1]))
+        ups = up.refined(window).intervals
+        downs = down.refined(window).intervals
+        try:
+            BoxRegion(self.product.base, window, {w: ups[w] + downs[w] for w in ups.keys() & downs.keys()})
+        except InvalidRegionError as exc:
+            raise RuntimeError(f"internal inconsistency: Up and Down strips overlap: {exc}") from exc
 
     def required_range(self) -> tuple[int, int]:
         l, r = self.product.window
         return (-(self.depth + l + 1), self.depth + r)
 
-    def certified_boxes(self, direction: str):
-        """(window, {word: [(lo, hi), ...]}) of the certified region for a direction."""
-        index = self._up_index if direction == UP else self._down_index
-        return index.window, index.intervals()
+    def certified_boxes(self, direction: str) -> BoxRegion:
+        """Certified region for a direction: per-word disjoint fiber intervals."""
+        return self._up_region if direction == UP else self._down_region
 
     def _certificate(self, witness: _Witness, direction: str) -> DriftCertificate:
         return DriftCertificate(direction.lower(), witness.graph, witness.margin, self._fingerprint)
@@ -504,22 +472,15 @@ class DriftClassifier:
         return None
 
 
-_CLASSIFIER_CACHE: OrderedDict[tuple[int, int], DriftClassifier] = OrderedDict()
-_CLASSIFIER_CACHE_SIZE = 8
-
-
+@functools.lru_cache(maxsize=8)
 def get_classifier(product: MultistepSkewProduct, depth: int) -> DriftClassifier:
-    """Classifier shared across queries for one (product, depth) pair."""
-    key = (id(product), depth)
-    hit = _CLASSIFIER_CACHE.get(key)
-    if hit is not None and hit.product is product:
-        _CLASSIFIER_CACHE.move_to_end(key)
-        return hit
-    classifier = DriftClassifier(product, depth)
-    _CLASSIFIER_CACHE[key] = classifier
-    if len(_CLASSIFIER_CACHE) > _CLASSIFIER_CACHE_SIZE:
-        _CLASSIFIER_CACHE.popitem(last=False)
-    return classifier
+    """Classifier shared across queries for one (product, depth) pair.
+
+    Products compare by identity, so an equal but distinct product gets its own
+    classifier; the eight most recently used classifiers are kept. The cache
+    key follows the call form: pass both arguments positionally to share.
+    """
+    return DriftClassifier(product, depth)
 
 
 def classify_point(product: MultistepSkewProduct, point: LabeledPoint, depth: int) -> Classification:
@@ -530,8 +491,8 @@ def classify_point(product: MultistepSkewProduct, point: LabeledPoint, depth: in
 def certified_regions(product: MultistepSkewProduct, depth: int):
     """Certified under-approximations of the drifting regions as box unions.
 
-    Returns ((window, up boxes), (window, down boxes)); boxes are per-cylinder
-    disjoint fiber intervals.
+    Returns the (up, down) pair of BoxRegions; boxes are per-cylinder disjoint
+    fiber intervals.
     """
     classifier = get_classifier(product, depth)
     return classifier.certified_boxes(UP), classifier.certified_boxes(DOWN)

@@ -206,13 +206,8 @@ def compare_order(F: MultistepSkewProduct, G: MultistepSkewProduct) -> ProductOr
 
 def pad_to_window(product: MultistepSkewProduct, window: tuple[int, int]) -> MultistepSkewProduct:
     """Replicate the assignment onto a wider dependence window."""
-    lw, rw = window
-    l, r = product.window
-    if lw < l or rw < r:
-        raise ValueError(f"target window {window} does not contain {product.window}")
-    words = product.base.words(lw + rw + 1)
-    assignment = {w: product.map_for(w, (lw, rw)) for w in words}
-    return MultistepSkewProduct(product.base, product.chain, (lw, rw), assignment)
+    assignment = product.base.refine_table(product.assignment, product.window, window)
+    return MultistepSkewProduct(product.base, product.chain, window, assignment)
 
 
 def distance(F: MultistepSkewProduct, G: MultistepSkewProduct) -> float:

@@ -9,6 +9,17 @@ from .fibers import RealInterval
 from .symbolic import MarkovChain, SymbolWindow, TransitionSystem, cylinder_measure
 
 
+def merge_intervals(intervals) -> tuple[tuple[float, float], ...]:
+    """Union of closed intervals as sorted disjoint ones; touching intervals coalesce."""
+    merged: list[list[float]] = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
 def measure_boxes(chain: MarkovChain, boxes) -> float:
     """Sum of cylinder measure times fiber length over (window, interval) boxes.
 
@@ -53,10 +64,6 @@ class BoxRegion:
     def empty(cls, system: TransitionSystem) -> "BoxRegion":
         return cls(system, (0, 0), {})
 
-    @classmethod
-    def from_boxes(cls, system: TransitionSystem, window: tuple[int, int], boxes: dict) -> "BoxRegion":
-        return cls(system, window, boxes)
-
     def measure(self, chain: MarkovChain) -> float:
         L, _R = self.window
         boxes = []
@@ -67,20 +74,9 @@ class BoxRegion:
         return measure_boxes(chain, boxes)
 
     def refined(self, window: tuple[int, int]) -> "BoxRegion":
-        L2, R2 = window
-        L, R = self.window
-        if (L2, R2) == (L, R):
+        if tuple(window) == self.window:
             return self
-        if L2 < L or R2 < R:
-            raise ValueError(f"target window {window} does not contain {self.window}")
-        start = L2 - L
-        size = L + R + 1
-        out: dict[tuple[int, ...], tuple] = {}
-        for word in self.system.words(L2 + R2 + 1):
-            ivs = self.intervals.get(word[start : start + size])
-            if ivs:
-                out[word] = ivs
-        return BoxRegion(self.system, (L2, R2), out)
+        return BoxRegion(self.system, window, self.system.refine_table(self.intervals, self.window, window))
 
     def same_boxes(self, other: "BoxRegion") -> bool:
         return self.window == other.window and self.intervals == other.intervals
@@ -93,13 +89,6 @@ def region_union(a: BoxRegion, b: BoxRegion) -> BoxRegion:
     window = (max(a.window[0], b.window[0]), max(a.window[1], b.window[1]))
     ra = a.refined(window)
     rb = b.refined(window)
-    out: dict[tuple[int, ...], tuple] = {}
-    for word in set(ra.intervals) | set(rb.intervals):
-        merged: list[list[float]] = []
-        for lo, hi in sorted(list(ra.intervals.get(word, ())) + list(rb.intervals.get(word, ()))):
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        out[word] = tuple((lo, hi) for lo, hi in merged)
+    words = set(ra.intervals) | set(rb.intervals)
+    out = {word: merge_intervals(ra.intervals.get(word, ()) + rb.intervals.get(word, ())) for word in words}
     return BoxRegion(a.system, window, out)

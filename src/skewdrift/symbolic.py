@@ -109,6 +109,22 @@ class TransitionSystem:
             cache[length] = tuple(level)
         return cache[length]
 
+    def refine_table(self, table: dict, window: tuple[int, int], target: tuple[int, int]) -> dict:
+        """Re-key a per-word table from words on -L..R onto words on a wider window.
+
+        Each admissible target word takes the entry of its restriction to the
+        original window; words whose restriction has no entry are left out.
+        """
+        (L, R), (L2, R2) = window, target
+        if L2 < L or R2 < R:
+            raise ValueError(f"target window {target} does not contain {window}")
+        start, stop = L2 - L, L2 + R + 1
+        return {
+            word: value
+            for word in self.words(L2 + R2 + 1)
+            if (value := table.get(word[start:stop])) is not None
+        }
+
     def same_base(self, other: "TransitionSystem") -> bool:
         return np.array_equal(self.transitions, other.transitions)
 

@@ -158,11 +158,9 @@ def test_criterion_07_coverage_union(full2, uniform_chain, const_affine):
     depth = 12
 
     def union_measure(down_product, up_product):
-        _up, (dw, db) = sd.certified_regions(down_product, depth)
-        (uw, ub), _down = sd.certified_regions(up_product, depth)
-        union = sd.region_union(
-            sd.BoxRegion(full2, dw, db), sd.BoxRegion(full2, uw, ub)
-        )
+        _up, down = sd.certified_regions(down_product, depth)
+        up, _down = sd.certified_regions(up_product, depth)
+        union = sd.region_union(down, up)
         return union.measure(uniform_chain)
 
     pair_measure = union_measure(low, high)

@@ -1,13 +1,15 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
-from skewdrift.cli import run
+from skewdrift.cli import main, run
 from skewdrift.config import load_config, parse_grid_spec
 from skewdrift.errors import ConfigError
 
-CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "scripts" / "configs"
 
 
 def write_json(path: Path, record: dict) -> str:
@@ -155,3 +157,31 @@ class TestApproxCommand:
         code = run("approx", str(CONFIGS / "continuous_geometric.json"),
                    out=str(tmp_path), depth=6)
         assert code == 3
+
+
+def readme_cli_commands() -> dict[str, list[str]]:
+    """argv (program name dropped) of each `skewdrift ...` line in the README CLI block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line)
+        if argv and argv[0] == "skewdrift":
+            commands[argv[1]] = argv[1:]
+    return commands
+
+
+class TestReadmeCommands:
+    @pytest.mark.parametrize("command", ["validate", "classify", "measure", "approx"])
+    def test_runs_as_written(self, command, tmp_path, monkeypatch, capsys):
+        # the README paths are relative to the repository root; a linked
+        # scripts/ keeps --out out/ inside the temporary directory
+        (tmp_path / "scripts").symlink_to(ROOT / "scripts", target_is_directory=True)
+        monkeypatch.chdir(tmp_path)
+        assert main(readme_cli_commands()[command]) == 0
+
+    def test_sweep_line_config_loads(self):
+        """The README sweep runs n = 10^5 at depth 10, which takes minutes, so it is not run."""
+        argv = readme_cli_commands()["sweep"]
+        cfg = load_config(str(ROOT / argv[argv.index("--config") + 1]))
+        assert cfg.family is not None and cfg.analysis.grid

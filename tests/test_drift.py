@@ -139,8 +139,7 @@ class TestClassifyPoint:
 
 class TestCertifiedRegions:
     def test_constant_affine_coverage(self, const_affine):
-        (window, boxes), _down = sd.certified_regions(const_affine, 8)
-        region = sd.BoxRegion(const_affine.base, window, boxes)
+        region, _down = sd.certified_regions(const_affine, 8)
         # oracle: below the fixed point 0.5 the reachable collar shrinks
         # geometrically; levels from the grid must cover (0.1, 0.5 - 0.4*0.8^8)
         lo, hi = 0.1 + 1e-6, 0.5 - 0.4 * 0.8**8
@@ -155,13 +154,14 @@ class TestCertifiedRegions:
         # everywhere on the level grid yields no boxes
         f = sd.Plateau(1e-12, 0.0078125 / 2, 1 - 0.0078125 / 2)
         product = constant_product(full2, uniform_chain, f)
-        (w_up, up), (w_down, down) = sd.certified_regions(product, 0)
-        assert not up and not down
+        up, down = sd.certified_regions(product, 0)
+        assert not up.intervals and not down.intervals
 
     def test_up_down_boxes_disjoint(self, two_map, ms_full):
         for product in (two_map, ms_full):
-            (w_up, up), (w_down, down) = sd.certified_regions(product, 6)
-            assert w_up == w_down
+            up_region, down_region = sd.certified_regions(product, 6)
+            assert up_region.window == down_region.window
+            up, down = up_region.intervals, down_region.intervals
             for word in set(up) & set(down):
                 for alo, ahi in up[word]:
                     for blo, bhi in down[word]:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import skewdrift as sd
+from skewdrift.drift import DriftClassifier
 from skewdrift.errors import FamilyRangeError, InvalidRegionError, ToleranceError
 from skewdrift.measure import RegionEstimate
+
+from conftest import constant_product
 
 
 class TestMeasureBoxes:
@@ -73,8 +76,38 @@ class TestEstimateRegions:
     def test_invariant_enforced_on_construction(self):
         with pytest.raises(ValueError, match="sum to 1"):
             RegionEstimate(0.0, 0.0, 0.5, 0.4, 0.2, 0.1, 1000, 4, 0)
-        with pytest.raises(ValueError, match="inconsistent"):
-            RegionEstimate(0.9, 0.0, 0.3, 0.4, 0.3, 0.01, 1000, 4, 0)
+
+    @pytest.mark.parametrize("product_name, depth, seed", [("const_affine", 6, 834), ("const_plateau", 4, 479)])
+    def test_fraction_below_certified_measure_is_returned(self, request, product_name, depth, seed):
+        # a sampled fraction more than one radius below the certified measure
+        # is a 5%-probability event at n = 100, not an inconsistency
+        est = sd.estimate_regions(request.getfixturevalue(product_name), depth, 100, seed)
+        assert est.mc_down < est.certified_down_measure - est.radius
+        assert est.mc_up + est.mc_down + est.mc_unknown == pytest.approx(1.0, abs=1e-12)
+
+
+class TestClassifierSharing:
+    def test_estimate_builds_one_classifier(self, full2, uniform_chain, monkeypatch):
+        product = constant_product(full2, uniform_chain, sd.Affine(0.1, 0.8))
+        builds = []
+        original = DriftClassifier.__init__
+
+        def counting_init(self, *args):
+            builds.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(DriftClassifier, "__init__", counting_init)
+        est = sd.estimate_regions(product, 4, 200, 3)
+        assert len(builds) == 1
+        up, down = sd.certified_regions(product, 4)
+        assert len(builds) == 1
+        assert est.up_region is up and est.down_region is down
+
+    def test_get_classifier_keyed_by_product_identity(self, full2, uniform_chain):
+        a = constant_product(full2, uniform_chain, sd.Affine(0.1, 0.8))
+        b = constant_product(full2, uniform_chain, sd.Affine(0.1, 0.8))
+        assert sd.get_classifier(a, 3) is sd.get_classifier(a, 3)
+        assert sd.get_classifier(b, 3) is not sd.get_classifier(a, 3)
 
 
 class TestMonotoneFamily:

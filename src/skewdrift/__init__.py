@@ -8,6 +8,7 @@ to locate jumps of the certified up-measure curve.
 """
 
 from .drift import (
+    VERDICTS,
     Classification,
     ConsistencyReport,
     DriftCertificate,

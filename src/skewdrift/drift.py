@@ -11,9 +11,10 @@ here are sound but deliberately incomplete: Unknown never lies.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import IncompatibleProductsError, InvalidRegionError, ResourceBoundError, WindowTooShortError
 from .fibers import EPS_ROUND, FiberMap
@@ -32,6 +33,9 @@ REFINE_STEPS = 20
 UP = "Up"
 DOWN = "Down"
 UNKNOWN = "Unknown"
+# Verdict codes of the batch API are indices into this tuple.
+VERDICTS = (UP, DOWN, UNKNOWN)
+_UP_CODE, _DOWN_CODE, _UNKNOWN_CODE = range(3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,38 +267,71 @@ class _Witness:
     margin: float
 
 
+def _word_codes(rows: np.ndarray, start: int, length: int, alphabet_size: int) -> np.ndarray:
+    """Positional codes of the words in columns start..start+length-1 of symbol rows.
+
+    Lexicographic order of words of one length is numeric order of their codes.
+    """
+    return (rows[:, start : start + length] - 1) @ alphabet_size ** np.arange(length - 1, -1, -1, dtype=np.int64)
+
+
+def _tagged_pieces(boxes: list) -> tuple[list, list, list]:
+    """Disjoint pieces covering tagged boxes, each piece keeping one covering tag."""
+    boxes.sort()
+    starts: list[float] = []
+    ends: list[float] = []
+    tags: list[int] = []
+    for lo, hi, tag in boxes:
+        if starts and lo <= ends[-1]:
+            if hi > ends[-1]:
+                starts.append(ends[-1])
+                ends.append(hi)
+                tags.append(tag)
+        else:
+            starts.append(lo)
+            ends.append(hi)
+            tags.append(tag)
+    return starts, ends, tags
+
+
 class _RegionIndex:
-    """Per-word disjoint certified strips, each tagged with a covering witness."""
+    """Per-word disjoint certified strips, each tagged with a covering witness.
 
-    def __init__(self, window: tuple[int, int], by_word: dict[tuple[int, ...], list]):
+    The strips of all words are stored flat, keyed by (word code, start) as
+    one complex number. numpy sorts and searches complex numbers
+    lexicographically, so one searchsorted finds, for every point, the last
+    strip of its own word that starts at or below it.
+    """
+
+    def __init__(self, system: TransitionSystem, window: tuple[int, int], pieces: dict[tuple[int, ...], tuple]):
         self.window = window
-        self.pieces: dict[tuple[int, ...], tuple[list, list, list]] = {}
-        for word, boxes in by_word.items():
-            boxes.sort()
-            starts: list[float] = []
-            ends: list[float] = []
-            tags: list[int] = []
-            for lo, hi, tag in boxes:
-                if starts and lo <= ends[-1]:
-                    if hi > ends[-1]:
-                        starts.append(ends[-1])
-                        ends.append(hi)
-                        tags.append(tag)
-                else:
-                    starts.append(lo)
-                    ends.append(hi)
-                    tags.append(tag)
-            self.pieces[word] = (starts, ends, tags)
+        self.alphabet_size = system.alphabet_size
+        words = sorted(pieces)
+        size = window[0] + window[1] + 1
+        codes = _word_codes(np.array(words, dtype=np.int64).reshape(-1, size), 0, size, self.alphabet_size)
+        self.keys = np.repeat(codes, [len(pieces[w][0]) for w in words]).astype(complex)
+        self.keys.imag = [v for w in words for v in pieces[w][0]]
+        self.ends = np.array([v for w in words for v in pieces[w][1]], dtype=float)
+        self.tags = np.array([v for w in words for v in pieces[w][2]], dtype=np.int64)
 
-    def lookup(self, word: tuple[int, ...], x: float) -> int | None:
-        entry = self.pieces.get(word)
-        if entry is None:
-            return None
-        starts, ends, tags = entry
-        i = bisect.bisect_right(starts, x) - 1
-        if i >= 0 and x <= ends[i]:
-            return tags[i]
-        return None
+    def lookup(self, lo: int, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Tag of the strip containing each point, -1 where no strip does."""
+        if not len(self.tags):
+            return np.full(len(xs), -1, dtype=np.int64)
+        L, R = self.window
+        keys = _word_codes(rows, -L - lo, L + R + 1, self.alphabet_size).astype(complex)
+        keys.imag = xs
+        i = np.searchsorted(self.keys, keys, side="right") - 1
+        hit = (i >= 0) & (self.keys.real[i] == keys.real) & (xs <= self.ends[i])
+        return np.where(hit, self.tags[i], -1)
+
+
+def _as_batch(rows, xs) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.asarray(rows, dtype=np.int64)
+    xs = np.asarray(xs, dtype=float)
+    if rows.ndim != 2 or xs.ndim != 1 or len(rows) != len(xs):
+        raise ValueError(f"need symbol rows (n, width) and n fiber coordinates, got shapes {rows.shape} and {xs.shape}")
+    return rows, xs
 
 
 class DriftClassifier:
@@ -311,6 +348,13 @@ class DriftClassifier:
         self.product = product
         self.depth = depth
         self._fingerprint = product.fingerprint()
+        # the distinct fiber maps, and per defining word (by code) the slot of its map
+        l, r = product.window
+        words = product.base.words(l + r + 1)
+        self._maps = tuple(dict.fromkeys(product.assignment.values()))
+        slots = {fmap: i for i, fmap in enumerate(self._maps)}
+        self._defining_codes = _word_codes(np.array(words, dtype=np.int64), 0, l + r + 1, product.base.alphabet_size)
+        self._defining_maps = np.array([slots[product.assignment[w]] for w in words], dtype=np.int64)
         self._up: list[_Witness] = []
         self._down: list[_Witness] = []
         for level in LEVEL_GRID:
@@ -334,7 +378,7 @@ class DriftClassifier:
         """Witness-tagged strips for point lookup, and their union as a region."""
         system = self.product.base
         if not witnesses:
-            return _RegionIndex((0, 0), {}), BoxRegion.empty(system)
+            return _RegionIndex(system, (0, 0), {}), BoxRegion.empty(system)
         window = (
             max(w.graph.window[0] for w in witnesses),
             max(w.graph.window[1] for w in witnesses),
@@ -352,9 +396,10 @@ class DriftClassifier:
                     hi = g.values[word] - DELTA_CERT
                 if hi > lo:
                     by_word.setdefault(word, []).append((lo, hi, tag))
-        index = _RegionIndex(window, by_word)
-        intervals = {w: merge_intervals(zip(starts, ends)) for w, (starts, ends, _) in index.pieces.items()}
-        return index, BoxRegion(system, window, intervals)
+        pieces = {word: _tagged_pieces(boxes) for word, boxes in by_word.items()}
+        del by_word  # the raw strips are the bulk of a build's peak memory
+        intervals = {w: merge_intervals(zip(starts, ends)) for w, (starts, ends, _) in pieces.items()}
+        return _RegionIndex(system, window, pieces), BoxRegion(system, window, intervals)
 
     def _check_disjoint(self):
         # certified Up and Down strips can never overlap; a hit is a bug
@@ -375,112 +420,154 @@ class DriftClassifier:
         """Certified region for a direction: per-word disjoint fiber intervals."""
         return self._up_region if direction == UP else self._down_region
 
-    def _certificate(self, witness: _Witness, direction: str) -> DriftCertificate:
-        return DriftCertificate(direction.lower(), witness.graph, witness.margin, self._fingerprint)
-
     def classify(self, point: LabeledPoint) -> Classification:
-        up_cert, down_cert = self._region_hits(point)
-        if up_cert is not None and down_cert is not None:
-            raise RuntimeError("internal inconsistency: point certified both Up and Down")
+        up_cert, down_cert = self._point_certificates(point, exhaustive=False)
         if up_cert is not None:
             return Classification(UP, up_cert, self.depth)
         if down_cert is not None:
             return Classification(DOWN, down_cert, self.depth)
-        cert = self._refine(point, up=True)
-        if cert is not None:
-            return Classification(UP, cert, self.depth)
-        cert = self._refine(point, up=False)
-        if cert is not None:
-            return Classification(DOWN, cert, self.depth)
         return Classification(UNKNOWN, None, self.depth)
 
     def search_certificates(self, point: LabeledPoint) -> tuple[DriftCertificate | None, DriftCertificate | None]:
         """Exhaustive independent searches in both directions (soundness testing)."""
-        up_cert, down_cert = self._region_hits(point)
-        if up_cert is None:
-            up_cert = self._refine(point, up=True)
-        if down_cert is None:
-            down_cert = self._refine(point, up=False)
-        return up_cert, down_cert
+        return self._point_certificates(point, exhaustive=True)
 
-    def _region_hits(self, point: LabeledPoint):
-        self._check_coverage(point)
-        if point.x <= 0.0 or point.x >= 1.0:
-            return None, None
-        up_cert = None
-        down_cert = None
-        tag = self._lookup(self._up_index, point)
-        if tag is not None:
-            up_cert = self._certificate(self._up[tag], UP)
-        tag = self._lookup(self._down_index, point)
-        if tag is not None:
-            down_cert = self._certificate(self._down[tag], DOWN)
-        return up_cert, down_cert
+    def classify_arrays(self, lo: int, rows, xs) -> np.ndarray:
+        """Verdict codes, indices into VERDICTS, for a batch of points.
 
-    def _lookup(self, index: _RegionIndex, point: LabeledPoint) -> int | None:
-        if not index.pieces:
-            return None
-        L, R = index.window
-        return index.lookup(point.window.word(-L, R), point.x)
-
-    def _check_coverage(self, point: LabeledPoint):
-        lo, hi = self.required_range()
-        if not point.window.covers(lo, hi):
-            raise WindowTooShortError((lo, hi), (point.window.lo, point.window.hi),
-                                      f"classification at depth {self.depth}")
-
-    def _refine(self, point: LabeledPoint, up: bool) -> DriftCertificate | None:
-        """Binary search a constant-graph level whose strip straddles the point.
-
-        Sound for any system; complete only when the fiber displacement over
-        the searched side changes sign once, which covers the witness gaps the
-        64-level grid leaves near slow equilibria.
+        rows is an int array (n, width) of symbols on coordinates
+        lo..lo + width - 1 and xs holds the n fiber coordinates. The codes are
+        the verdicts classify gives point by point; points with x <= 0 or
+        x >= 1 are Unknown.
         """
-        x = point.x
-        if x <= 0.0 or x >= 1.0:
+        rows, xs = _as_batch(rows, xs)
+        up_tag, down_tag, up_level, down_level = self._search(lo, rows, xs, exhaustive=False)
+        codes = np.full(len(xs), _UNKNOWN_CODE, dtype=np.int8)
+        codes[(up_tag >= 0) | ~np.isnan(up_level)] = _UP_CODE
+        codes[(down_tag >= 0) | ~np.isnan(down_level)] = _DOWN_CODE
+        return codes
+
+    def _point_certificates(self, point: LabeledPoint, exhaustive: bool):
+        rows, xs = _as_batch([point.window.symbols], [point.x])
+        up_tag, down_tag, up_level, down_level = self._search(point.window.lo, rows, xs, exhaustive)
+        return (
+            self._certificate(UP, int(up_tag[0]), float(up_level[0])),
+            self._certificate(DOWN, int(down_tag[0]), float(down_level[0])),
+        )
+
+    def _certificate(self, direction: str, tag: int, level: float) -> DriftCertificate | None:
+        """Witness of an index hit (tag >= 0) or of a refined level (not NaN)."""
+        if tag >= 0:
+            witness = (self._up if direction == UP else self._down)[tag]
+        elif not np.isnan(level):
+            graph = StepGraph.constant(self.product.base, level)
+            outcome = _drift_outcome(graph, image_graph(self.product, graph))
+            if outcome.direction != direction.lower():
+                raise RuntimeError(f"internal inconsistency: refined level {level} is not {direction}")
+            witness = _Witness(outcome.graph, outcome.image, outcome.margin)
+        else:
             return None
-        lo, hi = (0.0, x) if up else (x, 1.0)
-        product = self.product
+        return DriftCertificate(direction.lower(), witness.graph, witness.margin, self._fingerprint)
+
+    def _search(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool):
+        """Per point: Up and Down index tags (-1 for none), then Up and Down refined levels (NaN for none).
+
+        Refinement runs only for points the index leaves open. A point's Down
+        search follows only when Up found nothing, unless the search is
+        exhaustive, which runs both directions independently.
+        """
+        need_lo, need_hi = self.required_range()
+        have_hi = lo + rows.shape[1] - 1
+        if not (lo <= need_lo and need_hi <= have_hi):
+            raise WindowTooShortError((need_lo, need_hi), (lo, have_hi), f"classification at depth {self.depth}")
+        inside = (xs > 0.0) & (xs < 1.0)
+        up_tag = np.where(inside, self._up_index.lookup(lo, rows, xs), -1)
+        down_tag = np.where(inside, self._down_index.lookup(lo, rows, xs), -1)
+        if not exhaustive and ((up_tag >= 0) & (down_tag >= 0)).any():
+            raise RuntimeError("internal inconsistency: point certified both Up and Down")
+        up_level = np.full(len(xs), np.nan)
+        down_level = np.full(len(xs), np.nan)
+        todo = inside & (up_tag < 0) & (exhaustive | (down_tag < 0))
+        if todo.any():
+            up_level[todo] = self._refine(lo, rows[todo], xs[todo], up=True)
+        todo = inside & (down_tag < 0) & (exhaustive | ((up_tag < 0) & np.isnan(up_level)))
+        if todo.any():
+            down_level[todo] = self._refine(lo, rows[todo], xs[todo], up=False)
+        return up_tag, down_tag, up_level, down_level
+
+    def _refine(self, lo: int, rows: np.ndarray, xs: np.ndarray, up: bool) -> np.ndarray:
+        """Binary search, per point, for a constant-graph level whose strip straddles it.
+
+        Returns the level, or NaN where the search fails. Sound for any
+        system; complete only when the fiber displacement over the searched
+        side changes sign once, which covers the witness gaps the 64-level
+        grid leaves near slow equilibria.
+
+        All points bisect in lockstep, and each step decides as
+        certify_drift(product, StepGraph.constant(level)) would. The image of
+        the constant graph at level c takes the value f_k(c) over every base
+        point whose predecessor defining word, on coordinates [-l-1, r-1], is
+        k. Refining and minimizing graphs only re-key those floats, and in a
+        transitive SFT every defining word extends to a word of the common
+        window. So the drift margins are min_k and max_k of f_k(c) - c over
+        all of the product's maps, and the image level at a point is f_k(c)
+        at its own k. The maps are evaluated on Python floats, as image_graph
+        evaluates them (a Plateau's array path squares where its scalar path
+        calls pow, which can differ in the last bit), so every comparison
+        sees the same floats and every decision is the scalar one, bit for
+        bit. A point whose defining word is not admissible is not searched.
+        """
+        levels = np.full(len(xs), np.nan)
+        if not len(xs):
+            return levels
+        l, r = self.product.window
+        size = l + 2 + max(r - 1, 0)
+        if size > WINDOW_CAP:
+            raise ResourceBoundError(f"image window size {size} exceeds the bound {WINDOW_CAP}")
+        codes = _word_codes(rows, -l - 1 - lo, l + r + 1, self.product.base.alphabet_size)
+        rank = np.minimum(np.searchsorted(self._defining_codes, codes), len(self._defining_codes) - 1)
+        slot = self._defining_maps[rank]
+        lower, upper = (np.zeros_like(xs), xs.copy()) if up else (xs.copy(), np.ones_like(xs))
+        active = np.flatnonzero(self._defining_codes[rank] == codes)
         for _ in range(REFINE_STEPS):
-            level = 0.5 * (lo + hi)
-            if not (0.0 < level < 1.0):
+            level = 0.5 * (lower[active] + upper[active])
+            valid = (0.0 < level) & (level < 1.0)
+            active, level = active[valid], level[valid]
+            if not len(active):
                 break
-            graph = StepGraph.constant(product.base, level)
-            outcome = _drift_outcome(graph, image_graph(product, graph))
+            values = np.array([[fmap.eval(c) for c in level.tolist()] for fmap in self._maps])
+            drift = values - level
+            x = xs[active]
+            image = values[slot[active], np.arange(len(active))]
             if up:
-                if outcome.direction != "up":
-                    hi = level
-                    continue
-                image_level = outcome.image.value_at(point.window)
-                if image_level - x < DELTA_CERT:
-                    lo = level
-                elif x - level < DELTA_CERT:
-                    hi = level
-                else:
-                    return self._certificate(_Witness(outcome.graph, outcome.image, outcome.margin), UP)
+                drifting = drift.min(axis=0) - 2.0 * EPS_ROUND >= DELTA_CERT
+                move_lo = drifting & (image - x < DELTA_CERT)
+                move_hi = ~drifting | (~move_lo & (x - level < DELTA_CERT))
             else:
-                if outcome.direction != "down":
-                    lo = level
-                    continue
-                image_level = outcome.image.value_at(point.window)
-                if x - image_level < DELTA_CERT:
-                    hi = level
-                elif level - x < DELTA_CERT:
-                    lo = level
-                else:
-                    return self._certificate(_Witness(outcome.graph, outcome.image, outcome.margin), DOWN)
-        return None
+                drifting = -drift.max(axis=0) - 2.0 * EPS_ROUND >= DELTA_CERT
+                move_hi = drifting & (x - image < DELTA_CERT)
+                move_lo = ~drifting | (~move_hi & (level - x < DELTA_CERT))
+            lower[active[move_lo]] = level[move_lo]
+            upper[active[move_hi]] = level[move_hi]
+            found = ~(move_lo | move_hi)
+            levels[active[found]] = level[found]
+            active = active[~found]
+        return levels
 
 
 @functools.lru_cache(maxsize=8)
+def _cached_classifier(product: MultistepSkewProduct, depth: int) -> DriftClassifier:
+    return DriftClassifier(product, depth)
+
+
 def get_classifier(product: MultistepSkewProduct, depth: int) -> DriftClassifier:
     """Classifier shared across queries for one (product, depth) pair.
 
     Products compare by identity, so an equal but distinct product gets its own
-    classifier; the eight most recently used classifiers are kept. The cache
-    key follows the call form: pass both arguments positionally to share.
+    classifier; the eight most recently used classifiers are kept, whatever
+    the call form.
     """
-    return DriftClassifier(product, depth)
+    return _cached_classifier(product, depth)
 
 
 def classify_point(product: MultistepSkewProduct, point: LabeledPoint, depth: int) -> Classification:

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drift import DOWN, UNKNOWN, UP, get_classifier
+from .drift import DOWN, UNKNOWN, UP, VERDICTS, get_classifier
 from .errors import FamilyRangeError, ToleranceError
 from .fibers import Affine, BumpComposed, BumpedAffine, FiberMap, validate_class
-from .products import LabeledPoint, MultistepSkewProduct, ProductOrder, compare_order
+from .products import MultistepSkewProduct, ProductOrder, compare_order
 from .regions import BoxRegion, region_union
-from .symbolic import SymbolWindow, _symbols_from_uniforms
+from .symbolic import _symbols_from_uniforms
 
 CONFIDENCE = 0.95
 
@@ -84,12 +84,9 @@ def estimate_regions(product: MultistepSkewProduct, depth: int, n: int, seed) ->
     width = hi - lo + 1
     rng = np.random.default_rng(seed)
     uniforms = rng.random((n, width + 1))
-    symbol_rows = _symbols_from_uniforms(product.chain, uniforms[:, :width]).tolist()
-    xs = uniforms[:, width].tolist()
-    counts = {UP: 0, DOWN: 0, UNKNOWN: 0}
-    for row, x in zip(symbol_rows, xs):
-        point = LabeledPoint(SymbolWindow(lo, tuple(row)), x)
-        counts[classifier.classify(point).verdict] += 1
+    symbol_rows = _symbols_from_uniforms(product.chain, uniforms[:, :width])
+    codes = classifier.classify_arrays(lo, symbol_rows, uniforms[:, width])
+    counts = dict(zip(VERDICTS, np.bincount(codes, minlength=len(VERDICTS)).tolist()))
     up_region = classifier.certified_boxes(UP)
     down_region = classifier.certified_boxes(DOWN)
     return RegionEstimate(

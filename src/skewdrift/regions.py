@@ -52,6 +52,9 @@ class BoxRegion:
         cleaned = {}
         for word, ivs in self.intervals.items():
             ivs = tuple(sorted((float(lo), float(hi)) for lo, hi in ivs))
+            for lo, hi in ivs:
+                if not (0.0 <= lo <= hi <= 1.0):
+                    raise InvalidRegionError(f"[{lo}, {hi}] on word {word} is not an interval inside [0, 1]")
             for (alo, ahi), (blo, bhi) in zip(ivs, ivs[1:]):
                 if blo < ahi:
                     raise InvalidRegionError(f"overlapping intervals on word {word}")
@@ -65,13 +68,14 @@ class BoxRegion:
         return cls(system, (0, 0), {})
 
     def measure(self, chain: MarkovChain) -> float:
+        """Sum of cylinder measure times interval length, box by box in storage order."""
         L, _R = self.window
-        boxes = []
+        total = 0.0
         for word, ivs in self.intervals.items():
-            win = SymbolWindow(-L, word)
+            weight = cylinder_measure(chain, SymbolWindow(-L, word))
             for lo, hi in ivs:
-                boxes.append((win, RealInterval(lo, hi)))
-        return measure_boxes(chain, boxes)
+                total += weight * (hi - lo)
+        return total
 
     def refined(self, window: tuple[int, int]) -> "BoxRegion":
         if tuple(window) == self.window:

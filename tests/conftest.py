@@ -73,3 +73,14 @@ def wide_point(product, depth, seed, x=None):
     l, r = product.window
     win = sd.sample_window(product.chain, -(depth + l + 1), depth + r, rng)
     return sd.LabeledPoint(win, float(rng.random()) if x is None else x)
+
+
+def sampled_points(product, depth, count, seed):
+    """Random points on exactly the window classification at the depth needs."""
+    chain = product.chain
+    l, r = product.window
+    lo, hi = -(depth + l + 1), depth + r
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        win = sd.sample_window(chain, lo, hi, rng)
+        yield sd.LabeledPoint(win, float(rng.random()))

@@ -12,23 +12,13 @@ import pytest
 import skewdrift as sd
 from skewdrift.drift import DOWN, UP
 
-from conftest import constant_product, multistep_affines
+from conftest import constant_product, multistep_affines, sampled_points
 
 
 def report(number: int, label: str, ok: bool, detail: str, started: float):
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] criterion {number} ({label}): {detail} [{time.time() - started:.1f}s]")
     assert ok, f"criterion {number} ({label}): {detail}"
-
-
-def sampled_points(product, depth, count, seed):
-    chain = product.chain
-    l, r = product.window
-    lo, hi = -(depth + l + 1), depth + r
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        win = sd.sample_window(chain, lo, hi, rng)
-        yield sd.LabeledPoint(win, float(rng.random()))
 
 
 @pytest.fixture(scope="module")

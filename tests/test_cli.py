@@ -172,16 +172,10 @@ def readme_cli_commands() -> dict[str, list[str]]:
 
 
 class TestReadmeCommands:
-    @pytest.mark.parametrize("command", ["validate", "classify", "measure", "approx"])
+    @pytest.mark.parametrize("command", ["validate", "classify", "measure", "sweep", "approx"])
     def test_runs_as_written(self, command, tmp_path, monkeypatch, capsys):
         # the README paths are relative to the repository root; a linked
         # scripts/ keeps --out out/ inside the temporary directory
         (tmp_path / "scripts").symlink_to(ROOT / "scripts", target_is_directory=True)
         monkeypatch.chdir(tmp_path)
         assert main(readme_cli_commands()[command]) == 0
-
-    def test_sweep_line_config_loads(self):
-        """The README sweep runs n = 10^5 at depth 10, which takes minutes, so it is not run."""
-        argv = readme_cli_commands()["sweep"]
-        cfg = load_config(str(ROOT / argv[argv.index("--config") + 1]))
-        assert cfg.family is not None and cfg.analysis.grid

@@ -1,11 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import skewdrift as sd
-from skewdrift.drift import DELTA_CERT, DOWN, UNKNOWN, UP
+from skewdrift.drift import DELTA_CERT, DOWN, REFINE_STEPS, UNKNOWN, UP, VERDICTS
 from skewdrift.errors import ResourceBoundError, WindowTooShortError
+from skewdrift.symbolic import _symbols_from_uniforms
 
-from conftest import constant_product, wide_point
+from conftest import constant_product, multistep_affines, sampled_points, wide_point
 
 
 class TestImageGraph:
@@ -243,3 +246,163 @@ class TestCertificateSerialization:
         assert record["margin"] >= DELTA_CERT
         assert record["window"] == list(cert.graph.window)
         assert len(record["values"]) == len(cert.graph.values)
+
+
+def _reference_refine(product, point, up):
+    """Per-point bisection through certify_drift: the reference for the lockstep refine."""
+    x = point.x
+    lo, hi = (0.0, x) if up else (x, 1.0)
+    for _ in range(REFINE_STEPS):
+        level = 0.5 * (lo + hi)
+        if not (0.0 < level < 1.0):
+            break
+        outcome = sd.certify_drift(product, sd.StepGraph.constant(product.base, level))
+        if outcome.direction != ("up" if up else "down"):
+            lo, hi = (lo, level) if up else (level, hi)
+            continue
+        image_level = outcome.image.value_at(point.window)
+        if up:
+            if image_level - x < DELTA_CERT:
+                lo = level
+            elif x - level < DELTA_CERT:
+                hi = level
+            else:
+                return True
+        else:
+            if x - image_level < DELTA_CERT:
+                hi = level
+            elif level - x < DELTA_CERT:
+                lo = level
+            else:
+                return True
+    return False
+
+
+def _reference_verdict(classifier, point):
+    """Certified-region membership, then per-point refinement, one point at a time."""
+    x = point.x
+    if not (0.0 < x < 1.0):
+        return UNKNOWN
+    hits = []
+    for direction in (UP, DOWN):
+        region = classifier.certified_boxes(direction)
+        L, R = region.window
+        if any(lo <= x <= hi for lo, hi in region.intervals.get(point.window.word(-L, R), ())):
+            hits.append(direction)
+    assert len(hits) < 2
+    if hits:
+        return hits[0]
+    for direction, up in ((UP, True), (DOWN, False)):
+        if _reference_refine(classifier.product, point, up):
+            return direction
+    return UNKNOWN
+
+
+def _criterion_2_products(full2, uniform_chain, two_map, ms_full):
+    return [
+        constant_product(full2, uniform_chain, sd.Affine(0.1, 0.8)),
+        constant_product(full2, uniform_chain, sd.Affine(0.15, 0.8)),
+        two_map,
+        sd.MultistepSkewProduct(
+            full2, uniform_chain, (0, 0), {(1,): sd.Affine(0.14, 0.8), (2,): sd.Affine(0.24, 0.7)}
+        ),
+        ms_full,
+        multistep_affines(full2, uniform_chain, base_offset=0.09),
+    ]
+
+
+class TestBatchEquivalence:
+    """Batch codes, scalar classify and a per-point reference agree point for point."""
+
+    def check(self, product, depth, points):
+        points = list(points)
+        classifier = sd.get_classifier(product, depth)
+        codes = classifier.classify_arrays(
+            points[0].window.lo, [p.window.symbols for p in points], [p.x for p in points]
+        )
+        assert codes.shape == (len(points),)
+        for point, code in zip(points, codes):
+            result = classifier.classify(point)
+            assert VERDICTS[code] == result.verdict == _reference_verdict(classifier, point)
+            if result.witness is not None:
+                assert sd.replay_certificate(product, result.witness, point).ok
+        return Counter(VERDICTS[c] for c in codes)
+
+    def test_criterion_1_systems(self, const_affine, const_plateau, two_map, ms_full, golden_ms):
+        for k, product in enumerate([const_affine, const_plateau, two_map, ms_full, golden_ms]):
+            self.check(product, 6, sampled_points(product, 6, 2000, seed=100 + k))
+
+    def test_criterion_2_products(self, full2, uniform_chain, two_map, ms_full):
+        products = _criterion_2_products(full2, uniform_chain, two_map, ms_full)
+        for k in range(3):
+            self.check(products[2 * k], 5, sampled_points(products[2 * k], 5, 150, seed=200 + k))
+            self.check(products[2 * k + 1], 5, sampled_points(products[2 * k + 1], 5, 150, seed=300 + k))
+
+    def test_criterion_6_periodic_points(self, golden_ms, golden):
+        depth = 5
+        lo, hi = sd.get_classifier(golden_ms, depth).required_range()
+        rng = np.random.default_rng(600)
+        points = [
+            sd.LabeledPoint(word.window(lo, hi), float(x))
+            for length in range(1, 6)
+            for word in sd.periodic_words(golden, length)
+            for x in rng.random(100)
+        ]
+        self.check(golden_ms, depth, points)
+
+    @pytest.mark.parametrize("tau", [-0.004, 0.0, 0.004])
+    def test_plateau_members(self, const_plateau, tau):
+        family = sd.MonotoneFamily(const_plateau, 1.0, (-0.025, 0.025))
+        member = sd.family_member(family, tau)
+        counts = self.check(member, 10, sampled_points(member, 10, 1000, seed=7))
+        assert counts[UP] and counts[DOWN]
+
+    def test_window_1_1_product_at_depth_8(self, ms_full):
+        self.check(ms_full, 8, sampled_points(ms_full, 8, 500, seed=8))
+
+    def test_estimate_counts_match_scalar_recount(self, const_plateau):
+        family = sd.MonotoneFamily(const_plateau, 1.0, (-0.025, 0.025))
+        member = sd.family_member(family, 0.0)
+        depth, n, seed = 10, 500, 21
+        est = sd.estimate_regions(member, depth, n, seed)
+        classifier = sd.get_classifier(member, depth)
+        lo, hi = classifier.required_range()
+        width = hi - lo + 1
+        uniforms = np.random.default_rng(seed).random((n, width + 1))
+        rows = _symbols_from_uniforms(member.chain, uniforms[:, :width])
+        counts = Counter(
+            classifier.classify(sd.LabeledPoint(sd.SymbolWindow(lo, tuple(row)), x)).verdict
+            for row, x in zip(rows.tolist(), uniforms[:, width].tolist())
+        )
+        assert all(counts[v] > 0 for v in VERDICTS)
+        assert (est.mc_up, est.mc_down, est.mc_unknown) == (counts[UP] / n, counts[DOWN] / n, counts[UNKNOWN] / n)
+
+
+class TestBatchEdgeCases:
+    def test_window_one_column_short(self, const_affine):
+        classifier = sd.get_classifier(const_affine, 4)
+        lo, hi = classifier.required_range()
+        rows = np.ones((3, hi - lo), dtype=np.int64)
+        for start in (lo, lo + 1):
+            with pytest.raises(WindowTooShortError) as err:
+                classifier.classify_arrays(start, rows, [0.2, 0.5, 0.8])
+            assert err.value.needed == (lo, hi)
+
+    def test_boundary_points_unknown(self, const_affine):
+        classifier = sd.get_classifier(const_affine, 4)
+        lo, hi = classifier.required_range()
+        rows = np.ones((2, hi - lo + 1), dtype=np.int64)
+        codes = classifier.classify_arrays(lo, rows, [0.0, 1.0])
+        assert [VERDICTS[c] for c in codes] == [UNKNOWN, UNKNOWN]
+
+    def test_empty_batch(self, const_affine):
+        classifier = sd.get_classifier(const_affine, 4)
+        lo, hi = classifier.required_range()
+        codes = classifier.classify_arrays(lo, np.empty((0, hi - lo + 1), dtype=np.int64), [])
+        assert codes.shape == (0,)
+
+    def test_rows_and_fibers_must_match(self, const_affine):
+        classifier = sd.get_classifier(const_affine, 4)
+        lo, hi = classifier.required_range()
+        with pytest.raises(ValueError, match="symbol rows"):
+            classifier.classify_arrays(lo, np.ones((2, hi - lo + 1), dtype=np.int64), [0.5])

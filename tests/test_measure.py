@@ -32,6 +32,22 @@ class TestMeasureBoxes:
         with pytest.raises(InvalidRegionError):
             sd.measure_boxes(uniform_chain, boxes)
 
+    def test_region_measure_matches_measure_boxes(self, golden_ms):
+        # same boxes, same summation order: the two sums agree to the last bit
+        for region in sd.certified_regions(golden_ms, 5):
+            L, _R = region.window
+            boxes = [
+                (sd.SymbolWindow(-L, word), sd.RealInterval(lo, hi))
+                for word, ivs in region.intervals.items()
+                for lo, hi in ivs
+            ]
+            assert region.measure(golden_ms.chain) == sd.measure_boxes(golden_ms.chain, boxes)
+
+    @pytest.mark.parametrize("interval", [(-0.1, 0.2), (0.5, 1.2), (0.6, 0.4)])
+    def test_region_intervals_must_lie_in_unit_interval(self, full2, interval):
+        with pytest.raises(InvalidRegionError, match="not an interval"):
+            sd.BoxRegion(full2, (0, 0), {(1,): (interval,)})
+
     def test_region_union_measure(self, full2, uniform_chain):
         a = sd.BoxRegion(full2, (0, 0), {(1,): ((0.1, 0.3),), (2,): ((0.2, 0.4),)})
         b = sd.BoxRegion(full2, (0, 0), {(1,): ((0.25, 0.5),)})
@@ -102,6 +118,21 @@ class TestClassifierSharing:
         up, down = sd.certified_regions(product, 4)
         assert len(builds) == 1
         assert est.up_region is up and est.down_region is down
+
+    def test_get_classifier_call_forms_share_one_build(self, full2, uniform_chain, monkeypatch):
+        product = constant_product(full2, uniform_chain, sd.Affine(0.1, 0.8))
+        builds = []
+        original = DriftClassifier.__init__
+
+        def counting_init(self, *args):
+            builds.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(DriftClassifier, "__init__", counting_init)
+        first = sd.get_classifier(product, 3)
+        assert sd.get_classifier(product, depth=3) is first
+        assert sd.get_classifier(product=product, depth=3) is first
+        assert len(builds) == 1
 
     def test_get_classifier_keyed_by_product_identity(self, full2, uniform_chain):
         a = constant_product(full2, uniform_chain, sd.Affine(0.1, 0.8))

@@ -94,14 +94,19 @@ def _cmd_classify(cfg: RunConfig, out_dir: Path, points_path: str | None) -> int
     depth = cfg.analysis.depth
     points = []
     with open(points_path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        for i, row in enumerate(reader, start=2):
-            points.append(_parse_point_row(row, i))
+        lines = [(n, text) for n, text in enumerate(fh, start=1) if not text.startswith("#")]
+    reader = csv.DictReader(text for _, text in lines)
+    for row in reader:
+        line = lines[reader.line_num - 1][0]  # line_num counts the non-comment lines read
+        points.append((line, _parse_point_row(row, line)))
     header = f"# seed={cfg.analysis.seed} depth={depth} samples={len(points)}"
     csv_lines = [header, "window,x,verdict,margin,depth"]
     json_lines = []
-    for point in points:
-        result = classify_point(cfg.product, point, depth)
+    for line, point in points:
+        try:
+            result = classify_point(cfg.product, point, depth)
+        except ValueError as exc:
+            raise ConfigError(f"points line {line}", str(exc)) from exc
         margin = "" if result.witness is None else _fmt(result.witness.margin)
         window_txt = " ".join([str(point.window.offset)] + [str(s) for s in point.window.symbols])
         csv_lines.append(f"{window_txt},{_fmt(point.x)},{result.verdict},{margin},{depth}")

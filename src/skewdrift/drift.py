@@ -19,8 +19,8 @@ import numpy as np
 from .errors import IncompatibleProductsError, InvalidRegionError, ResourceBoundError, WindowTooShortError
 from .fibers import EPS_ROUND, FiberMap
 from .products import WINDOW_CAP, LabeledPoint, MultistepSkewProduct
-from .regions import BoxRegion, merge_intervals
-from .symbolic import PeriodicWord, TransitionSystem
+from .regions import BoxRegion
+from .symbolic import PeriodicWord, TransitionSystem, word_codes
 
 # Strictness margin for every certified inequality: four orders above
 # accumulated rounding at composition depth <= 64, far below problem scales.
@@ -83,42 +83,103 @@ class StepGraph:
         return self.values[point_window.word(-L, R)]
 
 
-def _minimized(graph: StepGraph) -> StepGraph:
-    """Drop boundary coordinates the values do not depend on (exact equality).
+# Graphs inside the kernel below are (window, values): values is an array
+# (k, W) holding k graphs over the W lexicographically ordered words of
+# system.words(L + R + 1).
 
-    Represents the same function on the smallest window; keeps witness chains
-    of effectively shallow systems from hitting the window cap.
+
+def _image_arrays(system: TransitionSystem, product_window, maps, slots, window, values):
+    """Raw image window and image values of k graphs given as values (k, W) on a window.
+
+    See image_graph. The map and the graph word over each image word are
+    gathers by subword rank, and each map is evaluated once per graph word
+    it meets, on Python floats as a scalar call would: a Plateau's array
+    path squares where its scalar path calls pow, and the two can differ in
+    the last bit.
     """
+    l, r = product_window
+    L, R = window
+    Lp = max(L, l) + 1
+    Rp = max(max(R, r) - 1, 0)
+    size = Lp + Rp + 1
+    if size > WINDOW_CAP:
+        raise ResourceBoundError(f"image window size {size} exceeds the bound {WINDOW_CAP}")
+    slot = slots[system.sub_ranks(size, Lp - l - 1, l + r + 1)]
+    graph_rank = system.sub_ranks(size, Lp - L - 1, L + R + 1)
+    _, first, inverse = np.unique(slot * values.shape[1] + graph_rank, return_index=True, return_inverse=True)
+    evals = [maps[k].eval for k in slot[first].tolist()]
+    levels = values[:, graph_rank[first]].T.tolist()
+    mapped = np.array([f(c) for f, column in zip(evals, levels) for c in column], dtype=float)
+    return (Lp, Rp), mapped.reshape(len(first), len(values)).T[:, inverse]
+
+
+def _minimized(system: TransitionSystem, window, values) -> list:
+    """Split graphs by their smallest window: [(window, row indices, values)].
+
+    Drops boundary coordinates the values do not depend on (exact equality),
+    which keeps witness chains of effectively shallow systems from hitting
+    the window cap. Dropping one edge never changes the dependence on the
+    other, so left edges are dropped first, then right ones.
+    """
+    groups = [(tuple(window), np.arange(len(values)), values)]
+    for left in (True, False):
+        done = []
+        while groups:
+            (L, R), rows, vals = groups.pop()
+            if (L if left else R) == 0:
+                done.append(((L, R), rows, vals))
+                continue
+            size = L + R + 1
+            start = 1 if left else 0
+            reduced = vals[:, system.first_extensions(size, start, size - 1)]
+            drop = (reduced[:, system.sub_ranks(size, start, size - 1)] == vals).all(axis=1)
+            if not drop.all():
+                done.append(((L, R), rows[~drop], vals[~drop]))
+            if drop.any():
+                groups.append(((L - 1, R) if left else (L, R - 1), rows[drop], reduced[drop]))
+        groups = done
+    return groups
+
+
+def _dict_order(system: TransitionSystem, raw, window) -> np.ndarray | None:
+    """Word ranks in the order a StepGraph minimized from raw to window lists its words.
+
+    Dropping an edge lists each remaining word where the first raw word (in
+    lexicographic order) extending it stood. The order only shows in dict
+    iteration, and through that in the summation order of a region's
+    measure. None when it is lexicographic.
+    """
+    if tuple(raw) == tuple(window):
+        return None
+    order = np.argsort(system.first_extensions(raw[0] + raw[1] + 1, raw[0] - window[0], window[0] + window[1] + 1))
+    return None if (order[1:] > order[:-1]).all() else order
+
+
+def _drift_arrays(system: TransitionSystem, graph_window, graph, image_window, image):
+    """Common window, graph and image values on it, and the Up and Down margins of each row."""
+    L = max(graph_window[0], image_window[0])
+    R = max(graph_window[1], image_window[1])
+    size = L + R + 1
+    if size > WINDOW_CAP:
+        raise ResourceBoundError(f"common window size {size} exceeds the bound {WINDOW_CAP}")
+    graph = graph[:, system.sub_ranks(size, L - graph_window[0], graph_window[0] + graph_window[1] + 1)]
+    image = image[:, system.sub_ranks(size, L - image_window[0], image_window[0] + image_window[1] + 1)]
+    drift = image - graph
+    return (L, R), graph, image, drift.min(axis=1) - 2.0 * EPS_ROUND, -drift.max(axis=1) - 2.0 * EPS_ROUND
+
+
+def _values(graph: StepGraph) -> np.ndarray:
+    """A step graph as a one-row value array over its window's words."""
     L, R = graph.window
-    values = graph.values
-    changed = True
-    while changed:
-        changed = False
-        if L > 0:
-            reduced = _drop_edge(values, left=True)
-            if reduced is not None:
-                values, L = reduced, L - 1
-                changed = True
-        if R > 0:
-            reduced = _drop_edge(values, left=False)
-            if reduced is not None:
-                values, R = reduced, R - 1
-                changed = True
-    if (L, R) == graph.window:
-        return graph
-    return StepGraph(graph.system, (L, R), values)
+    return np.array([[graph.values[w] for w in graph.system.words(L + R + 1)]], dtype=float)
 
 
-def _drop_edge(values: dict, left: bool) -> dict | None:
-    out: dict[tuple[int, ...], float] = {}
-    for word, v in values.items():
-        key = word[1:] if left else word[:-1]
-        known = out.get(key)
-        if known is None:
-            out[key] = v
-        elif known != v:
-            return None
-    return out
+def _graph(system: TransitionSystem, window, values: np.ndarray, order: np.ndarray | None = None) -> StepGraph:
+    """A step graph from a value row, listing its words in the given rank order."""
+    words = system.words(window[0] + window[1] + 1)
+    levels = values.tolist()
+    ranks = range(len(words)) if order is None else order.tolist()
+    return StepGraph(system, window, {words[i]: levels[i] for i in ranks})
 
 
 def image_graph(product: MultistepSkewProduct, graph: StepGraph) -> StepGraph:
@@ -132,27 +193,10 @@ def image_graph(product: MultistepSkewProduct, graph: StepGraph) -> StepGraph:
     """
     if not product.base.same_base(graph.system):
         raise IncompatibleProductsError("graph and product live over different bases")
-    l, r = product.window
-    L, R = graph.window
-    Lp = max(L, l) + 1
-    Rp = max(max(R, r) - 1, 0)
-    if Lp + Rp + 1 > WINDOW_CAP:
-        raise ResourceBoundError(
-            f"image window size {Lp + Rp + 1} exceeds the bound {WINDOW_CAP}"
-        )
-    fiber_start = (-l - 1) + Lp
-    fiber_len = l + r + 1
-    graph_start = (-L - 1) + Lp
-    graph_len = L + R + 1
-    assignment = product.assignment
-    g_values = graph.values
-    values = {
-        u: assignment[u[fiber_start : fiber_start + fiber_len]].eval(
-            g_values[u[graph_start : graph_start + graph_len]]
-        )
-        for u in product.base.words(Lp + Rp + 1)
-    }
-    return _minimized(StepGraph(graph.system, (Lp, Rp), values))
+    system = graph.system
+    raw, image = _image_arrays(system, product.window, *product.map_slots, graph.window, _values(graph))
+    [(window, _, image)] = _minimized(system, raw, image)
+    return _graph(system, window, image[0], _dict_order(system, raw, window))
 
 
 @dataclass(frozen=True)
@@ -166,20 +210,13 @@ class DriftOutcome:
 
 
 def _drift_outcome(graph: StepGraph, image: StepGraph) -> DriftOutcome:
-    L = max(graph.window[0], image.window[0])
-    R = max(graph.window[1], image.window[1])
-    if L + R + 1 > WINDOW_CAP:
-        raise ResourceBoundError(f"common window size {L + R + 1} exceeds the bound {WINDOW_CAP}")
-    g = graph.refined((L, R))
-    e = image.refined((L, R))
-    lo = min(e.values[w] - g.values[w] for w in g.values)
-    hi = max(e.values[w] - g.values[w] for w in g.values)
-    up_margin = lo - 2.0 * EPS_ROUND
-    down_margin = -hi - 2.0 * EPS_ROUND
-    if up_margin >= DELTA_CERT:
-        return DriftOutcome("up", up_margin, g, e)
-    if down_margin >= DELTA_CERT:
-        return DriftOutcome("down", down_margin, g, e)
+    window, _, _, up, down = _drift_arrays(graph.system, graph.window, _values(graph), image.window, _values(image))
+    g = graph.refined(window)
+    e = image.refined(window)
+    if up[0] >= DELTA_CERT:
+        return DriftOutcome("up", float(up[0]), g, e)
+    if down[0] >= DELTA_CERT:
+        return DriftOutcome("down", float(down[0]), g, e)
     return DriftOutcome("inconclusive", None, g, e)
 
 
@@ -260,38 +297,20 @@ class Classification:
         return record
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Witness:
-    graph: StepGraph  # refined to the common window with its image
-    image: StepGraph
-    margin: float
+    """A drifting graph and its image on their common window, as value rows.
 
-
-def _word_codes(rows: np.ndarray, start: int, length: int, alphabet_size: int) -> np.ndarray:
-    """Positional codes of the words in columns start..start+length-1 of symbol rows.
-
-    Lexicographic order of words of one length is numeric order of their codes.
+    order lists the graph's words as the chain's StepGraph would, where that
+    is not lexicographic; the StepGraph itself is built on first use.
     """
-    return (rows[:, start : start + length] - 1) @ alphabet_size ** np.arange(length - 1, -1, -1, dtype=np.int64)
 
-
-def _tagged_pieces(boxes: list) -> tuple[list, list, list]:
-    """Disjoint pieces covering tagged boxes, each piece keeping one covering tag."""
-    boxes.sort()
-    starts: list[float] = []
-    ends: list[float] = []
-    tags: list[int] = []
-    for lo, hi, tag in boxes:
-        if starts and lo <= ends[-1]:
-            if hi > ends[-1]:
-                starts.append(ends[-1])
-                ends.append(hi)
-                tags.append(tag)
-        else:
-            starts.append(lo)
-            ends.append(hi)
-            tags.append(tag)
-    return starts, ends, tags
+    window: tuple[int, int]
+    graph: np.ndarray
+    image: np.ndarray
+    margin: float
+    order: np.ndarray | None
+    step_graph: StepGraph | None = None
 
 
 class _RegionIndex:
@@ -303,27 +322,43 @@ class _RegionIndex:
     strip of its own word that starts at or below it.
     """
 
-    def __init__(self, system: TransitionSystem, window: tuple[int, int], pieces: dict[tuple[int, ...], tuple]):
+    def __init__(self, window: tuple[int, int], alphabet_size: int, codes, starts, ends, tags):
         self.window = window
-        self.alphabet_size = system.alphabet_size
-        words = sorted(pieces)
-        size = window[0] + window[1] + 1
-        codes = _word_codes(np.array(words, dtype=np.int64).reshape(-1, size), 0, size, self.alphabet_size)
-        self.keys = np.repeat(codes, [len(pieces[w][0]) for w in words]).astype(complex)
-        self.keys.imag = [v for w in words for v in pieces[w][0]]
-        self.ends = np.array([v for w in words for v in pieces[w][1]], dtype=float)
-        self.tags = np.array([v for w in words for v in pieces[w][2]], dtype=np.int64)
+        self.alphabet_size = alphabet_size
+        self.keys = np.asarray(codes).astype(complex)
+        self.keys.imag = starts
+        self.ends = np.asarray(ends, dtype=float)
+        self.tags = np.asarray(tags, dtype=np.int64)
 
     def lookup(self, lo: int, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Tag of the strip containing each point, -1 where no strip does."""
         if not len(self.tags):
             return np.full(len(xs), -1, dtype=np.int64)
         L, R = self.window
-        keys = _word_codes(rows, -L - lo, L + R + 1, self.alphabet_size).astype(complex)
+        keys = word_codes(rows, -L - lo, L + R + 1, self.alphabet_size).astype(complex)
         keys.imag = xs
         i = np.searchsorted(self.keys, keys, side="right") - 1
         hit = (i >= 0) & (self.keys.real[i] == keys.real) & (xs <= self.ends[i])
         return np.where(hit, self.tags[i], -1)
+
+
+def _check_admissible(system: TransitionSystem, lo: int, rows: np.ndarray):
+    """Raise ValueError unless every row of symbols on lo.. is an admissible word."""
+    n = system.alphabet_size
+    outside = (rows < 1) | (rows > n)
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise ValueError(f"symbol {rows[i, j]} at coordinate {lo + j} of point {i} is not in the alphabet 1..{n}")
+    pairs = rows[:, :-1] * n
+    pairs += rows[:, 1:]
+    pairs -= n + 1
+    forbidden = system.transitions.ravel()[pairs] == 0
+    if forbidden.any():
+        i, j = np.argwhere(forbidden)[0]
+        raise ValueError(
+            f"transition {rows[i, j]} -> {rows[i, j + 1]} at coordinates {lo + j}, {lo + j + 1} "
+            f"of point {i} is forbidden"
+        )
 
 
 def _as_batch(rows, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -338,8 +373,9 @@ class DriftClassifier:
     """Witness family for one product at one depth, shared across point queries.
 
     The family consists of the 64-level grid of constant graphs iterated up to
-    the depth (chains stop early at the window cap), plus per-point binary
-    refinement of the level near the queried fiber coordinate.
+    the depth (chains stop early at the window cap; truncated_chains counts
+    the chains cut short), plus per-point binary refinement of the level
+    near the queried fiber coordinate.
     """
 
     def __init__(self, product: MultistepSkewProduct, depth: int):
@@ -348,58 +384,118 @@ class DriftClassifier:
         self.product = product
         self.depth = depth
         self._fingerprint = product.fingerprint()
-        # the distinct fiber maps, and per defining word (by code) the slot of its map
-        l, r = product.window
-        words = product.base.words(l + r + 1)
-        self._maps = tuple(dict.fromkeys(product.assignment.values()))
-        slots = {fmap: i for i, fmap in enumerate(self._maps)}
-        self._defining_codes = _word_codes(np.array(words, dtype=np.int64), 0, l + r + 1, product.base.alphabet_size)
-        self._defining_maps = np.array([slots[product.assignment[w]] for w in words], dtype=np.int64)
-        self._up: list[_Witness] = []
-        self._down: list[_Witness] = []
-        for level in LEVEL_GRID:
-            graph = StepGraph.constant(product.base, level)
-            for _ in range(depth + 1):
-                try:
-                    image = image_graph(product, graph)
-                    outcome = _drift_outcome(graph, image)
-                except ResourceBoundError:
-                    break
-                if outcome.direction == "up":
-                    self._up.append(_Witness(outcome.graph, outcome.image, outcome.margin))
-                elif outcome.direction == "down":
-                    self._down.append(_Witness(outcome.graph, outcome.image, outcome.margin))
-                graph = image
+        self._maps, self._slots = product.map_slots
+        self._up, self._down, self.truncated_chains = self._chains()
         self._up_index, self._up_region = self._build_index(self._up, up=True)
         self._down_index, self._down_region = self._build_index(self._down, up=False)
         self._check_disjoint()
 
-    def _build_index(self, witnesses: list[_Witness], up: bool) -> tuple[_RegionIndex, BoxRegion]:
-        """Witness-tagged strips for point lookup, and their union as a region."""
+    def _chains(self) -> tuple[list[_Witness], list[_Witness], int]:
+        """Up and Down witnesses of the level chains, and the number of chains cut short.
+
+        Each level's chain is its constant graph and the graph's images up to
+        the depth; a step whose graph certifiably drifts gives a witness.
+        Witnesses are listed level by level, then step by step. All chains
+        advance together one step at a time, one array per current window.
+        A chain stops where its next image window would exceed WINDOW_CAP.
+        """
         system = self.product.base
+        levels = np.array(LEVEL_GRID)
+        # (window, raw window it was minimized from, level indices, values)
+        groups = [((0, 0), (0, 0), np.arange(len(levels)), np.repeat(levels[:, None], system.alphabet_size, axis=1))]
+        found = []
+        truncated = 0
+        for step in range(self.depth + 1):
+            advanced = []
+            for window, raw, chains, values in groups:
+                try:
+                    image_raw, image = _image_arrays(
+                        system, self.product.window, self._maps, self._slots, window, values
+                    )
+                except ResourceBoundError:
+                    truncated += len(chains)
+                    continue
+                for image_window, rows, image_values in _minimized(system, image_raw, image):
+                    # within the cap: a graph's right offset never exceeds its image's raw one
+                    common, g, e, up, down = _drift_arrays(system, window, values[rows], image_window, image_values)
+                    # the witness graph is the chain's graph, in its own order, unless refined
+                    order = _dict_order(system, raw, window) if common == window else None
+                    is_up = up >= DELTA_CERT
+                    hits = np.flatnonzero(is_up | (down >= DELTA_CERT))
+                    for chain, witness_up, margin, g_row, e_row in zip(
+                        chains[rows[hits]].tolist(), is_up[hits].tolist(),
+                        np.where(is_up, up, down)[hits].tolist(), g[hits], e[hits],
+                    ):
+                        found.append((chain, step, witness_up, _Witness(common, g_row, e_row, margin, order)))
+                    advanced.append((image_window, image_raw, chains[rows], image_values))
+            groups = advanced
+        found.sort(key=lambda f: f[:2])
+        return [w for *_, is_up, w in found if is_up], [w for *_, is_up, w in found if not is_up], truncated
+
+    def _build_index(self, witnesses: list[_Witness], up: bool) -> tuple[_RegionIndex, BoxRegion]:
+        """Witness-tagged strips for point lookup, and their union as a region.
+
+        The strips are stacked into (word, witness) arrays on the common
+        window and each word's row is swept in (start, end, tag) order. A
+        strip starts a piece at its start if that lies beyond the running end
+        of the earlier strips, at the running end if only its end does, and
+        is covered otherwise; a piece keeps its strip's tag. Runs of touching
+        pieces are the region's merged intervals. Words enter the region in
+        the order they first get a strip, witness by witness, each witness
+        listing its words in its graph's own order.
+        """
+        system = self.product.base
+        n = system.alphabet_size
         if not witnesses:
-            return _RegionIndex(system, (0, 0), {}), BoxRegion.empty(system)
-        window = (
-            max(w.graph.window[0] for w in witnesses),
-            max(w.graph.window[1] for w in witnesses),
-        )
-        by_word: dict[tuple[int, ...], list] = {}
+            none = np.empty(0, dtype=np.int64)
+            return _RegionIndex((0, 0), n, none, none, none, none), BoxRegion.empty(system)
+        window = L, R = (max(w.window[0] for w in witnesses), max(w.window[1] for w in witnesses))
+        size = L + R + 1
+        count = len(system.words(size))
+        lo = np.empty((count, len(witnesses)))
+        hi = np.empty((count, len(witnesses)))
+        by_window = {}
         for tag, wit in enumerate(witnesses):
-            g = wit.graph.refined(window)
-            e = wit.image.refined(window)
-            for word in g.values:
-                if up:
-                    lo = g.values[word] + DELTA_CERT
-                    hi = e.values[word] - DELTA_CERT
-                else:
-                    lo = e.values[word] + DELTA_CERT
-                    hi = g.values[word] - DELTA_CERT
-                if hi > lo:
-                    by_word.setdefault(word, []).append((lo, hi, tag))
-        pieces = {word: _tagged_pieces(boxes) for word, boxes in by_word.items()}
-        del by_word  # the raw strips are the bulk of a build's peak memory
-        intervals = {w: merge_intervals(zip(starts, ends)) for w, (starts, ends, _) in pieces.items()}
-        return _RegionIndex(system, window, pieces), BoxRegion(system, window, intervals)
+            by_window.setdefault(wit.window, []).append(tag)
+        for (wl, wr), group in by_window.items():
+            ranks = system.sub_ranks(size, L - wl, wl + wr + 1)
+            g = np.array([witnesses[t].graph for t in group]).T[ranks]
+            e = np.array([witnesses[t].image for t in group]).T[ranks]
+            lo[:, group], hi[:, group] = (g + DELTA_CERT, e - DELTA_CERT) if up else (e + DELTA_CERT, g - DELTA_CERT)
+        valid = hi > lo
+        has = np.flatnonzero(valid.any(axis=1))
+        first_tag = valid[has].argmax(axis=1)
+        lo[~valid] = np.inf  # empty strips sort last and are never kept
+        tags = np.lexsort((hi, lo), axis=-1)  # stable: strips with equal (start, end) stay in tag order
+        lo = np.take_along_axis(lo, tags, axis=1)
+        hi = np.take_along_axis(hi, tags, axis=1)
+        valid = np.take_along_axis(valid, tags, axis=1)
+        running = np.maximum.accumulate(np.where(valid, hi, -np.inf), axis=1)
+        end = np.hstack([np.full((count, 1), -np.inf), running[:, :-1]])  # of the earlier strips
+        row, col = np.nonzero(valid & (hi > end))
+        opens = lo[row, col] > end[row, col]  # a piece at the strip's own start opens a new run
+        starts = np.where(opens, lo[row, col], end[row, col])
+        ends = hi[row, col]
+        index = _RegionIndex(window, n, system.codes(size)[row], starts, ends, tags[row, col])
+        first = np.flatnonzero(opens)
+        last = np.append(first[1:] - 1, len(row) - 1)
+        run_lo, run_hi = starts[first].tolist(), ends[last].tolist()
+        offsets = np.searchsorted(row[first], np.arange(count + 1)).tolist()
+        # words first strip-covered by one witness follow that witness's word order
+        position = has.copy()
+        for tag in np.unique(first_tag).tolist():
+            wit = witnesses[tag]
+            if wit.order is not None and wit.window == window:
+                inverse = np.empty(count, dtype=np.int64)
+                inverse[wit.order] = np.arange(count)
+                mine = first_tag == tag
+                position[mine] = inverse[has[mine]]
+        words = system.words(size)
+        intervals = {
+            words[w]: tuple(zip(run_lo[offsets[w] : offsets[w + 1]], run_hi[offsets[w] : offsets[w + 1]]))
+            for w in has[np.lexsort((position, first_tag))].tolist()
+        }
+        return index, BoxRegion(system, window, intervals)
 
     def _check_disjoint(self):
         # certified Up and Down strips can never overlap; a hit is a bug
@@ -438,7 +534,9 @@ class DriftClassifier:
         rows is an int array (n, width) of symbols on coordinates
         lo..lo + width - 1 and xs holds the n fiber coordinates. The codes are
         the verdicts classify gives point by point; points with x <= 0 or
-        x >= 1 are Unknown.
+        x >= 1 are Unknown. A row that is not an admissible word of the
+        base (a symbol outside the alphabet or a forbidden transition)
+        raises ValueError.
         """
         rows, xs = _as_batch(rows, xs)
         up_tag, down_tag, up_level, down_level = self._search(lo, rows, xs, exhaustive=False)
@@ -459,27 +557,32 @@ class DriftClassifier:
         """Witness of an index hit (tag >= 0) or of a refined level (not NaN)."""
         if tag >= 0:
             witness = (self._up if direction == UP else self._down)[tag]
+            if witness.step_graph is None:
+                witness.step_graph = _graph(self.product.base, witness.window, witness.graph, witness.order)
+            graph, margin = witness.step_graph, witness.margin
         elif not np.isnan(level):
             graph = StepGraph.constant(self.product.base, level)
             outcome = _drift_outcome(graph, image_graph(self.product, graph))
             if outcome.direction != direction.lower():
                 raise RuntimeError(f"internal inconsistency: refined level {level} is not {direction}")
-            witness = _Witness(outcome.graph, outcome.image, outcome.margin)
+            graph, margin = outcome.graph, outcome.margin
         else:
             return None
-        return DriftCertificate(direction.lower(), witness.graph, witness.margin, self._fingerprint)
+        return DriftCertificate(direction.lower(), graph, margin, self._fingerprint)
 
     def _search(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool):
         """Per point: Up and Down index tags (-1 for none), then Up and Down refined levels (NaN for none).
 
         Refinement runs only for points the index leaves open. A point's Down
         search follows only when Up found nothing, unless the search is
-        exhaustive, which runs both directions independently.
+        exhaustive, which runs both directions independently. Raises
+        ValueError for a row that is not a word of the base space.
         """
         need_lo, need_hi = self.required_range()
         have_hi = lo + rows.shape[1] - 1
         if not (lo <= need_lo and need_hi <= have_hi):
             raise WindowTooShortError((need_lo, need_hi), (lo, have_hi), f"classification at depth {self.depth}")
+        _check_admissible(self.product.base, lo, rows)
         inside = (xs > 0.0) & (xs < 1.0)
         up_tag = np.where(inside, self._up_index.lookup(lo, rows, xs), -1)
         down_tag = np.where(inside, self._down_index.lookup(lo, rows, xs), -1)
@@ -515,7 +618,7 @@ class DriftClassifier:
         evaluates them (a Plateau's array path squares where its scalar path
         calls pow, which can differ in the last bit), so every comparison
         sees the same floats and every decision is the scalar one, bit for
-        bit. A point whose defining word is not admissible is not searched.
+        bit.
         """
         levels = np.full(len(xs), np.nan)
         if not len(xs):
@@ -524,11 +627,9 @@ class DriftClassifier:
         size = l + 2 + max(r - 1, 0)
         if size > WINDOW_CAP:
             raise ResourceBoundError(f"image window size {size} exceeds the bound {WINDOW_CAP}")
-        codes = _word_codes(rows, -l - 1 - lo, l + r + 1, self.product.base.alphabet_size)
-        rank = np.minimum(np.searchsorted(self._defining_codes, codes), len(self._defining_codes) - 1)
-        slot = self._defining_maps[rank]
+        slot = self._slots[self.product.base.word_ranks(rows, -l - 1 - lo, l + r + 1)]
         lower, upper = (np.zeros_like(xs), xs.copy()) if up else (xs.copy(), np.ones_like(xs))
-        active = np.flatnonzero(self._defining_codes[rank] == codes)
+        active = np.arange(len(xs))
         for _ in range(REFINE_STEPS):
             level = 0.5 * (lower[active] + upper[active])
             valid = (0.0 < level) & (level < 1.0)

@@ -8,6 +8,7 @@ every computation here is finite.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -78,6 +79,14 @@ class MultistepSkewProduct:
                 raise ValueError(f"fiber map for word {w}: {check.reason}")
         object.__setattr__(self, "window", (int(l), int(r)))
         object.__setattr__(self, "assignment", assignment)
+
+    @functools.cached_property
+    def map_slots(self) -> tuple[tuple[FiberMap, ...], np.ndarray]:
+        """The distinct fiber maps, and for each word of the window (by rank) the index of its map."""
+        maps = tuple(dict.fromkeys(self.assignment.values()))
+        index = {fmap: i for i, fmap in enumerate(maps)}
+        words = self.base.words(self.window[0] + self.window[1] + 1)
+        return maps, np.array([index[self.assignment[w]] for w in words], dtype=np.int64)
 
     def map_for(self, word: tuple[int, ...], word_window: tuple[int, int] | None = None) -> FiberMap:
         """Fiber map for a word given at a window at least as wide as this product's."""

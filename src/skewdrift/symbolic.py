@@ -79,6 +79,7 @@ class TransitionSystem:
         )
         object.__setattr__(self, "_successors", succ)
         object.__setattr__(self, "_word_cache", {})
+        object.__setattr__(self, "_table_cache", {})
 
     @property
     def alphabet_size(self) -> int:
@@ -109,6 +110,42 @@ class TransitionSystem:
             cache[length] = tuple(level)
         return cache[length]
 
+    def _table(self, key: tuple, build):
+        if key not in self._table_cache:
+            self._table_cache[key] = build()
+        return self._table_cache[key]
+
+    def word_array(self, length: int) -> np.ndarray:
+        """words(length) as an int array (count, length); row i is word i."""
+        return self._table(("words", length), lambda: np.array(self.words(length), dtype=np.int64).reshape(-1, length))
+
+    def codes(self, length: int) -> np.ndarray:
+        """Positional codes of words(length), in increasing order."""
+        n = self.alphabet_size
+        return self._table(("codes", length), lambda: word_codes(self.word_array(length), 0, length, n))
+
+    def word_ranks(self, rows: np.ndarray, start: int, length: int) -> np.ndarray:
+        """Rank in words(length) of each row's admissible word in columns start..start+length-1."""
+        return np.searchsorted(self.codes(length), word_codes(rows, start, length, self.alphabet_size))
+
+    def sub_ranks(self, length: int, start: int, sub_length: int) -> np.ndarray:
+        """For each word of words(length), the rank of its subword at start..start+sub_length-1.
+
+        Gathering a per-word array on the short words with these ranks re-keys
+        it onto the long ones, the array form of refine_table.
+        """
+        return self._table(
+            ("sub", length, start, sub_length), lambda: self.word_ranks(self.word_array(length), start, sub_length)
+        )
+
+    def first_extensions(self, length: int, start: int, sub_length: int) -> np.ndarray:
+        """For each word of words(sub_length), the index of the first word of words(length)
+        whose subword at start..start+sub_length-1 it is."""
+        return self._table(
+            ("first", length, start, sub_length),
+            lambda: np.unique(self.sub_ranks(length, start, sub_length), return_index=True)[1],
+        )
+
     def refine_table(self, table: dict, window: tuple[int, int], target: tuple[int, int]) -> dict:
         """Re-key a per-word table from words on -L..R onto words on a wider window.
 
@@ -127,6 +164,14 @@ class TransitionSystem:
 
     def same_base(self, other: "TransitionSystem") -> bool:
         return np.array_equal(self.transitions, other.transitions)
+
+
+def word_codes(rows: np.ndarray, start: int, length: int, alphabet_size: int) -> np.ndarray:
+    """Positional codes of the words in columns start..start+length-1 of symbol rows.
+
+    Lexicographic order of words of one length is numeric order of their codes.
+    """
+    return (rows[:, start : start + length] - 1) @ alphabet_size ** np.arange(length - 1, -1, -1, dtype=np.int64)
 
 
 def stationary_distribution(stochastic) -> np.ndarray:

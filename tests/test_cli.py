@@ -102,6 +102,18 @@ class TestClassifyCommand:
     def test_missing_points_flag_exits_2(self, tmp_path):
         assert run("classify", str(CONFIGS / "constant_affine.json"), out=str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("window, message", [
+        ("-5 1 1 1 1 1 3 1 1 1 1", "symbol 3 at coordinate 0"),
+        ("-5 1 1 1 1 1 2 2 1 1 1", "transition 2 -> 2 at coordinates 0, 1"),
+    ])
+    def test_point_outside_base_space_exits_2(self, tmp_path, capsys, window, message):
+        points = tmp_path / "points.csv"
+        points.write_text(f"window,x\n# a comment line\n-5 1 1 1 1 1 1 1 1 1 1,0.05\n{window},0.05\n")
+        code = run("classify", str(CONFIGS / "golden_affine.json"), points=str(points), out=str(tmp_path), depth=4)
+        assert code == 2
+        assert f"points line 4: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "classifications.csv").exists()
+
 
 class TestMeasureCommand:
     def test_writes_estimate_json(self, tmp_path, capsys):

@@ -1,14 +1,22 @@
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import skewdrift as sd
-from skewdrift.drift import DELTA_CERT, DOWN, REFINE_STEPS, UNKNOWN, UP, VERDICTS
+from skewdrift import drift
+from skewdrift.config import load_config
+from skewdrift.drift import DELTA_CERT, DOWN, LEVEL_GRID, REFINE_STEPS, UNKNOWN, UP, VERDICTS
 from skewdrift.errors import ResourceBoundError, WindowTooShortError
+from skewdrift.fibers import EPS_ROUND
+from skewdrift.products import WINDOW_CAP
+from skewdrift.regions import merge_intervals
 from skewdrift.symbolic import _symbols_from_uniforms
 
 from conftest import constant_product, multistep_affines, sampled_points, wide_point
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 class TestImageGraph:
@@ -406,3 +414,254 @@ class TestBatchEdgeCases:
         lo, hi = classifier.required_range()
         with pytest.raises(ValueError, match="symbol rows"):
             classifier.classify_arrays(lo, np.ones((2, hi - lo + 1), dtype=np.int64), [0.5])
+
+
+# Test-side reference of the dict-by-dict classifier build: per-word dicts for
+# graphs, edge dropping by first appearance, and a per-word piece sweep.
+
+
+def _dict_minimized(system, window, values):
+    L, R = window
+    changed = True
+    while changed:
+        changed = False
+        for left in (True, False):
+            if (L if left else R) > 0:
+                reduced = _dict_drop_edge(values, left)
+                if reduced is not None:
+                    values = reduced
+                    L, R = (L - 1, R) if left else (L, R - 1)
+                    changed = True
+    return sd.StepGraph(system, (L, R), values)
+
+
+def _dict_drop_edge(values, left):
+    out = {}
+    for word, v in values.items():
+        key = word[1:] if left else word[:-1]
+        if out.setdefault(key, v) != v:
+            return None
+    return out
+
+
+def _dict_image_graph(product, graph):
+    l, r = product.window
+    L, R = graph.window
+    Lp, Rp = max(L, l) + 1, max(max(R, r) - 1, 0)
+    if Lp + Rp + 1 > WINDOW_CAP:
+        raise ResourceBoundError("image window over the cap")
+    fs, gs = Lp - l - 1, Lp - L - 1
+    values = {
+        u: product.assignment[u[fs : fs + l + r + 1]].eval(graph.values[u[gs : gs + L + R + 1]])
+        for u in product.base.words(Lp + Rp + 1)
+    }
+    return _dict_minimized(graph.system, (Lp, Rp), values)
+
+
+def _dict_drift(graph, image):
+    window = (max(graph.window[0], image.window[0]), max(graph.window[1], image.window[1]))
+    g, e = graph.refined(window), image.refined(window)
+    lo = min(e.values[w] - g.values[w] for w in g.values)
+    hi = max(e.values[w] - g.values[w] for w in g.values)
+    if lo - 2.0 * EPS_ROUND >= DELTA_CERT:
+        return "up", lo - 2.0 * EPS_ROUND, g, e
+    if -hi - 2.0 * EPS_ROUND >= DELTA_CERT:
+        return "down", -hi - 2.0 * EPS_ROUND, g, e
+    return "inconclusive", None, g, e
+
+
+def _reference_chains(product, depth):
+    """Up and Down witnesses (graph, image, margin) and the truncated-chain count.
+
+    Every step is checked against the public image_graph and certify_drift,
+    word order included.
+    """
+    found = {"up": [], "down": []}
+    truncated = 0
+    for level in LEVEL_GRID:
+        graph = sd.StepGraph.constant(product.base, level)
+        for _ in range(depth + 1):
+            try:
+                image = _dict_image_graph(product, graph)
+            except ResourceBoundError:
+                with pytest.raises(ResourceBoundError):
+                    sd.image_graph(product, graph)
+                truncated += 1
+                break
+            public = sd.image_graph(product, graph)
+            assert public.window == image.window and list(public.values.items()) == list(image.values.items())
+            direction, margin, g, e = _dict_drift(graph, image)
+            outcome = sd.certify_drift(product, graph)
+            assert (outcome.direction, outcome.margin) == (direction, margin)
+            assert list(outcome.graph.values.items()) == list(g.values.items())
+            assert outcome.image.values == e.values
+            if direction != "inconclusive":
+                found[direction].append((g, e, margin))
+            graph = image
+    return found["up"], found["down"], truncated
+
+
+def _tagged_pieces(boxes):
+    boxes.sort()
+    starts, ends, tags = [], [], []
+    for lo, hi, tag in boxes:
+        if starts and lo <= ends[-1]:
+            if hi > ends[-1]:
+                starts.append(ends[-1])
+                ends.append(hi)
+                tags.append(tag)
+        else:
+            starts.append(lo)
+            ends.append(hi)
+            tags.append(tag)
+    return starts, ends, tags
+
+
+def _reference_index(system, witnesses, up):
+    """Index window, (keys, ends, tags) arrays and region intervals from a per-word sweep."""
+    if not witnesses:
+        return (0, 0), (np.empty(0, complex), np.empty(0), np.empty(0, np.int64)), {}
+    window = (max(g.window[0] for g, _, _ in witnesses), max(g.window[1] for g, _, _ in witnesses))
+    by_word = {}
+    for tag, (g, e, _) in enumerate(witnesses):
+        g, e = g.refined(window), e.refined(window)
+        for word in g.values:
+            lo, hi = (g.values[word], e.values[word]) if up else (e.values[word], g.values[word])
+            lo, hi = lo + DELTA_CERT, hi - DELTA_CERT
+            if hi > lo:
+                by_word.setdefault(word, []).append((lo, hi, tag))
+    pieces = {word: _tagged_pieces(boxes) for word, boxes in by_word.items()}
+    intervals = {w: merge_intervals(zip(starts, ends)) for w, (starts, ends, _) in pieces.items()}
+    n = system.alphabet_size
+    words = sorted(pieces)
+    codes = [sum((s - 1) * n ** (len(w) - 1 - i) for i, s in enumerate(w)) for w in words]
+    keys = np.repeat(np.array(codes, dtype=np.int64), [len(pieces[w][0]) for w in words]).astype(complex)
+    keys.imag = [v for w in words for v in pieces[w][0]]
+    ends = np.array([v for w in words for v in pieces[w][1]], dtype=float)
+    tags = np.array([v for w in words for v in pieces[w][2]], dtype=np.int64)
+    return window, (keys, ends, tags), intervals
+
+
+def _three_symbol_product(window, fmap):
+    """A product over the 3-symbol shift without repeated symbols, one map everywhere.
+
+    No symbol precedes every other one, so dropping a left edge lists the
+    remaining words in a non-lexicographic order.
+    """
+    system = sd.TransitionSystem(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+    chain = sd.MarkovChain(system, np.array([[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]]))
+    l, r = window
+    return sd.MultistepSkewProduct(system, chain, window, {w: fmap for w in system.words(l + r + 1)})
+
+
+class TestArrayBuild:
+    """The array build gives the dict build's witnesses, index and regions exactly."""
+
+    def check(self, product, depth):
+        classifier = sd.DriftClassifier(product, depth)
+        up, down, truncated = _reference_chains(product, depth)
+        assert classifier.truncated_chains == truncated
+        system = product.base
+        for direction, reference, witnesses, index, is_up in (
+            (UP, up, classifier._up, classifier._up_index, True),
+            (DOWN, down, classifier._down, classifier._down_index, False),
+        ):
+            assert len(witnesses) == len(reference)
+            for tag, (witness, (g, e, margin)) in enumerate(zip(witnesses, reference)):
+                cert = classifier._certificate(direction, tag, np.nan)
+                assert cert.graph.window == g.window == witness.window
+                assert list(cert.graph.values.items()) == list(g.values.items())
+                assert cert.margin == margin
+                L, R = witness.window
+                assert witness.image.tolist() == [e.values[w] for w in system.words(L + R + 1)]
+            window, arrays, intervals = _reference_index(system, reference, is_up)
+            region = classifier.certified_boxes(direction)
+            assert index.window == region.window == window
+            for got, want in zip((index.keys, index.ends, index.tags), arrays):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert list(region.intervals.items()) == list(intervals.items())
+        return classifier, up, down
+
+    def test_fixture_systems(self, const_affine, const_plateau, two_map, ms_full, golden_ms):
+        for product in (const_affine, const_plateau, two_map, ms_full, golden_ms):
+            self.check(product, 6)
+
+    @pytest.mark.parametrize("tau", [-0.02, -0.004, 0.0, 0.004, 0.02])
+    def test_plateau_members(self, const_plateau, tau):
+        family = sd.MonotoneFamily(const_plateau, 1.0, (-0.025, 0.025))
+        self.check(sd.family_member(family, tau), 10)
+
+    def test_window_1_1_pair_at_depth_8(self, full2, uniform_chain, ms_full):
+        for product in (ms_full, multistep_affines(full2, uniform_chain, base_offset=0.09)):
+            self.check(product, 8)
+
+    @pytest.mark.parametrize("window", [(1, 0), (0, 1), (1, 1)])
+    def test_three_symbol_shift(self, window):
+        classifier, up, _down = self.check(_three_symbol_product(window, sd.Affine(0.1, 0.8)), 4)
+        # chain graphs minimized by a left drop keep a non-lexicographic order
+        assert any(list(g.values) != sorted(g.values) for g, _, _ in up)
+
+    def test_region_follows_first_witness_order(self):
+        # without the constant graph at tag 0, the first witness to cover
+        # every word lists its words out of lexicographic order
+        product = _three_symbol_product((1, 0), sd.Affine(0.1, 0.8))
+        classifier = sd.DriftClassifier(product, 4)
+        up, _down, _truncated = _reference_chains(product, 4)
+        _index, region = classifier._build_index(classifier._up[1:], up=True)
+        _window, _arrays, intervals = _reference_index(product.base, up[1:], True)
+        assert list(region.intervals) == [(1,), (3,), (2,)]
+        assert list(region.intervals.items()) == list(intervals.items())
+
+    @pytest.mark.parametrize("up", [True, False])
+    def test_sweep_on_tied_and_touching_strips(self, const_affine, up):
+        # strips drawn from a few values, so that starts, ends and tags tie
+        # and a strip's start often equals another's end exactly
+        system = const_affine.base
+        classifier = sd.DriftClassifier(const_affine, 0)
+        rng = np.random.default_rng(11)
+        grid = np.linspace(0.1, 0.9, 9).tolist()
+        edges = [v for v in grid if (v + DELTA_CERT) - DELTA_CERT == v == (v - DELTA_CERT) + DELTA_CERT]
+        inner = {v: v - DELTA_CERT if up else v + DELTA_CERT for v in edges}  # strip edge v from graph value
+        outer = {v: v + DELTA_CERT if up else v - DELTA_CERT for v in edges}  # strip edge v from image value
+        for _ in range(20):
+            witnesses, reference = [], []
+            for _ in range(30):
+                a, b = rng.choice(edges, size=(2, 4)).tolist()
+                graph, image = [inner[v] for v in a], [outer[v] for v in b]
+                witnesses.append(drift._Witness((1, 0), np.array(graph), np.array(image), 1.0, None))
+                words = system.words(2)
+                reference.append((sd.StepGraph(system, (1, 0), dict(zip(words, graph))),
+                                  sd.StepGraph(system, (1, 0), dict(zip(words, image))), 1.0))
+            index, region = classifier._build_index(witnesses, up)
+            window, arrays, intervals = _reference_index(system, reference, up)
+            assert index.window == region.window == window
+            for got, want in zip((index.keys, index.ends, index.tags), arrays):
+                assert np.array_equal(got, want)
+            assert list(region.intervals.items()) == list(intervals.items())
+
+    def test_truncated_chains_counted(self, ms_full, const_affine):
+        # ms_full's windows grow by one per step, so at depth 10 every chain
+        # needs a 13-symbol window at its last step
+        assert sd.DriftClassifier(ms_full, 10).truncated_chains == len(LEVEL_GRID)
+        assert sd.DriftClassifier(const_affine, 10).truncated_chains == 0
+
+
+class TestInadmissiblePoints:
+    def test_symbol_outside_alphabet(self):
+        cfg = load_config(str(CONFIGS / "golden_affine.json"))
+        point = sd.LabeledPoint(sd.SymbolWindow(-5, (1,) * 5 + (3,) + (1,) * 4), 0.05)
+        with pytest.raises(ValueError, match="symbol 3 at coordinate 0"):
+            sd.classify_point(cfg.product, point, 4)
+
+    def test_forbidden_transition(self, golden_ms):
+        point = sd.LabeledPoint(sd.SymbolWindow(-7, (2,) * 13), 0.3)
+        with pytest.raises(ValueError, match="transition 2 -> 2 at coordinates -7, -6"):
+            sd.classify_point(golden_ms, point, 4)
+
+    def test_batch_names_the_point(self, golden_ms):
+        classifier = sd.get_classifier(golden_ms, 4)
+        lo, hi = classifier.required_range()
+        rows = np.ones((3, hi - lo + 1), dtype=np.int64)
+        rows[2, 4:6] = 2
+        with pytest.raises(ValueError, match="of point 2 is forbidden"):
+            classifier.classify_arrays(lo, rows, [0.2, 0.5, 0.8])

@@ -151,11 +151,13 @@ def _cmd_approx(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.continuous is None:
         raise ConfigError("continuous", "approx needs a 'continuous' section")
     m = cfg.analysis.depth
-    product = multistep_approximation(cfg.continuous, m)
-    _write(out_dir / "approx_product.json", json.dumps(product.to_json(), indent=2, sort_keys=True) + "\n")
+    ladder = {m: multistep_approximation(cfg.continuous, m)}
+    _write(out_dir / "approx_product.json", json.dumps(ladder[m].to_json(), indent=2, sort_keys=True) + "\n")
+    rungs = range(max(0, m - 3), m)
+    ladder.update((k, multistep_approximation(cfg.continuous, k)) for k in rungs)
     lines = [f"# seed={cfg.analysis.seed} depth={m} samples={cfg.analysis.samples}", "m,distance_to_next,bound"]
-    for k in range(max(0, m - 3), m):
-        d = distance(multistep_approximation(cfg.continuous, k), multistep_approximation(cfg.continuous, k + 1))
+    for k in rungs:
+        d = distance(ladder[k], ladder[k + 1])
         lines.append(f"{k},{_fmt(d)},{_fmt(approximation_distance_bound(cfg.continuous, k))}")
     _write(out_dir / "approx_ladder.csv", "\n".join(lines) + "\n")
     print(f"truncated at m={m}; ladder -> {out_dir}/approx_ladder.csv")

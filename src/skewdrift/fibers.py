@@ -69,7 +69,7 @@ class Affine:
 
     def derivative(self, x):
         if isinstance(x, np.ndarray):
-            return np.full_like(x, self.b)
+            return np.full(x.shape, self.b, dtype=float)
         return self.b
 
     def derivative_range(self, lo: float, hi: float) -> tuple[float, float]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -191,11 +192,11 @@ def compare_order(F: MultistepSkewProduct, G: MultistepSkewProduct) -> ProductOr
         )
     first_below = True
     second_below = True
-    cache: dict[tuple[int, int], tuple[bool, bool]] = {}
+    cache: dict[tuple[FiberMap, FiberMap], tuple[bool, bool]] = {}
     for word in F.base.words(F.window[0] + F.window[1] + 1):
         f = F.assignment[word]
         g = G.assignment[word]
-        key = (id(f), id(g))
+        key = (f, g)  # by value, as in distance
         if key not in cache:
             cache[key] = (
                 _strictly_below(f, g) if first_below else False,
@@ -224,18 +225,25 @@ def distance(F: MultistepSkewProduct, G: MultistepSkewProduct) -> float:
     and the same for the inverse branches on their common image range.
 
     A lower bound of the true sup, off by at most the grid step times a
-    Lipschitz bound of the compared quantities.
+    Lipschitz bound of the compared quantities. Each distinct pair of map
+    values is compared once.
     """
     if not F.base.same_base(G.base):
         raise IncompatibleProductsError("products live over different bases")
     lw = max(F.window[0], G.window[0])
     rw = max(F.window[1], G.window[1])
     best = 0.0
-    seen: set[tuple[int, int]] = set()
+    seen: set[tuple[FiberMap, FiberMap]] = set()
     for word in F.base.words(lw + rw + 1):
         f = F.map_for(word, (lw, rw))
         g = G.map_for(word, (lw, rw))
-        key = (id(f), id(g))
+        # Keyed by value (the maps are frozen dataclasses): equal parameters
+        # run identical float operations, so a skipped pair gives the same d
+        # bit for bit. The one case where == does not mean identical bits is
+        # -0.0 against 0.0, and an in-class map only ever adds such a
+        # parameter's term to a nonzero value (c in a + b*x + c*x*(1-x) and
+        # b + c*(1-2x), a bump amount in y + amount*y*(1-y)) or takes its abs.
+        key = (f, g)
         if key in seen:
             continue
         seen.add(key)
@@ -310,7 +318,10 @@ def multistep_approximation(spec: ContinuousProductSpec, m: int) -> MultistepSke
     """Truncate the parameter series to coordinates in [-m, m].
 
     The tail is replaced by its midpoint value, so successive approximants are
-    within a geometric distance of each other (halving in m).
+    within a geometric distance of each other (halving in m). One map is built
+    and validated per distinct (symbol, value), and the words that share it
+    share the object: since rho[s][a] + rho[s][b] == rho[s][b] + rho[s][a],
+    there are at most (N(N+1)/2)^m values per symbol, not N^(2m).
     """
     if m < 0:
         raise ValueError("truncation depth must be >= 0")
@@ -318,16 +329,22 @@ def multistep_approximation(spec: ContinuousProductSpec, m: int) -> MultistepSke
         raise ResourceBoundError(f"window size {2 * m + 1} exceeds the bound {WINDOW_CAP}")
     rho = spec.rho
     assignment: dict[tuple[int, ...], FiberMap] = {}
+    maps: dict[tuple[int, float, float], FiberMap] = {}
+    tails = [2.0 ** (1 - m) * spec.tail_midrange(s) for s in range(1, spec.base.alphabet_size + 1)]
     for word in spec.base.words(2 * m + 1):
         s = word[m]
         value = spec.symbol_params[s - 1][spec.designated]
         for j in range(1, m + 1):
             value += 2.0 ** (-j) * (rho[s - 1][word[m - j] - 1] + rho[s - 1][word[m + j] - 1])
-        value += 2.0 ** (1 - m) * spec.tail_midrange(s)
-        fmap = spec.make_map(s, value)
-        check = validate_class(fmap)
-        if not check:
-            raise InvalidApproximationError(f"word {word}: {check.reason}")
+        value += tails[s - 1]
+        # the sign keeps -0.0 apart from 0.0, whose JSON differs
+        key = (s, value, math.copysign(1.0, value))
+        fmap = maps.get(key)
+        if fmap is None:
+            fmap = maps[key] = spec.make_map(s, value)
+            check = validate_class(fmap)
+            if not check:
+                raise InvalidApproximationError(f"word {word}: {check.reason}")
         assignment[word] = fmap
     return MultistepSkewProduct(spec.base, spec.chain, (m, m), assignment)
 

@@ -165,6 +165,15 @@ class TestApproxCommand:
         for r in rows:
             assert float(r[1]) <= float(r[2])
 
+    def test_ladder_digits_at_depth_5(self, tmp_path):
+        assert run("approx", str(CONFIGS / "continuous_geometric.json"), out=str(tmp_path), depth=5) == 0
+        ladder = (tmp_path / "approx_ladder.csv").read_text().splitlines()
+        assert ladder[2:] == [
+            "2,0.0031250000000001554,0.0190625",
+            "3,0.0015625000000001332,0.0095312499999999998",
+            "4,0.00078125000000017764,0.0047656249999999999",
+        ]
+
     def test_depth_beyond_cap_exits_3(self, tmp_path):
         code = run("approx", str(CONFIGS / "continuous_geometric.json"),
                    out=str(tmp_path), depth=6)

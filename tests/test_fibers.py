@@ -70,6 +70,14 @@ class TestEvalAndDerivative:
         for f in sample_maps():
             np.testing.assert_allclose(f.eval(xs), [f.eval(float(x)) for x in xs], rtol=0, atol=0)
 
+    def test_derivative_of_int_array(self):
+        # the sample maps cover all four forms
+        ints = np.array([0, 1])
+        for f in sample_maps():
+            d = sd.derivative(f, ints)
+            assert d.dtype == np.float64
+            np.testing.assert_array_equal(d, sd.derivative(f, ints.astype(float)))
+
     def test_finite_differences(self):
         # central differences on a quadratic-by-pieces map are exact up to
         # rounding; the composed forms contribute a genuine third derivative

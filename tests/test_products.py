@@ -1,9 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewdrift as sd
+import skewdrift.products as products
+from skewdrift.config import load_config
 from skewdrift.errors import (
     IncompatibleProductsError,
     ResourceBoundError,
@@ -12,6 +17,8 @@ from skewdrift.errors import (
 
 from conftest import constant_product
 
+CONTINUOUS_GEOMETRIC = Path(__file__).resolve().parent.parent / "scripts" / "configs" / "continuous_geometric.json"
+
 
 def geometric_spec(full2, uniform_chain, scale=0.01):
     rho = np.array([[scale, -scale], [0.6 * scale, -0.6 * scale]])
@@ -19,6 +26,70 @@ def geometric_spec(full2, uniform_chain, scale=0.01):
         full2, uniform_chain, "affine", "a",
         ({"a": 0.10, "b": 0.8}, {"a": 0.12, "b": 0.8}), rho,
     )
+
+
+def random_spec(full2, uniform_chain, seed, offset=0.0):
+    rho = np.random.default_rng(seed).uniform(-0.01, 0.01, (2, 2))
+    return sd.ContinuousProductSpec(
+        full2, uniform_chain, "affine", "a",
+        ({"a": 0.10 + offset, "b": 0.8}, {"a": 0.12 + offset, "b": 0.8}), rho,
+    )
+
+
+@pytest.fixture(scope="module")
+def shipped_ladder():
+    spec = load_config(str(CONTINUOUS_GEOMETRIC), {}).continuous
+    return {m: sd.multistep_approximation(spec, m) for m in range(2, 6)}
+
+
+def word_pairs(F, G):
+    """The (f, g) pair of every word on the common window, in word order."""
+    lw = max(F.window[0], G.window[0])
+    rw = max(F.window[1], G.window[1])
+    return [(F.map_for(w, (lw, rw)), G.map_for(w, (lw, rw))) for w in F.base.words(lw + rw + 1)]
+
+
+def reference_distance(F, G):
+    """`distance` with its per-word body run on every word, without dedup."""
+    grid = np.linspace(0.0, 1.0, 1025)
+    best = 0.0
+    for f, g in word_pairs(F, G):
+        fv = np.asarray(f.eval(grid), dtype=float)
+        gv = np.asarray(g.eval(grid), dtype=float)
+        d = float(np.abs(fv - gv).max())
+        d = max(d, float(np.abs(np.asarray(f.derivative(grid)) - np.asarray(g.derivative(grid))).max()))
+        y_lo = max(fv[0], gv[0])
+        y_hi = min(fv[-1], gv[-1])
+        if y_lo < y_hi:
+            ys = np.linspace(y_lo, y_hi, 1025)
+            xf = sd.invert(f, ys)
+            xg = sd.invert(g, ys)
+            d = max(d, float(np.abs(xf - xg).max()))
+            d = max(
+                d,
+                float(np.abs(1.0 / np.asarray(f.derivative(xf)) - 1.0 / np.asarray(g.derivative(xg))).max()),
+            )
+        best = max(best, d)
+    return best
+
+
+def reference_approximation(spec, m):
+    """`multistep_approximation` with a fresh map built per word."""
+    assignment = {}
+    for word in spec.base.words(2 * m + 1):
+        s = word[m]
+        value = spec.symbol_params[s - 1][spec.designated]
+        for j in range(1, m + 1):
+            value += 2.0 ** (-j) * (spec.rho[s - 1][word[m - j] - 1] + spec.rho[s - 1][word[m + j] - 1])
+        value += 2.0 ** (1 - m) * spec.tail_midrange(s)
+        assignment[word] = spec.make_map(s, value)
+    return sd.MultistepSkewProduct(spec.base, spec.chain, (m, m), assignment)
+
+
+def value_copy(product):
+    """The same product with every word holding its own value-equal map object."""
+    assignment = {w: sd.map_from_json(sd.map_to_json(f)) for w, f in product.assignment.items()}
+    return sd.MultistepSkewProduct(product.base, product.chain, product.window, assignment)
 
 
 class TestConstruction:
@@ -143,7 +214,78 @@ class TestDistance:
         assert sd.distance(two_map, other) == sd.distance(other, two_map)
 
 
+class TestDistanceByValue:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_shipped_rungs_equal_reference(self, shipped_ladder, m):
+        F, G = shipped_ladder[m], shipped_ladder[m + 1]
+        assert sd.distance(F, G) == reference_distance(F, G)
+
+    @pytest.mark.parametrize("seed", [3, 29])
+    def test_random_specs_equal_reference(self, full2, uniform_chain, seed):
+        spec = random_spec(full2, uniform_chain, seed)
+        F, G = sd.multistep_approximation(spec, 2), sd.multistep_approximation(spec, 3)
+        assert sd.distance(F, G) == reference_distance(F, G)
+
+    def test_value_equal_copies(self, full2, uniform_chain, shipped_ladder):
+        F, G = shipped_ladder[2], shipped_ladder[3]
+        assert len({id(f) for f in value_copy(G).assignment.values()}) == len(G.assignment)
+        assert sd.distance(value_copy(F), value_copy(G)) == sd.distance(F, G)
+        low = sd.pad_to_window(F, G.window)
+        high = sd.multistep_approximation(random_spec(full2, uniform_chain, 3, offset=0.05), 3)
+        for P, Q in ((low, G), (low, high), (high, low)):
+            assert sd.compare_order(value_copy(P), value_copy(Q)) is sd.compare_order(P, Q)
+        assert sd.compare_order(low, G) is sd.ProductOrder.INCOMPARABLE
+        assert sd.compare_order(low, high) is sd.ProductOrder.FIRST_BELOW
+
+    def test_invert_calls_per_distinct_pair(self, shipped_ladder, monkeypatch):
+        calls = []
+
+        def counting_invert(f, y, *args, **kwargs):
+            calls.append(f)
+            return sd.invert(f, y, *args, **kwargs)
+
+        monkeypatch.setattr(products, "invert", counting_invert)
+        distinct = []
+        for m in (2, 3, 4):
+            F, G = shipped_ladder[m], shipped_ladder[m + 1]
+            before = len(calls)
+            sd.distance(F, G)
+            distinct.append(len(set(word_pairs(F, G))))
+            assert len(calls) - before == 2 * distinct[-1]
+        assert distinct == [48, 108, 228]
+        assert len(calls) == 768
+
+
 class TestMultistepApproximation:
+    @pytest.mark.parametrize("seed", [None, 3, 29])
+    def test_one_object_per_map_value(self, full2, uniform_chain, shipped_ladder, seed):
+        if seed is None:
+            approx = shipped_ladder[4]
+        else:
+            approx = sd.multistep_approximation(random_spec(full2, uniform_chain, seed), 4)
+        maps = approx.assignment.values()
+        assert len({id(f) for f in maps}) == len(set(maps))
+
+    def test_json_equals_per_word_build(self, full2, uniform_chain):
+        spec = random_spec(full2, uniform_chain, 3)
+        for m in (0, 1, 3):
+            assert sd.multistep_approximation(spec, m).to_json() == reference_approximation(spec, m).to_json()
+
+    def test_signed_zero_value_keeps_its_sign(self, full2, uniform_chain):
+        # numpy's min and max of [0.0, -0.0] both read -0.0, so the tail term
+        # is -0.0 and word (2, 1, 2) sums to -0.0 where every other symbol-1
+        # word sums to 0.0; the two maps are == but print differently
+        spec = sd.ContinuousProductSpec(
+            full2, uniform_chain, "bumped_affine", "c",
+            ({"a": 0.1, "b": 0.8, "c": -0.0}, {"a": 0.12, "b": 0.8, "c": 0.0}),
+            np.array([[0.0, -0.0], [0.0, 0.0]]),
+        )
+        for m in (1, 2):
+            text = json.dumps(sd.multistep_approximation(spec, m).to_json())
+            assert text == json.dumps(reference_approximation(spec, m).to_json())
+            assert text.count('"c": -0.0') == 1
+
+
     def test_no_dependence_equals_one_step(self, full2, uniform_chain):
         spec = geometric_spec(full2, uniform_chain, scale=0.0)
         for m in (0, 2):

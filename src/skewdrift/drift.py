@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibleProductsError, InvalidRegionError, ResourceBoundError, WindowTooShortError
-from .fibers import EPS_ROUND, FiberMap
+from .fibers import EPS_ROUND, FiberMap, MapStack
 from .products import WINDOW_CAP, LabeledPoint, MultistepSkewProduct
 from .regions import BoxRegion
 from .symbolic import PeriodicWord, TransitionSystem, word_codes
@@ -88,14 +88,12 @@ class StepGraph:
 # system.words(L + R + 1).
 
 
-def _image_arrays(system: TransitionSystem, product_window, maps, slots, window, values):
+def _image_arrays(system: TransitionSystem, product_window, maps: MapStack, slots, window, values):
     """Raw image window and image values of k graphs given as values (k, W) on a window.
 
     See image_graph. The map and the graph word over each image word are
-    gathers by subword rank, and each map is evaluated once per graph word
-    it meets, on Python floats as a scalar call would: a Plateau's array
-    path squares where its scalar path calls pow, and the two can differ in
-    the last bit.
+    gathers by subword rank, and the maps are evaluated on the gathered
+    columns, one array call per map form.
     """
     l, r = product_window
     L, R = window
@@ -106,11 +104,7 @@ def _image_arrays(system: TransitionSystem, product_window, maps, slots, window,
         raise ResourceBoundError(f"image window size {size} exceeds the bound {WINDOW_CAP}")
     slot = slots[system.sub_ranks(size, Lp - l - 1, l + r + 1)]
     graph_rank = system.sub_ranks(size, Lp - L - 1, L + R + 1)
-    _, first, inverse = np.unique(slot * values.shape[1] + graph_rank, return_index=True, return_inverse=True)
-    evals = [maps[k].eval for k in slot[first].tolist()]
-    levels = values[:, graph_rank[first]].T.tolist()
-    mapped = np.array([f(c) for f, column in zip(evals, levels) for c in column], dtype=float)
-    return (Lp, Rp), mapped.reshape(len(first), len(values)).T[:, inverse]
+    return (Lp, Rp), maps.eval_columns(slot, values[:, graph_rank])
 
 
 def _minimized(system: TransitionSystem, window, values) -> list:
@@ -614,11 +608,8 @@ class DriftClassifier:
         transitive SFT every defining word extends to a word of the common
         window. So the drift margins are min_k and max_k of f_k(c) - c over
         all of the product's maps, and the image level at a point is f_k(c)
-        at its own k. The maps are evaluated on Python floats, as image_graph
-        evaluates them (a Plateau's array path squares where its scalar path
-        calls pow, which can differ in the last bit), so every comparison
-        sees the same floats and every decision is the scalar one, bit for
-        bit.
+        at its own k. Map values on arrays are bit-identical to scalar ones,
+        so every decision is the scalar one, bit for bit.
         """
         levels = np.full(len(xs), np.nan)
         if not len(xs):
@@ -636,7 +627,7 @@ class DriftClassifier:
             active, level = active[valid], level[valid]
             if not len(active):
                 break
-            values = np.array([[fmap.eval(c) for c in level.tolist()] for fmap in self._maps])
+            values = self._maps.eval_all(level)
             drift = values - level
             x = xs[active]
             image = values[slot[active], np.arange(len(active))]

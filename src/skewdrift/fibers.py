@@ -9,6 +9,7 @@ Evaluation and derivative methods accept floats or numpy arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -143,7 +144,8 @@ class Plateau:
     """Identity on [j_lo, j_hi], quadratic push-in outside; C^1 at the joins.
 
     f(x) = x + c1*(j_lo - x)^2 below j_lo, x on the plateau,
-    x - c1*(x - j_hi)^2 above j_hi.
+    x - c1*(x - j_hi)^2 above j_hi. Both branches square by multiplication
+    (never pow), so a float and an array give the same bits.
     """
 
     c1: float
@@ -153,18 +155,18 @@ class Plateau:
     form = "plateau"
 
     def eval(self, x):
+        d_lo = self.j_lo - x
+        d_hi = x - self.j_hi
         if isinstance(x, np.ndarray):
-            below = x < self.j_lo
-            above = x > self.j_hi
             return np.where(
-                below,
-                x + self.c1 * (self.j_lo - x) ** 2,
-                np.where(above, x - self.c1 * (x - self.j_hi) ** 2, x),
+                x < self.j_lo,
+                x + self.c1 * (d_lo * d_lo),
+                np.where(x > self.j_hi, x - self.c1 * (d_hi * d_hi), x),
             )
         if x < self.j_lo:
-            return x + self.c1 * (self.j_lo - x) ** 2
+            return x + self.c1 * (d_lo * d_lo)
         if x > self.j_hi:
-            return x - self.c1 * (x - self.j_hi) ** 2
+            return x - self.c1 * (d_hi * d_hi)
         return x
 
     def derivative(self, x):
@@ -287,6 +289,59 @@ class BumpComposed:
 FiberMap = Affine | BumpedAffine | Plateau | BumpComposed
 
 _FORMS = {"affine": Affine, "bumped_affine": BumpedAffine, "plateau": Plateau}
+
+
+def _form_key(f: FiberMap) -> str:
+    return f"{f.form}.{_form_key(f.inner)}" if isinstance(f, BumpComposed) else f.form
+
+
+def _stacked(maps) -> FiberMap:
+    """One map of the maps' common form whose parameters are arrays over the maps."""
+    params = {name: np.array([m.params()[name] for m in maps], dtype=float) for name in maps[0].params()}
+    if isinstance(maps[0], BumpComposed):
+        return BumpComposed(inner=_stacked([m.inner for m in maps]), **params)
+    return type(maps[0])(**params)
+
+
+def _indexed(f: FiberMap, index) -> FiberMap:
+    """A stacked map with every parameter array indexed by index."""
+    params = {name: v[index] for name, v in f.params().items()}
+    if isinstance(f, BumpComposed):
+        return BumpComposed(inner=_indexed(f.inner, index), **params)
+    return type(f)(**params)
+
+
+class MapStack:
+    """Fiber maps ordered by form and evaluated on arrays, one call per form.
+
+    The maps of one form are evaluated as one map whose parameters are arrays
+    over them. Broadcasting runs, per element, the IEEE operations of a
+    scalar call, so every value is bit-identical to maps[k].eval(x).
+    """
+
+    def __init__(self, maps):
+        self.maps = tuple(sorted(maps, key=_form_key))
+        # per form: start and stop in maps, the stacked map, and the same with parameter columns
+        self._forms, start = [], 0
+        for _, run in itertools.groupby(self.maps, key=_form_key):
+            run = list(run)
+            stacked = _stacked(run)
+            self._forms.append((start, start + len(run), stacked, _indexed(stacked, (slice(None), None))))
+            start += len(run)
+
+    def eval_all(self, x: np.ndarray) -> np.ndarray:
+        """(len(maps), len(x)) values: row k is maps[k] on the 1-d array x."""
+        return np.concatenate([columns.eval(x) for *_, columns in self._forms])
+
+    def eval_columns(self, which: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Values of a 2-d array x whose column j is mapped by maps[which[j]]."""
+        if len(self._forms) == 1:
+            return _indexed(self._forms[0][2], which).eval(x)
+        out = np.empty_like(x)
+        for start, stop, stacked, _ in self._forms:
+            cols = (start <= which) & (which < stop)
+            out[:, cols] = _indexed(stacked, which[cols] - start).eval(x[:, cols])
+        return out
 
 
 def validate_class(f: FiberMap) -> ClassCheck:

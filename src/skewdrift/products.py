@@ -23,7 +23,7 @@ from .errors import (
     ResourceBoundError,
     WindowTooShortError,
 )
-from .fibers import EPS_ROUND, FiberMap, invert, map_from_json, map_to_json, validate_class
+from .fibers import EPS_ROUND, FiberMap, MapStack, invert, map_from_json, map_to_json, validate_class
 from .symbolic import MarkovChain, SymbolWindow, TransitionSystem
 
 # Hard cap on dependence-window size, shared with the drift-witness machinery.
@@ -82,10 +82,10 @@ class MultistepSkewProduct:
         object.__setattr__(self, "assignment", assignment)
 
     @functools.cached_property
-    def map_slots(self) -> tuple[tuple[FiberMap, ...], np.ndarray]:
-        """The distinct fiber maps, and for each word of the window (by rank) the index of its map."""
-        maps = tuple(dict.fromkeys(self.assignment.values()))
-        index = {fmap: i for i, fmap in enumerate(maps)}
+    def map_slots(self) -> tuple[MapStack, np.ndarray]:
+        """The distinct fiber maps, ordered by form, and for each word of the window (by rank) the index of its map."""
+        maps = MapStack(dict.fromkeys(self.assignment.values()))
+        index = {fmap: i for i, fmap in enumerate(maps.maps)}
         words = self.base.words(self.window[0] + self.window[1] + 1)
         return maps, np.array([index[self.assignment[w]] for w in words], dtype=np.int64)
 

@@ -379,16 +379,25 @@ def _symbols_from_uniforms(chain: MarkovChain, u: np.ndarray) -> np.ndarray:
     """Map a block of uniforms (n, width) to Markov-sampled symbol rows (1-based).
 
     Row i is sample i's private randomness, so results do not depend on how
-    rows are chunked across workers.
+    rows are chunked across workers. Columns are drawn one after another
+    into a narrow (width, n) buffer: the next symbol counts the thresholds
+    of the current one's cumulative row that lie at or below the uniform.
+    The last threshold (1 up to rounding) is not counted: rows are
+    non-decreasing, so counting it could only turn nsym - 1 into nsym, one
+    past the last symbol.
     """
     n, width = u.shape
     nsym = chain.base.alphabet_size
-    cum_rows = chain._cum_rows
+    thresholds = [np.ascontiguousarray(chain._cum_rows[:, k]) for k in range(nsym - 1)]
     out = np.empty((n, width), dtype=np.int64)
-    first = np.searchsorted(chain._cum_start, u[:, 0], side="right")
-    out[:, 0] = np.minimum(first, nsym - 1) + 1
+    drawn = np.empty((width, n), dtype=np.min_scalar_type(nsym))
+    prev = drawn[0] = np.minimum(np.searchsorted(chain._cum_start, u[:, 0], side="right"), nsym - 1)
     for j in range(1, width):
-        rows = cum_rows[out[:, j - 1] - 1]
-        nxt = (rows <= u[:, j, None]).sum(axis=1)
-        out[:, j] = np.minimum(nxt, nsym - 1) + 1
+        uj = u[:, j]
+        count = np.zeros(n, dtype=np.int64)
+        for column in thresholds:
+            count += np.take(column, prev) <= uj
+        prev = drawn[j] = count
+    out[...] = drawn.T
+    out += 1
     return out

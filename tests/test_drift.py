@@ -646,6 +646,85 @@ class TestArrayBuild:
         assert sd.DriftClassifier(const_affine, 10).truncated_chains == 0
 
 
+class _ScalarMaps:
+    """Test-side MapStack that evaluates every map on Python floats, one value at a time.
+
+    This is how _refine and _image_arrays evaluated maps before they took
+    arrays; swapped into a product, it is the reference for the array kernels.
+    """
+
+    def __init__(self, stack):
+        self.maps = stack.maps
+
+    def eval_all(self, x):
+        return np.array([[f.eval(c) for c in x.tolist()] for f in self.maps])
+
+    def eval_columns(self, which, x):
+        maps = [self.maps[k] for k in which.tolist()]
+        return np.array([[f.eval(c) for f, c in zip(maps, row)] for row in x.tolist()])
+
+
+def _scalar_twin(product):
+    """An equal product whose drift kernels evaluate maps one float at a time."""
+    twin = sd.MultistepSkewProduct(product.base, product.chain, product.window, product.assignment)
+    maps, slots = product.map_slots
+    vars(twin)["map_slots"] = (_ScalarMaps(maps), slots)
+    return twin
+
+
+def _mixed_form_product(full2, uniform_chain):
+    """Window (1, 1) product whose words alternate affine, plateau and bump-composed plateau maps."""
+    forms = [
+        lambda i: sd.Affine(0.06 + 0.02 * i, 0.75),
+        lambda i: sd.Plateau(0.5, 0.35 + 0.01 * i, 0.6),
+        lambda i: sd.BumpComposed(0.01 * i - 0.03, sd.Plateau(0.5, 0.4, 0.6 + 0.01 * i)),
+    ]
+    words = full2.words(3)
+    return sd.MultistepSkewProduct(full2, uniform_chain, (1, 1), {w: forms[i % 3](i) for i, w in enumerate(words)})
+
+
+class TestArrayKernels:
+    """Maps evaluated on arrays give the per-float kernels' results exactly."""
+
+    def check(self, product, depth, count, seed):
+        twin = _scalar_twin(product)
+        assert isinstance(twin.map_slots[0], _ScalarMaps)
+        got, want = sd.DriftClassifier(product, depth), sd.DriftClassifier(twin, depth)
+        assert got.truncated_chains == want.truncated_chains
+        for direction in (UP, DOWN):
+            a, b = got.certified_boxes(direction), want.certified_boxes(direction)
+            assert a.window == b.window and list(a.intervals.items()) == list(b.intervals.items())
+        points = list(sampled_points(product, depth, count, seed))
+        lo, rows, xs = points[0].window.lo, [p.window.symbols for p in points], [p.x for p in points]
+        codes = got.classify_arrays(lo, rows, xs)
+        assert np.array_equal(codes, want.classify_arrays(lo, rows, xs))
+        for level in (0.05, 0.3, 0.5, 0.7, 0.95):
+            graph = sd.StepGraph.constant(product.base, level)
+            for _ in range(3):
+                image, reference = sd.image_graph(product, graph), sd.image_graph(twin, graph)
+                assert image.window == reference.window
+                assert list(image.values.items()) == list(reference.values.items())
+                graph = image
+        return Counter(VERDICTS[c] for c in codes)
+
+    @pytest.mark.parametrize("tau", [-0.004, 0.0, 0.004])
+    def test_plateau_members(self, const_plateau, tau):
+        family = sd.MonotoneFamily(const_plateau, 1.0, (-0.025, 0.025))
+        counts = self.check(sd.family_member(family, tau), 10, 2000, seed=70)
+        assert counts[UP] and counts[DOWN]
+
+    def test_window_1_1_products(self, ms_full, golden_ms):
+        self.check(ms_full, 6, 1000, seed=71)
+        self.check(golden_ms, 6, 1000, seed=72)
+
+    def test_mixed_forms(self, full2, uniform_chain):
+        product = _mixed_form_product(full2, uniform_chain)
+        maps, _slots = product.map_slots
+        assert len(maps._forms) == 3
+        counts = self.check(product, 6, 2000, seed=73)
+        assert counts[UP] and counts[DOWN]
+
+
 class TestInadmissiblePoints:
     def test_symbol_outside_alphabet(self):
         cfg = load_config(str(CONFIGS / "golden_affine.json"))

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewdrift as sd
-from skewdrift.fibers import EPS_ROUND
+from skewdrift.fibers import EPS_ROUND, MapStack
+from skewdrift.measure import _bump_after
 
 
 def sample_maps():
@@ -69,6 +70,38 @@ class TestEvalAndDerivative:
         xs = np.linspace(0, 1, 257)
         for f in sample_maps():
             np.testing.assert_allclose(f.eval(xs), [f.eval(float(x)) for x in xs], rtol=0, atol=0)
+
+    def test_array_bits_equal_scalar_bits(self):
+        # a float and an array must give the same bits for every form; a
+        # Plateau that squared with pow on floats and by multiplication on
+        # arrays differed in the last bit on a few inputs in 10^5
+        plateau = sd.Plateau(0.5, 0.4, 0.6)
+        maps = [
+            sd.Affine(0.1, 0.8),
+            sd.BumpedAffine(0.2, 0.6, -0.3),
+            plateau,
+            sd.BumpComposed(0.4, plateau),
+            _bump_after(sd.Affine(0.1, 0.8), 0.37),
+        ]
+        assert type(maps[-1]) is sd.BumpedAffine
+        rng = np.random.default_rng(20)
+        xs = np.concatenate([[0.0, 1.0, plateau.j_lo, plateau.j_hi], rng.random(100_000)])
+        for f in maps:
+            scalar = np.array([f.eval(x) for x in xs.tolist()])
+            assert np.array_equal(f.eval(xs).view(np.int64), scalar.view(np.int64)), f
+
+    def test_map_stack_bits_equal_scalar_bits(self):
+        stack = MapStack(sample_maps())
+        maps = stack.maps
+        assert len(stack._forms) == 5 and sorted(maps, key=repr) == sorted(sample_maps(), key=repr)
+        rng = np.random.default_rng(21)
+        xs = rng.random(2000)
+        scalar = np.array([[f.eval(x) for x in xs.tolist()] for f in maps])
+        assert np.array_equal(stack.eval_all(xs).view(np.int64), scalar.view(np.int64))
+        which = rng.integers(0, len(maps), 500)
+        columns = rng.random((3, 500))
+        want = np.array([[maps[k].eval(x) for k, x in zip(which.tolist(), row)] for row in columns.tolist()])
+        assert np.array_equal(stack.eval_columns(which, columns).view(np.int64), want.view(np.int64))
 
     def test_derivative_of_int_array(self):
         # the sample maps cover all four forms

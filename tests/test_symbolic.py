@@ -9,6 +9,7 @@ from skewdrift.errors import (
     InvalidMatrixError,
     NotErgodicError,
 )
+from skewdrift.symbolic import _symbols_from_uniforms
 
 from conftest import FULL2, GOLDEN
 
@@ -227,3 +228,56 @@ class TestSampling:
     def test_precondition(self, uniform_chain):
         with pytest.raises(ValueError):
             sd.sample_window(uniform_chain, 1, 3, np.random.default_rng(0))
+
+
+def _reference_symbols(chain, u):
+    """Row-block sampler: gather each sample's cumulative row, count thresholds <= u."""
+    n, width = u.shape
+    nsym = chain.base.alphabet_size
+    cum_rows = chain._cum_rows
+    out = np.empty((n, width), dtype=np.int64)
+    first = np.searchsorted(chain._cum_start, u[:, 0], side="right")
+    out[:, 0] = np.minimum(first, nsym - 1) + 1
+    for j in range(1, width):
+        rows = cum_rows[out[:, j - 1] - 1]
+        nxt = (rows <= u[:, j, None]).sum(axis=1)
+        out[:, j] = np.minimum(nxt, nsym - 1) + 1
+    return out
+
+
+def _three_symbol_chain():
+    # one forbidden transition (3 -> 1) and non-uniform rows
+    system = sd.TransitionSystem(np.array([[1, 1, 1], [1, 1, 1], [0, 1, 1]]))
+    return sd.MarkovChain(system, np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.0, 0.35, 0.65]]))
+
+
+class TestSymbolsFromUniforms:
+    @pytest.fixture(params=["three_symbol", "uniform", "golden"])
+    def chain(self, request, uniform_chain, golden_chain):
+        return {"three_symbol": _three_symbol_chain(), "uniform": uniform_chain, "golden": golden_chain}[request.param]
+
+    @pytest.mark.parametrize("n", [1, 5000])
+    @pytest.mark.parametrize("width", [1, 2, 23])
+    def test_matches_row_block_reference(self, chain, n, width):
+        # a wider block sliced, as estimate_regions passes it
+        u = np.random.default_rng(1000 * n + width).random((n, width + 1))[:, :width]
+        got = _symbols_from_uniforms(chain, u)
+        assert got.dtype == np.int64 and got.flags.c_contiguous and got.shape == (n, width)
+        assert np.array_equal(got, _reference_symbols(chain, u))
+        assert all(chain.base.admits(tuple(row)) for row in got[:50].tolist())
+
+    def test_rows_independent_of_chunking(self, chain):
+        u = np.random.default_rng(3).random((1000, 23))
+        whole = _symbols_from_uniforms(chain, u)
+        for k in (1, 417, 999):
+            parts = np.concatenate([_symbols_from_uniforms(chain, u[:k]), _symbols_from_uniforms(chain, u[k:])])
+            assert np.array_equal(parts, whole)
+
+    def test_uniforms_at_thresholds(self):
+        # uniforms exactly on cumulative thresholds, 0.0 and just below 1.0
+        chain = _three_symbol_chain()
+        edges = np.unique(np.concatenate([chain._cum_rows.ravel(), chain._cum_start, [0.0, np.nextafter(1.0, 0.0)]]))
+        edges = edges[edges < 1.0]
+        rng = np.random.default_rng(4)
+        u = rng.choice(edges, size=(2000, 9))
+        assert np.array_equal(_symbols_from_uniforms(chain, u), _reference_symbols(chain, u))

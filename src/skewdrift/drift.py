@@ -11,6 +11,7 @@ here are sound but deliberately incomplete: Unknown never lies.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -19,8 +20,8 @@ import numpy as np
 from .errors import IncompatibleProductsError, InvalidRegionError, ResourceBoundError, WindowTooShortError
 from .fibers import EPS_ROUND, FiberMap, MapStack
 from .products import WINDOW_CAP, LabeledPoint, MultistepSkewProduct
-from .regions import BoxRegion
-from .symbolic import PeriodicWord, TransitionSystem, word_codes
+from .regions import BoxRegion, joined_boxes, sweep_rows
+from .symbolic import PeriodicWord, TransitionSystem
 
 # Strictness margin for every certified inequality: four orders above
 # accumulated rounding at composition depth <= 64, far below problem scales.
@@ -42,45 +43,50 @@ _UP_CODE, _DOWN_CODE, _UNKNOWN_CODE = range(3)
 class StepGraph:
     """Function on the base space constant on cylinders of window (L, R).
 
-    values maps every admissible word on coordinates -L..R to a level in (0, 1).
+    values is a read-only row of levels in (0, 1), one per admissible word on
+    coordinates -L..R, in the lexicographic order of system.words(L + R + 1).
     """
 
     system: TransitionSystem
     window: tuple[int, int]
-    values: dict[tuple[int, ...], float]
+    values: np.ndarray
 
     def __post_init__(self):
         L, R = self.window
         if L < 0 or R < 0:
             raise ValueError("graph window offsets must be nonnegative")
         words = self.system.words(L + R + 1)
-        values = dict(self.values)
-        missing = [w for w in words if w not in values]
-        if missing:
-            raise ValueError(f"graph lacks a value for admissible word {missing[0]}")
-        extra = set(values) - set(words)
-        if extra:
-            raise ValueError(f"graph has a value for inadmissible word {sorted(extra)[0]}")
-        for w, v in values.items():
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"graph value {v} for word {w} is not strictly inside (0, 1)")
+        values = np.array(self.values, dtype=float)
+        if values.shape != (len(words),):
+            raise ValueError(f"graph needs {len(words)} values, one per admissible word, got shape {values.shape}")
+        inside = (0.0 < values) & (values < 1.0)
+        if not inside.all():
+            i = inside.argmin()
+            raise ValueError(f"graph value {values[i]} for word {words[i]} is not strictly inside (0, 1)")
+        values.flags.writeable = False
         object.__setattr__(self, "window", (int(L), int(R)))
         object.__setattr__(self, "values", values)
 
     @classmethod
     def constant(cls, system: TransitionSystem, level: float) -> "StepGraph":
-        return cls(system, (0, 0), {(s,): float(level) for s in range(1, system.alphabet_size + 1)})
+        return cls(system, (0, 0), np.full(system.alphabet_size, float(level)))
 
     def refined(self, window: tuple[int, int]) -> "StepGraph":
         """Same function represented on a wider window."""
         if tuple(window) == self.window:
             return self
-        return StepGraph(self.system, window, self.system.refine_table(self.values, self.window, window))
+        return StepGraph(self.system, window, self.values[self.system.window_ranks(self.window, window)])
 
     def value_at(self, point_window) -> float:
-        """Graph level on the cylinder containing the given window."""
-        L, R = self.window
-        return self.values[point_window.word(-L, R)]
+        """Graph level on the cylinder containing the given window, which must be a word of the base."""
+        return float(self.values[_point_rank(self.system, self.window, point_window)])
+
+
+def _point_rank(system: TransitionSystem, window, point_window) -> int:
+    """Rank of a point window's word on coordinates -L..R; ValueError unless the window is a word of the base."""
+    _check_admissible(system, point_window.lo, np.array([point_window.symbols], dtype=np.int64))
+    L, R = window
+    return bisect.bisect_left(system.words(L + R + 1), point_window.word(-L, R))
 
 
 # Graphs inside the kernel below are (window, values): values is an array
@@ -135,45 +141,17 @@ def _minimized(system: TransitionSystem, window, values) -> list:
     return groups
 
 
-def _dict_order(system: TransitionSystem, raw, window) -> np.ndarray | None:
-    """Word ranks in the order a StepGraph minimized from raw to window lists its words.
-
-    Dropping an edge lists each remaining word where the first raw word (in
-    lexicographic order) extending it stood. The order only shows in dict
-    iteration, and through that in the summation order of a region's
-    measure. None when it is lexicographic.
-    """
-    if tuple(raw) == tuple(window):
-        return None
-    order = np.argsort(system.first_extensions(raw[0] + raw[1] + 1, raw[0] - window[0], window[0] + window[1] + 1))
-    return None if (order[1:] > order[:-1]).all() else order
-
-
 def _drift_arrays(system: TransitionSystem, graph_window, graph, image_window, image):
-    """Common window, graph and image values on it, and the Up and Down margins of each row."""
+    """Common window, graph and image values (rows, or one row) on it, and the Up and Down margins of each row."""
     L = max(graph_window[0], image_window[0])
     R = max(graph_window[1], image_window[1])
     size = L + R + 1
     if size > WINDOW_CAP:
         raise ResourceBoundError(f"common window size {size} exceeds the bound {WINDOW_CAP}")
-    graph = graph[:, system.sub_ranks(size, L - graph_window[0], graph_window[0] + graph_window[1] + 1)]
-    image = image[:, system.sub_ranks(size, L - image_window[0], image_window[0] + image_window[1] + 1)]
+    graph = graph[..., system.window_ranks(graph_window, (L, R))]
+    image = image[..., system.window_ranks(image_window, (L, R))]
     drift = image - graph
-    return (L, R), graph, image, drift.min(axis=1) - 2.0 * EPS_ROUND, -drift.max(axis=1) - 2.0 * EPS_ROUND
-
-
-def _values(graph: StepGraph) -> np.ndarray:
-    """A step graph as a one-row value array over its window's words."""
-    L, R = graph.window
-    return np.array([[graph.values[w] for w in graph.system.words(L + R + 1)]], dtype=float)
-
-
-def _graph(system: TransitionSystem, window, values: np.ndarray, order: np.ndarray | None = None) -> StepGraph:
-    """A step graph from a value row, listing its words in the given rank order."""
-    words = system.words(window[0] + window[1] + 1)
-    levels = values.tolist()
-    ranks = range(len(words)) if order is None else order.tolist()
-    return StepGraph(system, window, {words[i]: levels[i] for i in ranks})
+    return (L, R), graph, image, drift.min(axis=-1) - 2.0 * EPS_ROUND, -drift.max(axis=-1) - 2.0 * EPS_ROUND
 
 
 def image_graph(product: MultistepSkewProduct, graph: StepGraph) -> StepGraph:
@@ -188,9 +166,9 @@ def image_graph(product: MultistepSkewProduct, graph: StepGraph) -> StepGraph:
     if not product.base.same_base(graph.system):
         raise IncompatibleProductsError("graph and product live over different bases")
     system = graph.system
-    raw, image = _image_arrays(system, product.window, *product.map_slots, graph.window, _values(graph))
+    raw, image = _image_arrays(system, product.window, *product.map_slots, graph.window, graph.values[None])
     [(window, _, image)] = _minimized(system, raw, image)
-    return _graph(system, window, image[0], _dict_order(system, raw, window))
+    return StepGraph(system, window, image[0])
 
 
 @dataclass(frozen=True)
@@ -204,13 +182,12 @@ class DriftOutcome:
 
 
 def _drift_outcome(graph: StepGraph, image: StepGraph) -> DriftOutcome:
-    window, _, _, up, down = _drift_arrays(graph.system, graph.window, _values(graph), image.window, _values(image))
-    g = graph.refined(window)
-    e = image.refined(window)
-    if up[0] >= DELTA_CERT:
-        return DriftOutcome("up", float(up[0]), g, e)
-    if down[0] >= DELTA_CERT:
-        return DriftOutcome("down", float(down[0]), g, e)
+    window, _, _, up, down = _drift_arrays(graph.system, graph.window, graph.values, image.window, image.values)
+    g, e = graph.refined(window), image.refined(window)
+    if up >= DELTA_CERT:
+        return DriftOutcome("up", float(up), g, e)
+    if down >= DELTA_CERT:
+        return DriftOutcome("down", float(down), g, e)
     return DriftOutcome("inconclusive", None, g, e)
 
 
@@ -233,10 +210,12 @@ class DriftCertificate:
     product_fingerprint: str
 
     def to_json(self) -> dict:
+        L, R = self.graph.window
+        words = self.graph.system.words(L + R + 1)
         return {
             "direction": self.direction,
             "window": list(self.graph.window),
-            "values": [{"word": list(w), "value": v} for w, v in sorted(self.graph.values.items())],
+            "values": [{"word": list(w), "value": v} for w, v in zip(words, self.graph.values.tolist())],
             "margin": self.margin,
             "product_fingerprint": self.product_fingerprint,
         }
@@ -254,17 +233,17 @@ def replay_certificate(
     certificate: DriftCertificate,
     point: LabeledPoint | None = None,
 ) -> ReplayResult:
-    """Re-certify a witness graph on another product, optionally with its strip condition."""
+    """Re-certify a witness graph on another product, optionally with its strip condition.
+
+    Raises ValueError if the point's window is not a word of the base space.
+    """
     outcome = certify_drift(product, certificate.graph)
+    rank = None if point is None else _point_rank(product.base, outcome.graph.window, point.window)
     if outcome.direction != certificate.direction:
         return ReplayResult(False, None, f"drift verdict is {outcome.direction}")
-    if point is not None:
-        level = outcome.graph.value_at(point.window)
-        image_level = outcome.image.value_at(point.window)
-        if certificate.direction == "up":
-            lo, hi = level, image_level
-        else:
-            lo, hi = image_level, level
+    if rank is not None:
+        level, image_level = outcome.graph.values[rank], outcome.image.values[rank]
+        lo, hi = (level, image_level) if certificate.direction == "up" else (image_level, level)
         if not (point.x - lo >= DELTA_CERT and hi - point.x >= DELTA_CERT):
             return ReplayResult(False, outcome.margin, "strip condition fails at the point")
     return ReplayResult(True, outcome.margin)
@@ -293,47 +272,12 @@ class Classification:
 
 @dataclass(eq=False)
 class _Witness:
-    """A drifting graph and its image on their common window, as value rows.
-
-    order lists the graph's words as the chain's StepGraph would, where that
-    is not lexicographic; the StepGraph itself is built on first use.
-    """
+    """A drifting graph and its image on their common window, as value rows."""
 
     window: tuple[int, int]
     graph: np.ndarray
     image: np.ndarray
     margin: float
-    order: np.ndarray | None
-    step_graph: StepGraph | None = None
-
-
-class _RegionIndex:
-    """Per-word disjoint certified strips, each tagged with a covering witness.
-
-    The strips of all words are stored flat, keyed by (word code, start) as
-    one complex number. numpy sorts and searches complex numbers
-    lexicographically, so one searchsorted finds, for every point, the last
-    strip of its own word that starts at or below it.
-    """
-
-    def __init__(self, window: tuple[int, int], alphabet_size: int, codes, starts, ends, tags):
-        self.window = window
-        self.alphabet_size = alphabet_size
-        self.keys = np.asarray(codes).astype(complex)
-        self.keys.imag = starts
-        self.ends = np.asarray(ends, dtype=float)
-        self.tags = np.asarray(tags, dtype=np.int64)
-
-    def lookup(self, lo: int, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Tag of the strip containing each point, -1 where no strip does."""
-        if not len(self.tags):
-            return np.full(len(xs), -1, dtype=np.int64)
-        L, R = self.window
-        keys = word_codes(rows, -L - lo, L + R + 1, self.alphabet_size).astype(complex)
-        keys.imag = xs
-        i = np.searchsorted(self.keys, keys, side="right") - 1
-        hit = (i >= 0) & (self.keys.real[i] == keys.real) & (xs <= self.ends[i])
-        return np.where(hit, self.tags[i], -1)
 
 
 def _check_admissible(system: TransitionSystem, lo: int, rows: np.ndarray):
@@ -395,110 +339,65 @@ class DriftClassifier:
         """
         system = self.product.base
         levels = np.array(LEVEL_GRID)
-        # (window, raw window it was minimized from, level indices, values)
-        groups = [((0, 0), (0, 0), np.arange(len(levels)), np.repeat(levels[:, None], system.alphabet_size, axis=1))]
+        # (window, level indices, values)
+        groups = [((0, 0), np.arange(len(levels)), np.repeat(levels[:, None], system.alphabet_size, axis=1))]
         found = []
         truncated = 0
         for step in range(self.depth + 1):
             advanced = []
-            for window, raw, chains, values in groups:
+            for window, chains, values in groups:
                 try:
-                    image_raw, image = _image_arrays(
-                        system, self.product.window, self._maps, self._slots, window, values
-                    )
+                    raw, image = _image_arrays(system, self.product.window, self._maps, self._slots, window, values)
                 except ResourceBoundError:
                     truncated += len(chains)
                     continue
-                for image_window, rows, image_values in _minimized(system, image_raw, image):
+                for image_window, rows, image_values in _minimized(system, raw, image):
                     # within the cap: a graph's right offset never exceeds its image's raw one
                     common, g, e, up, down = _drift_arrays(system, window, values[rows], image_window, image_values)
-                    # the witness graph is the chain's graph, in its own order, unless refined
-                    order = _dict_order(system, raw, window) if common == window else None
                     is_up = up >= DELTA_CERT
                     hits = np.flatnonzero(is_up | (down >= DELTA_CERT))
                     for chain, witness_up, margin, g_row, e_row in zip(
                         chains[rows[hits]].tolist(), is_up[hits].tolist(),
                         np.where(is_up, up, down)[hits].tolist(), g[hits], e[hits],
                     ):
-                        found.append((chain, step, witness_up, _Witness(common, g_row, e_row, margin, order)))
-                    advanced.append((image_window, image_raw, chains[rows], image_values))
+                        found.append((chain, step, witness_up, _Witness(common, g_row, e_row, margin)))
+                    advanced.append((image_window, chains[rows], image_values))
             groups = advanced
         found.sort(key=lambda f: f[:2])
         return [w for *_, is_up, w in found if is_up], [w for *_, is_up, w in found if not is_up], truncated
 
-    def _build_index(self, witnesses: list[_Witness], up: bool) -> tuple[_RegionIndex, BoxRegion]:
+    def _build_index(self, witnesses: list, up: bool) -> tuple[tuple[BoxRegion, np.ndarray], BoxRegion]:
         """Witness-tagged strips for point lookup, and their union as a region.
 
         The strips are stacked into (word, witness) arrays on the common
-        window and each word's row is swept in (start, end, tag) order. A
-        strip starts a piece at its start if that lies beyond the running end
-        of the earlier strips, at the running end if only its end does, and
-        is covered otherwise; a piece keeps its strip's tag. Runs of touching
-        pieces are the region's merged intervals. Words enter the region in
-        the order they first get a strip, witness by witness, each witness
-        listing its words in its graph's own order.
+        window and each word's row is swept by sweep_rows. Its pieces form
+        the index, a region whose box i is covered by witness tags[i] (the
+        tags end with -1, the tag of box -1), and its merged runs the region.
         """
         system = self.product.base
-        n = system.alphabet_size
-        if not witnesses:
-            none = np.empty(0, dtype=np.int64)
-            return _RegionIndex((0, 0), n, none, none, none, none), BoxRegion.empty(system)
-        window = L, R = (max(w.window[0] for w in witnesses), max(w.window[1] for w in witnesses))
-        size = L + R + 1
-        count = len(system.words(size))
+        window = tuple(max((w.window[i] for w in witnesses), default=0) for i in (0, 1))
+        count = len(system.words(window[0] + window[1] + 1))
         lo = np.empty((count, len(witnesses)))
         hi = np.empty((count, len(witnesses)))
         by_window = {}
         for tag, wit in enumerate(witnesses):
             by_window.setdefault(wit.window, []).append(tag)
-        for (wl, wr), group in by_window.items():
-            ranks = system.sub_ranks(size, L - wl, wl + wr + 1)
+        for wit_window, group in by_window.items():
+            ranks = system.window_ranks(wit_window, window)
             g = np.array([witnesses[t].graph for t in group]).T[ranks]
             e = np.array([witnesses[t].image for t in group]).T[ranks]
             lo[:, group], hi[:, group] = (g + DELTA_CERT, e - DELTA_CERT) if up else (e + DELTA_CERT, g - DELTA_CERT)
-        valid = hi > lo
-        has = np.flatnonzero(valid.any(axis=1))
-        first_tag = valid[has].argmax(axis=1)
-        lo[~valid] = np.inf  # empty strips sort last and are never kept
-        tags = np.lexsort((hi, lo), axis=-1)  # stable: strips with equal (start, end) stay in tag order
-        lo = np.take_along_axis(lo, tags, axis=1)
-        hi = np.take_along_axis(hi, tags, axis=1)
-        valid = np.take_along_axis(valid, tags, axis=1)
-        running = np.maximum.accumulate(np.where(valid, hi, -np.inf), axis=1)
-        end = np.hstack([np.full((count, 1), -np.inf), running[:, :-1]])  # of the earlier strips
-        row, col = np.nonzero(valid & (hi > end))
-        opens = lo[row, col] > end[row, col]  # a piece at the strip's own start opens a new run
-        starts = np.where(opens, lo[row, col], end[row, col])
-        ends = hi[row, col]
-        index = _RegionIndex(window, n, system.codes(size)[row], starts, ends, tags[row, col])
-        first = np.flatnonzero(opens)
-        last = np.append(first[1:] - 1, len(row) - 1)
-        run_lo, run_hi = starts[first].tolist(), ends[last].tolist()
-        offsets = np.searchsorted(row[first], np.arange(count + 1)).tolist()
-        # words first strip-covered by one witness follow that witness's word order
-        position = has.copy()
-        for tag in np.unique(first_tag).tolist():
-            wit = witnesses[tag]
-            if wit.order is not None and wit.window == window:
-                inverse = np.empty(count, dtype=np.int64)
-                inverse[wit.order] = np.arange(count)
-                mine = first_tag == tag
-                position[mine] = inverse[has[mine]]
-        words = system.words(size)
-        intervals = {
-            words[w]: tuple(zip(run_lo[offsets[w] : offsets[w + 1]], run_hi[offsets[w] : offsets[w + 1]]))
-            for w in has[np.lexsort((position, first_tag))].tolist()
-        }
-        return index, BoxRegion(system, window, intervals)
+        empty = hi <= lo
+        lo[empty], hi[empty] = np.inf, -np.inf
+        (row, tags, starts, ends), runs = sweep_rows(lo, hi)
+        return (BoxRegion(system, window, row, starts, ends), np.append(tags, -1)), BoxRegion(system, window, *runs)
 
     def _check_disjoint(self):
         # certified Up and Down strips can never overlap; a hit is a bug
-        up, down = self._up_region, self._down_region
-        window = (max(up.window[0], down.window[0]), max(up.window[1], down.window[1]))
-        ups = up.refined(window).intervals
-        downs = down.refined(window).intervals
+        window, ranks, lo, hi = joined_boxes(self._up_region, self._down_region)
+        order = np.lexsort((hi, lo, ranks))
         try:
-            BoxRegion(self.product.base, window, {w: ups[w] + downs[w] for w in ups.keys() & downs.keys()})
+            BoxRegion(self.product.base, window, ranks[order], lo[order], hi[order])
         except InvalidRegionError as exc:
             raise RuntimeError(f"internal inconsistency: Up and Down strips overlap: {exc}") from exc
 
@@ -512,11 +411,8 @@ class DriftClassifier:
 
     def classify(self, point: LabeledPoint) -> Classification:
         up_cert, down_cert = self._point_certificates(point, exhaustive=False)
-        if up_cert is not None:
-            return Classification(UP, up_cert, self.depth)
-        if down_cert is not None:
-            return Classification(DOWN, down_cert, self.depth)
-        return Classification(UNKNOWN, None, self.depth)
+        verdict = UP if up_cert is not None else DOWN if down_cert is not None else UNKNOWN
+        return Classification(verdict, up_cert or down_cert, self.depth)
 
     def search_certificates(self, point: LabeledPoint) -> tuple[DriftCertificate | None, DriftCertificate | None]:
         """Exhaustive independent searches in both directions (soundness testing)."""
@@ -551,12 +447,9 @@ class DriftClassifier:
         """Witness of an index hit (tag >= 0) or of a refined level (not NaN)."""
         if tag >= 0:
             witness = (self._up if direction == UP else self._down)[tag]
-            if witness.step_graph is None:
-                witness.step_graph = _graph(self.product.base, witness.window, witness.graph, witness.order)
-            graph, margin = witness.step_graph, witness.margin
+            graph, margin = StepGraph(self.product.base, witness.window, witness.graph), witness.margin
         elif not np.isnan(level):
-            graph = StepGraph.constant(self.product.base, level)
-            outcome = _drift_outcome(graph, image_graph(self.product, graph))
+            outcome = certify_drift(self.product, StepGraph.constant(self.product.base, level))
             if outcome.direction != direction.lower():
                 raise RuntimeError(f"internal inconsistency: refined level {level} is not {direction}")
             graph, margin = outcome.graph, outcome.margin
@@ -578,8 +471,9 @@ class DriftClassifier:
             raise WindowTooShortError((need_lo, need_hi), (lo, have_hi), f"classification at depth {self.depth}")
         _check_admissible(self.product.base, lo, rows)
         inside = (xs > 0.0) & (xs < 1.0)
-        up_tag = np.where(inside, self._up_index.lookup(lo, rows, xs), -1)
-        down_tag = np.where(inside, self._down_index.lookup(lo, rows, xs), -1)
+        (up_pieces, up_tags), (down_pieces, down_tags) = self._up_index, self._down_index
+        up_tag = np.where(inside, up_tags[up_pieces._locate(lo, rows, xs)], -1)
+        down_tag = np.where(inside, down_tags[down_pieces._locate(lo, rows, xs)], -1)
         if not exhaustive and ((up_tag >= 0) & (down_tag >= 0)).any():
             raise RuntimeError("internal inconsistency: point certified both Up and Down")
         up_level = np.full(len(xs), np.nan)

@@ -216,8 +216,8 @@ def compare_order(F: MultistepSkewProduct, G: MultistepSkewProduct) -> ProductOr
 
 def pad_to_window(product: MultistepSkewProduct, window: tuple[int, int]) -> MultistepSkewProduct:
     """Replicate the assignment onto a wider dependence window."""
-    assignment = product.base.refine_table(product.assignment, product.window, window)
-    return MultistepSkewProduct(product.base, product.chain, window, assignment)
+    words = product.base.words(window[0] + window[1] + 1)
+    return MultistepSkewProduct(product.base, product.chain, window, {w: product.map_for(w, window) for w in words})
 
 
 def distance(F: MultistepSkewProduct, G: MultistepSkewProduct) -> float:

@@ -2,22 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidRegionError
 from .fibers import RealInterval
-from .symbolic import MarkovChain, SymbolWindow, TransitionSystem, cylinder_measure
-
-
-def merge_intervals(intervals) -> tuple[tuple[float, float], ...]:
-    """Union of closed intervals as sorted disjoint ones; touching intervals coalesce."""
-    merged: list[list[float]] = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
+from .symbolic import MarkovChain, TransitionSystem, cylinder_measure
 
 
 def measure_boxes(chain: MarkovChain, boxes) -> float:
@@ -40,59 +32,129 @@ def measure_boxes(chain: MarkovChain, boxes) -> float:
     return total
 
 
+def sweep_rows(lo: np.ndarray, hi: np.ndarray):
+    """Merge the closed intervals in each row of (rows, k) arrays; absent ones have lo = inf, hi = -inf.
+
+    Each row is swept in (lo, hi, column) order: an interval starts a piece at
+    its lo if that lies beyond the running end of the earlier ones, at the
+    running end if only its hi does, and is covered otherwise. Returns the
+    pieces (row, column, start, end) and the merged runs of touching pieces
+    (row, start, end), both sorted by row, then start.
+    """
+    order = np.lexsort((hi, lo), axis=-1)  # stable: equal (lo, hi) keep column order
+    lo, hi = np.take_along_axis(lo, order, axis=1), np.take_along_axis(hi, order, axis=1)
+    end = np.hstack([np.full((len(hi), 1), -np.inf), np.maximum.accumulate(hi, axis=1)[:, :-1]])
+    row, col = np.nonzero(hi > end)
+    opens = lo[row, col] > end[row, col]
+    start, stop = np.where(opens, lo[row, col], end[row, col]), hi[row, col]
+    closes = np.ones_like(opens)  # the last piece closes the last run
+    closes[:-1] = opens[1:]
+    return (row, order[row, col], start, stop), (row[opens], start[opens], stop[closes])
+
+
 @dataclass(frozen=True, eq=False)
 class BoxRegion:
-    """Union of boxes sharing one cylinder window: word -> disjoint intervals."""
+    """Union of boxes sharing one cylinder window (L, R).
+
+    Box i is the cylinder of word ranks[i] of system.words(L + R + 1) times
+    the fiber interval [lo[i], hi[i]]. Boxes are sorted by (rank, lo) and
+    disjoint on each word.
+    """
 
     system: TransitionSystem
     window: tuple[int, int]
-    intervals: dict[tuple[int, ...], tuple[tuple[float, float], ...]]
+    ranks: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self):
-        cleaned = {}
-        for word, ivs in self.intervals.items():
-            ivs = tuple(sorted((float(lo), float(hi)) for lo, hi in ivs))
-            for lo, hi in ivs:
-                if not (0.0 <= lo <= hi <= 1.0):
-                    raise InvalidRegionError(f"[{lo}, {hi}] on word {word} is not an interval inside [0, 1]")
-            for (alo, ahi), (blo, bhi) in zip(ivs, ivs[1:]):
-                if blo < ahi:
-                    raise InvalidRegionError(f"overlapping intervals on word {word}")
-            if ivs:
-                cleaned[tuple(word)] = ivs
-        object.__setattr__(self, "intervals", cleaned)
-        object.__setattr__(self, "window", (int(self.window[0]), int(self.window[1])))
-
-    @classmethod
-    def empty(cls, system: TransitionSystem) -> "BoxRegion":
-        return cls(system, (0, 0), {})
+        L, R = window = (int(self.window[0]), int(self.window[1]))
+        ranks = np.array(self.ranks, dtype=np.int64)
+        lo, hi = np.array(self.lo, dtype=float), np.array(self.hi, dtype=float)
+        if not (ranks.ndim == 1 and ranks.shape == lo.shape == hi.shape):
+            raise InvalidRegionError("ranks, lo and hi must be 1-d arrays of one length")
+        words = self.system.words(L + R + 1)
+        bad = (ranks < 0) | (ranks >= len(words))
+        if bad.any():
+            raise InvalidRegionError(f"word rank {ranks[bad][0]} is not in 0..{len(words) - 1}")
+        bad = ~((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
+        if bad.any():
+            i = bad.argmax()
+            raise InvalidRegionError(f"[{lo[i]}, {hi[i]}] on word {words[ranks[i]]} is not an interval inside [0, 1]")
+        bad = (ranks[1:] < ranks[:-1]) | ((ranks[1:] == ranks[:-1]) & (lo[1:] < hi[:-1]))
+        if bad.any():
+            i = bad.argmax() + 1
+            raise InvalidRegionError(f"interval {i} on word {words[ranks[i]]} overlaps or is out of (rank, lo) order")
+        for name, arr in (("ranks", ranks), ("lo", lo), ("hi", hi)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "window", window)
 
     def measure(self, chain: MarkovChain) -> float:
-        """Sum of cylinder measure times interval length, box by box in storage order."""
-        L, _R = self.window
-        total = 0.0
-        for word, ivs in self.intervals.items():
-            weight = cylinder_measure(chain, SymbolWindow(-L, word))
-            for lo, hi in ivs:
-                total += weight * (hi - lo)
-        return total
+        """Sum of cylinder measure times interval length, box by box in (rank, lo) order.
+
+        Weights multiply transition probabilities left to right and the sum is
+        sequential, so the result equals measure_boxes on these boxes bit for bit.
+        """
+        if not len(self.ranks):
+            return 0.0
+        L, R = self.window
+        words = self.system.word_array(L + R + 1)[self.ranks] - 1
+        weights = chain.stationary[words[:, 0]]
+        for a, b in zip(words.T, words.T[1:]):
+            weights = weights * chain.stochastic[a, b]
+        return float(np.add.accumulate(weights * (self.hi - self.lo))[-1])
+
+    @functools.cached_property
+    def _keys(self) -> np.ndarray:
+        keys = self.ranks.astype(complex)
+        keys.imag = self.lo
+        return keys
+
+    def _locate(self, lo: int, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Index of the box holding each point, -1 where none does.
+
+        rows must hold admissible words on coordinates lo.., as the classifier
+        checks, and xs the fiber coordinates. Boxes are keyed by (rank, lo) as
+        one complex number; numpy orders complex numbers lexicographically, so
+        one searchsorted finds each point's last box of its word at or below it.
+        """
+        if not len(self.ranks):
+            return np.full(len(xs), -1)
+        L, R = self.window
+        keys = self.system.word_ranks(rows, -L - lo, L + R + 1).astype(complex)
+        keys.imag = xs
+        i = np.searchsorted(self._keys, keys, side="right") - 1
+        return np.where((i >= 0) & (self.ranks[i] == keys.real) & (xs <= self.hi[i]), i, -1)
 
     def refined(self, window: tuple[int, int]) -> "BoxRegion":
+        """The same set on a wider window: each word takes the boxes of its restriction."""
         if tuple(window) == self.window:
             return self
-        return BoxRegion(self.system, window, self.system.refine_table(self.intervals, self.window, window))
+        sub = self.system.window_ranks(self.window, window)
+        first = np.searchsorted(self.ranks, sub)
+        count = np.searchsorted(self.ranks, sub, side="right") - first
+        ranks = np.repeat(np.arange(len(sub)), count)
+        take = np.arange(len(ranks)) - np.repeat(np.cumsum(count) - count - first, count)
+        return BoxRegion(self.system, window, ranks, self.lo[take], self.hi[take])
 
-    def same_boxes(self, other: "BoxRegion") -> bool:
-        return self.window == other.window and self.intervals == other.intervals
+
+def joined_boxes(a: BoxRegion, b: BoxRegion):
+    """The common window of two regions, and the ranks, lo and hi of both regions' boxes on it, a's first."""
+    if not a.system.same_base(b.system):
+        raise InvalidRegionError("regions live over different bases")
+    window = (max(a.window[0], b.window[0]), max(a.window[1], b.window[1]))
+    ra, rb = a.refined(window), b.refined(window)
+    return (window, *(np.concatenate(pair) for pair in zip((ra.ranks, ra.lo, ra.hi), (rb.ranks, rb.lo, rb.hi))))
 
 
 def region_union(a: BoxRegion, b: BoxRegion) -> BoxRegion:
     """Set union of two box regions, exact on the common refined window."""
-    if not a.system.same_base(b.system):
-        raise InvalidRegionError("regions live over different bases")
-    window = (max(a.window[0], b.window[0]), max(a.window[1], b.window[1]))
-    ra = a.refined(window)
-    rb = b.refined(window)
-    words = set(ra.intervals) | set(rb.intervals)
-    out = {word: merge_intervals(ra.intervals.get(word, ()) + rb.intervals.get(word, ())) for word in words}
-    return BoxRegion(a.system, window, out)
+    window, ranks, lo, hi = joined_boxes(a, b)
+    order = np.argsort(ranks, kind="stable")
+    ranks, lo, hi = ranks[order], lo[order], hi[order]
+    col = np.arange(len(ranks)) - np.searchsorted(ranks, ranks)  # place among the word's intervals
+    shape = (len(a.system.words(window[0] + window[1] + 1)), col.max(initial=-1) + 1)
+    rows_lo, rows_hi = np.full(shape, np.inf), np.full(shape, -np.inf)
+    rows_lo[ranks, col], rows_hi[ranks, col] = lo, hi
+    return BoxRegion(a.system, window, *sweep_rows(rows_lo, rows_hi)[1])

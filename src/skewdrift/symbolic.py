@@ -119,24 +119,30 @@ class TransitionSystem:
         """words(length) as an int array (count, length); row i is word i."""
         return self._table(("words", length), lambda: np.array(self.words(length), dtype=np.int64).reshape(-1, length))
 
-    def codes(self, length: int) -> np.ndarray:
-        """Positional codes of words(length), in increasing order."""
-        n = self.alphabet_size
-        return self._table(("codes", length), lambda: word_codes(self.word_array(length), 0, length, n))
-
     def word_ranks(self, rows: np.ndarray, start: int, length: int) -> np.ndarray:
-        """Rank in words(length) of each row's admissible word in columns start..start+length-1."""
-        return np.searchsorted(self.codes(length), word_codes(rows, start, length, self.alphabet_size))
+        """Rank in words(length) of each row's admissible word in columns start..start+length-1.
+
+        Positional codes of words of one length are in lexicographic order.
+        """
+        place = self.alphabet_size ** np.arange(length - 1, -1, -1, dtype=np.int64)
+        codes = self._table(("codes", length), lambda: (self.word_array(length) - 1) @ place)
+        return np.searchsorted(codes, (rows[:, start : start + length] - 1) @ place)
 
     def sub_ranks(self, length: int, start: int, sub_length: int) -> np.ndarray:
-        """For each word of words(length), the rank of its subword at start..start+sub_length-1.
-
-        Gathering a per-word array on the short words with these ranks re-keys
-        it onto the long ones, the array form of refine_table.
-        """
+        """For each word of words(length), the rank of its subword at start..start+sub_length-1."""
         return self._table(
             ("sub", length, start, sub_length), lambda: self.word_ranks(self.word_array(length), start, sub_length)
         )
+
+    def window_ranks(self, window: tuple[int, int], target: tuple[int, int]) -> np.ndarray:
+        """For each word on the target window, the rank of its restriction to the window inside it.
+
+        A gather with these ranks re-keys a per-word array onto the target window.
+        """
+        (L, R), (L2, R2) = window, target
+        if L2 < L or R2 < R:
+            raise ValueError(f"target window {tuple(target)} does not contain {tuple(window)}")
+        return self.sub_ranks(L2 + R2 + 1, L2 - L, L + R + 1)
 
     def first_extensions(self, length: int, start: int, sub_length: int) -> np.ndarray:
         """For each word of words(sub_length), the index of the first word of words(length)
@@ -146,32 +152,8 @@ class TransitionSystem:
             lambda: np.unique(self.sub_ranks(length, start, sub_length), return_index=True)[1],
         )
 
-    def refine_table(self, table: dict, window: tuple[int, int], target: tuple[int, int]) -> dict:
-        """Re-key a per-word table from words on -L..R onto words on a wider window.
-
-        Each admissible target word takes the entry of its restriction to the
-        original window; words whose restriction has no entry are left out.
-        """
-        (L, R), (L2, R2) = window, target
-        if L2 < L or R2 < R:
-            raise ValueError(f"target window {target} does not contain {window}")
-        start, stop = L2 - L, L2 + R + 1
-        return {
-            word: value
-            for word in self.words(L2 + R2 + 1)
-            if (value := table.get(word[start:stop])) is not None
-        }
-
     def same_base(self, other: "TransitionSystem") -> bool:
         return np.array_equal(self.transitions, other.transitions)
-
-
-def word_codes(rows: np.ndarray, start: int, length: int, alphabet_size: int) -> np.ndarray:
-    """Positional codes of the words in columns start..start+length-1 of symbol rows.
-
-    Lexicographic order of words of one length is numeric order of their codes.
-    """
-    return (rows[:, start : start + length] - 1) @ alphabet_size ** np.arange(length - 1, -1, -1, dtype=np.int64)
 
 
 def stationary_distribution(stochastic) -> np.ndarray:

@@ -84,3 +84,47 @@ def sampled_points(product, depth, count, seed):
     for _ in range(count):
         win = sd.sample_window(chain, lo, hi, rng)
         yield sd.LabeledPoint(win, float(rng.random()))
+
+
+# Word-keyed views of the array forms, in rank (lexicographic) order.
+
+
+def graph_dict(graph):
+    """A StepGraph as {word: value}."""
+    L, R = graph.window
+    return dict(zip(graph.system.words(L + R + 1), graph.values.tolist()))
+
+
+def region_dict(region):
+    """A BoxRegion as {word: ((lo, hi), ...)}."""
+    L, R = region.window
+    words = region.system.words(L + R + 1)
+    out = {}
+    for rank, lo, hi in zip(region.ranks.tolist(), region.lo.tolist(), region.hi.tolist()):
+        out[words[rank]] = out.get(words[rank], ()) + ((lo, hi),)
+    return out
+
+
+def box_region(system, window, intervals):
+    """A BoxRegion from {word: [(lo, hi), ...]}, boxes sorted by (rank, lo)."""
+    L, R = window
+    rank = {w: i for i, w in enumerate(system.words(L + R + 1))}
+    boxes = sorted((rank[w], lo, hi) for w, ivs in intervals.items() for lo, hi in ivs)
+    return sd.BoxRegion(system, window, *(list(zip(*boxes)) or [(), (), ()]))
+
+
+def same_boxes(a, b):
+    return a.window == b.window and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in ("ranks", "lo", "hi")
+    )
+
+
+def merge_intervals(intervals):
+    """Reference union of closed intervals: sorted disjoint ones, touching intervals coalesce."""
+    merged = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)

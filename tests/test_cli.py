@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -200,3 +201,25 @@ class TestReadmeCommands:
         (tmp_path / "scripts").symlink_to(ROOT / "scripts", target_is_directory=True)
         monkeypatch.chdir(tmp_path)
         assert main(readme_cli_commands()[command]) == 0
+
+
+# SHA-256 of artifacts of the shipped configs, recorded with the earlier
+# dict-backed graphs and regions; the array forms must reproduce every byte.
+SHIPPED_ARTIFACTS = {
+    "measure_constant_affine/region_estimate.json": "376e0d91d1ba0b1390377627dfd8ce773f705dea5158a18d8b241afd49d4d232",
+    "measure_golden_affine/region_estimate.json": "e88b536dbfc41d811378a10e9f84a13616b11e465e6f6723b9bdc49d12efe634",
+    "measure_plateau_family/region_estimate.json": "de4d1bf249ab1e3fb4e416fee7019bf99f44bed75237eeb0eddd862241e45835",
+    "out/classifications.csv": "34d02103b4971c8c71a7014e58043181f8d44aa5c04af866274744e1c06df6ea",
+    "out/classifications.jsonl": "185f3a0149d300d16e0e74f1242630c411e7493eb5c94990a2af0177044889af",
+}
+
+
+class TestShippedArtifacts:
+    def test_digests_unchanged(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "scripts").symlink_to(ROOT / "scripts", target_is_directory=True)
+        monkeypatch.chdir(tmp_path)
+        for name in ("constant_affine", "golden_affine", "plateau_family"):
+            assert main(["measure", "--config", f"scripts/configs/{name}.json", "--out", f"measure_{name}"]) == 0
+        assert main(readme_cli_commands()["classify"]) == 0
+        digests = {path: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() for path in SHIPPED_ARTIFACTS}
+        assert digests == SHIPPED_ARTIFACTS

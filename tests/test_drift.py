@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 from pathlib import Path
 
@@ -11,10 +12,18 @@ from skewdrift.drift import DELTA_CERT, DOWN, LEVEL_GRID, REFINE_STEPS, UNKNOWN,
 from skewdrift.errors import ResourceBoundError, WindowTooShortError
 from skewdrift.fibers import EPS_ROUND
 from skewdrift.products import WINDOW_CAP
-from skewdrift.regions import merge_intervals
 from skewdrift.symbolic import _symbols_from_uniforms
 
-from conftest import constant_product, multistep_affines, sampled_points, wide_point
+from conftest import (
+    constant_product,
+    graph_dict,
+    merge_intervals,
+    multistep_affines,
+    region_dict,
+    same_boxes,
+    sampled_points,
+    wide_point,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -24,17 +33,18 @@ class TestImageGraph:
         g = sd.StepGraph.constant(two_map.base, 0.3)
         img = sd.image_graph(two_map, g)
         # level over a point is the predecessor's map applied to 0.3
+        values = graph_dict(img)
         assert img.window == (1, 0)
-        assert img.values[(1, 1)] == pytest.approx(0.34)
-        assert img.values[(1, 2)] == pytest.approx(0.34)
-        assert img.values[(2, 1)] == pytest.approx(0.41)
-        assert img.values[(2, 2)] == pytest.approx(0.41)
+        assert values[(1, 1)] == pytest.approx(0.34)
+        assert values[(1, 2)] == pytest.approx(0.34)
+        assert values[(2, 1)] == pytest.approx(0.41)
+        assert values[(2, 2)] == pytest.approx(0.41)
 
     def test_invariant_graph_of_constant_system(self, const_affine):
         g = sd.StepGraph.constant(const_affine.base, 0.5)
         img = sd.image_graph(const_affine, g)
         assert img.window == (0, 0)
-        assert all(v == pytest.approx(0.5) for v in img.values.values())
+        assert all(v == pytest.approx(0.5) for v in img.values)
 
     def test_twice_equals_two_step_composition(self, two_map):
         g = sd.StepGraph.constant(two_map.base, 0.3)
@@ -42,7 +52,7 @@ class TestImageGraph:
         maps = {1: sd.Affine(0.1, 0.8), 2: sd.Affine(0.2, 0.7)}
         # direct oracle: follow the two-step word composition by hand
         assert twice.window == (2, 0)
-        for word, value in twice.values.items():
+        for word, value in graph_dict(twice).items():
             expected = maps[word[1]].eval(maps[word[0]].eval(0.3))
             assert value == pytest.approx(expected, abs=1e-15)
 
@@ -155,7 +165,7 @@ class TestCertifiedRegions:
         # geometrically; levels from the grid must cover (0.1, 0.5 - 0.4*0.8^8)
         lo, hi = 0.1 + 1e-6, 0.5 - 0.4 * 0.8**8
         measure = region.measure(const_affine.chain)
-        for word, ivs in region.intervals.items():
+        for word, ivs in region_dict(region).items():
             covered = sum(min(b, hi) - max(a, lo) for a, b in ivs if b > lo and a < hi)
             assert covered >= (hi - lo) - 1e-6
         assert measure >= 0.40
@@ -166,13 +176,13 @@ class TestCertifiedRegions:
         f = sd.Plateau(1e-12, 0.0078125 / 2, 1 - 0.0078125 / 2)
         product = constant_product(full2, uniform_chain, f)
         up, down = sd.certified_regions(product, 0)
-        assert not up.intervals and not down.intervals
+        assert not region_dict(up) and not region_dict(down)
 
     def test_up_down_boxes_disjoint(self, two_map, ms_full):
         for product in (two_map, ms_full):
             up_region, down_region = sd.certified_regions(product, 6)
             assert up_region.window == down_region.window
-            up, down = up_region.intervals, down_region.intervals
+            up, down = region_dict(up_region), region_dict(down_region)
             for word in set(up) & set(down):
                 for alo, ahi in up[word]:
                     for blo, bhi in down[word]:
@@ -286,6 +296,9 @@ def _reference_refine(product, point, up):
     return False
 
 
+cached_region_dict = functools.cache(region_dict)
+
+
 def _reference_verdict(classifier, point):
     """Certified-region membership, then per-point refinement, one point at a time."""
     x = point.x
@@ -295,7 +308,7 @@ def _reference_verdict(classifier, point):
     for direction in (UP, DOWN):
         region = classifier.certified_boxes(direction)
         L, R = region.window
-        if any(lo <= x <= hi for lo, hi in region.intervals.get(point.window.word(-L, R), ())):
+        if any(lo <= x <= hi for lo, hi in cached_region_dict(region).get(point.window.word(-L, R), ())):
             hits.append(direction)
     assert len(hits) < 2
     if hits:
@@ -416,11 +429,22 @@ class TestBatchEdgeCases:
             classifier.classify_arrays(lo, np.ones((2, hi - lo + 1), dtype=np.int64), [0.5])
 
 
-# Test-side reference of the dict-by-dict classifier build: per-word dicts for
-# graphs, edge dropping by first appearance, and a per-word piece sweep.
+# Test-side reference of the dict-by-dict classifier build: a graph is a
+# (window, {word: value}) pair, edges are dropped by first appearance, and
+# strips are swept word by word. The dicts list words in their own order;
+# the build is compared with them in rank (lexicographic) order.
 
 
-def _dict_minimized(system, window, values):
+def _dict_refined(system, window, values, target):
+    """Re-key {word: value} from words on window onto words on the wider target window."""
+    if tuple(target) == tuple(window):
+        return values
+    (L, R), (L2, R2) = window, target
+    start, stop = L2 - L, L2 + R + 1
+    return {w: values[w[start:stop]] for w in system.words(L2 + R2 + 1) if w[start:stop] in values}
+
+
+def _dict_minimized(window, values):
     L, R = window
     changed = True
     while changed:
@@ -432,7 +456,7 @@ def _dict_minimized(system, window, values):
                     values = reduced
                     L, R = (L - 1, R) if left else (L, R - 1)
                     changed = True
-    return sd.StepGraph(system, (L, R), values)
+    return (L, R), values
 
 
 def _dict_drop_edge(values, left):
@@ -446,23 +470,24 @@ def _dict_drop_edge(values, left):
 
 def _dict_image_graph(product, graph):
     l, r = product.window
-    L, R = graph.window
+    (L, R), graph = graph
     Lp, Rp = max(L, l) + 1, max(max(R, r) - 1, 0)
     if Lp + Rp + 1 > WINDOW_CAP:
         raise ResourceBoundError("image window over the cap")
     fs, gs = Lp - l - 1, Lp - L - 1
     values = {
-        u: product.assignment[u[fs : fs + l + r + 1]].eval(graph.values[u[gs : gs + L + R + 1]])
+        u: product.assignment[u[fs : fs + l + r + 1]].eval(graph[u[gs : gs + L + R + 1]])
         for u in product.base.words(Lp + Rp + 1)
     }
-    return _dict_minimized(graph.system, (Lp, Rp), values)
+    return _dict_minimized((Lp, Rp), values)
 
 
-def _dict_drift(graph, image):
-    window = (max(graph.window[0], image.window[0]), max(graph.window[1], image.window[1]))
-    g, e = graph.refined(window), image.refined(window)
-    lo = min(e.values[w] - g.values[w] for w in g.values)
-    hi = max(e.values[w] - g.values[w] for w in g.values)
+def _dict_drift(system, graph, image):
+    window = (max(graph[0][0], image[0][0]), max(graph[0][1], image[0][1]))
+    g, e = _dict_refined(system, *graph, window), _dict_refined(system, *image, window)
+    lo = min(e[w] - g[w] for w in g)
+    hi = max(e[w] - g[w] for w in g)
+    g, e = (window, g), (window, e)
     if lo - 2.0 * EPS_ROUND >= DELTA_CERT:
         return "up", lo - 2.0 * EPS_ROUND, g, e
     if -hi - 2.0 * EPS_ROUND >= DELTA_CERT:
@@ -470,31 +495,41 @@ def _dict_drift(graph, image):
     return "inconclusive", None, g, e
 
 
+def _assert_same_graph(graph, reference):
+    """A StepGraph equals a (window, dict) graph, compared in rank order."""
+    window, values = reference
+    L, R = window
+    words = graph.system.words(L + R + 1)
+    assert graph.window == window and sorted(values) == list(words)
+    assert graph.values.tolist() == [values[w] for w in words]
+
+
 def _reference_chains(product, depth):
     """Up and Down witnesses (graph, image, margin) and the truncated-chain count.
 
-    Every step is checked against the public image_graph and certify_drift,
-    word order included.
+    Every step is checked against the public image_graph and certify_drift.
     """
+    system = product.base
     found = {"up": [], "down": []}
     truncated = 0
     for level in LEVEL_GRID:
-        graph = sd.StepGraph.constant(product.base, level)
+        graph = ((0, 0), {(s,): level for s in range(1, system.alphabet_size + 1)})
         for _ in range(depth + 1):
+            L, R = graph[0]
+            step_graph = sd.StepGraph(system, graph[0], [graph[1][w] for w in system.words(L + R + 1)])
             try:
                 image = _dict_image_graph(product, graph)
             except ResourceBoundError:
                 with pytest.raises(ResourceBoundError):
-                    sd.image_graph(product, graph)
+                    sd.image_graph(product, step_graph)
                 truncated += 1
                 break
-            public = sd.image_graph(product, graph)
-            assert public.window == image.window and list(public.values.items()) == list(image.values.items())
-            direction, margin, g, e = _dict_drift(graph, image)
-            outcome = sd.certify_drift(product, graph)
+            _assert_same_graph(sd.image_graph(product, step_graph), image)
+            direction, margin, g, e = _dict_drift(system, graph, image)
+            outcome = sd.certify_drift(product, step_graph)
             assert (outcome.direction, outcome.margin) == (direction, margin)
-            assert list(outcome.graph.values.items()) == list(g.values.items())
-            assert outcome.image.values == e.values
+            _assert_same_graph(outcome.graph, g)
+            _assert_same_graph(outcome.image, e)
             if direction != "inconclusive":
                 found[direction].append((g, e, margin))
             graph = image
@@ -518,28 +553,27 @@ def _tagged_pieces(boxes):
 
 
 def _reference_index(system, witnesses, up):
-    """Index window, (keys, ends, tags) arrays and region intervals from a per-word sweep."""
+    """Index window, its (ranks, starts, ends, tags) arrays and region intervals from a per-word sweep."""
     if not witnesses:
-        return (0, 0), (np.empty(0, complex), np.empty(0), np.empty(0, np.int64)), {}
-    window = (max(g.window[0] for g, _, _ in witnesses), max(g.window[1] for g, _, _ in witnesses))
+        return (0, 0), (np.empty(0, np.int64), np.empty(0), np.empty(0), np.empty(0, np.int64)), {}
+    window = (max(g[0][0] for g, _, _ in witnesses), max(g[0][1] for g, _, _ in witnesses))
     by_word = {}
     for tag, (g, e, _) in enumerate(witnesses):
-        g, e = g.refined(window), e.refined(window)
-        for word in g.values:
-            lo, hi = (g.values[word], e.values[word]) if up else (e.values[word], g.values[word])
+        g, e = _dict_refined(system, *g, window), _dict_refined(system, *e, window)
+        for word in g:
+            lo, hi = (g[word], e[word]) if up else (e[word], g[word])
             lo, hi = lo + DELTA_CERT, hi - DELTA_CERT
             if hi > lo:
                 by_word.setdefault(word, []).append((lo, hi, tag))
     pieces = {word: _tagged_pieces(boxes) for word, boxes in by_word.items()}
     intervals = {w: merge_intervals(zip(starts, ends)) for w, (starts, ends, _) in pieces.items()}
-    n = system.alphabet_size
+    all_words = system.words(window[0] + window[1] + 1)
     words = sorted(pieces)
-    codes = [sum((s - 1) * n ** (len(w) - 1 - i) for i, s in enumerate(w)) for w in words]
-    keys = np.repeat(np.array(codes, dtype=np.int64), [len(pieces[w][0]) for w in words]).astype(complex)
-    keys.imag = [v for w in words for v in pieces[w][0]]
-    ends = np.array([v for w in words for v in pieces[w][1]], dtype=float)
-    tags = np.array([v for w in words for v in pieces[w][2]], dtype=np.int64)
-    return window, (keys, ends, tags), intervals
+    ranks = np.repeat(np.array([all_words.index(w) for w in words], dtype=np.int64), [len(pieces[w][0]) for w in words])
+    starts, ends, tags = (
+        np.array([v for w in words for v in pieces[w][k]], dtype=dtype) for k, dtype in enumerate((float, float, np.int64))
+    )
+    return window, (ranks, starts, ends, tags), intervals
 
 
 def _three_symbol_product(window, fmap):
@@ -555,7 +589,7 @@ def _three_symbol_product(window, fmap):
 
 
 class TestArrayBuild:
-    """The array build gives the dict build's witnesses, index and regions exactly."""
+    """The array build gives the dict build's witnesses, index and regions exactly, in rank order."""
 
     def check(self, product, depth):
         classifier = sd.DriftClassifier(product, depth)
@@ -569,17 +603,18 @@ class TestArrayBuild:
             assert len(witnesses) == len(reference)
             for tag, (witness, (g, e, margin)) in enumerate(zip(witnesses, reference)):
                 cert = classifier._certificate(direction, tag, np.nan)
-                assert cert.graph.window == g.window == witness.window
-                assert list(cert.graph.values.items()) == list(g.values.items())
+                assert cert.graph.window == g[0] == witness.window
+                _assert_same_graph(cert.graph, g)
                 assert cert.margin == margin
                 L, R = witness.window
-                assert witness.image.tolist() == [e.values[w] for w in system.words(L + R + 1)]
+                assert witness.image.tolist() == [e[1][w] for w in system.words(L + R + 1)]
             window, arrays, intervals = _reference_index(system, reference, is_up)
             region = classifier.certified_boxes(direction)
-            assert index.window == region.window == window
-            for got, want in zip((index.keys, index.ends, index.tags), arrays):
+            pieces, tags = index
+            assert pieces.window == region.window == window and tags[-1] == -1
+            for got, want in zip((pieces.ranks, pieces.lo, pieces.hi, tags[:-1]), arrays):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert list(region.intervals.items()) == list(intervals.items())
+            assert list(region_dict(region).items()) == sorted(intervals.items())
         return classifier, up, down
 
     def test_fixture_systems(self, const_affine, const_plateau, two_map, ms_full, golden_ms):
@@ -598,10 +633,11 @@ class TestArrayBuild:
     @pytest.mark.parametrize("window", [(1, 0), (0, 1), (1, 1)])
     def test_three_symbol_shift(self, window):
         classifier, up, _down = self.check(_three_symbol_product(window, sd.Affine(0.1, 0.8)), 4)
-        # chain graphs minimized by a left drop keep a non-lexicographic order
-        assert any(list(g.values) != sorted(g.values) for g, _, _ in up)
+        # the reference's graphs minimized by a left drop list their words
+        # out of lexicographic order; the build still matches them in rank order
+        assert any(list(g[1]) != sorted(g[1]) for g, _, _ in up)
 
-    def test_region_follows_first_witness_order(self):
+    def test_region_in_rank_order_without_first_witness(self):
         # without the constant graph at tag 0, the first witness to cover
         # every word lists its words out of lexicographic order
         product = _three_symbol_product((1, 0), sd.Affine(0.1, 0.8))
@@ -609,8 +645,8 @@ class TestArrayBuild:
         up, _down, _truncated = _reference_chains(product, 4)
         _index, region = classifier._build_index(classifier._up[1:], up=True)
         _window, _arrays, intervals = _reference_index(product.base, up[1:], True)
-        assert list(region.intervals) == [(1,), (3,), (2,)]
-        assert list(region.intervals.items()) == list(intervals.items())
+        assert list(intervals) == [(1,), (3,), (2,)]
+        assert list(region_dict(region).items()) == sorted(intervals.items())
 
     @pytest.mark.parametrize("up", [True, False])
     def test_sweep_on_tied_and_touching_strips(self, const_affine, up):
@@ -628,16 +664,15 @@ class TestArrayBuild:
             for _ in range(30):
                 a, b = rng.choice(edges, size=(2, 4)).tolist()
                 graph, image = [inner[v] for v in a], [outer[v] for v in b]
-                witnesses.append(drift._Witness((1, 0), np.array(graph), np.array(image), 1.0, None))
+                witnesses.append(drift._Witness((1, 0), np.array(graph), np.array(image), 1.0))
                 words = system.words(2)
-                reference.append((sd.StepGraph(system, (1, 0), dict(zip(words, graph))),
-                                  sd.StepGraph(system, (1, 0), dict(zip(words, image))), 1.0))
-            index, region = classifier._build_index(witnesses, up)
+                reference.append((((1, 0), dict(zip(words, graph))), ((1, 0), dict(zip(words, image))), 1.0))
+            (pieces, tags), region = classifier._build_index(witnesses, up)
             window, arrays, intervals = _reference_index(system, reference, up)
-            assert index.window == region.window == window
-            for got, want in zip((index.keys, index.ends, index.tags), arrays):
+            assert pieces.window == region.window == window
+            for got, want in zip((pieces.ranks, pieces.lo, pieces.hi, tags[:-1]), arrays):
                 assert np.array_equal(got, want)
-            assert list(region.intervals.items()) == list(intervals.items())
+            assert list(region_dict(region).items()) == sorted(intervals.items())
 
     def test_truncated_chains_counted(self, ms_full, const_affine):
         # ms_full's windows grow by one per step, so at depth 10 every chain
@@ -693,7 +728,7 @@ class TestArrayKernels:
         assert got.truncated_chains == want.truncated_chains
         for direction in (UP, DOWN):
             a, b = got.certified_boxes(direction), want.certified_boxes(direction)
-            assert a.window == b.window and list(a.intervals.items()) == list(b.intervals.items())
+            assert same_boxes(a, b)
         points = list(sampled_points(product, depth, count, seed))
         lo, rows, xs = points[0].window.lo, [p.window.symbols for p in points], [p.x for p in points]
         codes = got.classify_arrays(lo, rows, xs)
@@ -703,7 +738,7 @@ class TestArrayKernels:
             for _ in range(3):
                 image, reference = sd.image_graph(product, graph), sd.image_graph(twin, graph)
                 assert image.window == reference.window
-                assert list(image.values.items()) == list(reference.values.items())
+                assert image.values.tolist() == reference.values.tolist()
                 graph = image
         return Counter(VERDICTS[c] for c in codes)
 
@@ -744,3 +779,45 @@ class TestInadmissiblePoints:
         rows[2, 4:6] = 2
         with pytest.raises(ValueError, match="of point 2 is forbidden"):
             classifier.classify_arrays(lo, rows, [0.2, 0.5, 0.8])
+
+    def test_replay_rejects_point_outside_base_space(self, golden, golden_chain):
+        # the README's golden-mean product: the witness graph lives on window
+        # (0, 0), so only a check of the whole point window sees the 2 -> 2
+        product = constant_product(golden, golden_chain, sd.Affine(0.1, 0.8))
+        cert = sd.classify_point(product, sd.LabeledPoint(sd.SymbolWindow(-8, (1, 2) * 8), 0.2), 6).witness
+        point = sd.LabeledPoint(sd.SymbolWindow(-8, (2,) * 16), 0.2)
+        with pytest.raises(ValueError, match="transition 2 -> 2 at coordinates -8, -7"):
+            sd.replay_certificate(product, cert, point)
+
+    def test_value_at_rejects_symbol_outside_alphabet(self, full2):
+        with pytest.raises(ValueError, match="symbol 3 at coordinate -1"):
+            sd.StepGraph.constant(full2, 0.3).value_at(sd.SymbolWindow(-1, (3, 3, 3)))
+
+
+class TestInBoxInvariant:
+    """A point inside a certified box gets that box's verdict from classify_arrays."""
+
+    def test_criterion_1_systems(self, const_affine, const_plateau, two_map, ms_full, golden_ms):
+        depth = 6
+        for k, product in enumerate([const_affine, const_plateau, two_map, ms_full, golden_ms]):
+            classifier = sd.get_classifier(product, depth)
+            lo, hi = classifier.required_range()
+            uniforms = np.random.default_rng(900 + k).random((2000, hi - lo + 2))
+            rows = _symbols_from_uniforms(product.chain, uniforms[:, :-1]).tolist()
+            xs = uniforms[:, -1].tolist()
+            points, expected = [], []
+            for direction in (UP, DOWN):
+                region = classifier.certified_boxes(direction)
+                boxes = region_dict(region)
+                L, R = region.window
+                for i, row in enumerate(rows):
+                    ivs = boxes.get(tuple(row[-L - lo : R + 1 - lo]), ())
+                    # the sampled x when a box holds it; both edges and the midpoint of every box of the first rows
+                    inside = [xs[i]] if any(a <= xs[i] <= b for a, b in ivs) else []
+                    if i < 100:
+                        inside += [v for a, b in ivs for v in (a, 0.5 * (a + b), b)]
+                    points += [(row, x) for x in inside]
+                    expected += [VERDICTS.index(direction)] * len(inside)
+                assert expected.count(VERDICTS.index(direction)) > 100
+            codes = classifier.classify_arrays(lo, [p[0] for p in points], [p[1] for p in points])
+            assert codes.tolist() == expected

@@ -7,8 +7,18 @@ import skewdrift as sd
 from skewdrift.drift import DriftClassifier
 from skewdrift.errors import FamilyRangeError, InvalidRegionError, ToleranceError
 from skewdrift.measure import RegionEstimate
+from skewdrift.regions import sweep_rows
 
-from conftest import constant_product
+from conftest import box_region, constant_product, merge_intervals, multistep_affines, region_dict, same_boxes
+
+
+def boxes_of(region):
+    L, _R = region.window
+    return [
+        (sd.SymbolWindow(-L, word), sd.RealInterval(lo, hi))
+        for word, ivs in region_dict(region).items()
+        for lo, hi in ivs
+    ]
 
 
 class TestMeasureBoxes:
@@ -35,24 +45,120 @@ class TestMeasureBoxes:
     def test_region_measure_matches_measure_boxes(self, golden_ms):
         # same boxes, same summation order: the two sums agree to the last bit
         for region in sd.certified_regions(golden_ms, 5):
-            L, _R = region.window
-            boxes = [
-                (sd.SymbolWindow(-L, word), sd.RealInterval(lo, hi))
-                for word, ivs in region.intervals.items()
-                for lo, hi in ivs
-            ]
-            assert region.measure(golden_ms.chain) == sd.measure_boxes(golden_ms.chain, boxes)
+            assert region.measure(golden_ms.chain) == sd.measure_boxes(golden_ms.chain, boxes_of(region))
+
+    def test_depth_8_multistep_region_measure_matches_measure_boxes(self, full2, uniform_chain, ms_full):
+        for product in (ms_full, multistep_affines(full2, uniform_chain, base_offset=0.09)):
+            for region in sd.certified_regions(product, 8):
+                assert len(region_dict(region)) == 2048  # every word of the 11-symbol window
+                assert region.measure(product.chain) == sd.measure_boxes(product.chain, boxes_of(region))
 
     @pytest.mark.parametrize("interval", [(-0.1, 0.2), (0.5, 1.2), (0.6, 0.4)])
     def test_region_intervals_must_lie_in_unit_interval(self, full2, interval):
         with pytest.raises(InvalidRegionError, match="not an interval"):
-            sd.BoxRegion(full2, (0, 0), {(1,): (interval,)})
+            sd.BoxRegion(full2, (0, 0), [0], [interval[0]], [interval[1]])
 
     def test_region_union_measure(self, full2, uniform_chain):
-        a = sd.BoxRegion(full2, (0, 0), {(1,): ((0.1, 0.3),), (2,): ((0.2, 0.4),)})
-        b = sd.BoxRegion(full2, (0, 0), {(1,): ((0.25, 0.5),)})
+        a = box_region(full2, (0, 0), {(1,): ((0.1, 0.3),), (2,): ((0.2, 0.4),)})
+        b = box_region(full2, (0, 0), {(1,): ((0.25, 0.5),)})
         u = sd.region_union(a, b)
         assert u.measure(uniform_chain) == pytest.approx(0.5 * 0.4 + 0.5 * 0.2)
+
+
+# Interval ends on a coarse grid, so that random intervals tie, touch, nest
+# and include degenerate [a, a] ones.
+EDGES = (0.0, 0.1, 0.2, 0.25, 0.5, 0.75, 1.0)
+
+
+def sorted_boxes(rng, count):
+    """Intervals that are disjoint but may touch, repeat a degenerate [a, a], or be degenerate."""
+    ends = np.sort(rng.choice(EDGES, 2 * count)).tolist()
+    return list(zip(ends[::2], ends[1::2]))
+
+
+def reference_union(system, regions, window):
+    """Union word by word: each word on the window takes its restrictions' intervals, merged."""
+    out = {}
+    L2, R2 = window
+    for region in regions:
+        L, R = region.window
+        boxes = region_dict(region)
+        for word in system.words(L2 + R2 + 1):
+            out.setdefault(word, []).extend(boxes.get(word[L2 - L : L2 + R + 1], ()))
+    return {word: merge_intervals(ivs) for word, ivs in out.items() if ivs}
+
+
+class TestRegionArrays:
+    """region_union and sweep_rows against the per-word reference merge."""
+
+    @pytest.mark.parametrize("intervals, merged", [
+        ([(0.1, 0.3), (0.1, 0.3)], ((0.1, 0.3),)),  # tied
+        ([(0.2, 0.4), (0.1, 0.2)], ((0.1, 0.4),)),  # touching
+        ([(0.1, 0.5), (0.2, 0.3)], ((0.1, 0.5),)),  # nested
+        ([(0.3, 0.3)], ((0.3, 0.3),)),  # degenerate
+        ([(0.2, 0.4), (0.2, 0.2), (0.4, 0.4), (0.6, 0.6), (0.6, 0.6)], ((0.2, 0.4), (0.6, 0.6))),
+    ])
+    def test_special_cases(self, full2, intervals, merged):
+        assert merge_intervals(intervals) == merged
+        lo, hi = np.array([intervals]).transpose(2, 0, 1)
+        _pieces, (row, start, stop) = sweep_rows(lo, hi)
+        assert row.tolist() == [0] * len(merged) and list(zip(start.tolist(), stop.tolist())) == list(merged)
+        union = box_region(full2, (0, 0), {})
+        for interval in intervals:
+            union = sd.region_union(union, box_region(full2, (0, 0), {(2,): [interval]}))
+        assert region_dict(union) == {(2,): merged}
+
+    def test_sweep_rows_matches_reference(self):
+        rng = np.random.default_rng(5)
+        lo, hi = np.sort(rng.choice(EDGES, (2, 60, 7)), axis=0)
+        absent = rng.random((60, 7)) < 0.3
+        lo[absent], hi[absent] = np.inf, -np.inf
+        (row, col, start, stop), (run_row, run_lo, run_hi) = sweep_rows(lo, hi)
+        for r in range(60):
+            runs = list(zip(run_lo[run_row == r].tolist(), run_hi[run_row == r].tolist()))
+            assert runs == list(merge_intervals((a, b) for a, b in zip(lo[r], hi[r]) if a <= b))
+            mine = row == r
+            pieces = list(zip(start[mine].tolist(), stop[mine].tolist()))
+            assert merge_intervals(pieces) == tuple(runs)
+            assert all(lo[r, c] <= a <= b <= hi[r, c] for c, a, b in zip(col[mine], *zip(*pieces)))
+
+    @pytest.mark.parametrize("windows", [((0, 0), (0, 0)), ((1, 0), (0, 2)), ((0, 1), (2, 1)), ((2, 2), (0, 0))])
+    def test_union_matches_reference(self, golden, windows):
+        rng = np.random.default_rng(len(windows[0]) + 10 * sum(windows[1]))
+        for _ in range(20):
+            a, b = (
+                box_region(golden, w, {
+                    word: sorted_boxes(rng, 3) for word in golden.words(w[0] + w[1] + 1) if rng.random() < 0.7
+                })
+                for w in windows
+            )
+            window = (max(windows[0][0], windows[1][0]), max(windows[0][1], windows[1][1]))
+            union = sd.region_union(a, b)
+            assert union.window == window
+            assert list(region_dict(union).items()) == sorted(reference_union(golden, (a, b), window).items())
+
+    def test_refined_keeps_every_box(self, golden):
+        region = box_region(golden, (0, 1), {(1, 1): [(0.1, 0.2), (0.2, 0.2)], (2, 1): [(0.5, 0.6)]})
+        boxes = region_dict(region)
+        want = {w: boxes[w[1:3]] for w in golden.words(4) if w[1:3] in boxes}
+        assert list(region_dict(region.refined((1, 2))).items()) == sorted(want.items())
+        with pytest.raises(ValueError, match="does not contain"):
+            region.refined((1, 0))
+
+    @pytest.mark.parametrize("ranks, lo, hi, message", [
+        ([1, 0], [0.1, 0.2], [0.2, 0.3], "interval 1 on word \\(1,\\) overlaps or is out of"),
+        ([0, 0], [0.3, 0.1], [0.4, 0.2], "interval 1 on word \\(1,\\) overlaps or is out of"),
+        ([0, 0, 1], [0.1, 0.2, 0.5], [0.3, 0.4, 0.6], "interval 1 on word \\(1,\\) overlaps or is out of"),
+        ([2], [0.1], [0.2], "word rank 2 is not in 0..1"),
+        ([0, 1], [0.1], [0.2], "one length"),
+    ])
+    def test_invalid_boxes_rejected(self, full2, ranks, lo, hi, message):
+        with pytest.raises(InvalidRegionError, match=message):
+            sd.BoxRegion(full2, (0, 0), ranks, lo, hi)
+
+    def test_touching_and_degenerate_boxes_accepted(self, full2):
+        region = sd.BoxRegion(full2, (0, 0), [0, 0, 0, 0, 1], [0.1, 0.2, 0.2, 0.2, 0.5], [0.2, 0.2, 0.2, 0.3, 0.5])
+        assert region_dict(region) == {(1,): ((0.1, 0.2), (0.2, 0.2), (0.2, 0.2), (0.2, 0.3)), (2,): ((0.5, 0.5),)}
 
 
 class TestHoeffding:
@@ -66,7 +172,7 @@ class TestEstimateRegions:
         a = sd.estimate_regions(const_affine, 4, 500, 123)
         b = sd.estimate_regions(const_affine, 4, 500, 123)
         assert a == b
-        assert a.up_region.same_boxes(b.up_region)
+        assert same_boxes(a.up_region, b.up_region)
 
     def test_fractions_sum_to_one(self, two_map):
         est = sd.estimate_regions(two_map, 4, 500, 5)

@@ -32,7 +32,6 @@ from .fibers import (
     RealInterval,
     compose_along_word,
     derivative,
-    evaluate,
     interval_image,
     invert,
     map_from_json,

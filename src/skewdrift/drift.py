@@ -571,10 +571,8 @@ def certified_regions(product: MultistepSkewProduct, depth: int):
     return classifier.certified_boxes(UP), classifier.certified_boxes(DOWN)
 
 
-def periodic_fiber_map(
-    product: MultistepSkewProduct, word: PeriodicWord, phase: int = 0
-) -> list[FiberMap]:
-    """Fiber maps along one period of the periodic point, starting at the phase.
+def periodic_fiber_map(product: MultistepSkewProduct, word: PeriodicWord) -> list[FiberMap]:
+    """Fiber maps along one period of the periodic point, starting at coordinate 0.
 
     The word wraps to cover the dependence window, so any admissible cyclic
     word works regardless of its length.
@@ -585,7 +583,7 @@ def periodic_fiber_map(
         raise ValueError(f"word {word.symbols} is not cyclically admissible for this base")
     maps = []
     for k in range(n):
-        defining = tuple(word.symbol(phase + k + i) for i in range(-l, r + 1))
+        defining = tuple(word.symbol(k + i) for i in range(-l, r + 1))
         maps.append(product.assignment[defining])
     return maps
 

@@ -349,12 +349,6 @@ def validate_class(f: FiberMap) -> ClassCheck:
     return f.class_check()
 
 
-def evaluate(f: FiberMap, x):
-    """f(x) for x in [0, 1]; raises on domain violation."""
-    _check_domain(x)
-    return f.eval(x)
-
-
 def derivative(f: FiberMap, x):
     """Exact analytic derivative at x in [0, 1]."""
     _check_domain(x)
@@ -367,16 +361,16 @@ def _check_domain(x):
         raise ValueError("argument outside [0, 1]")
 
 
-def invert(f: FiberMap, y, tol: float = INVERT_TOL):
+def invert(f: FiberMap, y):
     """Unique x in [0, 1] with f(x) = y, by monotone bisection refined by Newton.
 
-    y must lie in [f(0), f(1)] up to tol slack. Accepts scalars or arrays.
+    y must lie in [f(0), f(1)] up to INVERT_TOL slack. Accepts scalars or arrays.
     """
     scalar = np.isscalar(y) or (isinstance(y, np.ndarray) and y.ndim == 0)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     f0 = float(f.eval(0.0))
     f1 = float(f.eval(1.0))
-    if (ys < f0 - tol).any() or (ys > f1 + tol).any():
+    if (ys < f0 - INVERT_TOL).any() or (ys > f1 + INVERT_TOL).any():
         raise ValueError(f"value outside the image [{f0}, {f1}]")
     ys = np.clip(ys, f0, f1)
     lo = np.zeros_like(ys)

@@ -25,9 +25,9 @@ from .symbolic import _symbols_from_uniforms
 CONFIDENCE = 0.95
 
 
-def hoeffding_radius(n: int, confidence: float = CONFIDENCE) -> float:
-    """Distribution-free two-sided confidence radius for a [0,1] mean."""
-    return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
+def hoeffding_radius(n: int) -> float:
+    """Distribution-free two-sided CONFIDENCE radius for a [0,1] mean."""
+    return math.sqrt(math.log(2.0 / (1.0 - CONFIDENCE)) / (2.0 * n))
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,16 @@ class SweepResult:
         return tuple(e.mc_up for e in self.estimates)
 
 
+def _running_union_measures(regions: list[BoxRegion], chain) -> list[float]:
+    """Measure of the union of regions[0..i], for each i."""
+    measures = []
+    acc = None
+    for region in regions:
+        acc = region if acc is None else region_union(acc, region)
+        measures.append(acc.measure(chain))
+    return measures
+
+
 def sweep(
     family: MonotoneFamily, grid, depth: int, n: int, seed: int
 ) -> SweepResult:
@@ -203,24 +213,10 @@ def sweep(
             raise ValueError("grid must be strictly increasing")
     if grid and not (lo <= grid[0] and grid[-1] <= hi):
         raise FamilyRangeError(f"grid leaves the family range [{lo}, {hi}]")
-    if not grid:
-        return SweepResult((), (), (), ())
     chain = family.base_product.chain
-    estimates = []
-    mu_lower = []
-    acc_up: BoxRegion | None = None
-    for i, tau in enumerate(grid):
-        member = family_member(family, tau)
-        est = estimate_regions(member, depth, n, (seed, i))
-        estimates.append(est)
-        acc_up = est.up_region if acc_up is None else region_union(acc_up, est.up_region)
-        mu_lower.append(acc_up.measure(chain))
-    down_lower = [0.0] * len(grid)
-    acc_down: BoxRegion | None = None
-    for i in range(len(grid) - 1, -1, -1):
-        est = estimates[i]
-        acc_down = est.down_region if acc_down is None else region_union(acc_down, est.down_region)
-        down_lower[i] = acc_down.measure(chain)
+    estimates = [estimate_regions(family_member(family, tau), depth, n, (seed, i)) for i, tau in enumerate(grid)]
+    mu_lower = _running_union_measures([e.up_region for e in estimates], chain)
+    down_lower = _running_union_measures([e.down_region for e in reversed(estimates)], chain)[::-1]
     for a, b in zip(mu_lower, mu_lower[1:]):
         if b < a - 1e-12:
             raise RuntimeError("certified up-measure curve lost monotonicity")

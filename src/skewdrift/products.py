@@ -83,22 +83,19 @@ class MultistepSkewProduct:
 
     @functools.cached_property
     def map_slots(self) -> tuple[MapStack, np.ndarray]:
-        """The distinct fiber maps, ordered by form, and for each word of the window (by rank) the index of its map."""
+        """The distinct fiber maps, ordered by form, and for each word of the window (by rank) the index of its map.
+
+        Maps are merged by value (they are frozen dataclasses): equal
+        parameters run identical float operations, so any one of them gives
+        the same results bit for bit. The one case where == does not mean
+        identical bits is -0.0 against 0.0, and an in-class map only ever adds
+        such a parameter's term to a nonzero value (c in a + b*x + c*x*(1-x)
+        and b + c*(1-2x), a bump amount in y + amount*y*(1-y)) or takes its abs.
+        """
         maps = MapStack(dict.fromkeys(self.assignment.values()))
         index = {fmap: i for i, fmap in enumerate(maps.maps)}
         words = self.base.words(self.window[0] + self.window[1] + 1)
         return maps, np.array([index[self.assignment[w]] for w in words], dtype=np.int64)
-
-    def map_for(self, word: tuple[int, ...], word_window: tuple[int, int] | None = None) -> FiberMap:
-        """Fiber map for a word given at a window at least as wide as this product's."""
-        l, r = self.window
-        if word_window is None:
-            word_window = (l, r)
-        lw, rw = word_window
-        if lw < l or rw < r or len(word) != lw + rw + 1:
-            raise WindowTooShortError((-l, r), (-lw, rw), "fiber map lookup")
-        start = lw - l
-        return self.assignment[word[start : start + l + r + 1]]
 
     def fingerprint(self) -> str:
         return hashlib.sha256(json.dumps(self.to_json(), sort_keys=True).encode()).hexdigest()[:16]
@@ -179,6 +176,17 @@ def _strictly_below(f: FiberMap, g: FiberMap) -> bool:
     return True
 
 
+def _map_pairs(F: MultistepSkewProduct, G: MultistepSkewProduct) -> list[tuple[FiberMap, FiberMap]]:
+    """Each distinct (f, g) pair of map values over the words of the common
+    window, in the order of the pair's first word."""
+    window = (max(F.window[0], G.window[0]), max(F.window[1], G.window[1]))
+    (f_maps, f_slots), (g_maps, g_slots) = F.map_slots, G.map_slots
+    f = f_slots[F.base.window_ranks(F.window, window)]
+    g = g_slots[G.base.window_ranks(G.window, window)]
+    first = np.sort(np.unique(f * len(g_maps.maps) + g, return_index=True)[1])
+    return [(f_maps.maps[f[k]], g_maps.maps[g[k]]) for k in first]
+
+
 def compare_order(F: MultistepSkewProduct, G: MultistepSkewProduct) -> ProductOrder:
     """Certified three-way comparison under the strict fiberwise order.
 
@@ -192,19 +200,9 @@ def compare_order(F: MultistepSkewProduct, G: MultistepSkewProduct) -> ProductOr
         )
     first_below = True
     second_below = True
-    cache: dict[tuple[FiberMap, FiberMap], tuple[bool, bool]] = {}
-    for word in F.base.words(F.window[0] + F.window[1] + 1):
-        f = F.assignment[word]
-        g = G.assignment[word]
-        key = (f, g)  # by value, as in distance
-        if key not in cache:
-            cache[key] = (
-                _strictly_below(f, g) if first_below else False,
-                _strictly_below(g, f) if second_below else False,
-            )
-        fb, sb = cache[key]
-        first_below = first_below and fb
-        second_below = second_below and sb
+    for f, g in _map_pairs(F, G):
+        first_below = first_below and _strictly_below(f, g)
+        second_below = second_below and _strictly_below(g, f)
         if not first_below and not second_below:
             return ProductOrder.INCOMPARABLE
     if first_below:
@@ -215,9 +213,16 @@ def compare_order(F: MultistepSkewProduct, G: MultistepSkewProduct) -> ProductOr
 
 
 def pad_to_window(product: MultistepSkewProduct, window: tuple[int, int]) -> MultistepSkewProduct:
-    """Replicate the assignment onto a wider dependence window."""
+    """Replicate the assignment onto a wider dependence window.
+
+    Each word keeps its own map object, so the padded product's JSON repeats
+    the narrow one's maps exactly, signed zeros included.
+    """
+    l, r = product.window
+    maps = [product.assignment[w] for w in product.base.words(l + r + 1)]
+    ranks = product.base.window_ranks(product.window, window)
     words = product.base.words(window[0] + window[1] + 1)
-    return MultistepSkewProduct(product.base, product.chain, window, {w: product.map_for(w, window) for w in words})
+    return MultistepSkewProduct(product.base, product.chain, window, {w: maps[k] for w, k in zip(words, ranks)})
 
 
 def distance(F: MultistepSkewProduct, G: MultistepSkewProduct) -> float:
@@ -230,23 +235,8 @@ def distance(F: MultistepSkewProduct, G: MultistepSkewProduct) -> float:
     """
     if not F.base.same_base(G.base):
         raise IncompatibleProductsError("products live over different bases")
-    lw = max(F.window[0], G.window[0])
-    rw = max(F.window[1], G.window[1])
     best = 0.0
-    seen: set[tuple[FiberMap, FiberMap]] = set()
-    for word in F.base.words(lw + rw + 1):
-        f = F.map_for(word, (lw, rw))
-        g = G.map_for(word, (lw, rw))
-        # Keyed by value (the maps are frozen dataclasses): equal parameters
-        # run identical float operations, so a skipped pair gives the same d
-        # bit for bit. The one case where == does not mean identical bits is
-        # -0.0 against 0.0, and an in-class map only ever adds such a
-        # parameter's term to a nonzero value (c in a + b*x + c*x*(1-x) and
-        # b + c*(1-2x), a bump amount in y + amount*y*(1-y)) or takes its abs.
-        key = (f, g)
-        if key in seen:
-            continue
-        seen.add(key)
+    for f, g in _map_pairs(F, G):
         fv = np.asarray(f.eval(_XGRID), dtype=float)
         gv = np.asarray(g.eval(_XGRID), dtype=float)
         d = float(np.abs(fv - gv).max())

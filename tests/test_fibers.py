@@ -50,21 +50,21 @@ class TestValidateClass:
 class TestEvalAndDerivative:
     def test_affine_values(self):
         f = sd.Affine(0.1, 0.8)
-        assert sd.evaluate(f, 0.5) == pytest.approx(0.5)
+        assert f.eval(0.5) == pytest.approx(0.5)
         assert sd.derivative(f, 0.5) == 0.8
 
     def test_plateau_identity_region(self):
         f = sd.Plateau(0.5, 0.4, 0.6)
-        assert sd.evaluate(f, 0.5) == 0.5
+        assert f.eval(0.5) == 0.5
         assert sd.derivative(f, 0.5) == 1.0
 
     def test_plateau_at_zero(self):
         f = sd.Plateau(0.5, 0.4, 0.6)
-        assert sd.evaluate(f, 0.0) == pytest.approx(0.08)
+        assert f.eval(0.0) == pytest.approx(0.08)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            sd.evaluate(sd.Affine(0.1, 0.8), 1.5)
+            sd.derivative(sd.Affine(0.1, 0.8), 1.5)
 
     def test_vectorized_matches_scalar(self):
         xs = np.linspace(0, 1, 257)

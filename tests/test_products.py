@@ -28,6 +28,15 @@ def geometric_spec(full2, uniform_chain, scale=0.01):
     )
 
 
+def signed_zero_spec(full2, uniform_chain):
+    """A spec where one word's designated value sums to -0.0 and the others to 0.0."""
+    return sd.ContinuousProductSpec(
+        full2, uniform_chain, "bumped_affine", "c",
+        ({"a": 0.1, "b": 0.8, "c": -0.0}, {"a": 0.12, "b": 0.8, "c": 0.0}),
+        np.array([[0.0, -0.0], [0.0, 0.0]]),
+    )
+
+
 def random_spec(full2, uniform_chain, seed, offset=0.0):
     rho = np.random.default_rng(seed).uniform(-0.01, 0.01, (2, 2))
     return sd.ContinuousProductSpec(
@@ -42,11 +51,22 @@ def shipped_ladder():
     return {m: sd.multistep_approximation(spec, m) for m in range(2, 6)}
 
 
+def map_at(product, word, window):
+    """The map of a word given on a window containing the product's, by slicing the word."""
+    start = window[0] - product.window[0]
+    return product.assignment[word[start : start + product.window[0] + product.window[1] + 1]]
+
+
 def word_pairs(F, G):
     """The (f, g) pair of every word on the common window, in word order."""
-    lw = max(F.window[0], G.window[0])
-    rw = max(F.window[1], G.window[1])
-    return [(F.map_for(w, (lw, rw)), G.map_for(w, (lw, rw))) for w in F.base.words(lw + rw + 1)]
+    window = (max(F.window[0], G.window[0]), max(F.window[1], G.window[1]))
+    return [(map_at(F, w, window), map_at(G, w, window)) for w in F.base.words(window[0] + window[1] + 1)]
+
+
+def reference_pad(product, window):
+    """`pad_to_window` by slicing every word of the wider window."""
+    words = product.base.words(window[0] + window[1] + 1)
+    return sd.MultistepSkewProduct(product.base, product.chain, window, {w: map_at(product, w, window) for w in words})
 
 
 def reference_distance(F, G):
@@ -240,9 +260,9 @@ class TestDistanceByValue:
     def test_invert_calls_per_distinct_pair(self, shipped_ladder, monkeypatch):
         calls = []
 
-        def counting_invert(f, y, *args, **kwargs):
+        def counting_invert(f, y):
             calls.append(f)
-            return sd.invert(f, y, *args, **kwargs)
+            return sd.invert(f, y)
 
         monkeypatch.setattr(products, "invert", counting_invert)
         distinct = []
@@ -254,6 +274,31 @@ class TestDistanceByValue:
             assert len(calls) - before == 2 * distinct[-1]
         assert distinct == [48, 108, 228]
         assert len(calls) == 768
+
+    def test_order_checks_per_distinct_pair(self, shipped_ladder, monkeypatch):
+        calls = []
+        strictly_below = products._strictly_below
+
+        def recording(f, g):
+            calls.append((f, g))
+            return strictly_below(f, g)
+
+        monkeypatch.setattr(products, "_strictly_below", recording)
+        for m, count in ((2, 48), (3, 108), (4, 228)):
+            G = shipped_ladder[m + 1]
+            low = sd.pad_to_window(shipped_ladder[m], G.window)
+            high = sd.family_member(sd.MonotoneFamily(G, 1.0, (0.0, 0.2)), 0.1)
+            # first pair: f < g certified, g < f not; after that only f < g is tried
+            distinct = list(dict.fromkeys(word_pairs(low, G)))
+            assert len(distinct) == count
+            calls.clear()
+            assert sd.compare_order(low, G) is sd.ProductOrder.INCOMPARABLE
+            assert calls == [distinct[0], distinct[0][::-1], distinct[1]]
+            distinct = list(dict.fromkeys(word_pairs(low, high)))
+            assert len(distinct) == count
+            calls.clear()
+            assert sd.compare_order(low, high) is sd.ProductOrder.FIRST_BELOW
+            assert calls == [distinct[0], distinct[0][::-1], *distinct[1:]]
 
 
 class TestMultistepApproximation:
@@ -275,16 +320,19 @@ class TestMultistepApproximation:
         # numpy's min and max of [0.0, -0.0] both read -0.0, so the tail term
         # is -0.0 and word (2, 1, 2) sums to -0.0 where every other symbol-1
         # word sums to 0.0; the two maps are == but print differently
-        spec = sd.ContinuousProductSpec(
-            full2, uniform_chain, "bumped_affine", "c",
-            ({"a": 0.1, "b": 0.8, "c": -0.0}, {"a": 0.12, "b": 0.8, "c": 0.0}),
-            np.array([[0.0, -0.0], [0.0, 0.0]]),
-        )
+        spec = signed_zero_spec(full2, uniform_chain)
         for m in (1, 2):
             text = json.dumps(sd.multistep_approximation(spec, m).to_json())
             assert text == json.dumps(reference_approximation(spec, m).to_json())
             assert text.count('"c": -0.0') == 1
 
+    def test_padding_keeps_signed_zero(self, full2, uniform_chain):
+        spec = signed_zero_spec(full2, uniform_chain)
+        approx = sd.multistep_approximation(spec, 1)
+        text = json.dumps(sd.pad_to_window(approx, (2, 2)).to_json())
+        assert text == json.dumps(reference_pad(approx, (2, 2)).to_json())
+        # (2, 1, 2) is the middle of four words on (2, 2)
+        assert text.count('"c": -0.0') == 4
 
     def test_no_dependence_equals_one_step(self, full2, uniform_chain):
         spec = geometric_spec(full2, uniform_chain, scale=0.0)

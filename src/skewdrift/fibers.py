@@ -9,6 +9,7 @@ Evaluation and derivative methods accept floats or numpy arrays.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,6 +22,8 @@ import numpy as np
 EPS_ROUND = 1e-13
 INVERT_TOL = 1e-12
 _BISECT_STEPS = 60
+# Bisection rounds whose midpoint lo + 2^-k is a dyadic of at most 53 bits.
+_DYADIC_STEPS = 53
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class Affine:
 
     def derivative(self, x):
         if isinstance(x, np.ndarray):
-            return np.full(x.shape, self.b, dtype=float)
+            return np.full(np.broadcast_shapes(x.shape, np.shape(self.b)), self.b, dtype=float)
         return self.b
 
     def derivative_range(self, lo: float, hi: float) -> tuple[float, float]:
@@ -321,13 +324,20 @@ class MapStack:
 
     def __init__(self, maps):
         self.maps = tuple(sorted(maps, key=_form_key))
-        # per form: start and stop in maps, the stacked map, and the same with parameter columns
-        self._forms, start = [], 0
+
+    @functools.cached_property
+    def _forms(self) -> list:
+        """Per form: start and stop in maps, the stacked map, and the same with parameter columns.
+
+        Built on the first evaluation, so a stack read only for its maps stacks nothing.
+        """
+        forms, start = [], 0
         for _, run in itertools.groupby(self.maps, key=_form_key):
             run = list(run)
             stacked = _stacked(run)
-            self._forms.append((start, start + len(run), stacked, _indexed(stacked, (slice(None), None))))
+            forms.append((start, start + len(run), stacked, _indexed(stacked, (slice(None), None))))
             start += len(run)
+        return forms
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
         """(len(maps), len(x)) values: row k is maps[k] on the 1-d array x."""
@@ -365,17 +375,30 @@ def invert(f: FiberMap, y):
     """Unique x in [0, 1] with f(x) = y, by monotone bisection refined by Newton.
 
     y must lie in [f(0), f(1)] up to INVERT_TOL slack. Accepts scalars or arrays.
+    A stacked map, whose parameters are (k,) arrays, inverts the columns of an
+    (n, k) y in lockstep, column j by map j, with the bits of k separate calls.
     """
     scalar = np.isscalar(y) or (isinstance(y, np.ndarray) and y.ndim == 0)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    f0 = float(f.eval(0.0))
-    f1 = float(f.eval(1.0))
-    if (ys < f0 - INVERT_TOL).any() or (ys > f1 + INVERT_TOL).any():
-        raise ValueError(f"value outside the image [{f0}, {f1}]")
+    f0 = f.eval(np.zeros(1))
+    f1 = f.eval(np.ones(1))
+    outside = (ys < f0 - INVERT_TOL) | (ys > f1 + INVERT_TOL)
+    if outside.any():
+        at = np.unravel_index(np.argmax(outside), outside.shape)
+        f0, f1, _ = np.broadcast_arrays(f0, f1, ys)
+        raise ValueError(f"value outside the image [{f0[at]}, {f1[at]}]")
     ys = np.clip(ys, f0, f1)
+    # While hi - lo = 2^(1-k) for k <= 53, every lo is a multiple of 2^(1-k)
+    # below 1, so lo + 2^-k is exactly 0.5*(lo + hi): only lo is kept.
     lo = np.zeros_like(ys)
-    hi = np.ones_like(ys)
-    for _ in range(_BISECT_STEPS):
+    mid = np.empty_like(ys)
+    below = np.empty(ys.shape, dtype=bool)
+    for k in range(1, _DYADIC_STEPS + 1):
+        np.add(lo, 2.0**-k, out=mid)
+        np.less(f.eval(mid), ys, out=below)
+        np.copyto(lo, mid, where=below)
+    hi = lo + 2.0**-_DYADIC_STEPS
+    for _ in range(_BISECT_STEPS - _DYADIC_STEPS):
         mid = 0.5 * (lo + hi)
         below = f.eval(mid) < ys
         lo = np.where(below, mid, lo)

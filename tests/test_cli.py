@@ -211,6 +211,10 @@ SHIPPED_ARTIFACTS = {
     "measure_plateau_family/region_estimate.json": "de4d1bf249ab1e3fb4e416fee7019bf99f44bed75237eeb0eddd862241e45835",
     "out/classifications.csv": "34d02103b4971c8c71a7014e58043181f8d44aa5c04af866274744e1c06df6ea",
     "out/classifications.jsonl": "185f3a0149d300d16e0e74f1242630c411e7493eb5c94990a2af0177044889af",
+    "approx_depth4/approx_ladder.csv": "3f4be564aed0b60f9286147dac77d66a4b39f0eea4cedbacbd652ceb9cb39651",
+    "approx_depth4/approx_product.json": "870311aff6682e1105d0869df24e84fb8e050f6867ad170cf82d07dc788b98fd",
+    "approx_depth5/approx_ladder.csv": "58d298735592fcf5f3ccba5999fcf32c90eb4ae2d9544c764959b37af1f5d811",
+    "approx_depth5/approx_product.json": "4e4d5eba34794e220c9b97279880c229d58fe42a254c967c5469577c710b4530",
 }
 
 
@@ -221,5 +225,8 @@ class TestShippedArtifacts:
         for name in ("constant_affine", "golden_affine", "plateau_family"):
             assert main(["measure", "--config", f"scripts/configs/{name}.json", "--out", f"measure_{name}"]) == 0
         assert main(readme_cli_commands()["classify"]) == 0
+        for depth in ("4", "5"):
+            assert main(["approx", "--config", "scripts/configs/continuous_geometric.json", "--depth", depth,
+                         "--out", f"approx_depth{depth}"]) == 0
         digests = {path: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() for path in SHIPPED_ARTIFACTS}
         assert digests == SHIPPED_ARTIFACTS

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewdrift as sd
-from skewdrift.fibers import EPS_ROUND, MapStack
+import skewdrift.fibers as fibers
+from skewdrift.fibers import EPS_ROUND, MapStack, _indexed, _stacked
 from skewdrift.measure import _bump_after
 
 
@@ -19,6 +20,49 @@ def sample_maps():
         sd.BumpComposed(0.4, sd.Plateau(0.5, 0.4, 0.6)),
         sd.BumpComposed(-0.25, sd.Affine(0.1, 0.8)),
     ]
+
+
+def invert_maps():
+    """One map of each invertible shape: the four forms, the bump over both inner forms."""
+    return [
+        sd.Affine(0.1, 0.8),
+        sd.BumpedAffine(0.2, 0.6, -0.3),
+        sd.Plateau(0.5, 0.4, 0.6),
+        sd.BumpComposed(0.4, sd.Plateau(0.5, 0.4, 0.6)),
+        sd.BumpComposed(-0.25, sd.Affine(0.1, 0.8)),
+    ]
+
+
+FORM_KEYS = ("affine", "bumped_affine", "plateau", "bump_composed.plateau", "bump_composed.affine")
+
+
+def bisection_invert(f, ys):
+    """`invert` as a 60-round bisection with 0.5*(lo + hi) midpoints, then two Newton steps."""
+    f0 = float(f.eval(0.0))
+    f1 = float(f.eval(1.0))
+    ys = np.clip(ys, f0, f1)
+    lo = np.zeros_like(ys)
+    hi = np.ones_like(ys)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = f.eval(mid) < ys
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    x = 0.5 * (lo + hi)
+    for _ in range(2):
+        x = np.clip(x - (f.eval(x) - ys) / f.derivative(x), 0.0, 1.0)
+    return x
+
+
+def invert_targets(f, rng, n):
+    """Values of f at uniform points, at points below 2^-7 and near 1, at tiny
+    points, at both ends, and just outside the image within the tolerance."""
+    xs = np.concatenate([
+        rng.random(n), rng.random(n) * 2.0**-7, 1.0 - rng.random(n) * 2.0**-7,
+        [0.0, 1.0, 5e-324, 1e-300, 1e-20, 1.0 - 2.0**-53],
+    ])
+    f0, f1 = float(f.eval(0.0)), float(f.eval(1.0))
+    return np.concatenate([np.asarray(f.eval(xs)), [f0, f1, f0 - 1e-13, f1 + 1e-13]])
 
 
 class TestValidateClass:
@@ -103,6 +147,21 @@ class TestEvalAndDerivative:
         want = np.array([[maps[k].eval(x) for k, x in zip(which.tolist(), row)] for row in columns.tolist()])
         assert np.array_equal(stack.eval_columns(which, columns).view(np.int64), want.view(np.int64))
 
+    def test_stacked_bits_equal_per_map_bits(self):
+        # each form stacked twice: parameters (k,) against an (n, k) x, and
+        # parameter columns (k, 1) against a 1-d x
+        rng = np.random.default_rng(22)
+        xs = np.concatenate([[0.0, 1.0, 0.4, 0.6], rng.random(2000)])
+        for form in FORM_KEYS:
+            maps = [f for f in sample_maps() + invert_maps() if fibers._form_key(f) == form]
+            stacked = _stacked(maps)
+            for method in ("eval", "derivative"):
+                want = np.array([getattr(f, method)(xs) for f in maps])
+                rows = getattr(_indexed(stacked, (slice(None), None)), method)(xs)
+                cols = getattr(stacked, method)(xs[:, None])
+                assert np.array_equal(rows.view(np.int64), want.view(np.int64)), (form, method)
+                assert np.array_equal(cols.T.view(np.int64), want.view(np.int64)), (form, method)
+
     def test_derivative_of_int_array(self):
         # the sample maps cover all four forms
         ints = np.array([0, 1])
@@ -154,6 +213,35 @@ class TestInvert:
     def test_range_error(self):
         with pytest.raises(ValueError):
             sd.invert(sd.Affine(0.1, 0.8), 0.95)
+
+    def test_range_error_names_the_image(self):
+        with pytest.raises(ValueError, match=r"outside the image \[0.1, 0.9"):
+            sd.invert(sd.Affine(0.1, 0.8), np.array([0.5, 0.95]))
+        stacked = _stacked([sd.Affine(0.1, 0.8), sd.Affine(0.3, 0.5)])
+        with pytest.raises(ValueError, match=r"outside the image \[0.3, 0.8\]"):
+            sd.invert(stacked, np.array([[0.5, 0.5], [0.5, 0.2]]))
+
+    def test_bits_equal_plain_bisection(self):
+        # the first 53 rounds step lo + 2^-k, which equals 0.5*(lo + hi) exactly
+        rng = np.random.default_rng(23)
+        for f in invert_maps():
+            ys = invert_targets(f, rng, 40_000)
+            assert len(ys) > 100_000
+            got = sd.invert(f, ys)
+            assert np.array_equal(got.view(np.int64), bisection_invert(f, ys).view(np.int64)), f
+            one = sd.invert(f, float(ys[-3]))
+            assert isinstance(one, float) and one == got[-3]
+
+    def test_stacked_equals_per_map(self):
+        rng = np.random.default_rng(24)
+        for form in FORM_KEYS:
+            maps = [f for f in sample_maps() + invert_maps() if fibers._form_key(f) == form]
+            assert len(maps) >= 2
+            ys = np.stack([invert_targets(f, rng, 300) for f in maps], axis=1)
+            got = sd.invert(_stacked(maps), ys)
+            assert got.shape == ys.shape
+            for j, f in enumerate(maps):
+                assert np.array_equal(got[:, j].view(np.int64), sd.invert(f, ys[:, j]).view(np.int64)), f
 
     def test_round_trip_all_forms(self):
         rng = np.random.default_rng(2)

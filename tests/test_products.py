@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -258,10 +259,11 @@ class TestDistanceByValue:
         assert sd.compare_order(low, high) is sd.ProductOrder.FIRST_BELOW
 
     def test_invert_calls_per_distinct_pair(self, shipped_ladder, monkeypatch):
+        # one entry per inverted column: distance inverts blocks of pairs in lockstep
         calls = []
 
         def counting_invert(f, y):
-            calls.append(f)
+            calls.extend([f] * y.shape[1])
             return sd.invert(f, y)
 
         monkeypatch.setattr(products, "invert", counting_invert)
@@ -274,6 +276,34 @@ class TestDistanceByValue:
             assert len(calls) - before == 2 * distinct[-1]
         assert distinct == [48, 108, 228]
         assert len(calls) == 768
+
+    def test_mixed_forms_equal_reference(self, full2, uniform_chain):
+        def mixed(i):
+            shift = 0.001 * i
+            return [
+                sd.Affine(0.1 + shift, 0.8),
+                sd.Affine(0.02, 0.05),  # its image misses every other map's
+                sd.BumpedAffine(0.1, 0.7 - shift, 0.2),
+                sd.Plateau(0.5 + shift, 0.4, 0.6),
+                sd.BumpComposed(0.4 - shift, sd.Plateau(0.5, 0.4, 0.6)),
+                sd.BumpComposed(-0.25, sd.Affine(0.1, 0.8 - shift)),
+            ][i % 6]
+
+        # F's last 80 words are affine maps with distinct offsets, so one
+        # (affine, affine) group spans more than one block
+        F = sd.MultistepSkewProduct(full2, uniform_chain, (3, 3), {
+            w: mixed(i) if i < 48 else sd.Affine(0.1 + 0.001 * i, 0.75) for i, w in enumerate(full2.words(7))
+        })
+        G = sd.MultistepSkewProduct(full2, uniform_chain, (1, 1), {
+            w: mixed(5 * i) for i, w in enumerate(full2.words(3))
+        })
+        pairs = set(word_pairs(F, G))
+        groups = Counter((products._form_key(f), products._form_key(g)) for f, g in pairs)
+        assert len(groups) == 23 and groups["affine", "affine"] > products._DISTANCE_BLOCK
+        apart = [(f, g) for f, g in pairs if max(f.eval(0.0), g.eval(0.0)) >= min(f.eval(1.0), g.eval(1.0))]
+        assert len(apart) == 23 and sd.Affine(0.02, 0.05) in apart[0]
+        assert sd.distance(F, G) == reference_distance(F, G)
+        assert sd.distance(G, F) == reference_distance(G, F)
 
     def test_order_checks_per_distinct_pair(self, shipped_ladder, monkeypatch):
         calls = []

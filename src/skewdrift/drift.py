@@ -11,14 +11,12 @@ here are sound but deliberately incomplete: Unknown never lies.
 
 from __future__ import annotations
 
-import bisect
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IncompatibleProductsError, InvalidRegionError, ResourceBoundError, WindowTooShortError
-from .fibers import EPS_ROUND, FiberMap, MapStack
+from .fibers import EPS_ROUND, FiberMap, MapStack, compose_along_word
 from .products import WINDOW_CAP, LabeledPoint, MultistepSkewProduct
 from .regions import BoxRegion, joined_boxes, sweep_rows
 from .symbolic import PeriodicWord, TransitionSystem
@@ -83,10 +81,10 @@ class StepGraph:
 
 
 def _point_rank(system: TransitionSystem, window, point_window) -> int:
-    """Rank of a point window's word on coordinates -L..R; ValueError unless the window is a word of the base."""
+    """Rank of a point window's word on coordinates -L..R; ValueError unless the window is a base word covering them."""
     _check_admissible(system, point_window.lo, np.array([point_window.symbols], dtype=np.int64))
     L, R = window
-    return bisect.bisect_left(system.words(L + R + 1), point_window.word(-L, R))
+    return int(system.word_ranks(np.array([point_window.word(-L, R)]), 0, L + R + 1)[0])
 
 
 # Graphs inside the kernel below are (window, values): values is an array
@@ -165,8 +163,13 @@ def image_graph(product: MultistepSkewProduct, graph: StepGraph) -> StepGraph:
     """
     if not product.base.same_base(graph.system):
         raise IncompatibleProductsError("graph and product live over different bases")
+    return _image_graph(product.window, *product.map_slots, graph)
+
+
+def _image_graph(product_window, maps: MapStack, slots, graph: StepGraph) -> StepGraph:
+    """image_graph for a product given as its window and map_slots."""
     system = graph.system
-    raw, image = _image_arrays(system, product.window, *product.map_slots, graph.window, graph.values[None])
+    raw, image = _image_arrays(system, product_window, maps, slots, graph.window, graph.values[None])
     [(window, _, image)] = _minimized(system, raw, image)
     return StepGraph(system, window, image[0])
 
@@ -313,13 +316,15 @@ class DriftClassifier:
     The family consists of the 64-level grid of constant graphs iterated up to
     the depth (chains stop early at the window cap; truncated_chains counts
     the chains cut short), plus per-point binary refinement of the level
-    near the queried fiber coordinate.
+    near the queried fiber coordinate. It keeps only what it reads of the
+    product (base, window, map_slots, fingerprint), never the product itself.
     """
 
     def __init__(self, product: MultistepSkewProduct, depth: int):
         if depth < 0:
             raise ValueError("search depth must be >= 0")
-        self.product = product
+        self.base = product.base
+        self.product_window = product.window
         self.depth = depth
         self._fingerprint = product.fingerprint()
         self._maps, self._slots = product.map_slots
@@ -337,7 +342,7 @@ class DriftClassifier:
         advance together one step at a time, one array per current window.
         A chain stops where its next image window would exceed WINDOW_CAP.
         """
-        system = self.product.base
+        system = self.base
         levels = np.array(LEVEL_GRID)
         # (window, level indices, values)
         groups = [((0, 0), np.arange(len(levels)), np.repeat(levels[:, None], system.alphabet_size, axis=1))]
@@ -347,7 +352,7 @@ class DriftClassifier:
             advanced = []
             for window, chains, values in groups:
                 try:
-                    raw, image = _image_arrays(system, self.product.window, self._maps, self._slots, window, values)
+                    raw, image = _image_arrays(system, self.product_window, self._maps, self._slots, window, values)
                 except ResourceBoundError:
                     truncated += len(chains)
                     continue
@@ -374,7 +379,7 @@ class DriftClassifier:
         the index, a region whose box i is covered by witness tags[i] (the
         tags end with -1, the tag of box -1), and its merged runs the region.
         """
-        system = self.product.base
+        system = self.base
         window = tuple(max((w.window[i] for w in witnesses), default=0) for i in (0, 1))
         count = len(system.words(window[0] + window[1] + 1))
         lo = np.empty((count, len(witnesses)))
@@ -397,12 +402,12 @@ class DriftClassifier:
         window, ranks, lo, hi = joined_boxes(self._up_region, self._down_region)
         order = np.lexsort((hi, lo, ranks))
         try:
-            BoxRegion(self.product.base, window, ranks[order], lo[order], hi[order])
+            BoxRegion(self.base, window, ranks[order], lo[order], hi[order])
         except InvalidRegionError as exc:
             raise RuntimeError(f"internal inconsistency: Up and Down strips overlap: {exc}") from exc
 
     def required_range(self) -> tuple[int, int]:
-        l, r = self.product.window
+        l, r = self.product_window
         return (-(self.depth + l + 1), self.depth + r)
 
     def certified_boxes(self, direction: str) -> BoxRegion:
@@ -447,9 +452,10 @@ class DriftClassifier:
         """Witness of an index hit (tag >= 0) or of a refined level (not NaN)."""
         if tag >= 0:
             witness = (self._up if direction == UP else self._down)[tag]
-            graph, margin = StepGraph(self.product.base, witness.window, witness.graph), witness.margin
+            graph, margin = StepGraph(self.base, witness.window, witness.graph), witness.margin
         elif not np.isnan(level):
-            outcome = certify_drift(self.product, StepGraph.constant(self.product.base, level))
+            constant = StepGraph.constant(self.base, level)
+            outcome = _drift_outcome(constant, _image_graph(self.product_window, self._maps, self._slots, constant))
             if outcome.direction != direction.lower():
                 raise RuntimeError(f"internal inconsistency: refined level {level} is not {direction}")
             graph, margin = outcome.graph, outcome.margin
@@ -469,7 +475,7 @@ class DriftClassifier:
         have_hi = lo + rows.shape[1] - 1
         if not (lo <= need_lo and need_hi <= have_hi):
             raise WindowTooShortError((need_lo, need_hi), (lo, have_hi), f"classification at depth {self.depth}")
-        _check_admissible(self.product.base, lo, rows)
+        _check_admissible(self.base, lo, rows)
         inside = (xs > 0.0) & (xs < 1.0)
         (up_pieces, up_tags), (down_pieces, down_tags) = self._up_index, self._down_index
         up_tag = np.where(inside, up_tags[up_pieces._locate(lo, rows, xs)], -1)
@@ -508,11 +514,11 @@ class DriftClassifier:
         levels = np.full(len(xs), np.nan)
         if not len(xs):
             return levels
-        l, r = self.product.window
+        l, r = self.product_window
         size = l + 2 + max(r - 1, 0)
         if size > WINDOW_CAP:
             raise ResourceBoundError(f"image window size {size} exceeds the bound {WINDOW_CAP}")
-        slot = self._slots[self.product.base.word_ranks(rows, -l - 1 - lo, l + r + 1)]
+        slot = self._slots[self.base.word_ranks(rows, -l - 1 - lo, l + r + 1)]
         lower, upper = (np.zeros_like(xs), xs.copy()) if up else (xs.copy(), np.ones_like(xs))
         active = np.arange(len(xs))
         for _ in range(REFINE_STEPS):
@@ -541,19 +547,15 @@ class DriftClassifier:
         return levels
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_classifier(product: MultistepSkewProduct, depth: int) -> DriftClassifier:
-    return DriftClassifier(product, depth)
-
-
 def get_classifier(product: MultistepSkewProduct, depth: int) -> DriftClassifier:
     """Classifier shared across queries for one (product, depth) pair.
 
-    Products compare by identity, so an equal but distinct product gets its own
-    classifier; the eight most recently used classifiers are kept, whatever
-    the call form.
+    The product keeps one classifier per depth, so the classifier lives as
+    long as the product; an equal but distinct product gets its own.
     """
-    return _cached_classifier(product, depth)
+    if depth not in product._classifiers:
+        product._classifiers[depth] = DriftClassifier(product, depth)
+    return product._classifiers[depth]
 
 
 def classify_point(product: MultistepSkewProduct, point: LabeledPoint, depth: int) -> Classification:
@@ -620,8 +622,6 @@ def periodic_consistency(
     An Up verdict with a non-increasing return, or a Down verdict with a
     non-decreasing one, is a soundness violation.
     """
-    from .fibers import compose_along_word
-
     classifier = get_classifier(product, depth)
     lo, hi = classifier.required_range()
     point = LabeledPoint(word.window(lo, hi), x)

@@ -12,7 +12,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -69,6 +69,8 @@ class MultistepSkewProduct:
     chain: MarkovChain
     window: tuple[int, int]
     assignment: dict[tuple[int, ...], FiberMap]
+    # drift classifiers by depth, filled only by drift.get_classifier; they live as long as the product
+    _classifiers: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         l, r = self.window

@@ -85,9 +85,6 @@ class TransitionSystem:
     def alphabet_size(self) -> int:
         return self.transitions.shape[0]
 
-    def allows(self, i: int, j: int) -> bool:
-        return bool(self.transitions[i - 1, j - 1])
-
     def successors(self, symbol: int) -> tuple[int, ...]:
         return self._successors[symbol - 1]
 

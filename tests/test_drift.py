@@ -1,4 +1,5 @@
 import functools
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -299,7 +300,7 @@ def _reference_refine(product, point, up):
 cached_region_dict = functools.cache(region_dict)
 
 
-def _reference_verdict(classifier, point):
+def _reference_verdict(product, classifier, point):
     """Certified-region membership, then per-point refinement, one point at a time."""
     x = point.x
     if not (0.0 < x < 1.0):
@@ -314,7 +315,7 @@ def _reference_verdict(classifier, point):
     if hits:
         return hits[0]
     for direction, up in ((UP, True), (DOWN, False)):
-        if _reference_refine(classifier.product, point, up):
+        if _reference_refine(product, point, up):
             return direction
     return UNKNOWN
 
@@ -344,7 +345,7 @@ class TestBatchEquivalence:
         assert codes.shape == (len(points),)
         for point, code in zip(points, codes):
             result = classifier.classify(point)
-            assert VERDICTS[code] == result.verdict == _reference_verdict(classifier, point)
+            assert VERDICTS[code] == result.verdict == _reference_verdict(product, classifier, point)
             if result.witness is not None:
                 assert sd.replay_certificate(product, result.witness, point).ok
         return Counter(VERDICTS[c] for c in codes)
@@ -792,6 +793,72 @@ class TestInadmissiblePoints:
     def test_value_at_rejects_symbol_outside_alphabet(self, full2):
         with pytest.raises(ValueError, match="symbol 3 at coordinate -1"):
             sd.StepGraph.constant(full2, 0.3).value_at(sd.SymbolWindow(-1, (3, 3, 3)))
+
+
+class TestPointWindowCoverage:
+    """A point window that does not cover the graph's window raises WindowTooShortError."""
+
+    def test_value_at(self, two_map):
+        graph = sd.image_graph(two_map, sd.StepGraph.constant(two_map.base, 0.3))
+        assert graph.window == (1, 0)
+        assert graph.value_at(sd.SymbolWindow(-1, (2, 1))) == pytest.approx(0.41)
+        for window in (sd.SymbolWindow(0, (2, 1)), sd.SymbolWindow(-2, (1, 2))):
+            with pytest.raises(WindowTooShortError) as err:
+                graph.value_at(window)
+            assert err.value.needed == (-1, 0)
+            assert err.value.have == (window.lo, window.hi)
+
+    def test_replay_certificate(self, ms_full):
+        point = wide_point(ms_full, 4, seed=11, x=0.05)
+        result = sd.classify_point(ms_full, point, 4)
+        assert result.verdict == UP
+        L, R = sd.certify_drift(ms_full, result.witness.graph).graph.window
+        assert L >= 1
+        assert sd.replay_certificate(ms_full, result.witness, point).ok
+        short = sd.LabeledPoint(sd.SymbolWindow(-L + 1, point.window.word(-L + 1, R)), point.x)
+        with pytest.raises(WindowTooShortError) as err:
+            sd.replay_certificate(ms_full, result.witness, short)
+        assert err.value.needed == (-L, R)
+
+
+class TestClassifierLifetime:
+    """A product keeps its classifiers, one per depth, and they die with it."""
+
+    @staticmethod
+    def product(full2, uniform_chain, a=0.1):
+        return constant_product(full2, uniform_chain, sd.Affine(a, 0.8))
+
+    def test_classifier_dies_with_its_product(self, full2, uniform_chain):
+        product = self.product(full2, uniform_chain)
+        classifier = weakref.ref(sd.get_classifier(product, 4))
+        sd.certified_regions(product, 4)
+        assert classifier() is not None
+        del product
+        # plain reference counting: the classifier holds no reference to its product
+        assert classifier() is None
+
+    def test_held_product_keeps_its_classifier(self, full2, uniform_chain):
+        product = self.product(full2, uniform_chain)
+        first = sd.get_classifier(product, 3)
+        others = [self.product(full2, uniform_chain, 0.1 + 0.01 * k) for k in range(3)]
+        for k in range(9):
+            sd.get_classifier(others[k % 3], k // 3 + 1)
+        assert sd.get_classifier(product, 3) is first
+
+    def test_classifier_outlives_dropped_product(self, full2, uniform_chain):
+        product = self.product(full2, uniform_chain)
+        classifier = sd.get_classifier(product, 3)
+        lo, hi = classifier.required_range()
+        point = sd.LabeledPoint(sd.SymbolWindow(lo, (1,) * (hi - lo + 1)), 0.25)
+        dropped = weakref.ref(product)
+        del product
+        assert dropped() is None
+        # a point the 64-level grid leaves open: its Up witness is a refined constant level
+        result = classifier.classify(point)
+        assert result.verdict == UP
+        assert result.witness.graph.window == (0, 0)
+        assert result.witness.graph.values[0] not in drift.LEVEL_GRID
+        assert sd.replay_certificate(self.product(full2, uniform_chain), result.witness, point).ok
 
 
 class TestInBoxInvariant:

@@ -23,6 +23,8 @@ EPS_ROUND = 1e-13
 INVERT_TOL = 1e-12
 _BISECT_STEPS = 60
 # Bisection rounds whose midpoint lo + 2^-k is a dyadic of at most 53 bits.
+# Affine maps run only the last few, in a bracket verified on every column;
+# monotone rounding makes the result exact (see _affine_start).
 _DYADIC_STEPS = 53
 
 
@@ -367,36 +369,33 @@ def derivative(f: FiberMap, x):
 
 def _check_domain(x):
     arr = np.asarray(x)
-    if arr.size and ((arr < 0.0).any() or (arr > 1.0).any()):
+    if arr.size and not ((arr >= 0.0) & (arr <= 1.0)).all():
         raise ValueError("argument outside [0, 1]")
 
 
 def invert(f: FiberMap, y):
     """Unique x in [0, 1] with f(x) = y, by monotone bisection refined by Newton.
 
-    y must lie in [f(0), f(1)] up to INVERT_TOL slack. Accepts scalars or arrays.
-    A stacked map, whose parameters are (k,) arrays, inverts the columns of an
-    (n, k) y in lockstep, column j by map j, with the bits of k separate calls.
+    y must lie in [f(0), f(1)] up to INVERT_TOL slack, else ValueError (NaN
+    included). Accepts scalars or arrays. A stacked map, whose parameters are
+    (k,) arrays, inverts the columns of an (n, k) y in lockstep, column j by
+    map j, with the bits of k separate calls. An affine map starts the
+    bisection from a verified bracket around (y - a)/b instead of from 0; it
+    ends the dyadic rounds on the same lo, so the result has the same bits.
     """
     scalar = np.isscalar(y) or (isinstance(y, np.ndarray) and y.ndim == 0)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     f0 = f.eval(np.zeros(1))
     f1 = f.eval(np.ones(1))
-    outside = (ys < f0 - INVERT_TOL) | (ys > f1 + INVERT_TOL)
+    outside = ~((ys >= f0 - INVERT_TOL) & (ys <= f1 + INVERT_TOL))
     if outside.any():
         at = np.unravel_index(np.argmax(outside), outside.shape)
         f0, f1, _ = np.broadcast_arrays(f0, f1, ys)
         raise ValueError(f"value outside the image [{f0[at]}, {f1[at]}]")
     ys = np.clip(ys, f0, f1)
-    # While hi - lo = 2^(1-k) for k <= 53, every lo is a multiple of 2^(1-k)
-    # below 1, so lo + 2^-k is exactly 0.5*(lo + hi): only lo is kept.
-    lo = np.zeros_like(ys)
-    mid = np.empty_like(ys)
-    below = np.empty(ys.shape, dtype=bool)
-    for k in range(1, _DYADIC_STEPS + 1):
-        np.add(lo, 2.0**-k, out=mid)
-        np.less(f.eval(mid), ys, out=below)
-        np.copyto(lo, mid, where=below)
+    lo = _affine_start(f, ys) if isinstance(f, Affine) and ys.size else None
+    if lo is None:
+        lo = _dyadic_rounds(f, ys, np.zeros_like(ys), 1)
     hi = lo + 2.0**-_DYADIC_STEPS
     for _ in range(_BISECT_STEPS - _DYADIC_STEPS):
         mid = 0.5 * (lo + hi)
@@ -409,6 +408,57 @@ def invert(f: FiberMap, y):
     if scalar:
         return float(x[0])
     return x
+
+
+def _dyadic_rounds(f: FiberMap, ys, lo, first: int):
+    """Rounds first..53 of the bisection: lo becomes lo + 2^-k wherever f(lo + 2^-k) < y.
+
+    While hi - lo = 2^(1-k) for k <= 53, every lo is a multiple of 2^(1-k)
+    below 1, so lo + 2^-k is exactly 0.5*(lo + hi): only lo is kept, in place.
+    """
+    mid = np.empty_like(ys)
+    below = np.empty(ys.shape, dtype=bool)
+    for k in range(first, _DYADIC_STEPS + 1):
+        np.add(lo, 2.0**-k, out=mid)
+        np.less(f.eval(mid), ys, out=below)
+        np.copyto(lo, mid, where=below)
+    return lo
+
+
+def _affine_start(f: Affine, ys):
+    """lo after the 53 dyadic rounds, searched in a verified bracket; None to run all 53.
+
+    For b > 0, m -> fl(a + fl(b*m)) is non-decreasing (rounding to nearest is
+    monotone), so the test f(j*2^-53) < y is true up to some j and false
+    after it. The 53 rounds from 0 then end at J*2^-53, with J the largest j
+    in [1, 2^53) passing the test, or 0. A bracket [A, A + 2^p] in units of
+    2^-53 holds J when A passes the test (or is 0) and A + 2^p fails it (or
+    is 2^53); rounds 54-p..53 from A*2^-53 then find J. The bracket is
+    centred on the guess G = fl(fl(y - a)/b) * 2^53, with one p for the
+    block. Near the root f(m) is within 3*2^-53*max(|y|, |a|) of a + b*m and
+    G within 2 units of (y - a)/b * 2^53, so J lies within
+    3*max(|y|, |a|)/b + 3 units of floor(G) unless b*m underflows; the
+    half-width 4*max(|y|, |a|)/b + 4 covers that. Exactness rests on the
+    check of every column, not on that bound: if one column fails, or p
+    would reach 53, the block runs all 53 rounds. Other forms always run
+    all 53: their float evaluation is not provably monotone.
+    """
+    a, b = np.asarray(f.a, dtype=float), np.asarray(f.b, dtype=float)
+    if not (b > 0.0).all():
+        return None
+    half = 4.0 * float(np.max(np.maximum(np.abs(ys), np.abs(a)) / b)) + 4.0
+    if not half < 2.0 ** (_DYADIC_STEPS - 2):  # p <= 52; NaN fails too
+        return None
+    p = math.ceil(math.log2(2.0 * half))
+    width = 2.0**p
+    units = 2.0**_DYADIC_STEPS
+    start = np.clip(np.floor((ys - a) / b * units) - 0.5 * width, 0.0, units - width)
+    stop = start + width
+    holds = (start == 0.0) | (f.eval(start / units) < ys)
+    holds &= (stop == units) | (f.eval(stop / units) >= ys)
+    if not holds.all():
+        return None
+    return _dyadic_rounds(f, ys, start / units, _DYADIC_STEPS + 1 - p)
 
 
 def compose_along_word(maps, x):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import skewdrift as sd
 import skewdrift.fibers as fibers
-from skewdrift.fibers import EPS_ROUND, MapStack, _indexed, _stacked
+from skewdrift.fibers import EPS_ROUND, INVERT_TOL, MapStack, _indexed, _stacked
 from skewdrift.measure import _bump_after
 
 
@@ -109,6 +109,14 @@ class TestEvalAndDerivative:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             sd.derivative(sd.Affine(0.1, 0.8), 1.5)
+
+    def test_domain_error_on_nan(self):
+        f = sd.Affine(0.1, 0.8)
+        for x in (float("nan"), np.array([0.5, np.nan])):
+            with pytest.raises(ValueError, match=r"argument outside \[0, 1\]"):
+                sd.derivative(f, x)
+            with pytest.raises(ValueError, match=r"argument outside \[0, 1\]"):
+                sd.compose_along_word([f], x)
 
     def test_vectorized_matches_scalar(self):
         xs = np.linspace(0, 1, 257)
@@ -231,6 +239,69 @@ class TestInvert:
             assert np.array_equal(got.view(np.int64), bisection_invert(f, ys).view(np.int64)), f
             one = sd.invert(f, float(ys[-3]))
             assert isinstance(one, float) and one == got[-3]
+
+    def test_nan_is_outside_the_image(self):
+        for f in invert_maps():
+            for y in (float("nan"), np.array([0.5 * (f.eval(0.0) + f.eval(1.0)), np.nan])):
+                with pytest.raises(ValueError, match="outside the image"):
+                    sd.invert(f, y)
+        stacked = _stacked([sd.Affine(0.1, 0.8), sd.Affine(0.3, 0.5)])
+        with pytest.raises(ValueError, match=r"outside the image \[0.3, 0.8\]"):
+            sd.invert(stacked, np.array([[0.5, 0.5], [0.5, np.nan]]))
+
+    def test_empty_targets(self):
+        got = sd.invert(sd.Affine(0.1, 0.8), np.array([]))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+        stacked = _stacked([sd.Affine(0.1, 0.8), sd.Affine(0.3, 0.5)])
+        assert sd.invert(stacked, np.zeros((0, 2))).shape == (0, 2)
+
+    @staticmethod
+    def assert_affine_bits(f, ys):
+        got = sd.invert(f, ys)
+        assert np.array_equal(got.view(np.int64), bisection_invert(f, ys).view(np.int64)), f
+        for k in (0, len(ys) // 2, -1):
+            assert sd.invert(f, float(ys[k])) == got[k], (f, ys[k])
+
+    @given(
+        exponent=st.floats(-17.0, -0.01),
+        share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_affine_bracket_bits_equal_plain_bisection(self, exponent, share, seed):
+        # slopes below about 1e-15 take the full 53 rounds
+        b = 10.0**exponent
+        f = sd.Affine(share * (1.0 - b), b)
+        if not f.class_check():
+            return
+        self.assert_affine_bits(f, invert_targets(f, np.random.default_rng(seed), 100))
+
+    def test_affine_bracket_edges(self):
+        # images of 0, 1, subnormal x and 1 - 2^-53, and the tolerance band around [f(0), f(1)]
+        rng = np.random.default_rng(25)
+        maps = [sd.Affine(0.1, 0.8), sd.Affine(0.3, 0.5), sd.Affine(1e-3, 0.998), sd.Affine(0.45, 1e-6),
+                sd.Affine(0.45, 1e-16), sd.Affine(5e-324, 1e-320)]
+        for f in maps:
+            f0, f1 = float(f.eval(0.0)), float(f.eval(1.0))
+            edges = [f0 - INVERT_TOL, np.nextafter(f0, 1.0), np.nextafter(f1, 0.0), f1 + INVERT_TOL]
+            self.assert_affine_bits(f, np.concatenate([invert_targets(f, rng, 500), edges]))
+            with pytest.raises(ValueError, match="outside the image"):
+                sd.invert(f, np.nextafter(f1 + INVERT_TOL, 2.0))
+        # a tiny slope makes the bracket as wide as [0, 1]; a subnormal slope breaks its check
+        for f in maps[-2:]:
+            assert fibers._affine_start(f, np.asarray(f.eval(rng.random(50)))) is None, f
+
+    def test_stacked_affine_block_falls_back_as_a_whole(self):
+        rng = np.random.default_rng(26)
+        for maps, bracketed in (([sd.Affine(0.1, 0.8), sd.Affine(0.45, 1e-6)], True),
+                                ([sd.Affine(0.1, 0.8), sd.Affine(0.45, 1e-16)], False)):
+            ys = np.stack([invert_targets(f, rng, 300) for f in maps], axis=1)
+            stacked = _stacked(maps)
+            assert (fibers._affine_start(stacked, ys) is not None) == bracketed
+            got = sd.invert(stacked, ys)
+            for j, f in enumerate(maps):
+                assert np.array_equal(got[:, j].view(np.int64), sd.invert(f, ys[:, j]).view(np.int64)), f
+                assert np.array_equal(got[:, j].view(np.int64), bisection_invert(f, ys[:, j]).view(np.int64)), f
 
     def test_stacked_equals_per_map(self):
         rng = np.random.default_rng(24)

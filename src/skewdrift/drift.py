@@ -11,6 +11,7 @@ here are sound but deliberately incomplete: Unknown never lies.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,6 +262,8 @@ class Classification:
     depth_searched: int
 
     def __post_init__(self):
+        if self.verdict not in VERDICTS:
+            raise ValueError(f"verdict {self.verdict!r} is not one of {VERDICTS}")
         if self.verdict in (UP, DOWN) and self.witness is None:
             raise ValueError("Up/Down verdicts must carry a witness")
         if self.verdict == UNKNOWN and self.witness is not None:
@@ -271,16 +274,6 @@ class Classification:
         if self.witness is not None:
             record["witness"] = self.witness.to_json()
         return record
-
-
-@dataclass(eq=False)
-class _Witness:
-    """A drifting graph and its image on their common window, as value rows."""
-
-    window: tuple[int, int]
-    graph: np.ndarray
-    image: np.ndarray
-    margin: float
 
 
 def _check_admissible(system: TransitionSystem, lo: int, rows: np.ndarray):
@@ -310,43 +303,54 @@ def _as_batch(rows, xs) -> tuple[np.ndarray, np.ndarray]:
     return rows, xs
 
 
+def _search_depth(depth) -> int:
+    """The depth as a plain int; ValueError unless it is an integer >= 0 (a bool is not)."""
+    try:
+        if not isinstance(depth, bool) and operator.index(depth) >= 0:
+            return operator.index(depth)
+    except TypeError:
+        pass
+    raise ValueError(f"search depth must be an integer >= 0, got {depth!r}")
+
+
 class DriftClassifier:
     """Witness family for one product at one depth, shared across point queries.
 
-    The family consists of the 64-level grid of constant graphs iterated up to
-    the depth (chains stop early at the window cap; truncated_chains counts
-    the chains cut short), plus per-point binary refinement of the level
-    near the queried fiber coordinate. It keeps only what it reads of the
-    product (base, window, map_slots, fingerprint), never the product itself.
+    The family is the 64-level grid of constant graphs iterated up to the
+    depth (truncated_chains counts chains cut short at the window cap), kept
+    as array groups like graphs and regions, plus per-point binary refinement
+    of the level near the queried fiber coordinate. It keeps only what it
+    reads of the product (base, window, map_slots, fingerprint), never the product.
     """
 
     def __init__(self, product: MultistepSkewProduct, depth: int):
-        if depth < 0:
-            raise ValueError("search depth must be >= 0")
         self.base = product.base
         self.product_window = product.window
-        self.depth = depth
+        self.depth = _search_depth(depth)
         self._fingerprint = product.fingerprint()
         self._maps, self._slots = product.map_slots
-        self._up, self._down, self.truncated_chains = self._chains()
-        self._up_index, self._up_region = self._build_index(self._up, up=True)
-        self._down_index, self._down_region = self._build_index(self._down, up=False)
+        self._witnesses, self._up, self._down, self.truncated_chains = self._chains()
+        self._up_index, self._up_region = self._build_index(self._witnesses, self._up, up=True)
+        self._down_index, self._down_region = self._build_index(self._witnesses, self._down, up=False)
         self._check_disjoint()
 
-    def _chains(self) -> tuple[list[_Witness], list[_Witness], int]:
-        """Up and Down witnesses of the level chains, and the number of chains cut short.
+    def _chains(self) -> tuple[list, tuple, tuple, int]:
+        """Witness groups of the level chains, the Up and Down places, and the number of chains cut short.
 
         Each level's chain is its constant graph and the graph's images up to
         the depth; a step whose graph certifiably drifts gives a witness.
-        Witnesses are listed level by level, then step by step. All chains
-        advance together one step at a time, one array per current window.
-        A chain stops where its next image window would exceed WINDOW_CAP.
+        All chains advance together one step at a time, one array per current
+        window, and stop where the next image window would exceed WINDOW_CAP.
+        The witnesses on one common window form a group (window, graph rows,
+        image rows, margins). Each direction tags its witnesses 0.. by level,
+        then step, and places tag t at row row[t] of group group[t].
         """
         system = self.base
         levels = np.array(LEVEL_GRID)
         # (window, level indices, values)
         groups = [((0, 0), np.arange(len(levels)), np.repeat(levels[:, None], system.alphabet_size, axis=1))]
-        found = []
+        found = {}  # common window -> (group, [(graph rows, image rows, margins) of each step and image window])
+        keys = [np.empty((5, 0), dtype=np.int64)]  # level, step, is Up, group and row of each witness
         truncated = 0
         for step in range(self.depth + 1):
             advanced = []
@@ -361,41 +365,45 @@ class DriftClassifier:
                     common, g, e, up, down = _drift_arrays(system, window, values[rows], image_window, image_values)
                     is_up = up >= DELTA_CERT
                     hits = np.flatnonzero(is_up | (down >= DELTA_CERT))
-                    for chain, witness_up, margin, g_row, e_row in zip(
-                        chains[rows[hits]].tolist(), is_up[hits].tolist(),
-                        np.where(is_up, up, down)[hits].tolist(), g[hits], e[hits],
-                    ):
-                        found.append((chain, step, witness_up, _Witness(common, g_row, e_row, margin)))
+                    k, parts = found.setdefault(common, (len(found), []))
+                    n, start = len(hits), sum(len(margins) for *_, margins in parts)
+                    keys.append(np.stack([chains[rows[hits]], np.full(n, step), is_up[hits], np.full(n, k),
+                                          np.arange(start, start + n)]))
+                    parts.append((g[hits], e[hits], np.where(is_up, up, down)[hits]))
                     advanced.append((image_window, chains[rows], image_values))
             groups = advanced
-        found.sort(key=lambda f: f[:2])
-        return [w for *_, is_up, w in found if is_up], [w for *_, is_up, w in found if not is_up], truncated
+        level, step, is_up, group, row = np.concatenate(keys, axis=1)
+        order = np.lexsort((step, level))
+        up, down = order[is_up[order] == 1], order[is_up[order] == 0]
+        witnesses = [(window, *map(np.concatenate, zip(*parts))) for window, (_, parts) in found.items()]
+        return witnesses, (group[up], row[up]), (group[down], row[down]), truncated
 
-    def _build_index(self, witnesses: list, up: bool) -> tuple[tuple[BoxRegion, np.ndarray], BoxRegion]:
+    def _build_index(self, witnesses: list, places, up: bool) -> tuple[tuple[BoxRegion, np.ndarray], BoxRegion]:
         """Witness-tagged strips for point lookup, and their union as a region.
 
-        The strips are stacked into (word, witness) arrays on the common
-        window and each word's row is swept by sweep_rows. Its pieces form
-        the index, a region whose box i is covered by witness tags[i] (the
-        tags end with -1, the tag of box -1), and its merged runs the region.
+        The strips of the witnesses at places, (group, row) arrays in tag
+        order, are stacked into (word, witness) arrays on the common window,
+        one gather per group, and each word's row is swept by sweep_rows. Its
+        pieces form the index, a region whose box i is covered by witness
+        tags[i] (the tags end with -1, the tag of box -1), and its merged runs
+        the region.
         """
         system = self.base
-        window = tuple(max((w.window[i] for w in witnesses), default=0) for i in (0, 1))
+        group, row = places
+        used = np.flatnonzero(np.bincount(group, minlength=len(witnesses))).tolist()
+        window = tuple(max((witnesses[k][0][i] for k in used), default=0) for i in (0, 1))
         count = len(system.words(window[0] + window[1] + 1))
-        lo = np.empty((count, len(witnesses)))
-        hi = np.empty((count, len(witnesses)))
-        by_window = {}
-        for tag, wit in enumerate(witnesses):
-            by_window.setdefault(wit.window, []).append(tag)
-        for wit_window, group in by_window.items():
+        lo, hi = np.empty((2, count, len(group)))
+        for k in used:
+            wit_window, graph, image, _ = witnesses[k]
+            cols = np.flatnonzero(group == k)
             ranks = system.window_ranks(wit_window, window)
-            g = np.array([witnesses[t].graph for t in group]).T[ranks]
-            e = np.array([witnesses[t].image for t in group]).T[ranks]
-            lo[:, group], hi[:, group] = (g + DELTA_CERT, e - DELTA_CERT) if up else (e + DELTA_CERT, g - DELTA_CERT)
+            g, e = graph[row[cols]][:, ranks].T, image[row[cols]][:, ranks].T
+            lo[:, cols], hi[:, cols] = (g + DELTA_CERT, e - DELTA_CERT) if up else (e + DELTA_CERT, g - DELTA_CERT)
         empty = hi <= lo
         lo[empty], hi[empty] = np.inf, -np.inf
-        (row, tags, starts, ends), runs = sweep_rows(lo, hi)
-        return (BoxRegion(system, window, row, starts, ends), np.append(tags, -1)), BoxRegion(system, window, *runs)
+        (words, cols, starts, ends), runs = sweep_rows(lo, hi)
+        return (BoxRegion(system, window, words, starts, ends), np.append(cols, -1)), BoxRegion(system, window, *runs)
 
     def _check_disjoint(self):
         # certified Up and Down strips can never overlap; a hit is a bug
@@ -451,8 +459,9 @@ class DriftClassifier:
     def _certificate(self, direction: str, tag: int, level: float) -> DriftCertificate | None:
         """Witness of an index hit (tag >= 0) or of a refined level (not NaN)."""
         if tag >= 0:
-            witness = (self._up if direction == UP else self._down)[tag]
-            graph, margin = StepGraph(self.base, witness.window, witness.graph), witness.margin
+            group, row = self._up if direction == UP else self._down
+            window, graphs, _, margins = self._witnesses[group[tag]]
+            graph, margin = StepGraph(self.base, window, graphs[row[tag]]), float(margins[row[tag]])
         elif not np.isnan(level):
             constant = StepGraph.constant(self.base, level)
             outcome = _drift_outcome(constant, _image_graph(self.product_window, self._maps, self._slots, constant))
@@ -553,6 +562,7 @@ def get_classifier(product: MultistepSkewProduct, depth: int) -> DriftClassifier
     The product keeps one classifier per depth, so the classifier lives as
     long as the product; an equal but distinct product gets its own.
     """
+    depth = _search_depth(depth)
     if depth not in product._classifiers:
         product._classifiers[depth] = DriftClassifier(product, depth)
     return product._classifiers[depth]

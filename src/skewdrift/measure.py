@@ -220,6 +220,9 @@ def sweep(
     for a, b in zip(mu_lower, mu_lower[1:]):
         if b < a - 1e-12:
             raise RuntimeError("certified up-measure curve lost monotonicity")
+    for a, b in zip(down_lower, down_lower[1:]):
+        if b > a + 1e-12:
+            raise RuntimeError("certified down-measure curve lost monotonicity")
     return SweepResult(tuple(grid), tuple(estimates), tuple(mu_lower), tuple(down_lower))
 
 

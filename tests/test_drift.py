@@ -1,4 +1,5 @@
 import functools
+import json
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -256,6 +257,46 @@ class TestPeriodicOps:
                         assert sd.periodic_consistency(product, word, float(x), 4).consistent
 
 
+class TestSearchDepth:
+    """A search depth is a plain int >= 0; numpy integers count, bools and other numbers do not."""
+
+    @staticmethod
+    def product(full2, uniform_chain):
+        return constant_product(full2, uniform_chain, sd.Affine(0.1, 0.8))
+
+    def test_numpy_integer_depth(self, full2, uniform_chain):
+        product = self.product(full2, uniform_chain)
+        point = wide_point(product, 2, seed=9, x=0.25)
+        record = sd.classify_point(product, point, np.int64(2)).to_json()
+        assert type(record["depth"]) is int and json.loads(json.dumps(record)) == record
+        assert sd.get_classifier(product, 2) is sd.get_classifier(product, np.int64(2))
+        assert list(product._classifiers) == [2] and type(next(iter(product._classifiers))) is int
+
+    def test_bool_depth_rejected(self, full2, uniform_chain):
+        product = self.product(full2, uniform_chain)
+        point = wide_point(product, 1, seed=9, x=0.25)
+        with pytest.raises(ValueError, match="search depth must be an integer >= 0, got True"):
+            sd.classify_point(product, point, True)
+        with pytest.raises(ValueError, match="got False"):
+            sd.DriftClassifier(product, False)
+        depth = sd.classify_point(product, point, 1).to_json()["depth"]
+        assert depth == 1 and type(depth) is int
+
+    @pytest.mark.parametrize("depth", [2.5, "2", None, -1])
+    def test_other_depths_rejected(self, full2, uniform_chain, depth):
+        product = self.product(full2, uniform_chain)
+        with pytest.raises(ValueError, match=f"search depth must be an integer >= 0, got {depth!r}"):
+            sd.get_classifier(product, depth)
+        with pytest.raises(ValueError, match="search depth"):
+            sd.DriftClassifier(product, depth)
+        assert product._classifiers == {}
+
+    def test_unknown_verdict_rejected(self):
+        for verdict in ("up", "Maybe", None):
+            with pytest.raises(ValueError, match="is not one of"):
+                sd.Classification(verdict, None, 3)
+
+
 class TestCertificateSerialization:
     def test_json_fields(self, const_affine):
         point = wide_point(const_affine, 2, seed=9, x=0.25)
@@ -506,16 +547,16 @@ def _assert_same_graph(graph, reference):
 
 
 def _reference_chains(product, depth):
-    """Up and Down witnesses (graph, image, margin) and the truncated-chain count.
+    """Up and Down witnesses (graph, image, margin, (level index, step)) and the truncated-chain count.
 
     Every step is checked against the public image_graph and certify_drift.
     """
     system = product.base
     found = {"up": [], "down": []}
     truncated = 0
-    for level in LEVEL_GRID:
+    for i, level in enumerate(LEVEL_GRID):
         graph = ((0, 0), {(s,): level for s in range(1, system.alphabet_size + 1)})
-        for _ in range(depth + 1):
+        for step in range(depth + 1):
             L, R = graph[0]
             step_graph = sd.StepGraph(system, graph[0], [graph[1][w] for w in system.words(L + R + 1)])
             try:
@@ -532,7 +573,7 @@ def _reference_chains(product, depth):
             _assert_same_graph(outcome.graph, g)
             _assert_same_graph(outcome.image, e)
             if direction != "inconclusive":
-                found[direction].append((g, e, margin))
+                found[direction].append((g, e, margin, (i, step)))
             graph = image
     return found["up"], found["down"], truncated
 
@@ -557,9 +598,9 @@ def _reference_index(system, witnesses, up):
     """Index window, its (ranks, starts, ends, tags) arrays and region intervals from a per-word sweep."""
     if not witnesses:
         return (0, 0), (np.empty(0, np.int64), np.empty(0), np.empty(0), np.empty(0, np.int64)), {}
-    window = (max(g[0][0] for g, _, _ in witnesses), max(g[0][1] for g, _, _ in witnesses))
+    window = (max(g[0][0] for g, *_ in witnesses), max(g[0][1] for g, *_ in witnesses))
     by_word = {}
-    for tag, (g, e, _) in enumerate(witnesses):
+    for tag, (g, e, *_) in enumerate(witnesses):
         g, e = _dict_refined(system, *g, window), _dict_refined(system, *e, window)
         for word in g:
             lo, hi = (g[word], e[word]) if up else (e[word], g[word])
@@ -597,18 +638,22 @@ class TestArrayBuild:
         up, down, truncated = _reference_chains(product, depth)
         assert classifier.truncated_chains == truncated
         system = product.base
-        for direction, reference, witnesses, index, is_up in (
+        for direction, reference, (group, row), index, is_up in (
             (UP, up, classifier._up, classifier._up_index, True),
             (DOWN, down, classifier._down, classifier._down_index, False),
         ):
-            assert len(witnesses) == len(reference)
-            for tag, (witness, (g, e, margin)) in enumerate(zip(witnesses, reference)):
+            assert len(group) == len(row) == len(reference)
+            # tag t is the t-th witness in (level, step) order
+            keys = [key for *_, key in reference]
+            assert keys == sorted(set(keys))
+            for tag, (g, e, margin, _key) in enumerate(reference):
                 cert = classifier._certificate(direction, tag, np.nan)
-                assert cert.graph.window == g[0] == witness.window
+                window, _graphs, images, _margins = classifier._witnesses[group[tag]]
+                assert cert.graph.window == g[0] == window
                 _assert_same_graph(cert.graph, g)
                 assert cert.margin == margin
-                L, R = witness.window
-                assert witness.image.tolist() == [e[1][w] for w in system.words(L + R + 1)]
+                L, R = window
+                assert images[row[tag]].tolist() == [e[1][w] for w in system.words(L + R + 1)]
             window, arrays, intervals = _reference_index(system, reference, is_up)
             region = classifier.certified_boxes(direction)
             pieces, tags = index
@@ -636,7 +681,7 @@ class TestArrayBuild:
         classifier, up, _down = self.check(_three_symbol_product(window, sd.Affine(0.1, 0.8)), 4)
         # the reference's graphs minimized by a left drop list their words
         # out of lexicographic order; the build still matches them in rank order
-        assert any(list(g[1]) != sorted(g[1]) for g, _, _ in up)
+        assert any(list(g[1]) != sorted(g[1]) for g, *_ in up)
 
     def test_region_in_rank_order_without_first_witness(self):
         # without the constant graph at tag 0, the first witness to cover
@@ -644,7 +689,8 @@ class TestArrayBuild:
         product = _three_symbol_product((1, 0), sd.Affine(0.1, 0.8))
         classifier = sd.DriftClassifier(product, 4)
         up, _down, _truncated = _reference_chains(product, 4)
-        _index, region = classifier._build_index(classifier._up[1:], up=True)
+        group, row = classifier._up
+        _index, region = classifier._build_index(classifier._witnesses, (group[1:], row[1:]), up=True)
         _window, _arrays, intervals = _reference_index(product.base, up[1:], True)
         assert list(intervals) == [(1,), (3,), (2,)]
         assert list(region_dict(region).items()) == sorted(intervals.items())
@@ -660,20 +706,43 @@ class TestArrayBuild:
         edges = [v for v in grid if (v + DELTA_CERT) - DELTA_CERT == v == (v - DELTA_CERT) + DELTA_CERT]
         inner = {v: v - DELTA_CERT if up else v + DELTA_CERT for v in edges}  # strip edge v from graph value
         outer = {v: v + DELTA_CERT if up else v - DELTA_CERT for v in edges}  # strip edge v from image value
+        # three groups on one window, their rows interleaved in tag order
+        places = (np.arange(30) % 3, np.arange(30) // 3)
         for _ in range(20):
-            witnesses, reference = [], []
+            graphs, images, reference = [], [], []
             for _ in range(30):
                 a, b = rng.choice(edges, size=(2, 4)).tolist()
                 graph, image = [inner[v] for v in a], [outer[v] for v in b]
-                witnesses.append(drift._Witness((1, 0), np.array(graph), np.array(image), 1.0))
+                graphs.append(graph)
+                images.append(image)
                 words = system.words(2)
                 reference.append((((1, 0), dict(zip(words, graph))), ((1, 0), dict(zip(words, image))), 1.0))
-            (pieces, tags), region = classifier._build_index(witnesses, up)
+            graphs, images = np.array(graphs), np.array(images)
+            witnesses = [((1, 0), graphs[k::3], images[k::3], np.ones(10)) for k in range(3)]
+            (pieces, tags), region = classifier._build_index(witnesses, places, up)
             window, arrays, intervals = _reference_index(system, reference, up)
             assert pieces.window == region.window == window
             for got, want in zip((pieces.ranks, pieces.lo, pieces.hi, tags[:-1]), arrays):
                 assert np.array_equal(got, want)
             assert list(region_dict(region).items()) == sorted(intervals.items())
+
+    @pytest.mark.parametrize("depth", [0, 3])
+    def test_direction_without_witnesses(self, full2, uniform_chain, depth):
+        # the fixed point 0.998 lies above the top level 127/128: every level
+        # drifts up, so Down has no witness and only refinement finds Down
+        product = constant_product(full2, uniform_chain, sd.Affine(0.0499, 0.95))
+        classifier, up, down = self.check(product, depth)
+        assert up and not down
+        region = classifier.certified_boxes(DOWN)
+        assert region.window == (0, 0) and len(region.ranks) == 0
+        points = list(sampled_points(product, depth, 200, seed=31 + depth))
+        points += [sd.LabeledPoint(p.window, 0.99 + 0.0001 * i) for i, p in enumerate(points[:100])]
+        codes = classifier.classify_arrays(
+            points[0].window.lo, [p.window.symbols for p in points], [p.x for p in points]
+        )
+        verdicts = [classifier.classify(p).verdict for p in points]
+        assert [VERDICTS[c] for c in codes] == verdicts
+        assert verdicts.count(DOWN) and all(p.x > 0.998 for p, v in zip(points, verdicts) if v == DOWN)
 
     def test_truncated_chains_counted(self, ms_full, const_affine):
         # ms_full's windows grow by one per step, so at depth 10 every chain

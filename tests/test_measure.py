@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import skewdrift as sd
+from skewdrift import measure
 from skewdrift.drift import DriftClassifier
 from skewdrift.errors import FamilyRangeError, InvalidRegionError, ToleranceError
 from skewdrift.measure import RegionEstimate
@@ -314,6 +315,23 @@ class TestSweep:
         fam = sd.MonotoneFamily(const_affine, 1.0, (-0.01, 0.12))
         with pytest.raises(ValueError):
             sd.sweep(fam, [0.0, 0.0], 4, 400, 0)
+
+    def test_down_curve_must_not_increase(self, const_affine, monkeypatch):
+        # the first call accumulates up-regions (a good non-decreasing curve);
+        # the second one accumulates down-regions from the right, and its
+        # decreasing curve becomes an increasing down_lower
+        calls = []
+
+        def broken(regions, chain):
+            calls.append(len(regions))
+            curve = [0.1 * i for i in range(len(regions))]
+            return curve if len(calls) == 1 else curve[::-1]
+
+        monkeypatch.setattr(measure, "_running_union_measures", broken)
+        fam = sd.MonotoneFamily(const_affine, 1.0, (-0.01, 0.12))
+        with pytest.raises(RuntimeError, match="down-measure curve lost monotonicity"):
+            sd.sweep(fam, [0.0, 0.01, 0.02], 2, 200, 0)
+        assert calls == [3, 3]
 
 
 def synthetic_sweep(mc_values, radius=0.01):

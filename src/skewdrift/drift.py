@@ -185,14 +185,16 @@ class DriftOutcome:
     image: StepGraph
 
 
+def _direction(up, down) -> tuple[str, float | None]:
+    """Certified direction and margin of one graph from its Up and Down margins."""
+    if up >= DELTA_CERT:
+        return "up", float(up)
+    return ("down", float(down)) if down >= DELTA_CERT else ("inconclusive", None)
+
+
 def _drift_outcome(graph: StepGraph, image: StepGraph) -> DriftOutcome:
     window, _, _, up, down = _drift_arrays(graph.system, graph.window, graph.values, image.window, image.values)
-    g, e = graph.refined(window), image.refined(window)
-    if up >= DELTA_CERT:
-        return DriftOutcome("up", float(up), g, e)
-    if down >= DELTA_CERT:
-        return DriftOutcome("down", float(down), g, e)
-    return DriftOutcome("inconclusive", None, g, e)
+    return DriftOutcome(*_direction(up, down), graph.refined(window), image.refined(window))
 
 
 def certify_drift(product: MultistepSkewProduct, graph: StepGraph) -> DriftOutcome:
@@ -240,17 +242,20 @@ def replay_certificate(
     """Re-certify a witness graph on another product, optionally with its strip condition.
 
     Raises ValueError if the point's window is not a word of the base space.
+    Decides as certify_drift would, from the drift kernel's arrays.
     """
-    outcome = certify_drift(product, certificate.graph)
-    rank = None if point is None else _point_rank(product.base, outcome.graph.window, point.window)
-    if outcome.direction != certificate.direction:
-        return ReplayResult(False, None, f"drift verdict is {outcome.direction}")
+    graph, image = certificate.graph, image_graph(product, certificate.graph)
+    window, g, e, up, down = _drift_arrays(graph.system, graph.window, graph.values, image.window, image.values)
+    direction, margin = _direction(up, down)
+    rank = None if point is None else _point_rank(product.base, window, point.window)
+    if direction != certificate.direction:
+        return ReplayResult(False, None, f"drift verdict is {direction}")
     if rank is not None:
-        level, image_level = outcome.graph.values[rank], outcome.image.values[rank]
-        lo, hi = (level, image_level) if certificate.direction == "up" else (image_level, level)
+        level, image_level = g[rank], e[rank]
+        lo, hi = (level, image_level) if direction == "up" else (image_level, level)
         if not (point.x - lo >= DELTA_CERT and hi - point.x >= DELTA_CERT):
-            return ReplayResult(False, outcome.margin, "strip condition fails at the point")
-    return ReplayResult(True, outcome.margin)
+            return ReplayResult(False, margin, "strip condition fails at the point")
+    return ReplayResult(True, margin)
 
 
 @dataclass(frozen=True)
@@ -320,7 +325,8 @@ class DriftClassifier:
     depth (truncated_chains counts chains cut short at the window cap), kept
     as array groups like graphs and regions, plus per-point binary refinement
     of the level near the queried fiber coordinate. It keeps only what it
-    reads of the product (base, window, map_slots, fingerprint), never the product.
+    reads of the product (base, window, map_slots, fingerprint), never the product,
+    and the certificate of each index tag once a query has hit it.
     """
 
     def __init__(self, product: MultistepSkewProduct, depth: int):
@@ -329,9 +335,11 @@ class DriftClassifier:
         self.depth = _search_depth(depth)
         self._fingerprint = product.fingerprint()
         self._maps, self._slots = product.map_slots
-        self._witnesses, self._up, self._down, self.truncated_chains = self._chains()
-        self._up_index, self._up_region = self._build_index(self._witnesses, self._up, up=True)
-        self._down_index, self._down_region = self._build_index(self._witnesses, self._down, up=False)
+        witnesses, self._up, self._down, self.truncated_chains = self._chains()
+        self._up_index, self._up_region = self._build_index(witnesses, self._up, up=True)
+        self._down_index, self._down_region = self._build_index(witnesses, self._down, up=False)
+        self._witnesses = [(window, graphs, margins) for window, graphs, _, margins in witnesses]  # no images
+        self._certificates = {}  # (direction, tag) -> certificate of an index hit
         self._check_disjoint()
 
     def _chains(self) -> tuple[list, tuple, tuple, int]:
@@ -457,20 +465,22 @@ class DriftClassifier:
         )
 
     def _certificate(self, direction: str, tag: int, level: float) -> DriftCertificate | None:
-        """Witness of an index hit (tag >= 0) or of a refined level (not NaN)."""
+        """Witness of an index hit (tag >= 0, built once per tag) or of a refined level (not NaN)."""
         if tag >= 0:
-            group, row = self._up if direction == UP else self._down
-            window, graphs, _, margins = self._witnesses[group[tag]]
-            graph, margin = StepGraph(self.base, window, graphs[row[tag]]), float(margins[row[tag]])
-        elif not np.isnan(level):
-            constant = StepGraph.constant(self.base, level)
-            outcome = _drift_outcome(constant, _image_graph(self.product_window, self._maps, self._slots, constant))
-            if outcome.direction != direction.lower():
-                raise RuntimeError(f"internal inconsistency: refined level {level} is not {direction}")
-            graph, margin = outcome.graph, outcome.margin
-        else:
+            if (direction, tag) not in self._certificates:
+                group, row = self._up if direction == UP else self._down
+                window, graphs, margins = self._witnesses[group[tag]]
+                graph, margin = StepGraph(self.base, window, graphs[row[tag]]), float(margins[row[tag]])
+                certificate = DriftCertificate(direction.lower(), graph, margin, self._fingerprint)
+                self._certificates[direction, tag] = certificate
+            return self._certificates[direction, tag]
+        if np.isnan(level):
             return None
-        return DriftCertificate(direction.lower(), graph, margin, self._fingerprint)
+        constant = StepGraph.constant(self.base, level)
+        outcome = _drift_outcome(constant, _image_graph(self.product_window, self._maps, self._slots, constant))
+        if outcome.direction != direction.lower():
+            raise RuntimeError(f"internal inconsistency: refined level {level} is not {direction}")
+        return DriftCertificate(direction.lower(), outcome.graph, outcome.margin, self._fingerprint)
 
     def _search(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool):
         """Per point: Up and Down index tags (-1 for none), then Up and Down refined levels (NaN for none).
@@ -486,9 +496,12 @@ class DriftClassifier:
             raise WindowTooShortError((need_lo, need_hi), (lo, have_hi), f"classification at depth {self.depth}")
         _check_admissible(self.base, lo, rows)
         inside = (xs > 0.0) & (xs < 1.0)
-        (up_pieces, up_tags), (down_pieces, down_tags) = self._up_index, self._down_index
-        up_tag = np.where(inside, up_tags[up_pieces._locate(lo, rows, xs)], -1)
-        down_tag = np.where(inside, down_tags[down_pieces._locate(lo, rows, xs)], -1)
+        indices = (self._up_index, self._down_index)
+        windows = {pieces.window for pieces, _ in indices}  # one rank search when both share a window
+        ranks = {(L, R): self.base.word_ranks(rows, -L - lo, L + R + 1) for L, R in windows}
+        up_tag, down_tag = (
+            np.where(inside, tags[pieces._locate(ranks[pieces.window], xs)], -1) for pieces, tags in indices
+        )
         if not exhaustive and ((up_tag >= 0) & (down_tag >= 0)).any():
             raise RuntimeError("internal inconsistency: point certified both Up and Down")
         up_level = np.full(len(xs), np.nan)
@@ -528,31 +541,32 @@ class DriftClassifier:
         if size > WINDOW_CAP:
             raise ResourceBoundError(f"image window size {size} exceeds the bound {WINDOW_CAP}")
         slot = self._slots[self.base.word_ranks(rows, -l - 1 - lo, l + r + 1)]
-        lower, upper = (np.zeros_like(xs), xs.copy()) if up else (xs.copy(), np.ones_like(xs))
-        active = np.arange(len(xs))
+        active, x = np.arange(len(xs)), xs
+        lower, upper = (np.zeros_like(xs), xs) if up else (xs, np.ones_like(xs))
         for _ in range(REFINE_STEPS):
-            level = 0.5 * (lower[active] + upper[active])
-            valid = (0.0 < level) & (level < 1.0)
-            active, level = active[valid], level[valid]
+            level = 0.5 * (lower + upper)
+            # level lies in [lower, upper] inside [0, x] or [x, 1], so only one end can be hit
+            valid = level > 0.0 if up else level < 1.0
+            if not valid.all():
+                active, x, slot, lower, upper, level = (v[valid] for v in (active, x, slot, lower, upper, level))
             if not len(active):
                 break
             values = self._maps.eval_all(level)
-            drift = values - level
-            x = xs[active]
-            image = values[slot[active], np.arange(len(active))]
+            image = values[slot, np.arange(len(active))]
+            # rounding is monotone, so min_k fl(f_k(c) - c) is fl(min_k f_k(c) - c); max likewise
             if up:
-                drifting = drift.min(axis=0) - 2.0 * EPS_ROUND >= DELTA_CERT
+                drifting = values.min(axis=0) - level - 2.0 * EPS_ROUND >= DELTA_CERT
                 move_lo = drifting & (image - x < DELTA_CERT)
                 move_hi = ~drifting | (~move_lo & (x - level < DELTA_CERT))
             else:
-                drifting = -drift.max(axis=0) - 2.0 * EPS_ROUND >= DELTA_CERT
+                drifting = -(values.max(axis=0) - level) - 2.0 * EPS_ROUND >= DELTA_CERT
                 move_hi = drifting & (x - image < DELTA_CERT)
                 move_lo = ~drifting | (~move_hi & (level - x < DELTA_CERT))
-            lower[active[move_lo]] = level[move_lo]
-            upper[active[move_hi]] = level[move_hi]
-            found = ~(move_lo | move_hi)
-            levels[active[found]] = level[found]
-            active = active[~found]
+            lower, upper = np.where(move_lo, level, lower), np.where(move_hi, level, upper)
+            moved = move_lo | move_hi
+            if not moved.all():
+                levels[active[~moved]] = level[~moved]
+                active, x, slot, lower, upper = (v[moved] for v in (active, x, slot, lower, upper))
         return levels
 
 

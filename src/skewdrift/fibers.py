@@ -343,7 +343,8 @@ class MapStack:
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
         """(len(maps), len(x)) values: row k is maps[k] on the 1-d array x."""
-        return np.concatenate([columns.eval(x) for *_, columns in self._forms])
+        rows = [columns.eval(x) for *_, columns in self._forms]
+        return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
     def eval_columns(self, which: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Values of a 2-d array x whose column j is mapped by maps[which[j]]."""

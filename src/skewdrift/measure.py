@@ -97,7 +97,7 @@ def estimate_regions(product: MultistepSkewProduct, depth: int, n: int, seed) ->
         mc_unknown=counts[UNKNOWN] / n,
         radius=hoeffding_radius(n),
         n_samples=n,
-        depth=depth,
+        depth=classifier.depth,
         seed=seed,
         up_region=up_region,
         down_region=down_region,

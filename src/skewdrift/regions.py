@@ -39,17 +39,31 @@ def sweep_rows(lo: np.ndarray, hi: np.ndarray):
     its lo if that lies beyond the running end of the earlier ones, at the
     running end if only its hi does, and is covered otherwise. Returns the
     pieces (row, column, start, end) and the merged runs of touching pieces
-    (row, start, end), both sorted by row, then start.
+    (row, start, end), both sorted by row, then start. Rows are ordered by numpy's
+    default (SIMD) argsort of lo, and by the stable lexsort only where finite lo
+    values tie: absent intervals start no piece, so their order changes nothing.
     """
-    order = np.lexsort((hi, lo), axis=-1)  # stable: equal (lo, hi) keep column order
-    lo, hi = np.take_along_axis(lo, order, axis=1), np.take_along_axis(hi, order, axis=1)
-    end = np.hstack([np.full((len(hi), 1), -np.inf), np.maximum.accumulate(hi, axis=1)[:, :-1]])
-    row, col = np.nonzero(hi > end)
-    opens = lo[row, col] > end[row, col]
-    start, stop = np.where(opens, lo[row, col], end[row, col]), hi[row, col]
+    n, k = lo.shape
+    order = np.argsort(lo, axis=1)
+    order += np.arange(n)[:, None] * k  # flat indices into lo and hi
+    flat_lo, flat_hi = lo.ravel(), hi.ravel()
+    key = flat_lo[order]
+    tied = np.flatnonzero(((key[:, 1:] == key[:, :-1]) & (key[:, 1:] < np.inf)).any(axis=1))
+    if len(tied):
+        order[tied] = np.lexsort((hi[tied], lo[tied]), axis=-1) + tied[:, None] * k
+    key = flat_hi[order]
+    end = np.full_like(key, -np.inf)  # running end of the earlier intervals
+    np.maximum.accumulate(key[:, :-1], axis=1, out=end[:, 1:])
+    at = np.flatnonzero(key > end)
+    src = order.ravel()[at]
+    del order, key  # before the piece gathers
+    row, end = at // max(k, 1), end.ravel()[at]
+    start, stop = flat_lo[src], flat_hi[src]
+    opens = start > end
+    start = np.where(opens, start, end)
     closes = np.ones_like(opens)  # the last piece closes the last run
     closes[:-1] = opens[1:]
-    return (row, order[row, col], start, stop), (row[opens], start[opens], stop[closes])
+    return (row, src - row * k, start, stop), (row[opens], start[opens], stop[closes])
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,18 +125,17 @@ class BoxRegion:
         keys.imag = self.lo
         return keys
 
-    def _locate(self, lo: int, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    def _locate(self, ranks: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Index of the box holding each point, -1 where none does.
 
-        rows must hold admissible words on coordinates lo.., as the classifier
-        checks, and xs the fiber coordinates. Boxes are keyed by (rank, lo) as
-        one complex number; numpy orders complex numbers lexicographically, so
-        one searchsorted finds each point's last box of its word at or below it.
+        ranks are the points' word ranks on the window (admissible words, as the
+        classifier checks) and xs their fiber coordinates. Boxes are keyed by (rank,
+        lo) as one complex number; numpy orders complex numbers lexicographically,
+        so one searchsorted finds each point's last box of its word at or below it.
         """
         if not len(self.ranks):
             return np.full(len(xs), -1)
-        L, R = self.window
-        keys = self.system.word_ranks(rows, -L - lo, L + R + 1).astype(complex)
+        keys = ranks.astype(complex)
         keys.imag = xs
         i = np.searchsorted(self._keys, keys, side="right") - 1
         return np.where((i >= 0) & (self.ranks[i] == keys.real) & (xs <= self.hi[i]), i, -1)

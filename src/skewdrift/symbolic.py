@@ -121,7 +121,7 @@ class TransitionSystem:
 
         Positional codes of words of one length are in lexicographic order.
         """
-        place = self.alphabet_size ** np.arange(length - 1, -1, -1, dtype=np.int64)
+        place = self._table(("place", length), lambda: self.alphabet_size ** np.arange(length, dtype=np.int64)[::-1])
         codes = self._table(("codes", length), lambda: (self.word_array(length) - 1) @ place)
         return np.searchsorted(codes, (rows[:, start : start + length] - 1) @ place)
 

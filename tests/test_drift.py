@@ -11,7 +11,7 @@ import skewdrift as sd
 from skewdrift import drift
 from skewdrift.config import load_config
 from skewdrift.drift import DELTA_CERT, DOWN, LEVEL_GRID, REFINE_STEPS, UNKNOWN, UP, VERDICTS
-from skewdrift.errors import ResourceBoundError, WindowTooShortError
+from skewdrift.errors import IncompatibleProductsError, ResourceBoundError, WindowTooShortError
 from skewdrift.fibers import EPS_ROUND
 from skewdrift.products import WINDOW_CAP
 from skewdrift.symbolic import _symbols_from_uniforms
@@ -637,6 +637,8 @@ class TestArrayBuild:
         classifier = sd.DriftClassifier(product, depth)
         up, down, truncated = _reference_chains(product, depth)
         assert classifier.truncated_chains == truncated
+        # the classifier drops the image rows after the build; a fresh chain search gives them
+        witnesses = classifier._chains()[0]
         system = product.base
         for direction, reference, (group, row), index, is_up in (
             (UP, up, classifier._up, classifier._up_index, True),
@@ -648,7 +650,8 @@ class TestArrayBuild:
             assert keys == sorted(set(keys))
             for tag, (g, e, margin, _key) in enumerate(reference):
                 cert = classifier._certificate(direction, tag, np.nan)
-                window, _graphs, images, _margins = classifier._witnesses[group[tag]]
+                window, _graphs, images, _margins = witnesses[group[tag]]
+                assert classifier._witnesses[group[tag]][0] == window
                 assert cert.graph.window == g[0] == window
                 _assert_same_graph(cert.graph, g)
                 assert cert.margin == margin
@@ -690,7 +693,7 @@ class TestArrayBuild:
         classifier = sd.DriftClassifier(product, 4)
         up, _down, _truncated = _reference_chains(product, 4)
         group, row = classifier._up
-        _index, region = classifier._build_index(classifier._witnesses, (group[1:], row[1:]), up=True)
+        _index, region = classifier._build_index(classifier._chains()[0], (group[1:], row[1:]), up=True)
         _window, _arrays, intervals = _reference_index(product.base, up[1:], True)
         assert list(intervals) == [(1,), (3,), (2,)]
         assert list(region_dict(region).items()) == sorted(intervals.items())
@@ -957,3 +960,108 @@ class TestInBoxInvariant:
                 assert expected.count(VERDICTS.index(direction)) > 100
             codes = classifier.classify_arrays(lo, [p[0] for p in points], [p[1] for p in points])
             assert codes.tolist() == expected
+
+
+def _reference_replay(product, cert, point):
+    """replay_certificate's (ok, margin, reason) from certify_drift and the refined graphs at the point's word."""
+    outcome = sd.certify_drift(product, cert.graph)
+    if point is not None:
+        L, R = outcome.graph.window
+        rank = product.base.words(L + R + 1).index(point.window.word(-L, R))
+    if outcome.direction != cert.direction:
+        return False, None, f"drift verdict is {outcome.direction}"
+    if point is not None:
+        level, image = outcome.graph.values[rank], outcome.image.values[rank]
+        lo, hi = (level, image) if cert.direction == "up" else (image, level)
+        if not (point.x - lo >= DELTA_CERT and hi - point.x >= DELTA_CERT):
+            return False, outcome.margin, "strip condition fails at the point"
+    return True, outcome.margin, None
+
+
+class TestReplayOnKernel:
+    """replay_certificate decides as certify_drift and the refined graphs would."""
+
+    def test_criterion_2_pair_at_depth_8(self, full2, uniform_chain, ms_full):
+        products = (ms_full, multistep_affines(full2, uniform_chain, base_offset=0.09))
+        # a wider product window moves the common window past the graph's own
+        wide = sd.MultistepSkewProduct(
+            full2, uniform_chain, (2, 1), {w: sd.Affine(0.06 + 0.01 * i, 0.75) for i, w in enumerate(full2.words(4))}
+        )
+        seen = Counter()
+        for k, source in enumerate(products):
+            # one coordinate more on each side than depth 8 needs, for the wide product
+            for point in sampled_points(source, 9, 150, seed=41 + k):
+                witness = sd.classify_point(source, point, 8).witness
+                if witness is None:
+                    continue
+                for target in (*products, wide):
+                    for at in (None, point):
+                        got = sd.replay_certificate(target, witness, at)
+                        assert (got.ok, got.margin, got.reason) == _reference_replay(target, witness, at)
+                        seen[got.reason] += 1
+        # every outcome occurs: replayed, lost direction, strip condition fails
+        assert seen[None] and seen["strip condition fails at the point"]
+        assert any(reason.startswith("drift verdict is") for reason in seen if reason)
+
+    def test_errors(self, golden, golden_chain, ms_full):
+        point = wide_point(ms_full, 4, seed=11, x=0.05)
+        witness = sd.classify_point(ms_full, point, 4).witness
+        other = constant_product(golden, golden_chain, sd.Affine(0.1, 0.8))
+        with pytest.raises(IncompatibleProductsError):
+            sd.replay_certificate(other, witness, point)
+        with pytest.raises(IncompatibleProductsError):
+            sd.replay_certificate(other, witness)
+        L, R = witness.graph.window
+        short = sd.LabeledPoint(sd.SymbolWindow(-L + 1, point.window.word(-L + 1, R)), point.x)
+        with pytest.raises(WindowTooShortError):
+            sd.replay_certificate(ms_full, witness, short)
+        outside = sd.LabeledPoint(sd.SymbolWindow(point.window.lo, (3,) + point.window.symbols[1:]), point.x)
+        with pytest.raises(ValueError, match="symbol 3"):
+            sd.replay_certificate(ms_full, witness, outside)
+
+
+class TestTagCertificates:
+    """An index tag's certificate is built once and kept by its classifier."""
+
+    def test_shared_per_tag(self, ms_full):
+        classifier = sd.DriftClassifier(ms_full, 8)
+        assert all(len(group) == 3 for group in classifier._witnesses)  # no image rows kept
+        by_tag, refined = {}, []
+        for point in sampled_points(ms_full, 8, 400, seed=5):
+            rows, xs = drift._as_batch([point.window.symbols], [point.x])
+            up_tag, down_tag, up_level, down_level = classifier._search(point.window.lo, rows, xs, False)
+            result = classifier.classify(point)
+            if up_tag[0] >= 0 or down_tag[0] >= 0:
+                key = (UP, int(up_tag[0])) if up_tag[0] >= 0 else (DOWN, int(down_tag[0]))
+                by_tag.setdefault(key, []).append(result.witness)
+            elif result.witness is not None:
+                refined.append((point, result.witness))
+        shared = [certs for certs in by_tag.values() if len(certs) > 1]
+        assert shared and refined
+        for (direction, tag), certs in by_tag.items():
+            assert all(cert is certs[0] for cert in certs)
+            group, row = classifier._up if direction == UP else classifier._down
+            window, graphs, margins = classifier._witnesses[group[tag]]
+            rebuilt = drift.DriftCertificate(
+                direction.lower(), sd.StepGraph(ms_full.base, window, graphs[row[tag]]),
+                float(margins[row[tag]]), ms_full.fingerprint(),
+            )
+            assert certs[0].to_json() == rebuilt.to_json()
+        assert sorted(classifier._certificates) == sorted(by_tag)
+        # a refined level's certificate is built afresh for every query
+        for point, witness in refined:
+            again = classifier.classify(point).witness
+            assert again is not witness and again.to_json() == witness.to_json()
+            # a constant graph at a level off the grid, on the common window of it and its image
+            level = witness.graph.values[0]
+            assert (witness.graph.values == level).all() and level not in LEVEL_GRID
+
+    def test_equal_products_share_nothing(self, full2, uniform_chain):
+        first, second = (multistep_affines(full2, uniform_chain) for _ in range(2))
+        for point in sampled_points(first, 6, 200, seed=9):
+            a, b = sd.classify_point(first, point, 6).witness, sd.classify_point(second, point, 6).witness
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a is not b and a.to_json() == b.to_json()
+        mine = {id(cert) for cert in sd.get_classifier(first, 6)._certificates.values()}
+        assert mine and mine.isdisjoint(id(cert) for cert in sd.get_classifier(second, 6)._certificates.values())

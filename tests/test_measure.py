@@ -1,7 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import skewdrift as sd
 from skewdrift import measure
@@ -89,6 +93,27 @@ def reference_union(system, regions, window):
     return {word: merge_intervals(ivs) for word, ivs in out.items() if ivs}
 
 
+def sweep_rows_reference(lo, hi):
+    """sweep_rows row by row in Python: a stable sort by (lo, hi, column), then a running-end sweep."""
+    pieces, runs = [], []
+    for r in range(lo.shape[0]):
+        end = -math.inf
+        for c in sorted(range(lo.shape[1]), key=lambda c: (lo[r, c], hi[r, c], c)):
+            a, b = lo[r, c], hi[r, c]
+            if b > end:
+                if a > end:
+                    runs.append([r, a, b])
+                else:
+                    runs[-1][2] = b
+                pieces.append((r, c, a if a > end else end, b))
+            end = end if end > b else b  # as numpy's maximum: of two equal zeros, the later
+    return _columns(pieces, (np.intp, np.intp, float, float)), _columns(runs, (np.intp, float, float))
+
+
+def _columns(rows, dtypes):
+    return tuple(np.array([row[i] for row in rows], dtype=dtype) for i, dtype in enumerate(dtypes))
+
+
 class TestRegionArrays:
     """region_union and sweep_rows against the per-word reference merge."""
 
@@ -122,6 +147,31 @@ class TestRegionArrays:
             pieces = list(zip(start[mine].tolist(), stop[mine].tolist()))
             assert merge_intervals(pieces) == tuple(runs)
             assert all(lo[r, c] <= a <= b <= hi[r, c] for c, a, b in zip(col[mine], *zip(*pieces)))
+
+    @given(
+        shape=st.tuples(st.integers(0, 5), st.integers(0, 6)),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(shape=(0, 3), data=None)
+    @example(shape=(4, 0), data=None)
+    @example(shape=(4, 1), data=None)
+    @example(shape=(3, 4), data=None)
+    def test_sweep_rows_bitwise(self, shape, data):
+        # ends drawn from a few values (with both zeros), so that some rows
+        # tie in lo and others do not; data=None makes every entry absent
+        if data is None:
+            lo, hi = np.full(shape, np.inf), np.full(shape, -np.inf)
+        else:
+            ends = arrays(float, (2, *shape), elements=st.sampled_from((-0.0, 0.0) + EDGES[1:]))
+            a, b = data.draw(ends)
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            absent = data.draw(arrays(bool, shape))
+            lo[absent], hi[absent] = np.inf, -np.inf
+        pieces, runs = sweep_rows(lo, hi)
+        want_pieces, want_runs = sweep_rows_reference(lo, hi)
+        for got, want in zip(pieces + runs, want_pieces + want_runs):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("windows", [((0, 0), (0, 0)), ((1, 0), (0, 2)), ((0, 1), (2, 1)), ((2, 2), (0, 0))])
     def test_union_matches_reference(self, golden, windows):
@@ -195,6 +245,10 @@ class TestEstimateRegions:
         assert est.mc_up + est.mc_down + est.mc_unknown == pytest.approx(1.0, abs=1e-12)
         assert est.certified_up_measure > 0.2
         assert est.certified_down_measure > 0.2
+
+    def test_numpy_depth_serializes(self, const_affine):
+        est = sd.estimate_regions(const_affine, np.int64(2), 200, 1)
+        assert type(est.depth) is int and json.loads(json.dumps(est.to_json()))["depth"] == 2
 
     def test_invariant_enforced_on_construction(self):
         with pytest.raises(ValueError, match="sum to 1"):

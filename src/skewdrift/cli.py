@@ -1,7 +1,8 @@
 """Configuration-driven command line: validate, classify, measure, sweep, approx.
 
 Exit codes: 0 success, 2 validation/config failure, 3 resource-bound violation.
-All file writes are plain text with fixed 17-significant-digit floats, so
+All file writes are plain text: CSV and .dat files render floats with 17
+significant digits, JSON files with Python's shortest round-trip repr, so
 identical config + seed reproduces byte-identical artifacts.
 """
 
@@ -16,7 +17,7 @@ from pathlib import Path
 from .config import RunConfig, load_config
 from .drift import classify_point
 from .errors import ConfigError, ResourceBoundError
-from .fibers import validate_class
+from .fibers import map_to_json, validate_class
 from .measure import (
     _fmt,
     detect_gaps,
@@ -29,6 +30,7 @@ from .measure import (
 )
 from .products import (
     LabeledPoint,
+    MultistepSkewProduct,
     ProductOrder,
     approximation_distance_bound,
     compare_order,
@@ -147,12 +149,29 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+def _product_text(product: MultistepSkewProduct) -> str:
+    """json.dumps(product.to_json(), indent=2, sort_keys=True) + "\n", each map object encoded once.
+
+    Keyed by object: Affine(-0.0, b) == Affine(0.0, b) prints differently. A
+    JSON string holds no raw newline, so replacing "\n" re-indents a map exactly.
+    """
+    maps = {}
+    entries = []
+    for word, fmap in sorted(product.assignment.items()):
+        if id(fmap) not in maps:
+            maps[id(fmap)] = json.dumps(map_to_json(fmap), indent=2, sort_keys=True).replace("\n", "\n      ")
+        symbols = ",\n        ".join(map(str, word))
+        entries.append(f'    {{\n      "map": {maps[id(fmap)]},\n      "word": [\n        {symbols}\n      ]\n    }}')
+    l, r = product.window
+    return '{\n  "assignment": [\n' + ",\n".join(entries) + f'\n  ],\n  "window": [\n    {l},\n    {r}\n  ]\n}}\n'
+
+
 def _cmd_approx(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.continuous is None:
         raise ConfigError("continuous", "approx needs a 'continuous' section")
     m = cfg.analysis.depth
     ladder = {m: multistep_approximation(cfg.continuous, m)}
-    _write(out_dir / "approx_product.json", json.dumps(ladder[m].to_json(), indent=2, sort_keys=True) + "\n")
+    _write(out_dir / "approx_product.json", _product_text(ladder[m]))
     rungs = range(max(0, m - 3), m)
     ladder.update((k, multistep_approximation(cfg.continuous, k)) for k in rungs)
     lines = [f"# seed={cfg.analysis.seed} depth={m} samples={cfg.analysis.samples}", "m,distance_to_next,bound"]

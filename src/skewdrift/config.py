@@ -140,6 +140,8 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
             )
         except ConfigError:
             raise
+        except (KeyError, TypeError) as exc:
+            raise ConfigError("continuous", f"malformed record: {exc}")
         except ValueError as exc:
             raise ConfigError("continuous", str(exc))
 

@@ -398,11 +398,19 @@ def invert(f: FiberMap, y):
     if lo is None:
         lo = _dyadic_rounds(f, ys, np.zeros_like(ys), 1)
     hi = lo + 2.0**-_DYADIC_STEPS
+    # lo passes the test or is 0, hi fails it or is 1: a midpoint rounding to either changes nothing,
+    # then or later, so a round runs on the rows from the first to the last with one inside (lo, hi)
+    rows, cols = slice(0, len(ys)), tuple(range(1, ys.ndim))
     for _ in range(_BISECT_STEPS - _DYADIC_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = f.eval(mid) < ys
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        mid = 0.5 * (lo[rows] + hi[rows])
+        moving = np.flatnonzero(((lo[rows] < mid) & (mid < hi[rows])).any(axis=cols))
+        if not moving.size:
+            break
+        mid = mid[moving[0] : moving[-1] + 1]
+        rows = slice(rows.start + moving[0], rows.start + moving[-1] + 1)
+        below = f.eval(mid) < ys[rows]
+        np.copyto(lo[rows], mid, where=below)
+        np.copyto(hi[rows], mid, where=~below)
     x = 0.5 * (lo + hi)
     for _ in range(2):
         x = np.clip(x - (f.eval(x) - ys) / f.derivative(x), 0.0, 1.0)

@@ -342,21 +342,22 @@ def multistep_approximation(spec: ContinuousProductSpec, m: int) -> MultistepSke
         raise ValueError("truncation depth must be >= 0")
     if 2 * m + 1 > WINDOW_CAP:
         raise ResourceBoundError(f"window size {2 * m + 1} exceeds the bound {WINDOW_CAP}")
-    rho = spec.rho
     assignment: dict[tuple[int, ...], FiberMap] = {}
     maps: dict[tuple[int, float, float], FiberMap] = {}
     tails = [2.0 ** (1 - m) * spec.tail_midrange(s) for s in range(1, spec.base.alphabet_size + 1)]
-    for word in spec.base.words(2 * m + 1):
-        s = word[m]
-        value = spec.symbol_params[s - 1][spec.designated]
-        for j in range(1, m + 1):
-            value += 2.0 ** (-j) * (rho[s - 1][word[m - j] - 1] + rho[s - 1][word[m + j] - 1])
-        value += tails[s - 1]
+    # one entry per word, summed with the additions of the series in their per-word order
+    w = spec.base.word_array(2 * m + 1) - 1
+    s = w[:, m]
+    values = np.array([p[spec.designated] for p in spec.symbol_params], dtype=float)[s]
+    for j in range(1, m + 1):
+        values += 2.0 ** (-j) * (spec.rho[s, w[:, m - j]] + spec.rho[s, w[:, m + j]])
+    values += np.array(tails)[s]
+    for word, value in zip(spec.base.words(2 * m + 1), values.tolist()):
         # the sign keeps -0.0 apart from 0.0, whose JSON differs
-        key = (s, value, math.copysign(1.0, value))
+        key = (word[m], value, math.copysign(1.0, value))
         fmap = maps.get(key)
         if fmap is None:
-            fmap = maps[key] = spec.make_map(s, value)
+            fmap = maps[key] = spec.make_map(word[m], value)
             check = validate_class(fmap)
             if not check:
                 raise InvalidApproximationError(f"word {word}: {check.reason}")

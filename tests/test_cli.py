@@ -180,6 +180,20 @@ class TestApproxCommand:
                    out=str(tmp_path), depth=6)
         assert code == 3
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("symbol_params", [1, 2], "not iterable"),
+        ("symbol_params", [{"a": 0.1, "b": 0.8, "zz": 1}, {"a": 0.12, "b": 0.8}], "zz"),
+        ("template", "bump_composed", "'amount'"),
+    ])
+    def test_malformed_continuous_section_exits_2(self, tmp_path, capsys, field, value, error):
+        record = json.loads((CONFIGS / "continuous_geometric.json").read_text())
+        record["continuous"][field] = value
+        path = write_json(tmp_path / "malformed.json", record)
+        assert run("approx", path, out=str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: continuous: malformed record: ") and error in err
+        assert not (tmp_path / "out").exists()
+
 
 def readme_cli_commands() -> dict[str, list[str]]:
     """argv (program name dropped) of each `skewdrift ...` line in the README CLI block."""

@@ -303,6 +303,31 @@ class TestInvert:
                 assert np.array_equal(got[:, j].view(np.int64), sd.invert(f, ys[:, j]).view(np.int64)), f
                 assert np.array_equal(got[:, j].view(np.int64), bisection_invert(f, ys[:, j]).view(np.int64)), f
 
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "upper half"])
+    def test_halvings_on_moving_rows_equal_plain_bisection(self, order):
+        # rounds after the 53rd run only on the row range that can still move:
+        # a prefix of ascending targets, a suffix of descending ones, most of a
+        # shuffled block, and no row at all where every root is at least 0.6
+        rng = np.random.default_rng(27)
+        for form in FORM_KEYS:
+            maps = [f for f in sample_maps() + invert_maps() if fibers._form_key(f) == form]
+            if order == "upper half":
+                ys = np.stack([np.asarray(f.eval(0.6 + 0.4 * rng.random(2000))) for f in maps], axis=1)
+            else:
+                ys = np.stack([invert_targets(f, rng, 300) for f in maps], axis=1)
+                ys = {"ascending": np.sort(ys, axis=0), "descending": np.sort(ys, axis=0)[::-1],
+                      "shuffled": rng.permutation(ys)}[order]
+            got = sd.invert(_stacked(maps), ys)
+            for j, f in enumerate(maps):
+                assert np.array_equal(got[:, j].view(np.int64), bisection_invert(f, ys[:, j]).view(np.int64)), f
+                one = sd.invert(f, ys[:, j])
+                assert np.array_equal(one.view(np.int64), got[:, j].view(np.int64)), f
+                for k in (0, len(ys) // 3, -1):
+                    assert sd.invert(f, float(ys[k, j])) == got[k, j], (f, k)
+                    assert sd.invert(f, np.float64(ys[k, j])) == got[k, j], (f, k)
+            assert sd.invert(_stacked(maps), ys[:0]).shape == (0, len(maps))
+            assert sd.invert(maps[0], ys[:0, 0]).shape == (0,)
+
     def test_stacked_equals_per_map(self):
         rng = np.random.default_rng(24)
         for form in FORM_KEYS:

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 import skewdrift as sd
 import skewdrift.products as products
+from skewdrift.cli import _product_text
 from skewdrift.config import load_config
 from skewdrift.errors import (
     IncompatibleProductsError,
+    InvalidApproximationError,
     ResourceBoundError,
     WindowTooShortError,
 )
@@ -35,6 +37,19 @@ def signed_zero_spec(full2, uniform_chain):
         full2, uniform_chain, "bumped_affine", "c",
         ({"a": 0.1, "b": 0.8, "c": -0.0}, {"a": 0.12, "b": 0.8, "c": 0.0}),
         np.array([[0.0, -0.0], [0.0, 0.0]]),
+    )
+
+
+# the 3-symbol shift without repeated symbols, which is not a full shift
+THREE_SYMBOL = sd.TransitionSystem(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+THREE_SYMBOL_CHAIN = sd.MarkovChain(THREE_SYMBOL, np.array([[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]]))
+
+
+def three_symbol_spec(seed):
+    rho = np.random.default_rng(seed).uniform(-0.01, 0.01, (3, 3))
+    return sd.ContinuousProductSpec(
+        THREE_SYMBOL, THREE_SYMBOL_CHAIN, "affine", "a",
+        ({"a": 0.10, "b": 0.8}, {"a": 0.12, "b": 0.7}, {"a": 0.2, "b": 0.6}), rho,
     )
 
 
@@ -94,8 +109,8 @@ def reference_distance(F, G):
     return best
 
 
-def reference_approximation(spec, m):
-    """`multistep_approximation` with a fresh map built per word."""
+def reference_maps(spec, m):
+    """Each word's approximant map, built fresh from a per-word sum of the series."""
     assignment = {}
     for word in spec.base.words(2 * m + 1):
         s = word[m]
@@ -104,7 +119,12 @@ def reference_approximation(spec, m):
             value += 2.0 ** (-j) * (spec.rho[s - 1][word[m - j] - 1] + spec.rho[s - 1][word[m + j] - 1])
         value += 2.0 ** (1 - m) * spec.tail_midrange(s)
         assignment[word] = spec.make_map(s, value)
-    return sd.MultistepSkewProduct(spec.base, spec.chain, (m, m), assignment)
+    return assignment
+
+
+def reference_approximation(spec, m):
+    """`multistep_approximation` with a fresh map built per word."""
+    return sd.MultistepSkewProduct(spec.base, spec.chain, (m, m), reference_maps(spec, m))
 
 
 def value_copy(product):
@@ -331,6 +351,61 @@ class TestDistanceByValue:
             assert calls == [distinct[0], distinct[0][::-1], *distinct[1:]]
 
 
+# every form, bump_composed over each inner form, and pairs that are == but print a different zero
+WRITER_MAPS = (
+    sd.Affine(0.1, 0.8),
+    sd.Affine(0.25, 0.5),
+    sd.BumpedAffine(0.1, 0.8, 0.0),
+    sd.BumpedAffine(0.1, 0.8, -0.0),
+    sd.BumpedAffine(0.2, 0.6, -0.3),
+    sd.Plateau(0.5, 0.4, 0.6),
+    sd.BumpComposed(0.4, sd.Plateau(0.5, 0.4, 0.6)),
+    sd.BumpComposed(0.0, sd.Affine(0.1, 0.8)),
+    sd.BumpComposed(-0.0, sd.Affine(0.1, 0.8)),
+    sd.BumpComposed(-0.25, sd.BumpedAffine(0.1, 0.8, -0.0)),
+)
+
+
+def assert_dumped(product):
+    """The writer's text is json.dumps's; a failure shows only where they first differ."""
+    got, expected = _product_text(product), json.dumps(product.to_json(), indent=2, sort_keys=True) + "\n"
+    same = got == expected
+    at = 0 if same else next((k for k, (a, b) in enumerate(zip(got, expected)) if a != b), len(got))
+    assert same, f"texts differ at {at}: {got[at - 60 : at + 60]!r} != {expected[at - 60 : at + 60]!r}"
+    return got
+
+
+class TestProductText:
+    """`approx`'s product writer gives json.dumps's text."""
+
+    @given(
+        three=st.booleans(),
+        window=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        picks=st.lists(st.integers(0, len(WRITER_MAPS) - 1), min_size=1, max_size=12),
+        fresh=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_json_dumps(self, full2, uniform_chain, three, window, picks, fresh):
+        system, chain = (THREE_SYMBOL, THREE_SYMBOL_CHAIN) if three else (full2, uniform_chain)
+        words = system.words(window[0] + window[1] + 1)
+        # maps cycle through the picks; fresh gives every word its own value-equal copy
+        maps = [WRITER_MAPS[picks[k % len(picks)]] for k in range(len(words))]
+        if fresh:
+            maps = [sd.map_from_json(sd.map_to_json(f)) for f in maps]
+        product = sd.MultistepSkewProduct(system, chain, window, dict(zip(words, maps)))
+        assert_dumped(product)
+
+    def test_signed_zero_spec(self, full2, uniform_chain):
+        spec = signed_zero_spec(full2, uniform_chain)
+        for m in (0, 1, 2):
+            text = assert_dumped(sd.multistep_approximation(spec, m))
+        assert text.count('"c": -0.0') == 1
+
+    def test_shipped_ladder(self, shipped_ladder):
+        for approx in shipped_ladder.values():
+            assert_dumped(approx)
+
+
 class TestMultistepApproximation:
     @pytest.mark.parametrize("seed", [None, 3, 29])
     def test_one_object_per_map_value(self, full2, uniform_chain, shipped_ladder, seed):
@@ -355,6 +430,45 @@ class TestMultistepApproximation:
             text = json.dumps(sd.multistep_approximation(spec, m).to_json())
             assert text == json.dumps(reference_approximation(spec, m).to_json())
             assert text.count('"c": -0.0') == 1
+
+    @pytest.mark.parametrize("name", ["shipped", "random 3", "random 29", "signed zero", "three symbols"])
+    def test_array_values_equal_per_word_sums(self, full2, uniform_chain, name):
+        spec = {
+            "shipped": lambda: load_config(str(CONTINUOUS_GEOMETRIC), {}).continuous,
+            "random 3": lambda: random_spec(full2, uniform_chain, 3),
+            "random 29": lambda: random_spec(full2, uniform_chain, 29, offset=0.05),
+            "signed zero": lambda: signed_zero_spec(full2, uniform_chain),
+            "three symbols": lambda: three_symbol_spec(11),
+        }[name]()
+        for m in range(6):
+            got = sd.multistep_approximation(spec, m)
+            reference = reference_approximation(spec, m)
+            assert json.dumps(got.to_json()) == json.dumps(reference.to_json())
+            # words share one object exactly when they share the symbol and the printed map
+            words = spec.base.words(2 * m + 1)
+            shared, first = {}, {}
+            assert [shared.setdefault(id(got.assignment[w]), k) for k, w in enumerate(words)] == [
+                first.setdefault((w[m], json.dumps(sd.map_to_json(reference.assignment[w]))), k)
+                for k, w in enumerate(words)
+            ]
+
+    @pytest.mark.parametrize("three", [False, True])
+    def test_invalid_approximant_names_first_word(self, full2, uniform_chain, three):
+        # a series in class at its extremes keeps every approximant in class, so
+        # raise symbol 1's base value past the validated range after the fact
+        spec = three_symbol_spec(11) if three else geometric_spec(full2, uniform_chain)
+        params = list(spec.symbol_params)
+        values = sorted(f.a for w, f in reference_maps(spec, 1).items() if w[1] == 1)
+        shift = 1.0 - params[0]["b"] - values[len(values) // 2]
+        params[0] = {**params[0], "a": params[0]["a"] + shift}
+        object.__setattr__(spec, "symbol_params", tuple(params))
+        for m in (1, 3, 5):
+            bad = [(w, f) for w, f in reference_maps(spec, m).items() if not sd.validate_class(f)]
+            assert 0 < len(bad) < len(spec.base.words(2 * m + 1))
+            word, fmap = bad[0]
+            with pytest.raises(InvalidApproximationError) as info:
+                sd.multistep_approximation(spec, m)
+            assert str(info.value) == f"word {word}: {sd.validate_class(fmap).reason}"
 
     def test_padding_keeps_signed_zero(self, full2, uniform_chain):
         spec = signed_zero_spec(full2, uniform_chain)

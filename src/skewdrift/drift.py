@@ -221,7 +221,7 @@ class DriftCertificate:
         return {
             "direction": self.direction,
             "window": list(self.graph.window),
-            "values": [{"word": list(w), "value": v} for w, v in zip(words, self.graph.values.tolist())],
+            "values": [{"word": w, "value": v} for w, v in zip(map(list, words), self.graph.values.tolist())],
             "margin": self.margin,
             "product_fingerprint": self.product_fingerprint,
         }
@@ -338,6 +338,8 @@ class DriftClassifier:
         witnesses, self._up, self._down, self.truncated_chains = self._chains()
         self._up_index, self._up_region = self._build_index(witnesses, self._up, up=True)
         self._down_index, self._down_region = self._build_index(witnesses, self._down, up=False)
+        # the last coordinate a query reads: an index window's right end, or r - 1 for refinement
+        self._read_hi = max(self._up_index[0].window[1], self._down_index[0].window[1], self.product_window[1] - 1)
         self._witnesses = [(window, graphs, margins) for window, graphs, _, margins in witnesses]  # no images
         self._certificates = {}  # (direction, tag) -> certificate of an index hit
         self._check_disjoint()
@@ -357,8 +359,9 @@ class DriftClassifier:
         levels = np.array(LEVEL_GRID)
         # (window, level indices, values)
         groups = [((0, 0), np.arange(len(levels)), np.repeat(levels[:, None], system.alphabet_size, axis=1))]
-        found = {}  # common window -> (group, [(graph rows, image rows, margins) of each step and image window])
-        keys = [np.empty((5, 0), dtype=np.int64)]  # level, step, is Up, group and row of each witness
+        found = {}  # common window -> [group, [(graph, image, margin rows) per step and image window], row count]
+        # level indices, Up flags, step, group and first row of each step and image window's witnesses
+        keys = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), 0, 0, 0)]
         truncated = 0
         for step in range(self.depth + 1):
             advanced = []
@@ -373,17 +376,20 @@ class DriftClassifier:
                     common, g, e, up, down = _drift_arrays(system, window, values[rows], image_window, image_values)
                     is_up = up >= DELTA_CERT
                     hits = np.flatnonzero(is_up | (down >= DELTA_CERT))
-                    k, parts = found.setdefault(common, (len(found), []))
-                    n, start = len(hits), sum(len(margins) for *_, margins in parts)
-                    keys.append(np.stack([chains[rows[hits]], np.full(n, step), is_up[hits], np.full(n, k),
-                                          np.arange(start, start + n)]))
+                    k, parts, start = entry = found.setdefault(common, [len(found), [], 0])
+                    entry[2] += len(hits)
+                    keys.append((chains[rows[hits]], is_up[hits], step, k, start))
                     parts.append((g[hits], e[hits], np.where(is_up, up, down)[hits]))
                     advanced.append((image_window, chains[rows], image_values))
             groups = advanced
-        level, step, is_up, group, row = np.concatenate(keys, axis=1)
+        level, is_up, *per_part = zip(*keys)
+        counts = list(map(len, level))
+        step, group, first = (np.repeat(v, counts) for v in per_part)
+        level, is_up = np.concatenate(level), np.concatenate(is_up)
+        row = first + np.arange(len(level)) - np.repeat(np.cumsum(counts) - counts, counts)
         order = np.lexsort((step, level))
-        up, down = order[is_up[order] == 1], order[is_up[order] == 0]
-        witnesses = [(window, *map(np.concatenate, zip(*parts))) for window, (_, parts) in found.items()]
+        up, down = order[is_up[order]], order[~is_up[order]]
+        witnesses = [(window, *map(np.concatenate, zip(*parts))) for window, (_, parts, _) in found.items()]
         return witnesses, (group[up], row[up]), (group[down], row[down]), truncated
 
     def _build_index(self, witnesses: list, places, up: bool) -> tuple[tuple[BoxRegion, np.ndarray], BoxRegion]:
@@ -449,8 +455,12 @@ class DriftClassifier:
         base (a symbol outside the alphabet or a forbidden transition)
         raises ValueError.
         """
+        return self._codes(lo, rows, xs, narrow=False)
+
+    def _codes(self, lo: int, rows, xs, narrow: bool) -> np.ndarray:
+        """classify_arrays; narrow rows need to reach only _read_hi, the last coordinate a query reads."""
         rows, xs = _as_batch(rows, xs)
-        up_tag, down_tag, up_level, down_level = self._search(lo, rows, xs, exhaustive=False)
+        up_tag, down_tag, up_level, down_level = self._search(lo, rows, xs, False, narrow)
         codes = np.full(len(xs), _UNKNOWN_CODE, dtype=np.int8)
         codes[(up_tag >= 0) | ~np.isnan(up_level)] = _UP_CODE
         codes[(down_tag >= 0) | ~np.isnan(down_level)] = _DOWN_CODE
@@ -482,15 +492,16 @@ class DriftClassifier:
             raise RuntimeError(f"internal inconsistency: refined level {level} is not {direction}")
         return DriftCertificate(direction.lower(), outcome.graph, outcome.margin, self._fingerprint)
 
-    def _search(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool):
+    def _search(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool, narrow: bool = False):
         """Per point: Up and Down index tags (-1 for none), then Up and Down refined levels (NaN for none).
 
         Refinement runs only for points the index leaves open. A point's Down
-        search follows only when Up found nothing, unless the search is
-        exhaustive, which runs both directions independently. Raises
-        ValueError for a row that is not a word of the base space.
+        search counts only when Up found nothing, unless the search is
+        exhaustive. Rows cover required_range, with narrow only up to _read_hi.
+        Raises ValueError for a row that is not a word of the base space.
         """
         need_lo, need_hi = self.required_range()
+        need_hi = self._read_hi if narrow else need_hi
         have_hi = lo + rows.shape[1] - 1
         if not (lo <= need_lo and need_hi <= have_hi):
             raise WindowTooShortError((need_lo, need_hi), (lo, have_hi), f"classification at depth {self.depth}")
@@ -504,25 +515,21 @@ class DriftClassifier:
         )
         if not exhaustive and ((up_tag >= 0) & (down_tag >= 0)).any():
             raise RuntimeError("internal inconsistency: point certified both Up and Down")
-        up_level = np.full(len(xs), np.nan)
-        down_level = np.full(len(xs), np.nan)
-        todo = inside & (up_tag < 0) & (exhaustive | (down_tag < 0))
-        if todo.any():
-            up_level[todo] = self._refine(lo, rows[todo], xs[todo], up=True)
-        todo = inside & (down_tag < 0) & (exhaustive | ((up_tag < 0) & np.isnan(up_level)))
-        if todo.any():
-            down_level[todo] = self._refine(lo, rows[todo], xs[todo], up=False)
-        return up_tag, down_tag, up_level, down_level
+        open_up, open_down = inside & (up_tag < 0), inside & (down_tag < 0)
+        if not exhaustive:
+            open_up = open_down = open_up & open_down
+        return (up_tag, down_tag, *self._refine(lo, rows, xs, open_up, open_down, exhaustive))
 
-    def _refine(self, lo: int, rows: np.ndarray, xs: np.ndarray, up: bool) -> np.ndarray:
+    def _refine(self, lo: int, rows: np.ndarray, xs: np.ndarray, up, down, exhaustive: bool):
         """Binary search, per point, for a constant-graph level whose strip straddles it.
 
-        Returns the level, or NaN where the search fails. Sound for any
-        system; complete only when the fiber displacement over the searched
-        side changes sign once, which covers the witness gaps the 64-level
-        grid leaves near slow equilibria.
+        up and down mark the points searched in each direction. Returns rows
+        of Up and Down levels, NaN where a search fails or does not run.
+        Sound for any system; complete only when the fiber displacement over
+        the searched side changes sign once, which covers the witness gaps
+        the 64-level grid leaves near slow equilibria.
 
-        All points bisect in lockstep, and each step decides as
+        All searches bisect in lockstep, and each step decides as
         certify_drift(product, StepGraph.constant(level)) would. The image of
         the constant graph at level c takes the value f_k(c) over every base
         point whose predecessor defining word, on coordinates [-l-1, r-1], is
@@ -532,42 +539,51 @@ class DriftClassifier:
         all of the product's maps, and the image level at a point is f_k(c)
         at its own k. Map values on arrays are bit-identical to scalar ones,
         so every decision is the scalar one, bit for bit.
+
+        Down runs as Up on the negated map values, level and x: negation is
+        exact, min(-v) == -max(v) and -fl(a - b) == fl(-a + b), so every
+        decision keeps its bits. Unless the search is exhaustive, a point's
+        Down search stops, and its level is dropped, once its Up search finds one.
         """
-        levels = np.full(len(xs), np.nan)
-        if not len(xs):
-            return levels
+        out = np.full((2, len(xs)), np.nan)
+        points = np.concatenate([np.flatnonzero(up), np.flatnonzero(down)])
+        if not len(points):
+            return out
+        m = int(up.sum())  # searches 0..m-1 are Up, the rest Down
         l, r = self.product_window
         size = l + 2 + max(r - 1, 0)
         if size > WINDOW_CAP:
             raise ResourceBoundError(f"image window size {size} exceeds the bound {WINDOW_CAP}")
-        slot = self._slots[self.base.word_ranks(rows, -l - 1 - lo, l + r + 1)]
-        active, x = np.arange(len(xs)), xs
-        lower, upper = (np.zeros_like(xs), xs) if up else (xs, np.ones_like(xs))
+        slot = self._slots[self.base.word_ranks(rows[points], -l - 1 - lo, l + r + 1)]
+        levels = np.full(len(points), np.nan)
+        active, s = np.arange(len(points)), np.where(np.arange(len(points)) < m, 1.0, -1.0)
+        x = upper = s * xs[points]
+        lower, stop = np.minimum(s, 0.0), np.zeros(len(points), dtype=bool)
         for _ in range(REFINE_STEPS):
             level = 0.5 * (lower + upper)
-            # level lies in [lower, upper] inside [0, x] or [x, 1], so only one end can be hit
-            valid = level > 0.0 if up else level < 1.0
+            # level lies in [lower, upper] inside [0, x] or [-1, x], so only the lower end 0 or -1 can be hit
+            valid = level > np.minimum(s, 0.0)
             if not valid.all():
-                active, x, slot, lower, upper, level = (v[valid] for v in (active, x, slot, lower, upper, level))
+                active, s, x, slot, lower, upper, level = (v[valid] for v in (active, s, x, slot, lower, upper, level))
             if not len(active):
                 break
-            values = self._maps.eval_all(level)
+            values = self._maps.eval_all(s * level) * s
             image = values[slot, np.arange(len(active))]
-            # rounding is monotone, so min_k fl(f_k(c) - c) is fl(min_k f_k(c) - c); max likewise
-            if up:
-                drifting = values.min(axis=0) - level - 2.0 * EPS_ROUND >= DELTA_CERT
-                move_lo = drifting & (image - x < DELTA_CERT)
-                move_hi = ~drifting | (~move_lo & (x - level < DELTA_CERT))
-            else:
-                drifting = -(values.max(axis=0) - level) - 2.0 * EPS_ROUND >= DELTA_CERT
-                move_hi = drifting & (x - image < DELTA_CERT)
-                move_lo = ~drifting | (~move_hi & (level - x < DELTA_CERT))
+            # rounding is monotone, so min_k fl(f_k(c) - c) is fl(min_k f_k(c) - c)
+            drifting = values.min(axis=0) - level - 2.0 * EPS_ROUND >= DELTA_CERT
+            move_lo = drifting & (image - x < DELTA_CERT)
+            move_hi = ~drifting | (~move_lo & (x - level < DELTA_CERT))
             lower, upper = np.where(move_lo, level, lower), np.where(move_hi, level, upper)
             moved = move_lo | move_hi
             if not moved.all():
-                levels[active[~moved]] = level[~moved]
-                active, x, slot, lower, upper = (v[moved] for v in (active, x, slot, lower, upper))
-        return levels
+                done = active[~moved]
+                levels[done] = level[~moved]
+                if not exhaustive:  # search m + i is the Down search of Up search i's point
+                    stop[done[done < m] + m] = True
+                keep = moved & ~stop[active]
+                active, s, x, slot, lower, upper = (v[keep] for v in (active, s, x, slot, lower, upper))
+        out[0, points[:m]], out[1, points[m:]] = levels[:m], np.where(stop[m:], np.nan, -levels[m:])
+        return out
 
 
 def get_classifier(product: MultistepSkewProduct, depth: int) -> DriftClassifier:

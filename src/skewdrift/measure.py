@@ -75,7 +75,9 @@ def estimate_regions(product: MultistepSkewProduct, depth: int, n: int, seed) ->
     """Classify n sampled points at the given depth and measure certified boxes.
 
     Sampling draws a private row of uniforms per point up front, so the result
-    is a pure function of the seed regardless of execution order.
+    is a pure function of the seed regardless of execution order. A row holds
+    a uniform per coordinate of required_range, then x, but symbols are drawn
+    (left to right) and checked only up to the last coordinate a query reads.
     """
     if n < 100:
         raise ValueError("need at least 100 samples")
@@ -84,8 +86,8 @@ def estimate_regions(product: MultistepSkewProduct, depth: int, n: int, seed) ->
     width = hi - lo + 1
     rng = np.random.default_rng(seed)
     uniforms = rng.random((n, width + 1))
-    symbol_rows = _symbols_from_uniforms(product.chain, uniforms[:, :width])
-    codes = classifier.classify_arrays(lo, symbol_rows, uniforms[:, width])
+    symbol_rows = _symbols_from_uniforms(product.chain, uniforms[:, : classifier._read_hi - lo + 1])
+    codes = classifier._codes(lo, symbol_rows, uniforms[:, width], narrow=True)
     counts = dict(zip(VERDICTS, np.bincount(codes, minlength=len(VERDICTS)).tolist()))
     up_region = classifier.certified_boxes(UP)
     down_region = classifier.certified_boxes(DOWN)

@@ -89,7 +89,8 @@ class MultistepSkewProduct:
         extra = set(assignment) - set(words)
         if extra:
             raise ValueError(f"assignment contains inadmissible word {sorted(extra)[0]}")
-        for w in words:
+        # each distinct map object once, at its first word (words are sorted, and they often share a map)
+        for w in sorted({id(assignment[w]): w for w in reversed(words)}.values()):
             check = validate_class(assignment[w])
             if not check:
                 raise ValueError(f"fiber map for word {w}: {check.reason}")

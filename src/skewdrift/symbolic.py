@@ -361,13 +361,14 @@ def _symbols_from_uniforms(chain: MarkovChain, u: np.ndarray) -> np.ndarray:
     rows are chunked across workers. Columns are drawn one after another
     into a narrow (width, n) buffer: the next symbol counts the thresholds
     of the current one's cumulative row that lie at or below the uniform.
-    The last threshold (1 up to rounding) is not counted: rows are
-    non-decreasing, so counting it could only turn nsym - 1 into nsym, one
-    past the last symbol.
+    Threshold k counts only where a later symbol of its row has positive
+    probability (inf elsewhere), so that a uniform above a row sum just below
+    1 picks no forbidden symbol; the last threshold never counts.
     """
     n, width = u.shape
     nsym = chain.base.alphabet_size
-    thresholds = [np.ascontiguousarray(chain._cum_rows[:, k]) for k in range(nsym - 1)]
+    P = chain.stochastic
+    thresholds = [np.where((P[:, k + 1 :] > 0).any(axis=1), chain._cum_rows[:, k], np.inf) for k in range(nsym - 1)]
     out = np.empty((n, width), dtype=np.int64)
     drawn = np.empty((width, n), dtype=np.min_scalar_type(nsym))
     prev = drawn[0] = np.minimum(np.searchsorted(chain._cum_start, u[:, 0], side="right"), nsym - 1)

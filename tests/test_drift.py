@@ -309,7 +309,7 @@ class TestCertificateSerialization:
 
 
 def _reference_refine(product, point, up):
-    """Per-point bisection through certify_drift: the reference for the lockstep refine."""
+    """Per-point bisection through certify_drift, the reference for the lockstep refine: its level, or None."""
     x = point.x
     lo, hi = (0.0, x) if up else (x, 1.0)
     for _ in range(REFINE_STEPS):
@@ -327,15 +327,15 @@ def _reference_refine(product, point, up):
             elif x - level < DELTA_CERT:
                 hi = level
             else:
-                return True
+                return level
         else:
             if x - image_level < DELTA_CERT:
                 hi = level
             elif level - x < DELTA_CERT:
                 lo = level
             else:
-                return True
-    return False
+                return level
+    return None
 
 
 cached_region_dict = functools.cache(region_dict)
@@ -356,7 +356,7 @@ def _reference_verdict(product, classifier, point):
     if hits:
         return hits[0]
     for direction, up in ((UP, True), (DOWN, False)):
-        if _reference_refine(product, point, up):
+        if _reference_refine(product, point, up) is not None:
             return direction
     return UNKNOWN
 
@@ -1065,3 +1065,195 @@ class TestTagCertificates:
                 assert a is not b and a.to_json() == b.to_json()
         mine = {id(cert) for cert in sd.get_classifier(first, 6)._certificates.values()}
         assert mine and mine.isdisjoint(id(cert) for cert in sd.get_classifier(second, 6)._certificates.values())
+
+
+def _boundary_points(points):
+    """The points again with fiber coordinates at and next to the ends of (0, 1)."""
+    edges = [0.0, 5e-324, 1e-300, 1e-17, 1e-12, 1.0 - 1e-12, np.nextafter(1.0, 0.0), 1.0]
+    return [sd.LabeledPoint(p.window, float(x)) for p, x in zip(points, edges)]
+
+
+class TestLockstepRefine:
+    """The signed lockstep search finds, per point and direction, the level of a per-point bisection."""
+
+    def check(self, product, depth, points):
+        points = list(points)
+        points += _boundary_points(points)
+        classifier = sd.get_classifier(product, depth)
+        rows, xs = drift._as_batch([p.window.symbols for p in points], [p.x for p in points])
+        reference = functools.cache(lambda i, up: _reference_refine(product, points[i], up))
+        seen = Counter()
+        for exhaustive in (False, True):
+            up_tag, down_tag, up_level, down_level = classifier._search(points[0].window.lo, rows, xs, exhaustive)
+            for i, point in enumerate(points):
+                inside = 0.0 < point.x < 1.0
+                want_up = reference(i, True) if inside and up_tag[i] < 0 and (exhaustive or down_tag[i] < 0) else None
+                runs_down = inside and down_tag[i] < 0 and (exhaustive or (up_tag[i] < 0 and want_up is None))
+                want_down = reference(i, False) if runs_down else None
+                for direction, got, want in ((UP, up_level[i], want_up), (DOWN, down_level[i], want_down)):
+                    assert np.isnan(got) if want is None else got == want, (exhaustive, direction, point)
+                    seen[exhaustive, direction] += want is not None
+        # both directions find levels in both modes
+        assert all(seen[exhaustive, direction] for exhaustive in (False, True) for direction in (UP, DOWN)), seen
+
+    @pytest.mark.parametrize("tau", [-0.002, -0.0005, 0.0, 0.0005, 0.002])
+    def test_plateau_members_near_zero(self, const_plateau, tau):
+        family = sd.MonotoneFamily(const_plateau, 1.0, (-0.025, 0.025))
+        member = sd.family_member(family, tau)
+        self.check(member, 10, sampled_points(member, 10, 150, seed=51))
+
+    def test_criterion_2_pair_at_depth_8(self, full2, uniform_chain, ms_full):
+        for k, product in enumerate((ms_full, multistep_affines(full2, uniform_chain, base_offset=0.09))):
+            self.check(product, 8, sampled_points(product, 8, 300, seed=52 + k))
+
+    def test_golden_affine(self):
+        product = load_config(str(CONFIGS / "golden_affine.json")).product
+        assert not (product.base.transitions == 1).all()
+        # both maps fix 0.5, and only points near it are left to refinement
+        points = list(sampled_points(product, 6, 200, seed=54))
+        offsets = [s * 10.0**-k for k in range(2, 10) for s in (-1, 1)]
+        points = [sd.LabeledPoint(p.window, 0.5 + d) for p, d in zip(points, offsets * 10)]
+        self.check(product, 6, points)
+
+
+class TestNarrowRows:
+    """The private entry estimate_regions uses reads rows only up to the last coordinate a query reads."""
+
+    @staticmethod
+    def products(const_plateau, full2, uniform_chain, ms_full):
+        family = sd.MonotoneFamily(const_plateau, 1.0, (-0.025, 0.025))
+        right_2 = {w: sd.Affine(0.06 + 0.01 * i, 0.75) for i, w in enumerate(full2.words(3))}
+        yield from ((sd.family_member(family, tau), 10) for tau in (-0.004, 0.0, 0.004))
+        yield ms_full, 8
+        yield multistep_affines(full2, uniform_chain, base_offset=0.09), 8
+        yield load_config(str(CONFIGS / "golden_affine.json")).product, 6
+        yield sd.MultistepSkewProduct(full2, uniform_chain, (0, 2), right_2), 4
+
+    def test_same_codes_as_full_rows(self, const_plateau, full2, uniform_chain, ms_full):
+        for k, (product, depth) in enumerate(self.products(const_plateau, full2, uniform_chain, ms_full)):
+            classifier = sd.get_classifier(product, depth)
+            lo, hi = classifier.required_range()
+            read = classifier._read_hi
+            windows = [classifier.certified_boxes(d).window for d in (UP, DOWN)]
+            assert read == max(windows[0][1], windows[1][1], product.window[1] - 1) < hi
+            if product.window == (0, 0) and depth == 10:
+                assert (read - lo + 1, hi - lo + 1) == (12, 22)  # the plateau sweep's rows
+            uniforms = np.random.default_rng(60 + k).random((3000, hi - lo + 2))
+            full = _symbols_from_uniforms(product.chain, uniforms[:, :-1])
+            narrow = _symbols_from_uniforms(product.chain, uniforms[:, : read - lo + 1])
+            assert np.array_equal(narrow, full[:, : read - lo + 1])
+            xs = uniforms[:, -1]
+            xs[:4] = (0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0))
+            codes = classifier._codes(lo, narrow, xs, narrow=True)
+            assert np.array_equal(codes, classifier.classify_arrays(lo, full, xs))
+            assert len(set(codes.tolist())) == 3
+
+    def test_rows_short_of_read_hi(self, const_plateau, full2, uniform_chain, ms_full):
+        for product, depth in self.products(const_plateau, full2, uniform_chain, ms_full):
+            classifier = sd.get_classifier(product, depth)
+            lo, hi = classifier.required_range()
+            read = classifier._read_hi
+            rows = np.array([sd.sample_window(product.chain, lo, read, np.random.default_rng(3)).symbols] * 2)
+            assert classifier._codes(lo, rows, [0.3, 0.7], narrow=True).shape == (2,)
+            for start, short in ((lo, rows[:, :-1]), (lo + 1, rows[:, 1:])):
+                with pytest.raises(WindowTooShortError) as err:
+                    classifier._codes(start, short, [0.3, 0.7], narrow=True)
+                assert err.value.needed == (lo, read)
+                assert err.value.have == (start, start + short.shape[1] - 1)
+            # the public entry still needs the whole required range
+            with pytest.raises(WindowTooShortError) as err:
+                classifier.classify_arrays(lo, rows, [0.3, 0.7])
+            assert err.value.needed == (lo, hi)
+
+    def test_admissibility_checked_up_to_read_hi(self):
+        product = load_config(str(CONFIGS / "golden_affine.json")).product
+        classifier = sd.get_classifier(product, 6)
+        lo, hi = classifier.required_range()
+        read = classifier._read_hi
+        rows = np.ones((2, hi - lo + 1), dtype=np.int64)
+        rows[1, read - lo - 1 : read - lo + 1] = 2
+        with pytest.raises(ValueError, match=f"transition 2 -> 2 at coordinates {read - 1}, {read} of point 1"):
+            classifier._codes(lo, rows[:, : read - lo + 1], [0.3, 0.7], narrow=True)
+        # past read_hi only the public entry, which checks every column it is given, sees a forbidden pair
+        rows[1] = 1
+        rows[1, hi - lo - 1 :] = 2
+        assert classifier._codes(lo, rows[:, : read - lo + 1], [0.3, 0.7], narrow=True).shape == (2,)
+        with pytest.raises(ValueError, match="of point 1 is forbidden"):
+            classifier.classify_arrays(lo, rows, [0.3, 0.7])
+
+
+def _old_form_chains(classifier):
+    """_chains with its keys built as before: a (5, n) block stacked per step, first rows by a running sum."""
+    system = classifier.base
+    levels = np.array(LEVEL_GRID)
+    groups = [((0, 0), np.arange(len(levels)), np.repeat(levels[:, None], system.alphabet_size, axis=1))]
+    found = {}
+    keys = [np.empty((5, 0), dtype=np.int64)]
+    truncated = 0
+    for step in range(classifier.depth + 1):
+        advanced = []
+        for window, chains, values in groups:
+            try:
+                raw, image = drift._image_arrays(
+                    system, classifier.product_window, classifier._maps, classifier._slots, window, values
+                )
+            except ResourceBoundError:
+                truncated += len(chains)
+                continue
+            for image_window, rows, image_values in drift._minimized(system, raw, image):
+                common, g, e, up, down = drift._drift_arrays(system, window, values[rows], image_window, image_values)
+                is_up = up >= DELTA_CERT
+                hits = np.flatnonzero(is_up | (down >= DELTA_CERT))
+                k, parts = found.setdefault(common, (len(found), []))
+                n, start = len(hits), sum(len(margins) for *_, margins in parts)
+                keys.append(np.stack([chains[rows[hits]], np.full(n, step), is_up[hits], np.full(n, k),
+                                      np.arange(start, start + n)]))
+                parts.append((g[hits], e[hits], np.where(is_up, up, down)[hits]))
+                advanced.append((image_window, chains[rows], image_values))
+        groups = advanced
+    level, step, is_up, group, row = np.concatenate(keys, axis=1)
+    order = np.lexsort((step, level))
+    up, down = order[is_up[order] == 1], order[is_up[order] == 0]
+    witnesses = [(window, *map(np.concatenate, zip(*parts))) for window, (_, parts) in found.items()]
+    return witnesses, (group[up], row[up]), (group[down], row[down]), truncated
+
+
+class TestChainKeys:
+    """Witness keys built once per classifier give the tags, groups and rows of the per-step stacked keys."""
+
+    def check(self, product, depth):
+        classifier = sd.DriftClassifier(product, depth)
+        got, want = classifier._chains(), _old_form_chains(classifier)
+        assert got[3] == want[3] == classifier.truncated_chains
+        for (window, *arrays), (want_window, *want_arrays) in zip(got[0], want[0], strict=True):
+            assert window == want_window
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(arrays, want_arrays, strict=True))
+        for places, want_places in zip(got[1:3], want[1:3]):
+            for a, b in zip(places, want_places, strict=True):
+                assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+        return classifier
+
+    def test_fixture_systems(self, const_affine, const_plateau, two_map, ms_full, golden_ms):
+        for product in (const_affine, const_plateau, two_map, ms_full, golden_ms):
+            self.check(product, 6)
+
+    @pytest.mark.parametrize("tau", [-0.004, 0.0, 0.004])
+    def test_plateau_members(self, const_plateau, tau):
+        family = sd.MonotoneFamily(const_plateau, 1.0, (-0.025, 0.025))
+        self.check(sd.family_member(family, tau), 10)
+
+    def test_groups_over_many_windows(self, full2, uniform_chain, ms_full):
+        # window (1, 1) at depth 8 and 10: many groups, chains cut short at the cap
+        for product in (ms_full, multistep_affines(full2, uniform_chain, base_offset=0.09)):
+            self.check(product, 8)
+        assert self.check(ms_full, 10).truncated_chains == len(LEVEL_GRID)
+        for window in [(1, 0), (1, 1)]:
+            self.check(_three_symbol_product(window, sd.Affine(0.1, 0.8)), 4)
+
+    def test_one_direction_and_no_witness(self, full2, uniform_chain):
+        self.check(constant_product(full2, uniform_chain, sd.Affine(0.0499, 0.95)), 3)
+        # every chain is cut short at its first step: no witness in either direction
+        wide = sd.MultistepSkewProduct(full2, uniform_chain, (11, 0), {w: sd.Affine(0.1, 0.8) for w in full2.words(12)})
+        classifier = self.check(wide, 0)
+        assert classifier.truncated_chains == len(LEVEL_GRID)
+        assert all(len(place) == 0 for place in (*classifier._up, *classifier._down))

@@ -143,6 +143,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="f\\(1\\)"):
             constant_product(full2, uniform_chain, f)
 
+    def test_shared_map_error_names_its_first_word(self, full2, uniform_chain, monkeypatch):
+        good, bad, worse = sd.Affine(0.1, 0.8), sd.Affine(0.2, 0.8), sd.Affine(0.3, 0.8)
+        words = full2.words(2)
+        calls = []
+        validate = products.validate_class
+        monkeypatch.setattr(products, "validate_class", lambda f: calls.append(f) or validate(f))
+        for maps in ((good, bad, worse, bad), (good, worse, bad, bad), (bad, good, worse, bad), (good, good, good, bad)):
+            first = next(w for w, f in zip(words, maps) if not validate(f))
+            reason = validate(dict(zip(words, maps))[first]).reason
+            with pytest.raises(ValueError) as err:
+                sd.MultistepSkewProduct(full2, uniform_chain, (1, 0), dict(zip(words, maps)))
+            assert str(err.value) == f"fiber map for word {first}: {reason}"
+        # each distinct map object is validated once; a value-equal copy is another object
+        calls.clear()
+        sd.MultistepSkewProduct(full2, uniform_chain, (1, 0), dict(zip(words, (good, sd.Affine(0.1, 0.8), good, good))))
+        assert len(calls) == 2 and calls[0] is good
+
     def test_window_cap(self, full2, uniform_chain):
         with pytest.raises(ResourceBoundError):
             sd.MultistepSkewProduct(full2, uniform_chain, (6, 6), {})

@@ -9,6 +9,7 @@ from skewdrift.errors import (
     InvalidMatrixError,
     NotErgodicError,
 )
+from skewdrift.drift import _check_admissible
 from skewdrift.symbolic import _symbols_from_uniforms
 
 from conftest import FULL2, GOLDEN
@@ -231,17 +232,22 @@ class TestSampling:
 
 
 def _reference_symbols(chain, u):
-    """Row-block sampler: gather each sample's cumulative row, count thresholds <= u."""
+    """Row-block sampler: gather each sample's cumulative row, count thresholds <= u.
+
+    A uniform at or above the row's sum, which can fall just below 1, picks
+    the row's last symbol of positive probability.
+    """
     n, width = u.shape
     nsym = chain.base.alphabet_size
     cum_rows = chain._cum_rows
+    last = nsym - 1 - np.argmax(chain.stochastic[:, ::-1] > 0, axis=1)
     out = np.empty((n, width), dtype=np.int64)
     first = np.searchsorted(chain._cum_start, u[:, 0], side="right")
     out[:, 0] = np.minimum(first, nsym - 1) + 1
     for j in range(1, width):
         rows = cum_rows[out[:, j - 1] - 1]
         nxt = (rows <= u[:, j, None]).sum(axis=1)
-        out[:, j] = np.minimum(nxt, nsym - 1) + 1
+        out[:, j] = np.minimum(nxt, last[out[:, j - 1] - 1]) + 1
     return out
 
 
@@ -281,3 +287,60 @@ class TestSymbolsFromUniforms:
         rng = np.random.default_rng(4)
         u = rng.choice(edges, size=(2000, 9))
         assert np.array_equal(_symbols_from_uniforms(chain, u), _reference_symbols(chain, u))
+
+
+class _FixedUniforms:
+    """Stand-in generator whose random(size) returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        return self.u[:size].copy()
+
+
+def _edge_uniforms(chain, rng, shape):
+    """Uniforms drawn from the chain's thresholds, 0.0 and the largest float below 1."""
+    edges = np.unique(np.concatenate([chain._cum_rows.ravel(), chain._cum_start, [0.0, np.nextafter(1.0, 0.0)]]))
+    return rng.choice(edges[edges < 1.0], size=shape)
+
+
+class TestRowsEndingInZeros:
+    """A row whose positive entries sum to just below 1 never sends the sampler to a forbidden symbol."""
+
+    def test_regression_chain(self):
+        # 0.7 + 0.2 + 0.1 sums to 0.9999999999999999, which ROW_SUM_TOL accepts; counting the
+        # thresholds up to the last positive entry at u = nextafter(1, 0) would give symbol 4
+        system = sd.TransitionSystem(np.array([[1, 1, 1, 0]] + [[1, 1, 1, 1]] * 3))
+        chain = sd.MarkovChain(system, np.array([[0.7, 0.2, 0.1, 0.0]] + [[0.25] * 4] * 3))
+        top = np.nextafter(1.0, 0.0)
+        assert chain._cum_rows[0, 2] == top
+        u = np.array([[0.0, top], [0.0, 0.75], [0.0, 0.5]])
+        rows = _symbols_from_uniforms(chain, u)
+        assert rows.tolist() == [[1, 3], [1, 2], [1, 1]]
+        assert np.array_equal(rows, _reference_symbols(chain, u))
+        _check_admissible(system, 0, rows)
+        # sample_window draws with the same sampler
+        assert sd.sample_window(chain, 0, 1, _FixedUniforms([0.0, top])).symbols == (1, 3)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sampled_rows_admissible(self, data):
+        n = data.draw(st.integers(2, 5), label="alphabet size")
+        # a cycle keeps the support strongly connected; other entries, trailing ones too, may be 0
+        extra = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n), label="support")
+        support = np.array(extra).reshape(n, n) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
+        # tenths and other short fractions, whose float sums often miss 1 by an ulp
+        weights = np.array(data.draw(st.lists(st.integers(1, 9), min_size=n * n, max_size=n * n), label="weights"))
+        weights = weights.reshape(n, n) * support
+        stochastic = weights / weights.sum(axis=1, keepdims=True)
+        system = sd.TransitionSystem(support.astype(int))
+        chain = sd.MarkovChain(system, stochastic)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        u = _edge_uniforms(chain, rng, (300, 6))
+        u[::7, 1:] = np.nextafter(1.0, 0.0)
+        rows = _symbols_from_uniforms(chain, u)
+        _check_admissible(system, 0, rows)
+        assert np.array_equal(rows, _reference_symbols(chain, u))
+        window = sd.sample_window(chain, -2, 3, _FixedUniforms(u[0]))
+        assert system.admits(window.symbols)

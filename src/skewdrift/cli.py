@@ -201,7 +201,7 @@ def run(command: str, config_path: str, *, seed=None, depth=None, samples=None,
             return _cmd_approx(cfg, out_dir)
         print(f"unknown command {command!r}", file=sys.stderr)
         return 2
-    except ResourceBoundError as exc:
+    except (ResourceBoundError, MemoryError) as exc:  # numpy raises MemoryError for an array it cannot allocate
         print(f"resource bound: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:
@@ -219,7 +219,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override analysis.seed")
     parser.add_argument("--depth", type=int, default=None, help="override analysis.depth (m for approx)")
     parser.add_argument("--samples", type=int, default=None, help="override analysis.samples")
-    parser.add_argument("--grid", type=str, default=None, help='override sweep grid as "lo:hi:step"')
+    parser.add_argument("--grid", type=str, default=None,
+                        help="override sweep grid as --grid=LO:HI:STEP (the = form also takes LO < 0)")
     parser.add_argument("--out", type=str, default=".", help="output directory")
     parser.add_argument("--points", type=str, default=None, help="input points CSV for classify")
     args = parser.parse_args(argv)

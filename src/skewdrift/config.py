@@ -23,14 +23,17 @@ applies to the product section.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ResourceBoundError
 from .measure import MonotoneFamily
 from .products import ContinuousProductSpec, MultistepSkewProduct
 from .symbolic import MarkovChain, TransitionSystem
+
+MAX_GRID_POINTS = 10**5  # most points of a "lo:hi:step" grid; the shipped sweep has 21
 
 
 @dataclass
@@ -74,14 +77,22 @@ def _integer(value, path: str) -> int:
 
 
 def parse_grid_spec(text: str) -> list[float]:
-    """Inclusive "lo:hi:step" grid."""
+    """Inclusive "lo:hi:step" grid of finite numbers, with at most MAX_GRID_POINTS points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError("grid", f"expected lo:hi:step, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
+    try:
+        lo, hi, step = (float(p) for p in parts)
+    except ValueError:
+        lo = hi = step = math.nan
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError("grid", f"lo, hi and step must be finite numbers, got {text!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("grid", "need step > 0 and hi >= lo")
-    count = int(round((hi - lo) / step))
+    steps = (hi - lo) / step  # inf where hi - lo overflows
+    count = round(steps) if math.isfinite(steps) else math.inf
+    if count >= MAX_GRID_POINTS:
+        raise ResourceBoundError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     return [lo + i * step for i in range(count + 1) if lo + i * step <= hi + 1e-12]
 
 
@@ -191,6 +202,8 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         analysis.grid = parse_grid_spec(overrides["grid"])
     if analysis.depth < 0:
         raise ConfigError("analysis.depth", "must be nonnegative")
+    if analysis.seed < 0:
+        raise ConfigError("analysis.seed", "must be nonnegative")
     if analysis.samples < 100:
         raise ConfigError("analysis.samples", "need at least 100 samples")
 

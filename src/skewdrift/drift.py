@@ -96,9 +96,10 @@ def _point_rank(system: TransitionSystem, window, point_window) -> int:
 def _image_arrays(system: TransitionSystem, product_window, maps: MapStack, slots, window, values):
     """Raw image window and image values of k graphs given as values (k, W) on a window.
 
-    See image_graph. The map and the graph word over each image word are
-    gathers by subword rank, and the maps are evaluated on the gathered
-    columns, one array call per map form.
+    See image_graph. slots holds the map of each word of the product window,
+    or a row of them per graph. The map and the graph word over each image
+    word are gathers by subword rank, and the maps are evaluated on the
+    gathered columns, one array call per map form.
     """
     l, r = product_window
     L, R = window
@@ -107,7 +108,7 @@ def _image_arrays(system: TransitionSystem, product_window, maps: MapStack, slot
     size = Lp + Rp + 1
     if size > WINDOW_CAP:
         raise ResourceBoundError(f"image window size {size} exceeds the bound {WINDOW_CAP}")
-    slot = slots[system.sub_ranks(size, Lp - l - 1, l + r + 1)]
+    slot = slots[..., system.sub_ranks(size, Lp - l - 1, l + r + 1)]
     graph_rank = system.sub_ranks(size, Lp - L - 1, L + R + 1)
     return (Lp, Rp), maps.eval_columns(slot, values[:, graph_rank])
 
@@ -151,6 +152,84 @@ def _drift_arrays(system: TransitionSystem, graph_window, graph, image_window, i
     image = image[..., system.window_ranks(image_window, (L, R))]
     drift = image - graph
     return (L, R), graph, image, drift.min(axis=-1) - 2.0 * EPS_ROUND, -drift.max(axis=-1) - 2.0 * EPS_ROUND
+
+
+def _chains(products: list, depth: int):
+    """Per product of one base and window: its chains' witness groups, Up and Down places and chains cut short.
+
+    Each level's chain is its constant graph and the graph's images up to the
+    depth; a step whose graph certifiably drifts gives a witness. All chains
+    advance together, rows (product, level) of one array per current window,
+    and stop where the next image window would exceed WINDOW_CAP. Rows map by
+    their product's slot row into the products' maps joined by value, as in
+    map_slots (one product by its own map_slots, per word), so each product
+    gets, when the returned iterator reaches it, what a pass of its own gives:
+    its witnesses on one common window form a group (window, graph rows,
+    image rows, margins), in order of first appearance, and each direction
+    tags its witnesses 0.. by level, then step, placing tag t at row row[t] of
+    group group[t].
+    """
+    if not products:
+        return iter(())
+    system, product_window, count = products[0].base, products[0].window, len(products)
+    levels = np.array(LEVEL_GRID)
+    if count == 1:
+        maps, slots = products[0].map_slots
+    else:
+        maps = MapStack(dict.fromkeys(f for p in products for f in p.map_slots[0].maps))
+        index = {f: i for i, f in enumerate(maps.maps)}
+        slots = np.array([np.array([index[f] for f in p.map_slots[0].maps])[p.map_slots[1]] for p in products])
+    # (window, chains product * len(levels) + level, values)
+    values = np.repeat(np.tile(levels, count)[:, None], system.alphabet_size, axis=1)
+    groups = [((0, 0), np.arange(count * len(levels)), values)]
+    slices = [[] for _ in products]  # per product: (part, its slice) of each step and image window it reaches
+    truncated, edges = np.zeros(count, dtype=np.int64), np.arange(count + 1) * len(levels)
+    for _ in range(depth + 1):
+        advanced = []
+        for window, chains, values in groups:
+            try:
+                row_slots = slots[chains // len(levels)] if count > 1 else slots
+                raw, image = _image_arrays(system, product_window, maps, row_slots, window, values)
+            except ResourceBoundError:
+                truncated += np.bincount(chains // len(levels), minlength=count)
+                continue
+            for image_window, rows, image_values in _minimized(system, raw, image):
+                # within the cap: a graph's right offset never exceeds its image's raw one
+                common, g, e, up, down = _drift_arrays(system, window, values[rows], image_window, image_values)
+                is_up = up >= DELTA_CERT
+                hits = np.flatnonzero(is_up | (down >= DELTA_CERT))
+                kept = chains[rows]  # chains run by product, so each product's rows and witnesses are slices
+                level = (kept[hits] % len(levels)).astype(np.min_scalar_type(len(levels)))
+                part = (common, level, is_up[hits], g[hits], e[hits], np.where(is_up, up, down)[hits])
+                present, bounds = np.searchsorted(kept, edges).tolist(), np.searchsorted(kept[hits], edges).tolist()
+                for m in range(count):
+                    if present[m] < present[m + 1]:
+                        slices[m].append((part, bounds[m], bounds[m + 1]))
+                advanced.append((image_window, kept, image_values))
+        groups = advanced
+    return map(_product_chains, slices, truncated.tolist())
+
+
+def _product_chains(slices: list, truncated: int) -> tuple:
+    """One product's _chains result from its part slices (common window, levels, Up flags, graphs, images, margins)."""
+    parts = [(part[0], *(v[a:b] for v in part[1:])) for part, a, b in slices]
+    if not parts:
+        none = np.empty(0, dtype=np.int64)
+        return [], (none, none), (none, none), truncated
+    group_of, first, size = {}, [], {}  # common window -> group; each part's first row; rows per group
+    for window, level, *_ in parts:
+        group_of.setdefault(window, len(group_of))
+        first.append(size.get(window, 0))
+        size[window] = first[-1] + len(level)
+    witnesses = [(w, *map(np.concatenate, zip(*(p[3:] for p in parts if p[0] == w)))) for w in group_of]
+    at, level, is_up = zip(*(p[:3] for p in parts))
+    counts = list(map(len, level))
+    group, first = np.repeat([group_of[w] for w in at], counts), np.repeat(first, counts)
+    level, is_up = np.concatenate(level), np.concatenate(is_up)
+    row = first + np.arange(len(level)) - np.repeat(np.cumsum(counts) - counts, counts)
+    order = np.argsort(level, kind="stable")  # by level, then step: parts come step by step
+    up, down = order[is_up[order]], order[~is_up[order]]
+    return witnesses, (group[up], row[up]), (group[down], row[down]), truncated
 
 
 def image_graph(product: MultistepSkewProduct, graph: StepGraph) -> StepGraph:
@@ -327,15 +406,26 @@ class DriftClassifier:
     of the level near the queried fiber coordinate. It keeps only what it
     reads of the product (base, window, map_slots, fingerprint), never the product,
     and the certificate of each index tag once a query has hit it.
+    DriftClassifier(product, depth) is the batch of one of _chains; sweep
+    assembles its members' classifiers from one pass (_from_chains).
     """
 
     def __init__(self, product: MultistepSkewProduct, depth: int):
+        depth = _search_depth(depth)
+        self._assemble(product, depth, *next(_chains([product], depth)))
+
+    @classmethod
+    def _from_chains(cls, product: MultistepSkewProduct, depth: int, chains: tuple) -> "DriftClassifier":
+        """The classifier of a product at a valid depth from its share of a _chains pass."""
+        return cls.__new__(cls)._assemble(product, depth, *chains)
+
+    def _assemble(self, product, depth: int, witnesses: list, up, down, truncated: int) -> "DriftClassifier":
         self.base = product.base
         self.product_window = product.window
-        self.depth = _search_depth(depth)
+        self.depth = depth
         self._fingerprint = product.fingerprint()
         self._maps, self._slots = product.map_slots
-        witnesses, self._up, self._down, self.truncated_chains = self._chains()
+        self._up, self._down, self.truncated_chains = up, down, truncated
         self._up_index, self._up_region = self._build_index(witnesses, self._up, up=True)
         self._down_index, self._down_region = self._build_index(witnesses, self._down, up=False)
         # the last coordinate a query reads: an index window's right end, or r - 1 for refinement
@@ -343,54 +433,7 @@ class DriftClassifier:
         self._witnesses = [(window, graphs, margins) for window, graphs, _, margins in witnesses]  # no images
         self._certificates = {}  # (direction, tag) -> certificate of an index hit
         self._check_disjoint()
-
-    def _chains(self) -> tuple[list, tuple, tuple, int]:
-        """Witness groups of the level chains, the Up and Down places, and the number of chains cut short.
-
-        Each level's chain is its constant graph and the graph's images up to
-        the depth; a step whose graph certifiably drifts gives a witness.
-        All chains advance together one step at a time, one array per current
-        window, and stop where the next image window would exceed WINDOW_CAP.
-        The witnesses on one common window form a group (window, graph rows,
-        image rows, margins). Each direction tags its witnesses 0.. by level,
-        then step, and places tag t at row row[t] of group group[t].
-        """
-        system = self.base
-        levels = np.array(LEVEL_GRID)
-        # (window, level indices, values)
-        groups = [((0, 0), np.arange(len(levels)), np.repeat(levels[:, None], system.alphabet_size, axis=1))]
-        found = {}  # common window -> [group, [(graph, image, margin rows) per step and image window], row count]
-        # level indices, Up flags, step, group and first row of each step and image window's witnesses
-        keys = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), 0, 0, 0)]
-        truncated = 0
-        for step in range(self.depth + 1):
-            advanced = []
-            for window, chains, values in groups:
-                try:
-                    raw, image = _image_arrays(system, self.product_window, self._maps, self._slots, window, values)
-                except ResourceBoundError:
-                    truncated += len(chains)
-                    continue
-                for image_window, rows, image_values in _minimized(system, raw, image):
-                    # within the cap: a graph's right offset never exceeds its image's raw one
-                    common, g, e, up, down = _drift_arrays(system, window, values[rows], image_window, image_values)
-                    is_up = up >= DELTA_CERT
-                    hits = np.flatnonzero(is_up | (down >= DELTA_CERT))
-                    k, parts, start = entry = found.setdefault(common, [len(found), [], 0])
-                    entry[2] += len(hits)
-                    keys.append((chains[rows[hits]], is_up[hits], step, k, start))
-                    parts.append((g[hits], e[hits], np.where(is_up, up, down)[hits]))
-                    advanced.append((image_window, chains[rows], image_values))
-            groups = advanced
-        level, is_up, *per_part = zip(*keys)
-        counts = list(map(len, level))
-        step, group, first = (np.repeat(v, counts) for v in per_part)
-        level, is_up = np.concatenate(level), np.concatenate(is_up)
-        row = first + np.arange(len(level)) - np.repeat(np.cumsum(counts) - counts, counts)
-        order = np.lexsort((step, level))
-        up, down = order[is_up[order]], order[~is_up[order]]
-        witnesses = [(window, *map(np.concatenate, zip(*parts))) for window, (_, parts, _) in found.items()]
-        return witnesses, (group[up], row[up]), (group[down], row[down]), truncated
+        return self
 
     def _build_index(self, witnesses: list, places, up: bool) -> tuple[tuple[BoxRegion, np.ndarray], BoxRegion]:
         """Witness-tagged strips for point lookup, and their union as a region.

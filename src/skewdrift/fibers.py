@@ -347,13 +347,14 @@ class MapStack:
         return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
     def eval_columns(self, which: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Values of a 2-d array x whose column j is mapped by maps[which[j]]."""
+        """Values of a 2-d array x whose column j is mapped by maps[which[j]], or entry (i, j) by maps[which[i, j]]."""
         if len(self._forms) == 1:
             return _indexed(self._forms[0][2], which).eval(x)
         out = np.empty_like(x)
         for start, stop, stacked, _ in self._forms:
-            cols = (start <= which) & (which < stop)
-            out[:, cols] = _indexed(stacked, which[cols] - start).eval(x[:, cols])
+            mask = (start <= which) & (which < stop)
+            at = (slice(None), mask) if which.ndim == 1 else mask
+            out[at] = _indexed(stacked, which[mask] - start).eval(x[at])
         return out
 
 

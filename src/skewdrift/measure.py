@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drift import DOWN, UNKNOWN, UP, VERDICTS, get_classifier
+from .drift import DOWN, UNKNOWN, UP, VERDICTS, DriftClassifier, _chains, _search_depth, get_classifier
 from .errors import FamilyRangeError, ToleranceError
 from .fibers import Affine, BumpComposed, BumpedAffine, FiberMap, validate_class
 from .products import MultistepSkewProduct, ProductOrder, compare_order
@@ -86,8 +86,10 @@ def estimate_regions(product: MultistepSkewProduct, depth: int, n: int, seed) ->
     width = hi - lo + 1
     rng = np.random.default_rng(seed)
     uniforms = rng.random((n, width + 1))
+    xs = uniforms[:, width].copy()
     symbol_rows = _symbols_from_uniforms(product.chain, uniforms[:, : classifier._read_hi - lo + 1])
-    codes = classifier._codes(lo, symbol_rows, uniforms[:, width], narrow=True)
+    del uniforms  # classification needs only the symbols and xs
+    codes = classifier._codes(lo, symbol_rows, xs, narrow=True)
     counts = dict(zip(VERDICTS, np.bincount(codes, minlength=len(VERDICTS)).tolist()))
     up_region = classifier.certified_boxes(UP)
     down_region = classifier.certified_boxes(DOWN)
@@ -206,7 +208,8 @@ def sweep(
     Per-parameter randomness derives from (seed, grid index). Certified
     up-boxes accumulate forward (down-boxes backward): boxes certified at a
     smaller parameter remain valid at larger ones, which makes the recorded
-    lower curves monotone by construction.
+    lower curves monotone by construction. All members' witness chains run in
+    one pass; a member that has a classifier at the depth keeps it.
     """
     grid = [float(t) for t in grid]
     lo, hi = family.tau_range
@@ -216,7 +219,15 @@ def sweep(
     if grid and not (lo <= grid[0] and grid[-1] <= hi):
         raise FamilyRangeError(f"grid leaves the family range [{lo}, {hi}]")
     chain = family.base_product.chain
-    estimates = [estimate_regions(family_member(family, tau), depth, n, (seed, i)) for i, tau in enumerate(grid)]
+    members, depth = [family_member(family, tau) for tau in grid], _search_depth(depth)
+    # one chain pass for the members without a classifier at the depth, each assembled just before its estimate
+    pending = _chains([m for m in members if depth not in m._classifiers], depth)
+    estimates = []
+    for i in range(len(members)):
+        member, members[i] = members[i], None  # dropped, and its classifier with it, after its estimate
+        if depth not in member._classifiers:
+            member._classifiers[depth] = DriftClassifier._from_chains(member, depth, next(pending))
+        estimates.append(estimate_regions(member, depth, n, (seed, i)))
     mu_lower = _running_union_measures([e.up_region for e in estimates], chain)
     down_lower = _running_union_measures([e.down_region for e in reversed(estimates)], chain)[::-1]
     for a, b in zip(mu_lower, mu_lower[1:]):

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from skewdrift.cli import main, run
-from skewdrift.config import load_config, parse_grid_spec
-from skewdrift.errors import ConfigError
+from skewdrift.config import MAX_GRID_POINTS, load_config, parse_grid_spec
+from skewdrift.errors import ConfigError, ResourceBoundError
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "scripts" / "configs"
@@ -151,6 +151,47 @@ class TestSweepCommand:
         assert (out1 / "sweep.csv").read_bytes() != (out2 / "sweep.csv").read_bytes()
 
 
+class TestBadRunInput:
+    @pytest.mark.parametrize("grid, code, error", [
+        ("0:inf:0.1", 2, "invalid input: grid: lo, hi and step must be finite numbers, got '0:inf:0.1'"),
+        ("0:0.01:nan", 2, "invalid input: grid: lo, hi and step must be finite numbers"),
+        ("a:b:c", 2, "invalid input: grid: lo, hi and step must be finite numbers, got 'a:b:c'"),
+        ("0:0.02:1e-15", 3, "resource bound: grid '0:0.02:1e-15' has more than 100000 points"),
+        ("-1e308:1e308:1", 3, "resource bound: grid"),  # hi - lo overflows
+    ], ids=["infinite", "nan", "not-a-number", "too-many-points", "overflowing-span"])
+    def test_grid_spec_errors(self, tmp_path, capsys, grid, code, error):
+        assert main(["sweep", "--config", small_plateau_config(tmp_path), f"--grid={grid}",
+                     "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err.startswith(error)
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_point_bound(self):
+        assert len(parse_grid_spec(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        with pytest.raises(ResourceBoundError):
+            parse_grid_spec(f"0:{MAX_GRID_POINTS}:1")
+
+    def test_negative_seed_rejected_at_config_time(self, tmp_path, capsys):
+        args = ["sweep", "--config", small_plateau_config(tmp_path), "--out", str(tmp_path / "out")]
+        assert main([*args, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "invalid input: analysis.seed: must be nonnegative\n"
+        assert main(["sweep", "--config", small_plateau_config(tmp_path, seed=-1), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "invalid input: analysis.seed: must be nonnegative\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_sample_count_beyond_memory_exits_3(self, tmp_path, capsys):
+        # the sample arrays of 10^12 points are refused at allocation, before any is filled
+        assert main(["sweep", "--config", small_plateau_config(tmp_path), "--samples", "1000000000000",
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("resource bound: Unable to allocate ")
+
+    def test_negative_grid_in_equals_form(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", small_plateau_config(tmp_path), "--grid=-0.004:0.004:0.002",
+                     "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[2:]
+        assert [float(row.split(",")[0]) for row in rows] == pytest.approx([-0.004, -0.002, 0.0, 0.002, 0.004])
+
+
 class TestApproxCommand:
     def test_product_and_ladder(self, tmp_path):
         code = run("approx", str(CONFIGS / "continuous_geometric.json"),
@@ -229,6 +270,10 @@ SHIPPED_ARTIFACTS = {
     "approx_depth4/approx_product.json": "870311aff6682e1105d0869df24e84fb8e050f6867ad170cf82d07dc788b98fd",
     "approx_depth5/approx_ladder.csv": "58d298735592fcf5f3ccba5999fcf32c90eb4ae2d9544c764959b37af1f5d811",
     "approx_depth5/approx_product.json": "4e4d5eba34794e220c9b97279880c229d58fe42a254c967c5469577c710b4530",
+    # the plateau sweep at the benchmark's sample size: its standard reference digests
+    "sweep_plateau_family/sweep.csv": "6e391563187348b63be8577045cef778ebf4af08a5a5bca8f5f8b3510dabecd6",
+    "sweep_plateau_family/gaps.csv": "3b2ec20468180be363342433e31ec710b0ddd47c7c83affb1c4252e170c305cc",
+    "sweep_plateau_family/mu.dat": "366d3116968874bea63657f5d8d2c3b2b6a9980c125ecafd69d846869d15b7c9",
 }
 
 
@@ -242,5 +287,7 @@ class TestShippedArtifacts:
         for depth in ("4", "5"):
             assert main(["approx", "--config", "scripts/configs/continuous_geometric.json", "--depth", depth,
                          "--out", f"approx_depth{depth}"]) == 0
+        assert main(["sweep", "--config", "scripts/configs/plateau_family.json", "--samples", "5000",
+                     "--out", "sweep_plateau_family"]) == 0
         digests = {path: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() for path in SHIPPED_ARTIFACTS}
         assert digests == SHIPPED_ARTIFACTS

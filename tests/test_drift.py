@@ -12,7 +12,7 @@ from skewdrift import drift
 from skewdrift.config import load_config
 from skewdrift.drift import DELTA_CERT, DOWN, LEVEL_GRID, REFINE_STEPS, UNKNOWN, UP, VERDICTS
 from skewdrift.errors import IncompatibleProductsError, ResourceBoundError, WindowTooShortError
-from skewdrift.fibers import EPS_ROUND
+from skewdrift.fibers import EPS_ROUND, MapStack
 from skewdrift.products import WINDOW_CAP
 from skewdrift.symbolic import _symbols_from_uniforms
 
@@ -638,7 +638,7 @@ class TestArrayBuild:
         up, down, truncated = _reference_chains(product, depth)
         assert classifier.truncated_chains == truncated
         # the classifier drops the image rows after the build; a fresh chain search gives them
-        witnesses = classifier._chains()[0]
+        witnesses = next(drift._chains([product], depth))[0]
         system = product.base
         for direction, reference, (group, row), index, is_up in (
             (UP, up, classifier._up, classifier._up_index, True),
@@ -693,7 +693,7 @@ class TestArrayBuild:
         classifier = sd.DriftClassifier(product, 4)
         up, _down, _truncated = _reference_chains(product, 4)
         group, row = classifier._up
-        _index, region = classifier._build_index(classifier._chains()[0], (group[1:], row[1:]), up=True)
+        _index, region = classifier._build_index(next(drift._chains([product], 4))[0], (group[1:], row[1:]), up=True)
         _window, _arrays, intervals = _reference_index(product.base, up[1:], True)
         assert list(intervals) == [(1,), (3,), (2,)]
         assert list(region_dict(region).items()) == sorted(intervals.items())
@@ -1218,19 +1218,27 @@ def _old_form_chains(classifier):
     return witnesses, (group[up], row[up]), (group[down], row[down]), truncated
 
 
+def _same_arrays(got, want):
+    return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def _assert_same_chains(got, want):
+    """Equal _chains results: witness groups (windows, rows, dtypes), Up and Down places, chains cut short."""
+    assert got[3] == want[3]
+    for (window, *arrays), (want_window, *want_arrays) in zip(got[0], want[0], strict=True):
+        assert window == want_window and _same_arrays(arrays, want_arrays)
+    for places, want_places in zip(got[1:3], want[1:3]):
+        assert all(a.dtype == np.int64 for a in places) and _same_arrays(places, want_places)
+
+
 class TestChainKeys:
     """Witness keys built once per classifier give the tags, groups and rows of the per-step stacked keys."""
 
     def check(self, product, depth):
         classifier = sd.DriftClassifier(product, depth)
-        got, want = classifier._chains(), _old_form_chains(classifier)
-        assert got[3] == want[3] == classifier.truncated_chains
-        for (window, *arrays), (want_window, *want_arrays) in zip(got[0], want[0], strict=True):
-            assert window == want_window
-            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(arrays, want_arrays, strict=True))
-        for places, want_places in zip(got[1:3], want[1:3]):
-            for a, b in zip(places, want_places, strict=True):
-                assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+        got, want = next(drift._chains([product], depth)), _old_form_chains(classifier)
+        assert got[3] == classifier.truncated_chains
+        _assert_same_chains(got, want)
         return classifier
 
     def test_fixture_systems(self, const_affine, const_plateau, two_map, ms_full, golden_ms):
@@ -1257,3 +1265,85 @@ class TestChainKeys:
         classifier = self.check(wide, 0)
         assert classifier.truncated_chains == len(LEVEL_GRID)
         assert all(len(place) == 0 for place in (*classifier._up, *classifier._down))
+
+
+def _assert_same_classifier(got, want):
+    """Classifiers that agree in witnesses, places, chains cut short, read range, index, regions and tags."""
+    assert got.truncated_chains == want.truncated_chains and got._read_hi == want._read_hi
+    for (window, *arrays), (want_window, *want_arrays) in zip(got._witnesses, want._witnesses, strict=True):
+        assert window == want_window and _same_arrays(arrays, want_arrays)
+    assert _same_arrays((*got._up, *got._down), (*want._up, *want._down))
+    pairs = [(got._up_index, want._up_index), (got._down_index, want._down_index)]
+    for (pieces, tags), (want_pieces, want_tags) in pairs:
+        assert pieces.window == want_pieces.window and _same_arrays(
+            (pieces.ranks, pieces.lo, pieces.hi, tags), (want_pieces.ranks, want_pieces.lo, want_pieces.hi, want_tags)
+        )
+    for direction in (UP, DOWN):
+        region, want_region = got.certified_boxes(direction), want.certified_boxes(direction)
+        assert region.window == want_region.window
+        assert _same_arrays((region.ranks, region.lo, region.hi), (want_region.ranks, want_region.lo, want_region.hi))
+
+
+class TestBatchedChains:
+    """One chain pass over a family's members gives each member what its own classifier build gives."""
+
+    def check(self, members, depth, seed):
+        slices = list(drift._chains(members, depth))
+        assert len(slices) == len(members)
+        for k, (member, chains) in enumerate(zip(members, slices)):
+            alone = sd.DriftClassifier(member, depth)
+            _assert_same_chains(chains, _old_form_chains(alone))
+            assembled = drift.DriftClassifier._from_chains(member, depth, chains)
+            _assert_same_classifier(assembled, alone)
+            points = list(sampled_points(member, depth, 300, seed + k))
+            lo, rows, xs = points[0].window.lo, [p.window.symbols for p in points], [p.x for p in points]
+            assert np.array_equal(assembled.classify_arrays(lo, rows, xs), alone.classify_arrays(lo, rows, xs))
+        return slices
+
+    def test_plateau_family_members(self):
+        cfg = load_config(str(CONFIGS / "plateau_family.json"))
+        members = [sd.family_member(cfg.family, tau) for tau in cfg.analysis.grid]
+        # the base plateau at tau = 0 and the bump-composed members: two map forms in one pass
+        assert any(member is cfg.family.base_product for member in members)
+        self.check(members, cfg.analysis.depth, seed=90)
+
+    def test_mixed_form_family_at_depth_8(self, full2, uniform_chain):
+        family = sd.MonotoneFamily(_mixed_form_product(full2, uniform_chain), 1.0, (-0.01, 0.01))
+        self.check([sd.family_member(family, tau) for tau in (-0.01, -0.004, 0.0, 0.004, 0.01)], 8, seed=91)
+
+    def test_chains_cut_at_the_cap(self, ms_full):
+        # ms_full's windows grow by one per step, so at depth 10 every chain of every member is cut short
+        family = sd.MonotoneFamily(ms_full, 1.0, (-0.02, 0.02))
+        slices = self.check([sd.family_member(family, tau) for tau in (-0.02, 0.0, 0.02)], 10, seed=92)
+        assert [chains[3] for chains in slices] == [len(LEVEL_GRID)] * 3
+
+    def test_products_on_different_window_paths(self, full2, uniform_chain, ms_full):
+        # any products of one base and window batch together: here some chains grow to the cap and
+        # others stay on small windows, so parts of the pass hold only some of the products
+        words = full2.words(3)
+        products = [
+            ms_full,
+            sd.MultistepSkewProduct(full2, uniform_chain, (1, 1), {w: sd.Affine(0.1, 0.8) for w in words}),
+            _mixed_form_product(full2, uniform_chain),
+            sd.MultistepSkewProduct(full2, uniform_chain, (1, 1), {w: sd.Plateau(0.5, 0.4, 0.6) for w in words}),
+        ]
+        slices = self.check(products, 10, seed=93)
+        assert [chains[3] for chains in slices] == [len(LEVEL_GRID), 0, len(LEVEL_GRID), 0]
+
+    def test_slot_gathers(self, monkeypatch):
+        # a single product maps by one slot per word; a batch by one slot row per (member, level) row
+        dims = []
+        original = MapStack.eval_columns
+
+        def recording(self, which, x):
+            dims.append(which.ndim)
+            return original(self, which, x)
+
+        monkeypatch.setattr(MapStack, "eval_columns", recording)
+        cfg = load_config(str(CONFIGS / "plateau_family.json"))
+        members = [sd.family_member(cfg.family, tau) for tau in (-0.002, 0.0, 0.002)]
+        sd.DriftClassifier(members[0], 4)
+        assert set(dims) == {1}
+        dims.clear()
+        list(drift._chains(members, 4))
+        assert set(dims) == {2}

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -386,6 +387,71 @@ class TestSweep:
         with pytest.raises(RuntimeError, match="down-measure curve lost monotonicity"):
             sd.sweep(fam, [0.0, 0.01, 0.02], 2, 200, 0)
         assert calls == [3, 3]
+
+
+class TestSweepChainPass:
+    """A sweep runs one chain pass for its members and assembles one member's classifier at a time."""
+
+    GRID = (-0.004, -0.002, 0.0, 0.002, 0.004)
+
+    @staticmethod
+    def family(full2, uniform_chain):
+        # a fresh base: no classifier from another test
+        return sd.MonotoneFamily(constant_product(full2, uniform_chain, sd.Plateau(0.5, 0.4, 0.6)), 1.0, (-0.01, 0.01))
+
+    @staticmethod
+    def spy(monkeypatch):
+        passes = []
+        original = measure._chains
+
+        def counting(products, depth):
+            passes.append(len(products))
+            return original(products, depth)
+
+        monkeypatch.setattr(measure, "_chains", counting)
+        return passes
+
+    def test_one_pass_gives_each_members_own_estimate(self, full2, uniform_chain, monkeypatch):
+        family = self.family(full2, uniform_chain)
+        passes = self.spy(monkeypatch)
+        result = sd.sweep(family, self.GRID, 6, 300, 4)
+        assert passes == [len(self.GRID)]
+        for i, (tau, est) in enumerate(zip(self.GRID, result.estimates)):
+            alone = sd.estimate_regions(sd.family_member(self.family(full2, uniform_chain), tau), 6, 300, (4, i))
+            assert est == alone
+            assert same_boxes(est.up_region, alone.up_region) and same_boxes(est.down_region, alone.down_region)
+
+    def test_member_with_a_classifier_keeps_it(self, full2, uniform_chain, monkeypatch):
+        family = self.family(full2, uniform_chain)
+        classifier = sd.get_classifier(family.base_product, 6)
+        passes = self.spy(monkeypatch)
+        sd.sweep(family, self.GRID, 6, 300, 4)
+        assert passes == [len(self.GRID) - 1]
+        assert family.base_product._classifiers[6] is classifier
+        # a second sweep at another depth runs its own pass, the base included
+        sd.sweep(family, self.GRID, 5, 300, 4)
+        assert passes == [len(self.GRID) - 1, len(self.GRID)]
+
+    def test_one_assembled_classifier_alive_at_a_time(self, full2, uniform_chain, monkeypatch):
+        family = self.family(full2, uniform_chain)
+        assembled, alive = [], []
+        from_chains, estimate = DriftClassifier._from_chains.__func__, measure.estimate_regions
+
+        def recording_from_chains(cls, *args):
+            classifier = from_chains(cls, *args)
+            assembled.append(weakref.ref(classifier))
+            return classifier
+
+        def counting_estimate(*args):
+            alive.append(sum(ref() is not None for ref in assembled))
+            return estimate(*args)
+
+        monkeypatch.setattr(DriftClassifier, "_from_chains", classmethod(recording_from_chains))
+        monkeypatch.setattr(measure, "estimate_regions", counting_estimate)
+        grid = [tau for tau in self.GRID if tau != 0.0]  # the base member keeps its classifier
+        sd.sweep(family, grid, 6, 300, 4)
+        assert len(assembled) == len(grid) and alive == [1] * len(grid)
+        assert all(ref() is None for ref in assembled)
 
 
 def synthetic_sweep(mc_values, radius=0.01):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import RunConfig, load_config
 from .drift import classify_point
-from .errors import ConfigError, ResourceBoundError
+from .errors import ConfigError, ResourceBoundError, _file_error
 from .fibers import map_to_json, validate_class
 from .measure import (
     _fmt,
@@ -41,19 +41,24 @@ from .symbolic import SymbolWindow, validate_transitive
 
 
 def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _file_error("out", path, exc) from exc
 
 
 def _parse_point_row(row: dict, line: int) -> LabeledPoint:
     try:
+        if row.get("window") is None or row.get("x") is None:  # a missing column or a short row
+            raise ValueError("needs a window and an x value")
         tokens = row["window"].split()
         offset = int(tokens[0])
         symbols = tuple(int(t) for t in tokens[1:])
         x = float(row["x"])
         return LabeledPoint(SymbolWindow(offset, symbols), x)
-    except (KeyError, IndexError, ValueError) as exc:
+    except (IndexError, ValueError) as exc:
         raise ConfigError(f"points line {line}", f"malformed point row: {exc}")
 
 
@@ -95,8 +100,11 @@ def _cmd_classify(cfg: RunConfig, out_dir: Path, points_path: str | None) -> int
         raise ConfigError("points", "classify needs --points CSV")
     depth = cfg.analysis.depth
     points = []
-    with open(points_path, "r", encoding="utf-8") as fh:
-        lines = [(n, text) for n, text in enumerate(fh, start=1) if not text.startswith("#")]
+    try:
+        with open(points_path, "r", encoding="utf-8") as fh:
+            lines = [(n, text) for n, text in enumerate(fh, start=1) if not text.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _file_error("points", points_path, exc) from exc
     reader = csv.DictReader(text for _, text in lines)
     for row in reader:
         line = lines[reader.line_num - 1][0]  # line_num counts the non-comment lines read

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ResourceBoundError
+from .errors import ConfigError, ResourceBoundError, _file_error
 from .measure import MonotoneFamily
 from .products import ContinuousProductSpec, MultistepSkewProduct
 from .symbolic import MarkovChain, TransitionSystem
@@ -56,6 +56,8 @@ class RunConfig:
 
 
 def _expect(record: dict, key: str, path: str):
+    if not isinstance(record, dict):
+        raise ConfigError(path, "must be an object")
     if key not in record:
         raise ConfigError(f"{path}.{key}", "missing required field")
     return record[key]
@@ -100,10 +102,10 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("config", f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _file_error("config", path, exc) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be an object")
     return parse_config(raw, overrides or {})
@@ -112,15 +114,16 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     overrides = overrides or {}
     base_rec = _expect(raw, "base", "config")
+    transitions, stochastic = (_expect(base_rec, key, "base") for key in ("transitions", "stochastic"))
     try:
-        base = TransitionSystem(np.asarray(_expect(base_rec, "transitions", "base")))
+        base = TransitionSystem(np.asarray(transitions))
     except ValueError as exc:
         raise ConfigError("base.transitions", str(exc))
     declared = _integer(_expect(base_rec, "alphabet_size", "base"), "base.alphabet_size")
     if declared != base.alphabet_size:
         raise ConfigError("base.alphabet_size", f"declared {declared}, matrix has {base.alphabet_size}")
     try:
-        chain = MarkovChain(base, np.asarray(_expect(base_rec, "stochastic", "base"), dtype=float))
+        chain = MarkovChain(base, np.asarray(stochastic, dtype=float))
     except ValueError as exc:
         raise ConfigError("base.stochastic", str(exc))
 

@@ -70,12 +70,6 @@ class StepGraph:
     def constant(cls, system: TransitionSystem, level: float) -> "StepGraph":
         return cls(system, (0, 0), np.full(system.alphabet_size, float(level)))
 
-    def refined(self, window: tuple[int, int]) -> "StepGraph":
-        """Same function represented on a wider window."""
-        if tuple(window) == self.window:
-            return self
-        return StepGraph(self.system, window, self.values[self.system.window_ranks(self.window, window)])
-
     def value_at(self, point_window) -> float:
         """Graph level on the cylinder containing the given window, which must be a word of the base."""
         return float(self.values[_point_rank(self.system, self.window, point_window)])
@@ -272,8 +266,9 @@ def _direction(up, down) -> tuple[str, float | None]:
 
 
 def _drift_outcome(graph: StepGraph, image: StepGraph) -> DriftOutcome:
-    window, _, _, up, down = _drift_arrays(graph.system, graph.window, graph.values, image.window, image.values)
-    return DriftOutcome(*_direction(up, down), graph.refined(window), image.refined(window))
+    system = graph.system
+    window, g, e, up, down = _drift_arrays(system, graph.window, graph.values, image.window, image.values)
+    return DriftOutcome(*_direction(up, down), StepGraph(system, window, g), StepGraph(system, window, e))
 
 
 def certify_drift(product: MultistepSkewProduct, graph: StepGraph) -> DriftOutcome:
@@ -406,26 +401,19 @@ class DriftClassifier:
     of the level near the queried fiber coordinate. It keeps only what it
     reads of the product (base, window, map_slots, fingerprint), never the product,
     and the certificate of each index tag once a query has hit it.
-    DriftClassifier(product, depth) is the batch of one of _chains; sweep
-    assembles its members' classifiers from one pass (_from_chains).
+    Its witness chains are the next share of chains, an iterator over the
+    shares of one _chains pass at the depth (sweep's), or of a pass of its own.
     """
 
-    def __init__(self, product: MultistepSkewProduct, depth: int):
-        depth = _search_depth(depth)
-        self._assemble(product, depth, *next(_chains([product], depth)))
-
-    @classmethod
-    def _from_chains(cls, product: MultistepSkewProduct, depth: int, chains: tuple) -> "DriftClassifier":
-        """The classifier of a product at a valid depth from its share of a _chains pass."""
-        return cls.__new__(cls)._assemble(product, depth, *chains)
-
-    def _assemble(self, product, depth: int, witnesses: list, up, down, truncated: int) -> "DriftClassifier":
+    def __init__(self, product: MultistepSkewProduct, depth: int, chains=None):
+        self.depth = depth = _search_depth(depth)
+        # an unnamed pass of its own is freed once next returns, with the parts its share was cut from
+        share = next(_chains([product], depth) if chains is None else chains)
+        witnesses, self._up, self._down, self.truncated_chains = share
         self.base = product.base
         self.product_window = product.window
-        self.depth = depth
         self._fingerprint = product.fingerprint()
         self._maps, self._slots = product.map_slots
-        self._up, self._down, self.truncated_chains = up, down, truncated
         self._up_index, self._up_region = self._build_index(witnesses, self._up, up=True)
         self._down_index, self._down_region = self._build_index(witnesses, self._down, up=False)
         # the last coordinate a query reads: an index window's right end, or r - 1 for refinement
@@ -433,7 +421,6 @@ class DriftClassifier:
         self._witnesses = [(window, graphs, margins) for window, graphs, _, margins in witnesses]  # no images
         self._certificates = {}  # (direction, tag) -> certificate of an index hit
         self._check_disjoint()
-        return self
 
     def _build_index(self, witnesses: list, places, up: bool) -> tuple[tuple[BoxRegion, np.ndarray], BoxRegion]:
         """Witness-tagged strips for point lookup, and their union as a region.

@@ -57,3 +57,8 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+def _file_error(field: str, path, exc: OSError | UnicodeDecodeError) -> ConfigError:
+    """A file that cannot be opened, read or written, as a ConfigError at the field that names it."""
+    return ConfigError(field, f"{getattr(exc, 'filename', None) or path}: {getattr(exc, 'strerror', None) or exc}")

@@ -149,8 +149,9 @@ class Plateau:
     """Identity on [j_lo, j_hi], quadratic push-in outside; C^1 at the joins.
 
     f(x) = x + c1*(j_lo - x)^2 below j_lo, x on the plateau,
-    x - c1*(x - j_hi)^2 above j_hi. Both branches square by multiplication
-    (never pow), so a float and an array give the same bits.
+    x - c1*(x - j_hi)^2 above j_hi, squaring by multiplication (never pow).
+    A float runs as a 0-d array, unwrapped by [()] to a numpy float, so it
+    gets the bits of the same float inside an array.
     """
 
     c1: float
@@ -162,32 +163,18 @@ class Plateau:
     def eval(self, x):
         d_lo = self.j_lo - x
         d_hi = x - self.j_hi
-        if isinstance(x, np.ndarray):
-            return np.where(
-                x < self.j_lo,
-                x + self.c1 * (d_lo * d_lo),
-                np.where(x > self.j_hi, x - self.c1 * (d_hi * d_hi), x),
-            )
-        if x < self.j_lo:
-            return x + self.c1 * (d_lo * d_lo)
-        if x > self.j_hi:
-            return x - self.c1 * (d_hi * d_hi)
-        return x
+        return np.where(
+            x < self.j_lo,
+            x + self.c1 * (d_lo * d_lo),
+            np.where(x > self.j_hi, x - self.c1 * (d_hi * d_hi), x),
+        )[()]
 
     def derivative(self, x):
-        if isinstance(x, np.ndarray):
-            below = x < self.j_lo
-            above = x > self.j_hi
-            return np.where(
-                below,
-                1.0 - 2.0 * self.c1 * (self.j_lo - x),
-                np.where(above, 1.0 - 2.0 * self.c1 * (x - self.j_hi), 1.0),
-            )
-        if x < self.j_lo:
-            return 1.0 - 2.0 * self.c1 * (self.j_lo - x)
-        if x > self.j_hi:
-            return 1.0 - 2.0 * self.c1 * (x - self.j_hi)
-        return 1.0
+        return np.where(
+            x < self.j_lo,
+            1.0 - 2.0 * self.c1 * (self.j_lo - x),
+            np.where(x > self.j_hi, 1.0 - 2.0 * self.c1 * (x - self.j_hi), 1.0),
+        )[()]
 
     def derivative_range(self, lo: float, hi: float) -> tuple[float, float]:
         # slope is unimodal: increases to 1 at j_lo, flat, then decreases

@@ -208,8 +208,9 @@ def sweep(
     Per-parameter randomness derives from (seed, grid index). Certified
     up-boxes accumulate forward (down-boxes backward): boxes certified at a
     smaller parameter remain valid at larger ones, which makes the recorded
-    lower curves monotone by construction. All members' witness chains run in
-    one pass; a member that has a classifier at the depth keeps it.
+    lower curves monotone by construction. A member without a classifier at
+    the depth gets one built from its share of one chain pass over all such
+    members (DriftClassifier(member, depth, pending)) just before its estimate.
     """
     grid = [float(t) for t in grid]
     lo, hi = family.tau_range
@@ -220,13 +221,12 @@ def sweep(
         raise FamilyRangeError(f"grid leaves the family range [{lo}, {hi}]")
     chain = family.base_product.chain
     members, depth = [family_member(family, tau) for tau in grid], _search_depth(depth)
-    # one chain pass for the members without a classifier at the depth, each assembled just before its estimate
     pending = _chains([m for m in members if depth not in m._classifiers], depth)
     estimates = []
     for i in range(len(members)):
         member, members[i] = members[i], None  # dropped, and its classifier with it, after its estimate
         if depth not in member._classifiers:
-            member._classifiers[depth] = DriftClassifier._from_chains(member, depth, next(pending))
+            member._classifiers[depth] = DriftClassifier(member, depth, pending)
         estimates.append(estimate_regions(member, depth, n, (seed, i)))
     mu_lower = _running_union_measures([e.up_region for e in estimates], chain)
     down_lower = _running_union_measures([e.down_region for e in reversed(estimates)], chain)[::-1]

@@ -119,6 +119,24 @@ def same_boxes(a, b):
     )
 
 
+def scalar_eval(f, x: float) -> float:
+    """f(x) for one Python float by per-form float formulas: the reference for evaluation on arrays.
+
+    Plateau (alone or under a bump) branches on x here; the library evaluates
+    a float as a 0-d array with the array formulas.
+    """
+    if isinstance(f, sd.Plateau):
+        if x < f.j_lo:
+            return x + f.c1 * ((f.j_lo - x) * (f.j_lo - x))
+        if x > f.j_hi:
+            return x - f.c1 * ((x - f.j_hi) * (x - f.j_hi))
+        return x
+    if isinstance(f, sd.BumpComposed):
+        y = scalar_eval(f.inner, x)
+        return y + f.amount * y * (1.0 - y)
+    return f.eval(x)
+
+
 def merge_intervals(intervals):
     """Reference union of closed intervals: sorted disjoint ones, touching intervals coalesce."""
     merged = []

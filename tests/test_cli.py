@@ -192,6 +192,59 @@ class TestBadRunInput:
         assert [float(row.split(",")[0]) for row in rows] == pytest.approx([-0.004, -0.002, 0.0, 0.002, 0.004])
 
 
+class TestBadFilesAndShapes:
+    """Unreadable files and malformed shapes exit 2 with a field-anchored message and no traceback."""
+
+    def run_main(self, capsys, *args):
+        code = main(list(args))
+        return code, capsys.readouterr().err
+
+    def test_missing_points_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        code, err = self.run_main(capsys, "classify", "--config", str(CONFIGS / "constant_affine.json"),
+                                  "--points", str(missing), "--out", str(tmp_path / "out"))
+        assert code == 2 and err == f"invalid input: points: {missing}: No such file or directory\n"
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        code, err = self.run_main(capsys, "validate", "--config", str(CONFIGS), "--out", str(tmp_path))
+        assert code == 2 and err == f"invalid input: config: {CONFIGS}: Is a directory\n"
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"base": "\xff"}')
+        code, err = self.run_main(capsys, "validate", "--config", str(bad), "--out", str(tmp_path))
+        assert code == 2 and err.startswith(f"invalid input: config: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, err = self.run_main(capsys, "measure", "--config", str(CONFIGS / "constant_affine.json"),
+                                  "--samples", "200", "--depth", "2", "--out", str(taken))
+        assert code == 2 and err == f"invalid input: out: {taken}: File exists\n"
+
+    @pytest.mark.parametrize("section", ["base", "family"])
+    def test_section_that_is_not_an_object(self, tmp_path, capsys, section):
+        record = json.loads((CONFIGS / "plateau_family.json").read_text())
+        record[section] = 5
+        code, err = self.run_main(capsys, "validate", "--config", write_json(tmp_path / "bad.json", record),
+                                  "--out", str(tmp_path))
+        assert code == 2 and err == f"invalid input: {section}: must be an object\n"
+
+    @pytest.mark.parametrize("text, line", [
+        ("window,x\n-5 1 1 1 1 1 1 1 1 1 1,0.2\n-5 1 1 1 1 1 1 1 1 1 1\n", 3),
+        ("x,window\n0.2,-5 1 1 1 1 1 1 1 1 1 1\n0.3\n", 3),
+        ("x\n0.2\n", 2),
+    ], ids=["no-x-value", "no-window-value", "no-window-column"])
+    def test_point_row_without_a_field(self, tmp_path, capsys, text, line):
+        points = tmp_path / "points.csv"
+        points.write_text(text)
+        code, err = self.run_main(capsys, "classify", "--config", str(CONFIGS / "constant_affine.json"),
+                                  "--points", str(points), "--depth", "2", "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err == f"invalid input: points line {line}: malformed point row: needs a window and an x value\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestApproxCommand:
     def test_product_and_ladder(self, tmp_path):
         code = run("approx", str(CONFIGS / "continuous_geometric.json"),

@@ -24,6 +24,7 @@ from conftest import (
     region_dict,
     same_boxes,
     sampled_points,
+    scalar_eval,
     wide_point,
 )
 
@@ -100,6 +101,24 @@ class TestCertifyDrift:
                     continue
                 again = sd.certify_drift(product, sd.image_graph(product, g))
                 assert again.direction == out.direction
+
+    def test_pair_is_the_gather_onto_the_common_window(self, two_map, ms_full, const_affine):
+        # graph and image re-keyed onto the common window, bit for bit: the rank of each common
+        # word's restriction, found here by word lookup
+        for product in (const_affine, two_map, ms_full):
+            for level in (0.1, 0.5, 0.85):
+                graph = sd.StepGraph.constant(product.base, level)
+                for _ in range(4):
+                    image = sd.image_graph(product, graph)
+                    out = sd.certify_drift(product, graph)
+                    L, R = (max(a, b) for a, b in zip(graph.window, image.window))
+                    assert out.graph.window == out.image.window == (L, R)
+                    for source, got in ((graph, out.graph), (image, out.image)):
+                        La, Ra = source.window
+                        rank = {w: i for i, w in enumerate(product.base.words(La + Ra + 1))}
+                        want = [source.values[rank[w[L - La : L + Ra + 1]]] for w in product.base.words(L + R + 1)]
+                        assert np.array_equal(got.values.view(np.int64), np.array(want).view(np.int64))
+                    graph = image
 
 
 class TestClassifyPoint:
@@ -765,11 +784,11 @@ class _ScalarMaps:
         self.maps = stack.maps
 
     def eval_all(self, x):
-        return np.array([[f.eval(c) for c in x.tolist()] for f in self.maps])
+        return np.array([[scalar_eval(f, c) for c in x.tolist()] for f in self.maps])
 
     def eval_columns(self, which, x):
         maps = [self.maps[k] for k in which.tolist()]
-        return np.array([[f.eval(c) for f, c in zip(maps, row)] for row in x.tolist()])
+        return np.array([[scalar_eval(f, c) for f, c in zip(maps, row)] for row in x.tolist()])
 
 
 def _scalar_twin(product):
@@ -1293,7 +1312,7 @@ class TestBatchedChains:
         for k, (member, chains) in enumerate(zip(members, slices)):
             alone = sd.DriftClassifier(member, depth)
             _assert_same_chains(chains, _old_form_chains(alone))
-            assembled = drift.DriftClassifier._from_chains(member, depth, chains)
+            assembled = sd.DriftClassifier(member, depth, iter([chains]))
             _assert_same_classifier(assembled, alone)
             points = list(sampled_points(member, depth, 300, seed + k))
             lo, rows, xs = points[0].window.lo, [p.window.symbols for p in points], [p.x for p in points]
@@ -1347,3 +1366,74 @@ class TestBatchedChains:
         dims.clear()
         list(drift._chains(members, 4))
         assert set(dims) == {2}
+
+
+class TestFixedPointSoundness:
+    """No certificate covers a common fixed point: the plateau's band [0.4, 0.6], constant_affine's 0.5."""
+
+    BAND = (0.4, 0.6)
+
+    @pytest.fixture(scope="class")
+    def plateau(self):
+        product = load_config(str(CONFIGS / "plateau_family.json")).family.base_product
+        assert set(product.assignment.values()) == {sd.Plateau(0.5, *self.BAND)}
+        return product
+
+    def test_no_box_meets_the_band(self, plateau):
+        lo, hi = self.BAND
+        for depth in (0, 10, 16):
+            classifier = sd.DriftClassifier(plateau, depth)
+            up, down = classifier.certified_boxes(UP), classifier.certified_boxes(DOWN)
+            assert len(up.hi) and len(down.lo)
+            assert up.hi.max() < lo and down.lo.min() > hi, depth
+
+    def test_band_points_are_unknown(self, plateau):
+        lo, hi = self.BAND
+        for depth in (2, 10):
+            classifier = sd.DriftClassifier(plateau, depth)
+            points = list(sampled_points(plateau, depth, 2000, seed=140 + depth))
+            xs = np.concatenate([[lo, hi], np.random.default_rng(150 + depth).uniform(lo, hi, len(points) - 2)])
+            rows = [p.window.symbols for p in points]
+            codes = classifier.classify_arrays(points[0].window.lo, rows, xs)
+            assert (codes == VERDICTS.index(UNKNOWN)).all(), depth
+            for point, x in zip(points[:200], xs[:200].tolist()):
+                assert classifier.search_certificates(sd.LabeledPoint(point.window, x)) == (None, None)
+
+    def test_constant_affine_fixed_point_in_no_box(self):
+        product = load_config(str(CONFIGS / "constant_affine.json")).product
+        for depth in (0, 4, 8, 16):
+            classifier = sd.DriftClassifier(product, depth)
+            for direction in (UP, DOWN):
+                boxes = classifier.certified_boxes(direction)
+                assert len(boxes.lo) and not ((boxes.lo <= 0.5) & (0.5 <= boxes.hi)).any(), (depth, direction)
+
+
+class TestWanderingOracle:
+    """A witnessed point's orbit stays strictly past its witness's image: Up above it, Down below, step after step.
+
+    For an Up witness g with image F(g) > g and x > g(w), monotonicity gives
+    F^n(x) > F^n(g)(shifted w) >= F(g)(shifted w) for n >= 1. The check runs
+    the orbit by iterate, not through any certified margin.
+    """
+
+    def test_orbits_stay_past_the_image(self, ms_full):
+        products = [load_config(str(CONFIGS / name)).product for name in ("constant_affine.json", "golden_affine.json")]
+        products += [load_config(str(CONFIGS / "plateau_family.json")).family.base_product, ms_full]
+        depth, checks = 6, Counter()
+        for k, product in enumerate(products):
+            l, r = product.window
+            classifier, rng = sd.DriftClassifier(product, depth), np.random.default_rng(160 + k)
+            for _ in range(300):
+                # depth + 12 more right coordinates: the image's window still fits after 6 shifts
+                window = sd.sample_window(product.chain, -(depth + l + 1), 2 * depth + r + 12, rng)
+                point = sd.LabeledPoint(window, float(rng.random()))
+                witness = classifier.classify(point).witness
+                if witness is None:
+                    continue
+                image = sd.image_graph(product, witness.graph)
+                for n in range(1, depth + 1):
+                    moved = sd.iterate(product, point, n)
+                    level = image.value_at(moved.window)
+                    assert moved.x > level if witness.direction == "up" else moved.x < level, (k, point, n)
+                    checks[witness.direction] += 1
+        assert checks["up"] > 1000 and checks["down"] > 1000, checks

@@ -8,6 +8,8 @@ import skewdrift.fibers as fibers
 from skewdrift.fibers import EPS_ROUND, INVERT_TOL, MapStack, _indexed, _stacked
 from skewdrift.measure import _bump_after
 
+from conftest import scalar_eval
+
 
 def sample_maps():
     return [
@@ -139,8 +141,12 @@ class TestEvalAndDerivative:
         rng = np.random.default_rng(20)
         xs = np.concatenate([[0.0, 1.0, plateau.j_lo, plateau.j_hi], rng.random(100_000)])
         for f in maps:
-            scalar = np.array([f.eval(x) for x in xs.tolist()])
+            scalar = np.array([scalar_eval(f, x) for x in xs.tolist()])
             assert np.array_equal(f.eval(xs).view(np.int64), scalar.view(np.int64)), f
+            # a float call gives a float with the same bits
+            calls = [f.eval(x) for x in xs[:1000].tolist()]
+            assert all(isinstance(v, float) for v in calls), f
+            assert np.array_equal(np.array(calls).view(np.int64), scalar[:1000].view(np.int64)), f
 
     def test_map_stack_bits_equal_scalar_bits(self):
         stack = MapStack(sample_maps())
@@ -148,11 +154,11 @@ class TestEvalAndDerivative:
         assert len(stack._forms) == 5 and sorted(maps, key=repr) == sorted(sample_maps(), key=repr)
         rng = np.random.default_rng(21)
         xs = rng.random(2000)
-        scalar = np.array([[f.eval(x) for x in xs.tolist()] for f in maps])
+        scalar = np.array([[scalar_eval(f, x) for x in xs.tolist()] for f in maps])
         assert np.array_equal(stack.eval_all(xs).view(np.int64), scalar.view(np.int64))
         which = rng.integers(0, len(maps), 500)
         columns = rng.random((3, 500))
-        want = np.array([[maps[k].eval(x) for k, x in zip(which.tolist(), row)] for row in columns.tolist()])
+        want = np.array([[scalar_eval(maps[k], x) for k, x in zip(which.tolist(), row)] for row in columns.tolist()])
         assert np.array_equal(stack.eval_columns(which, columns).view(np.int64), want.view(np.int64))
 
     def test_stacked_bits_equal_per_map_bits(self):

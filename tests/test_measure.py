@@ -432,26 +432,40 @@ class TestSweepChainPass:
         sd.sweep(family, self.GRID, 5, 300, 4)
         assert passes == [len(self.GRID) - 1, len(self.GRID)]
 
+    @staticmethod
+    def record_builds(monkeypatch):
+        """Weak references to the classifiers built through DriftClassifier.__init__, in build order."""
+        built, init = [], DriftClassifier.__init__
+
+        def recording_init(self, *args):
+            init(self, *args)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(DriftClassifier, "__init__", recording_init)
+        return built
+
+    def test_one_build_per_member_without_a_classifier(self, full2, uniform_chain, monkeypatch):
+        family = self.family(full2, uniform_chain)
+        sd.get_classifier(family.base_product, 6)
+        built = self.record_builds(monkeypatch)
+        sd.sweep(family, self.GRID, 6, 300, 4)
+        assert len(built) == len(self.GRID) - 1  # the base member keeps its classifier
+        sd.sweep(family, self.GRID, 5, 300, 4)
+        assert len(built) == 2 * len(self.GRID) - 1
+
     def test_one_assembled_classifier_alive_at_a_time(self, full2, uniform_chain, monkeypatch):
         family = self.family(full2, uniform_chain)
-        assembled, alive = [], []
-        from_chains, estimate = DriftClassifier._from_chains.__func__, measure.estimate_regions
-
-        def recording_from_chains(cls, *args):
-            classifier = from_chains(cls, *args)
-            assembled.append(weakref.ref(classifier))
-            return classifier
+        built, alive, estimate = self.record_builds(monkeypatch), [], measure.estimate_regions
 
         def counting_estimate(*args):
-            alive.append(sum(ref() is not None for ref in assembled))
+            alive.append(sum(ref() is not None for ref in built))
             return estimate(*args)
 
-        monkeypatch.setattr(DriftClassifier, "_from_chains", classmethod(recording_from_chains))
         monkeypatch.setattr(measure, "estimate_regions", counting_estimate)
         grid = [tau for tau in self.GRID if tau != 0.0]  # the base member keeps its classifier
         sd.sweep(family, grid, 6, 300, 4)
-        assert len(assembled) == len(grid) and alive == [1] * len(grid)
-        assert all(ref() is None for ref in assembled)
+        assert len(built) == len(grid) and alive == [1] * len(grid)
+        assert all(ref() is None for ref in built)
 
 
 def synthetic_sweep(mc_values, radius=0.01):

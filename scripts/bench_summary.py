@@ -6,7 +6,10 @@
 bench/run.py writes one record per run to .bench_run/records/ of the checkout
 it runs in. This script reads the records of each checkout and keeps those
 whose src_sha256 is the digest of the checkout's current src/skewdrift/*.py,
-so records of older code are left out. Per workload and side it writes the
+so records of older code are left out. A (workload, trace, seed) run on both
+sides keeps the newest k records of each side by start time, k the smaller
+count, so a side benchmarked in two batches is not counted twice; the number
+of records dropped this way is written per side. Per workload and side it writes the
 median of every metric over the kept runs (end-to-end metrics from --trace 0
 runs, per-layer metrics from --trace 1 runs), the runs' seeds and failed
 checks, and the after/before ratio of each median. Each side also names its
@@ -40,13 +43,36 @@ def git(root: Path, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True, timeout=30)
 
 
-def summarise(root: Path) -> dict:
+def current_records(root: Path) -> list[dict]:
+    """The standard-profile records of root's current src/."""
     digest = src_digest(root)
     paths = sorted((root / ".bench_run" / "records").glob("*.json"))
     records = [r for r in (json.loads(p.read_text()) for p in paths)
                if r.get("src_sha256") == digest and r.get("profile") == "standard"]
     if not records:
         raise SystemExit(f"{root}: no standard-profile records of the current src/ (sha256 {digest[:12]})")
+    return records
+
+
+def paired(before: list[dict], after: list[dict]) -> tuple[list[dict], list[dict]]:
+    """Both sides with each (workload, trace, seed) of both cut to its newest k records, k the smaller count."""
+    def by_key(records):
+        groups: dict = {}
+        for r in records:
+            groups.setdefault((r["workload"], r["trace"], r["seed"]), []).append(r)
+        return groups
+
+    old, new = by_key(before), by_key(after)
+    for key in old.keys() & new.keys():
+        k = min(len(old[key]), len(new[key]))
+        for groups in (old, new):
+            if len(groups[key]) > k:
+                groups[key] = sorted(groups[key], key=lambda r: r["host_start"]["time"])[-k:]
+    return [r for runs in old.values() for r in runs], [r for runs in new.values() for r in runs]
+
+
+def summarise(root: Path, records: list[dict], dropped: int) -> dict:
+    digest = src_digest(root)
     host = {(r["result"]["python"], r["result"]["numpy"], r["nproc"], r["cpu_model"]) for r in records}
     if len(host) > 1:
         raise SystemExit(f"{root}: records come from different versions or hosts: {sorted(host)}")
@@ -61,6 +87,7 @@ def summarise(root: Path) -> dict:
         "numpy": numpy,
         "nproc": nproc,
         "cpu_model": cpu_model,
+        "dropped_records": dropped,
         "workloads": {},
     }
     groups: dict = {}
@@ -103,7 +130,11 @@ def main(argv=None) -> int:
     parser.add_argument("--after", type=Path, default=Path("."), help="checkout of the change")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_*.json file to write")
     args = parser.parse_args(argv)
-    before, after = summarise(args.before.resolve()), summarise(args.after.resolve())
+    roots = args.before.resolve(), args.after.resolve()
+    records = [current_records(root) for root in roots]
+    kept = paired(*records)
+    before, after = (summarise(root, runs, len(all_runs) - len(runs))
+                     for root, runs, all_runs in zip(roots, kept, records))
     report = {"before": before, "after": after, "ratio_after_to_before": ratios(before, after)}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)

@@ -20,10 +20,12 @@ from .errors import ConfigError, ResourceBoundError, _file_error
 from .fibers import map_to_json, validate_class
 from .measure import (
     _fmt,
+    _gap_tolerance_problem,
     detect_gaps,
     estimate_regions,
     family_member,
     gaps_to_csv,
+    hoeffding_radius,
     mu_data_file,
     sweep,
     sweep_to_csv,
@@ -148,6 +150,9 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     if not cfg.analysis.grid:
         raise ConfigError("analysis.grid", "sweep needs a parameter grid")
     a = cfg.analysis
+    problem = _gap_tolerance_problem(a.gap_epsilon, a.samples, hoeffding_radius(a.samples))
+    if problem:  # detect_gaps would refuse eps only after every member is swept
+        raise ConfigError("analysis.gap_epsilon", problem)
     result = sweep(cfg.family, a.grid, a.depth, a.samples, a.seed)
     gaps = detect_gaps(result, a.gap_epsilon)
     _write(out_dir / "sweep.csv", sweep_to_csv(result, a.seed, a.depth, a.samples))

@@ -369,8 +369,10 @@ def invert(f: FiberMap, y):
     included). Accepts scalars or arrays. A stacked map, whose parameters are
     (k,) arrays, inverts the columns of an (n, k) y in lockstep, column j by
     map j, with the bits of k separate calls. An affine map starts the
-    bisection from a verified bracket around (y - a)/b instead of from 0; it
-    ends the dyadic rounds on the same lo, so the result has the same bits.
+    bisection from a bracket around (y - a)/b instead of from 0: four units
+    of 2^-53 wide if every column passes its check, else the proven width,
+    else none (see _affine_start). It ends the dyadic rounds on the same lo,
+    so the result has the same bits.
     """
     scalar = np.isscalar(y) or (isinstance(y, np.ndarray) and y.ndim == 0)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
@@ -400,11 +402,30 @@ def invert(f: FiberMap, y):
         np.copyto(lo[rows], mid, where=below)
         np.copyto(hi[rows], mid, where=~below)
     x = 0.5 * (lo + hi)
+    step = np.empty_like(x)
     for _ in range(2):
-        x = np.clip(x - (f.eval(x) - ys) / f.derivative(x), 0.0, 1.0)
+        # an affine slope is b everywhere: dividing by it broadcast runs the ops of f.derivative(x)'s array
+        step = _eval_into(f, x, step)
+        step -= ys
+        step /= f.b if isinstance(f, Affine) else f.derivative(x)
+        np.subtract(x, step, out=x)
+        np.clip(x, 0.0, 1.0, out=x)
     if scalar:
         return float(x[0])
     return x
+
+
+def _eval_into(f: FiberMap, x, out):
+    """f(x); an affine map writes Affine.eval's a + b*x into out, the same ops with no temporary.
+
+    Under glibc's malloc a fresh temporary the size of a (1025, 32) block of
+    invert is often returned to the system when freed and faults its pages
+    in again when next allocated, so invert's affine steps evaluate into
+    buffers they keep.
+    """
+    if isinstance(f, Affine):
+        return np.add(f.a, np.multiply(f.b, x, out=out), out=out)
+    return f.eval(x)
 
 
 def _dyadic_rounds(f: FiberMap, ys, lo, first: int):
@@ -412,13 +433,16 @@ def _dyadic_rounds(f: FiberMap, ys, lo, first: int):
 
     While hi - lo = 2^(1-k) for k <= 53, every lo is a multiple of 2^(1-k)
     below 1, so lo + 2^-k is exactly 0.5*(lo + hi): only lo is kept, in place.
+    Adding below * 2^-k is exact too (lo + 0 is lo), and unlike a masked copy
+    it does not branch on every element.
     """
     mid = np.empty_like(ys)
     below = np.empty(ys.shape, dtype=bool)
     for k in range(first, _DYADIC_STEPS + 1):
         np.add(lo, 2.0**-k, out=mid)
-        np.less(f.eval(mid), ys, out=below)
-        np.copyto(lo, mid, where=below)
+        np.less(_eval_into(f, mid, mid), ys, out=below)
+        np.multiply(below, 2.0**-k, out=mid)
+        lo += mid
     return lo
 
 
@@ -430,32 +454,40 @@ def _affine_start(f: Affine, ys):
     after it. The 53 rounds from 0 then end at J*2^-53, with J the largest j
     in [1, 2^53) passing the test, or 0. A bracket [A, A + 2^p] in units of
     2^-53 holds J when A passes the test (or is 0) and A + 2^p fails it (or
-    is 2^53); rounds 54-p..53 from A*2^-53 then find J. The bracket is
-    centred on the guess G = fl(fl(y - a)/b) * 2^53, with one p for the
-    block. Near the root f(m) is within 3*2^-53*max(|y|, |a|) of a + b*m and
-    G within 2 units of (y - a)/b * 2^53, so J lies within
-    3*max(|y|, |a|)/b + 3 units of floor(G) unless b*m underflows; the
-    half-width 4*max(|y|, |a|)/b + 4 covers that. Exactness rests on the
-    check of every column, not on that bound: if one column fails, or p
+    is 2^53); rounds 54-p..53 from A*2^-53 then find J. With the guess
+    G = floor(fl(fl(y - a)/b) * 2^53), two widths are tried, one p for the
+    block each. First [G - 3, G + 1] (p = 2): the rounding of y - a, of the
+    division and of f(m) near the root puts J a few units below G or at it,
+    and on the shipped ladder J - G is in {-3, ..., 0} for every target.
+    Then the proven bracket centred on G: f(m) is within
+    3*2^-53*max(|y|, |a|) of a + b*m and G within 2 units of
+    (y - a)/b * 2^53, so J lies within 3*max(|y|, |a|)/b + 3 units of G
+    unless b*m underflows; the half-width 4*max(|y|, |a|)/b + 4 covers that.
+    Exactness rests on the check of every column, not on either bound: a
+    width is used only if every column passes, and if neither does, or p
     would reach 53, the block runs all 53 rounds. Other forms always run
     all 53: their float evaluation is not provably monotone.
     """
     a, b = np.asarray(f.a, dtype=float), np.asarray(f.b, dtype=float)
     if not (b > 0.0).all():
         return None
-    half = 4.0 * float(np.max(np.maximum(np.abs(ys), np.abs(a)) / b)) + 4.0
-    if not half < 2.0 ** (_DYADIC_STEPS - 2):  # p <= 52; NaN fails too
-        return None
-    p = math.ceil(math.log2(2.0 * half))
-    width = 2.0**p
     units = 2.0**_DYADIC_STEPS
-    start = np.clip(np.floor((ys - a) / b * units) - 0.5 * width, 0.0, units - width)
-    stop = start + width
-    holds = (start == 0.0) | (f.eval(start / units) < ys)
-    holds &= (stop == units) | (f.eval(stop / units) >= ys)
-    if not holds.all():
-        return None
-    return _dyadic_rounds(f, ys, start / units, _DYADIC_STEPS + 1 - p)
+    guess = np.floor((ys - a) / b * units)
+    p, below = 2, 3.0  # [G - 3, G + 1] first
+    val = np.empty_like(ys)
+    while True:
+        lo = np.clip(guess - below, 0.0, units - 2.0**p) / units
+        hi = lo + 2.0 ** (p - _DYADIC_STEPS)
+        holds = ((lo == 0.0) | (_eval_into(f, lo, val) < ys)).all()
+        if holds and ((hi == 1.0) | (_eval_into(f, hi, val) >= ys)).all():
+            return _dyadic_rounds(f, ys, lo, _DYADIC_STEPS + 1 - p)
+        if p > 2:
+            return None
+        half = 4.0 * float(np.max(np.maximum(np.abs(ys), np.abs(a)) / b)) + 4.0
+        if not half < 2.0 ** (_DYADIC_STEPS - 2):  # p <= 52; NaN fails too
+            return None
+        p = math.ceil(math.log2(2.0 * half))
+        below = 2.0 ** (p - 1)
 
 
 def compose_along_word(maps, x):

@@ -239,6 +239,24 @@ def sweep(
     return SweepResult(tuple(grid), tuple(estimates), tuple(mu_lower), tuple(down_lower))
 
 
+def _gap_tolerance_problem(eps: float, n: int, radius: float) -> str | None:
+    """Why eps cannot separate a jump from noise at n samples of confidence radius radius, or None.
+
+    eps must exceed twice the radius. The message names the smallest sample
+    count whose Hoeffding radius would resolve eps, if one does.
+    """
+    if eps > 2.0 * radius:
+        return None
+    fix = "no sample count resolves it"
+    need = 2.0 * math.log(2.0 / (1.0 - CONFIDENCE)) / eps / eps if eps > 0.0 else math.inf  # eps = 2r(need)
+    if math.isfinite(need):
+        need = max(1, math.floor(need) - 1)
+        while not eps > 2.0 * hoeffding_radius(need):
+            need += 1
+        fix = f"n >= {need} resolves it"
+    return f"eps = {eps} must exceed twice the confidence radius {radius} of n = {n} samples; {fix}"
+
+
 def detect_gaps(result: SweepResult, eps: float) -> list[GapInterval]:
     """Flag grid pairs where the sampled up-measure jumps beyond noise.
 
@@ -248,11 +266,10 @@ def detect_gaps(result: SweepResult, eps: float) -> list[GapInterval]:
     """
     if not result.estimates:
         return []
-    max_radius = max(e.radius for e in result.estimates)
-    if eps <= 2.0 * max_radius:
-        raise ToleranceError(
-            f"eps = {eps} must exceed twice the confidence radius {max_radius}"
-        )
+    worst = max(result.estimates, key=lambda e: e.radius)
+    problem = _gap_tolerance_problem(eps, worst.n_samples, worst.radius)
+    if problem:
+        raise ToleranceError(problem)
     gaps = []
     mc = result.mu_mc
     for i in range(len(result.grid) - 1):

@@ -20,7 +20,7 @@ def checkout(root: Path, source: str) -> Path:
 
 
 def record(root: Path, name: str, *, workload="plateau_sweep", trace=0, seed=1, metrics, digest=None,
-           profile="standard", cpu_model="cpu A", failed=0):
+           profile="standard", cpu_model="cpu A", failed=0, host_start=None):
     data = {
         "src_sha256": digest or bench_summary.src_digest(root),
         "profile": profile,
@@ -32,6 +32,8 @@ def record(root: Path, name: str, *, workload="plateau_sweep", trace=0, seed=1, 
         "result": {"python": "3.11.7", "numpy": "2.4.6", "checks": {"failed": failed}},
         "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()},
     }
+    if host_start is not None:
+        data["host_start"] = host_start
     (root / ".bench_run" / "records" / f"{name}.json").write_text(json.dumps(data))
 
 
@@ -95,3 +97,21 @@ def test_refuses_records_from_mixed_hosts(sides, tmp_path):
     record(after, "other_host", seed=5, metrics={"wall_s": 1.0, "setup_s": 0.25}, cpu_model="cpu B")
     with pytest.raises(SystemExit, match="different versions or hosts"):
         summarise(before, after, tmp_path)
+
+
+def test_a_side_run_twice_keeps_its_newest_batch(tmp_path):
+    # the parent's source never changes, so a second batch adds records of the same source:
+    # each (workload, trace, seed) keeps the newest k records of each side, k the smaller count
+    before = checkout(tmp_path / "before", "x = 1\n")
+    after = checkout(tmp_path / "after", "x = 2\n")
+    for batch, (start, wall) in enumerate(((100.0, 9.0), (200.0, 2.0))):
+        for run in range(3):
+            record(before, f"b{batch}{run}", metrics={"wall_s": wall + run}, host_start={"time": start + run})
+    for run in range(3):
+        record(after, f"a{run}", metrics={"wall_s": 1.0 + run}, host_start={"time": 300.0 + run})
+    report = summarise(before, after, tmp_path)
+    old = report["before"]["workloads"]["plateau_sweep"]["end_to_end"]
+    new = report["after"]["workloads"]["plateau_sweep"]["end_to_end"]
+    assert old["runs"] == new["runs"] == 3 and old["seeds"] == new["seeds"] == [1]
+    assert old["metrics"]["wall_s"]["median"] == 3.0  # the newest batch: 2, 3, 4
+    assert (report["before"]["dropped_records"], report["after"]["dropped_records"]) == (3, 0)

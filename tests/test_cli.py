@@ -184,6 +184,23 @@ class TestBadRunInput:
                      "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("resource bound: Unable to allocate ")
 
+    def test_gap_epsilon_checked_before_sweeping(self, tmp_path, capsys, monkeypatch):
+        # eps = 0.05 needs 2 * hoeffding_radius(n) < 0.05, first true at n = 2952
+        import skewdrift.cli as cli
+
+        calls = []
+        sweep = cli.sweep
+        monkeypatch.setattr(cli, "sweep", lambda *args: calls.append(args) or sweep(*args))
+        config = small_plateau_config(tmp_path, gap_epsilon=0.05)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--samples", "2951", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: analysis.gap_epsilon: eps = 0.05 must exceed twice the confidence radius ")
+        assert err.endswith(" of n = 2951 samples; n >= 2952 resolves it\n")
+        assert calls == [] and not out.exists()
+        assert main(["sweep", "--config", config, "--samples", "2952", "--grid=0:0.01:0.01", "--out", str(out)]) == 0
+        assert len(calls) == 1 and (out / "gaps.csv").exists()
+
     def test_negative_grid_in_equals_form(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["sweep", "--config", small_plateau_config(tmp_path), "--grid=-0.004:0.004:0.002",

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from skewdrift.fibers import EPS_ROUND, INVERT_TOL, MapStack, _indexed, _stacked
 from skewdrift.measure import _bump_after
 
 from conftest import scalar_eval
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 def sample_maps():
@@ -308,6 +312,72 @@ class TestInvert:
             for j, f in enumerate(maps):
                 assert np.array_equal(got[:, j].view(np.int64), sd.invert(f, ys[:, j]).view(np.int64)), f
                 assert np.array_equal(got[:, j].view(np.int64), bisection_invert(f, ys[:, j]).view(np.int64)), f
+
+    @staticmethod
+    def first_rounds(monkeypatch):
+        """Spy on fibers._dyadic_rounds: the list it returns gets (is the map affine, first round) per call."""
+        seen, rounds = [], fibers._dyadic_rounds
+
+        def spy(f, ys, lo, first):
+            seen.append((isinstance(f, sd.Affine), first))
+            return rounds(f, ys, lo, first)
+
+        monkeypatch.setattr(fibers, "_dyadic_rounds", spy)
+        return seen
+
+    @pytest.mark.parametrize("depth, blocks", [(4, 14), (5, 28)])
+    def test_shipped_ladder_takes_the_narrow_bracket(self, monkeypatch, tmp_path, depth, blocks):
+        from skewdrift.cli import run
+
+        seen = self.first_rounds(monkeypatch)
+        assert run("approx", str(CONFIGS / "continuous_geometric.json"), out=str(tmp_path), depth=depth) == 0
+        assert seen == [(True, 52)] * blocks
+
+    def test_bracket_widths_by_block_kind(self, monkeypatch):
+        # the narrow bracket fails on a tiny slope and the proven one holds; both fail on a slope
+        # of 1e-16 and on a subnormal map; one failing column sends the whole block to the next width
+        rng = np.random.default_rng(28)
+        narrow, proven, neither = sd.Affine(0.1, 0.8), sd.Affine(0.45, 1e-6), sd.Affine(0.45, 1e-16)
+        cases = [([proven], range(2, 52)), ([neither], [1]), ([sd.Affine(5e-324, 1e-320)], [1]),
+                 ([narrow, proven], range(2, 52)), ([narrow, neither], [1]), ([narrow, narrow], [52])]
+        seen = self.first_rounds(monkeypatch)
+        for maps, firsts in cases:
+            ys = np.stack([invert_targets(f, rng, 300) for f in maps], axis=1)
+            seen.clear()
+            got = sd.invert(_stacked(maps), ys)
+            assert len(seen) == 1 and seen[0][1] in firsts, (maps, seen)
+            for j, f in enumerate(maps):
+                assert np.array_equal(got[:, j].view(np.int64), bisection_invert(f, ys[:, j]).view(np.int64)), f
+
+    def test_root_above_the_narrow_bracket(self, monkeypatch):
+        # y - a and a + t (t = fl(b*J*2^-53), even) both tie and round to t, while fl(t/b) < J*2^-53:
+        # J passes the test but G = J - 1, so G + 1 passes too and the block takes the proven bracket
+        f, J, unit = sd.Affine(2.0**-54, 0.7), 8526652922651484, 2.0**-53
+        ys = np.array([f.b * (J * unit) + unit])
+        assert np.floor((ys - f.a) / f.b * 2.0**53) == J - 1 and f.eval(J * unit) < ys
+        seen = self.first_rounds(monkeypatch)
+        lo = fibers._affine_start(f, ys)
+        assert 1 < seen[0][1] < 52
+        assert np.array_equal(lo.view(np.int64), fibers._dyadic_rounds(f, ys, np.zeros(1), 1).view(np.int64))
+        assert lo[0] >= J * unit
+        self.assert_affine_bits(f, ys)
+
+    @given(
+        exponents=st.lists(st.floats(-8.0, np.log10(0.999)), min_size=1, max_size=6),
+        share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_affine_bits_equal_plain_bisection(self, exponents, share, seed):
+        maps = [sd.Affine(share * (1.0 - 10.0**e), 10.0**e) for e in exponents]
+        maps = [f for f in maps if f.class_check()]
+        if not maps:
+            return
+        rng = np.random.default_rng(seed)
+        ys = np.stack([invert_targets(f, rng, 100) for f in maps], axis=1)
+        got = sd.invert(_stacked(maps), ys)
+        for j, f in enumerate(maps):
+            assert np.array_equal(got[:, j].view(np.int64), bisection_invert(f, ys[:, j]).view(np.int64)), f
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "upper half"])
     def test_halvings_on_moving_rows_equal_plain_bisection(self, order):

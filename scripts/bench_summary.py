@@ -14,8 +14,9 @@ median of every metric over the kept runs (end-to-end metrics from --trace 0
 runs, per-layer metrics from --trace 1 runs), the runs' seeds and failed
 checks, and the after/before ratio of each median. Each side also names its
 git commit, whether src/ differs from that commit, Python and numpy versions,
-nproc and the CPU model. Records of different versions or hosts on one side
-are refused.
+nproc, the CPU model and src_lines, the summed line counts of
+src/skewdrift/*.py as wc -l gives them. Records of different versions or
+hosts on one side are refused.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ def src_digest(root: Path) -> str:
     for path in sorted((root / "src" / "skewdrift").glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+def src_lines(root: Path) -> int:
+    """Summed line counts of src/skewdrift/*.py, counted as wc -l counts them (newline characters)."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "skewdrift").glob("*.py"))
 
 
 def git(root: Path, *args: str) -> subprocess.CompletedProcess:
@@ -83,6 +89,7 @@ def summarise(root: Path, records: list[dict], dropped: int) -> dict:
         "git_sha": sha,
         "src_differs_from_commit": differs,
         "src_sha256": digest,
+        "src_lines": src_lines(root),
         "python": python,
         "numpy": numpy,
         "nproc": nproc,

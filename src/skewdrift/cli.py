@@ -17,7 +17,8 @@ from pathlib import Path
 from .config import RunConfig, load_config
 from .drift import classify_point
 from .errors import ConfigError, ResourceBoundError, _file_error
-from .fibers import map_to_json, validate_class
+from .fibers import map_to_json
+# compare_order and family_member are bound here, unused, so that bench/tracer.py can patch them on this module
 from .measure import (
     _fmt,
     _gap_tolerance_problem,
@@ -33,13 +34,12 @@ from .measure import (
 from .products import (
     LabeledPoint,
     MultistepSkewProduct,
-    ProductOrder,
     approximation_distance_bound,
     compare_order,
     distance,
     multistep_approximation,
 )
-from .symbolic import SymbolWindow, validate_transitive
+from .symbolic import SymbolWindow
 
 
 def _write(path: Path, text: str):
@@ -65,34 +65,23 @@ def _parse_point_row(row: dict, line: int) -> LabeledPoint:
 
 
 def _cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
-    lines = []
-    ok = True
-    transitive = validate_transitive(cfg.base.transitions)
-    lines.append(f"transitive base: {'ok' if transitive else 'FAIL'}")
-    ok = ok and transitive
+    # Loading refused every failing config with exit 2, so each check below holds:
+    # TransitionSystem requires a strongly connected digraph, MultistepSkewProduct
+    # class-checks every map, ContinuousProductSpec its worst-case parameters, and
+    # MonotoneFamily requires compare_order to put its tau_min member below its tau_max one.
     pi = ", ".join(_fmt(v) for v in cfg.chain.stationary)
-    lines.append(f"stationary vector: ({pi})")
+    lines = ["transitive base: ok", f"stationary vector: ({pi})"]
     if cfg.product is not None:
-        bad = 0
-        for word, fmap in sorted(cfg.product.assignment.items()):
-            check = validate_class(fmap)
-            if not check:
-                bad += 1
-                lines.append(f"map class FAIL for word {word}: {check.reason}")
-        lines.append(f"fiber maps in class: {len(cfg.product.assignment) - bad}/{len(cfg.product.assignment)}")
-        ok = ok and bad == 0
+        lines.append(f"fiber maps in class: {len(cfg.product.assignment)}/{len(cfg.product.assignment)}")
     if cfg.continuous is not None:
         lines.append("continuous template: worst-case parameters stay in class")
     if cfg.family is not None:
         lo, hi = cfg.family.tau_range
-        order = compare_order(family_member(cfg.family, lo), family_member(cfg.family, hi))
-        monotone = order is ProductOrder.FIRST_BELOW
-        lines.append(f"family monotone on [{_fmt(lo)}, {_fmt(hi)}]: {'ok' if monotone else 'FAIL'}")
-        ok = ok and monotone
+        lines.append(f"family monotone on [{_fmt(lo)}, {_fmt(hi)}]: ok")
     report = "\n".join(lines) + "\n"
     print(report, end="")
     _write(out_dir / "validate_report.txt", report)
-    return 0 if ok else 2
+    return 0
 
 
 def _cmd_classify(cfg: RunConfig, out_dir: Path, points_path: str | None) -> int:
@@ -125,9 +114,9 @@ def _cmd_classify(cfg: RunConfig, out_dir: Path, points_path: str | None) -> int
         record = result.to_json()
         record["window"] = window_txt
         record["x"] = point.x
-        json_lines.append(json.dumps(record, sort_keys=True))
+        json_lines.append(json.dumps(record, sort_keys=True) + "\n")
     _write(out_dir / "classifications.csv", "\n".join(csv_lines) + "\n")
-    _write(out_dir / "classifications.jsonl", "\n".join(json_lines) + "\n")
+    _write(out_dir / "classifications.jsonl", "".join(json_lines))
     print(f"classified {len(points)} points at depth {depth} -> {out_dir}/classifications.csv")
     return 0
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,22 @@ def _number(value, path: str) -> float:
     return v
 
 
+@contextmanager
+def _anchored(path: str, malformed: str | None = None):
+    """A section's ValueError as a ConfigError at path and, if malformed is given,
+    its KeyError or TypeError as a malformed record there; a ConfigError passes through."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(path, str(exc))
+    except (KeyError, TypeError) as exc:
+        if malformed is None:
+            raise
+        raise ConfigError(malformed, f"malformed record: {exc}")
+
+
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
@@ -115,35 +132,24 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     overrides = overrides or {}
     base_rec = _expect(raw, "base", "config")
     transitions, stochastic = (_expect(base_rec, key, "base") for key in ("transitions", "stochastic"))
-    try:
+    with _anchored("base.transitions"):
         base = TransitionSystem(np.asarray(transitions))
-    except ValueError as exc:
-        raise ConfigError("base.transitions", str(exc))
     declared = _integer(_expect(base_rec, "alphabet_size", "base"), "base.alphabet_size")
     if declared != base.alphabet_size:
         raise ConfigError("base.alphabet_size", f"declared {declared}, matrix has {base.alphabet_size}")
-    try:
+    with _anchored("base.stochastic", "base.stochastic"):
         chain = MarkovChain(base, np.asarray(stochastic, dtype=float))
-    except ValueError as exc:
-        raise ConfigError("base.stochastic", str(exc))
 
     product = None
     continuous = None
     if ("product" in raw) == ("continuous" in raw):
         raise ConfigError("config", "exactly one of 'product' or 'continuous' is required")
     if "product" in raw:
-        rec = raw["product"]
-        try:
-            product = MultistepSkewProduct.from_json(base, chain, rec)
-        except ConfigError:
-            raise
-        except (KeyError, TypeError) as exc:
-            raise ConfigError("product", f"malformed record: {exc}")
-        except ValueError as exc:
-            raise ConfigError("product.assignment", str(exc))
+        with _anchored("product.assignment", "product"):
+            product = MultistepSkewProduct.from_json(base, chain, raw["product"])
     else:
         rec = raw["continuous"]
-        try:
+        with _anchored("continuous", "continuous"):
             continuous = ContinuousProductSpec(
                 base,
                 chain,
@@ -152,12 +158,6 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
                 symbol_params=tuple(_expect(rec, "symbol_params", "continuous")),
                 rho=np.asarray(_expect(rec, "rho", "continuous"), dtype=float),
             )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError) as exc:
-            raise ConfigError("continuous", f"malformed record: {exc}")
-        except ValueError as exc:
-            raise ConfigError("continuous", str(exc))
 
     family = None
     if "family" in raw:
@@ -168,14 +168,9 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         tau_range = _expect(rec, "tau_range", "family")
         if not (isinstance(tau_range, list) and len(tau_range) == 2):
             raise ConfigError("family.tau_range", "expected [tau_min, tau_max]")
-        try:
-            family = MonotoneFamily(
-                product,
-                kappa,
-                (_number(tau_range[0], "family.tau_range[0]"), _number(tau_range[1], "family.tau_range[1]")),
-            )
-        except ValueError as exc:
-            raise ConfigError("family", str(exc))
+        taus = tuple(_number(t, f"family.tau_range[{i}]") for i, t in enumerate(tau_range))
+        with _anchored("family"):
+            family = MonotoneFamily(product, kappa, taus)
 
     analysis = AnalysisConfig()
     rec = raw.get("analysis", {})

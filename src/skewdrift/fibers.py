@@ -513,6 +513,8 @@ def map_to_json(f: FiberMap) -> dict:
 
 
 def map_from_json(record: dict) -> FiberMap:
+    if not (isinstance(record, dict) and isinstance(record.get("parameters", {}), dict)):
+        raise TypeError(f"a map and its parameters must be objects, got {record!r}")
     form = record.get("form")
     params = record.get("parameters", {})
     if form == "bump_composed":

@@ -115,3 +115,14 @@ def test_a_side_run_twice_keeps_its_newest_batch(tmp_path):
     assert old["runs"] == new["runs"] == 3 and old["seeds"] == new["seeds"] == [1]
     assert old["metrics"]["wall_s"]["median"] == 3.0  # the newest batch: 2, 3, 4
     assert (report["before"]["dropped_records"], report["after"]["dropped_records"]) == (3, 0)
+
+
+def test_source_line_count(tmp_path):
+    before = checkout(tmp_path / "before", "x = 1\n")
+    after = checkout(tmp_path / "after", "x = 2\ny = 3\n")
+    (after / "src" / "skewdrift" / "extra.py").write_text("a = 1\n\nb = 2")  # no final newline: wc -l counts 2
+    (after / "src" / "skewdrift" / "notes.txt").write_text("not python\n")
+    for root in (before, after):
+        record(root, "run", metrics={"wall_s": 1.0})
+    report = summarise(before, after, tmp_path)
+    assert (report["before"]["src_lines"], report["after"]["src_lines"]) == (1, 4)

@@ -85,6 +85,35 @@ class TestValidateCommand:
         path = write_json(tmp_path / "wide.json", record)
         assert run("validate", path, out=str(tmp_path)) == 3
 
+    @pytest.mark.parametrize("name, report", [
+        ("golden_affine.json", "stationary vector: (0.75, 0.25)\nfiber maps in class: 2/2\n"),
+        ("constant_affine.json", "stationary vector: (0.5, 0.5)\nfiber maps in class: 2/2\n"),
+        ("plateau_family.json", "stationary vector: (0.5, 0.5)\nfiber maps in class: 2/2\n"
+                                "family monotone on [-0.025000000000000001, 0.025000000000000001]: ok\n"),
+        ("continuous_geometric.json", "stationary vector: (0.5, 0.5)\n"
+                                      "continuous template: worst-case parameters stay in class\n"),
+    ])
+    def test_report_of_each_shipped_config(self, tmp_path, capsys, name, report):
+        assert run("validate", str(CONFIGS / name), out=str(tmp_path)) == 0
+        report = "transitive base: ok\n" + report
+        assert capsys.readouterr().out == report
+        assert (tmp_path / "validate_report.txt").read_text() == report
+
+    def test_family_order_compared_once(self, tmp_path, monkeypatch):
+        # loading compares the family's endpoint members; the report reuses that check
+        import skewdrift.cli as cli
+        import skewdrift.measure as measure
+
+        calls = []
+
+        def counting(compare):
+            return lambda *args: calls.append(args) or compare(*args)
+
+        for module in (measure, cli):
+            monkeypatch.setattr(module, "compare_order", counting(module.compare_order))
+        assert run("validate", str(CONFIGS / "plateau_family.json"), out=str(tmp_path)) == 0
+        assert len(calls) == 1
+
 
 class TestClassifyCommand:
     def test_verdicts_for_three_points(self, tmp_path, capsys):
@@ -99,6 +128,15 @@ class TestClassifyCommand:
         assert verdicts == ["Up", "Unknown", "Down"]
         records = [json.loads(l) for l in (tmp_path / "classifications.jsonl").read_text().splitlines()]
         assert [r["verdict"] for r in records] == ["Up", "Unknown", "Down"]
+
+    def test_points_file_without_rows(self, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("window,x\n")
+        code = run("classify", str(CONFIGS / "constant_affine.json"), points=str(points), out=str(tmp_path), depth=6)
+        assert code == 0
+        assert (tmp_path / "classifications.jsonl").read_bytes() == b""
+        assert (tmp_path / "classifications.csv").read_text() == (
+            "# seed=42 depth=6 samples=0\nwindow,x,verdict,margin,depth\n")
 
     def test_missing_points_flag_exits_2(self, tmp_path):
         assert run("classify", str(CONFIGS / "constant_affine.json"), out=str(tmp_path)) == 2
@@ -246,6 +284,25 @@ class TestBadFilesAndShapes:
         code, err = self.run_main(capsys, "validate", "--config", write_json(tmp_path / "bad.json", record),
                                   "--out", str(tmp_path))
         assert code == 2 and err == f"invalid input: {section}: must be an object\n"
+
+    @pytest.mark.parametrize("name, edit, error", [
+        ("constant_affine.json", lambda r: r["base"].update(stochastic={"a": 1}),
+         "base.stochastic: malformed record: float() argument must be a string or a real number, not 'dict'"),
+        ("constant_affine.json", lambda r: r["product"]["assignment"][0].update(map=None),
+         "product: malformed record: a map and its parameters must be objects, got None"),
+        ("constant_affine.json", lambda r: r["product"]["assignment"][0]["map"].update(parameters=[1]),
+         "product: malformed record: a map and its parameters must be objects, got "
+         "{'form': 'affine', 'parameters': [1]}"),
+        ("plateau_family.json", lambda r: r["family"].update(tau_range=["x", 0.02]),
+         "family.tau_range[0]: expected a number, got 'x'"),
+    ], ids=["stochastic-not-a-matrix", "map-null", "parameters-a-list", "tau-not-a-number"])
+    def test_malformed_section_exits_2(self, tmp_path, capsys, name, edit, error):
+        record = json.loads((CONFIGS / name).read_text())
+        edit(record)
+        code, err = self.run_main(capsys, "validate", "--config", write_json(tmp_path / "bad.json", record),
+                                  "--out", str(tmp_path / "out"))
+        assert code == 2 and err == f"invalid input: {error}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, line", [
         ("window,x\n-5 1 1 1 1 1 1 1 1 1 1,0.2\n-5 1 1 1 1 1 1 1 1 1 1\n", 3),

@@ -225,18 +225,8 @@ def main(argv=None) -> int:
                         help="override sweep grid as --grid=LO:HI:STEP (the = form also takes LO < 0)")
     parser.add_argument("--out", type=str, default=".", help="output directory")
     parser.add_argument("--points", type=str, default=None, help="input points CSV for classify")
-    args = parser.parse_args(argv)
-    code = run(
-        args.command,
-        args.config,
-        seed=args.seed,
-        depth=args.depth,
-        samples=args.samples,
-        grid=args.grid,
-        out=args.out,
-        points=args.points,
-    )
-    return code
+    args = vars(parser.parse_args(argv))
+    return run(args.pop("command"), args.pop("config"), **args)
 
 
 if __name__ == "__main__":

@@ -146,6 +146,10 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError("config", "exactly one of 'product' or 'continuous' is required")
     if "product" in raw:
         with _anchored("product.assignment", "product"):
+            window = raw["product"]["window"]  # a product that is no object or has no window is a malformed record
+            if not (isinstance(window, list) and len(window) == 2
+                    and all(_integer(v, "product.window") >= 0 for v in window)):
+                raise ConfigError("product.window", f"expected [l, r] with integers l, r >= 0, got {window!r}")
             product = MultistepSkewProduct.from_json(base, chain, raw["product"])
     else:
         rec = raw["continuous"]

@@ -136,7 +136,7 @@ def _minimized(system: TransitionSystem, window, values) -> list:
 
 
 def _drift_arrays(system: TransitionSystem, graph_window, graph, image_window, image):
-    """Common window, graph and image values (rows, or one row) on it, and the Up and Down margins of each row."""
+    """Common window, graph and image values (rows, or one row) on it; per row Up (ranked first), certified, margin."""
     L = max(graph_window[0], image_window[0])
     R = max(graph_window[1], image_window[1])
     size = L + R + 1
@@ -145,7 +145,14 @@ def _drift_arrays(system: TransitionSystem, graph_window, graph, image_window, i
     graph = graph[..., system.window_ranks(graph_window, (L, R))]
     image = image[..., system.window_ranks(image_window, (L, R))]
     drift = image - graph
-    return (L, R), graph, image, drift.min(axis=-1) - 2.0 * EPS_ROUND, -drift.max(axis=-1) - 2.0 * EPS_ROUND
+    up, down = drift.min(axis=-1) - 2.0 * EPS_ROUND, -drift.max(axis=-1) - 2.0 * EPS_ROUND
+    is_up = up >= DELTA_CERT
+    return (L, R), graph, image, is_up, is_up | (down >= DELTA_CERT), np.where(is_up, up, down)
+
+
+def _strip(g, e, up: bool):
+    """Closed bounds (lo, hi) of the fiber strip a witness certifies between its graph g and image e levels."""
+    return (g + DELTA_CERT, e - DELTA_CERT) if up else (e + DELTA_CERT, g - DELTA_CERT)
 
 
 def _chains(products: list, depth: int):
@@ -189,12 +196,11 @@ def _chains(products: list, depth: int):
                 continue
             for image_window, rows, image_values in _minimized(system, raw, image):
                 # within the cap: a graph's right offset never exceeds its image's raw one
-                common, g, e, up, down = _drift_arrays(system, window, values[rows], image_window, image_values)
-                is_up = up >= DELTA_CERT
-                hits = np.flatnonzero(is_up | (down >= DELTA_CERT))
+                common, g, e, up, ok, margin = _drift_arrays(system, window, values[rows], image_window, image_values)
+                hits = np.flatnonzero(ok)
                 kept = chains[rows]  # chains run by product, so each product's rows and witnesses are slices
                 level = (kept[hits] % len(levels)).astype(np.min_scalar_type(len(levels)))
-                part = (common, level, is_up[hits], g[hits], e[hits], np.where(is_up, up, down)[hits])
+                part = (common, level, up[hits], g[hits], e[hits], margin[hits])
                 present, bounds = np.searchsorted(kept, edges).tolist(), np.searchsorted(kept[hits], edges).tolist()
                 for m in range(count):
                     if present[m] < present[m + 1]:
@@ -258,17 +264,10 @@ class DriftOutcome:
     image: StepGraph
 
 
-def _direction(up, down) -> tuple[str, float | None]:
-    """Certified direction and margin of one graph from its Up and Down margins."""
-    if up >= DELTA_CERT:
-        return "up", float(up)
-    return ("down", float(down)) if down >= DELTA_CERT else ("inconclusive", None)
-
-
-def _drift_outcome(graph: StepGraph, image: StepGraph) -> DriftOutcome:
-    system = graph.system
-    window, g, e, up, down = _drift_arrays(system, graph.window, graph.values, image.window, image.values)
-    return DriftOutcome(*_direction(up, down), StepGraph(system, window, g), StepGraph(system, window, e))
+def _drift(graph: StepGraph, image: StepGraph) -> tuple:
+    """Common window, graph and image rows on it, direction ("up", "down" or "inconclusive") and margin or None."""
+    window, g, e, up, ok, margin = _drift_arrays(graph.system, graph.window, graph.values, image.window, image.values)
+    return window, g, e, ("up" if up else "down") if ok else "inconclusive", float(margin) if ok else None
 
 
 def certify_drift(product: MultistepSkewProduct, graph: StepGraph) -> DriftOutcome:
@@ -277,7 +276,8 @@ def certify_drift(product: MultistepSkewProduct, graph: StepGraph) -> DriftOutco
     Outward-rounded comparison over all admissible words of the common window;
     "inconclusive" includes "too close to certify".
     """
-    return _drift_outcome(graph, image_graph(product, graph))
+    window, g, e, direction, margin = _drift(graph, image_graph(product, graph))
+    return DriftOutcome(direction, margin, StepGraph(graph.system, window, g), StepGraph(graph.system, window, e))
 
 
 @dataclass(frozen=True)
@@ -316,18 +316,15 @@ def replay_certificate(
     """Re-certify a witness graph on another product, optionally with its strip condition.
 
     Raises ValueError if the point's window is not a word of the base space.
-    Decides as certify_drift would, from the drift kernel's arrays.
+    Decides as certify_drift would, and tests the strip as the classifier does.
     """
-    graph, image = certificate.graph, image_graph(product, certificate.graph)
-    window, g, e, up, down = _drift_arrays(graph.system, graph.window, graph.values, image.window, image.values)
-    direction, margin = _direction(up, down)
+    window, g, e, direction, margin = _drift(certificate.graph, image_graph(product, certificate.graph))
     rank = None if point is None else _point_rank(product.base, window, point.window)
     if direction != certificate.direction:
         return ReplayResult(False, None, f"drift verdict is {direction}")
     if rank is not None:
-        level, image_level = g[rank], e[rank]
-        lo, hi = (level, image_level) if direction == "up" else (image_level, level)
-        if not (point.x - lo >= DELTA_CERT and hi - point.x >= DELTA_CERT):
+        lo, hi = _strip(g[rank], e[rank], direction == "up")
+        if not lo <= point.x <= hi:
             return ReplayResult(False, margin, "strip condition fails at the point")
     return ReplayResult(True, margin)
 
@@ -442,8 +439,7 @@ class DriftClassifier:
             wit_window, graph, image, _ = witnesses[k]
             cols = np.flatnonzero(group == k)
             ranks = system.window_ranks(wit_window, window)
-            g, e = graph[row[cols]][:, ranks].T, image[row[cols]][:, ranks].T
-            lo[:, cols], hi[:, cols] = (g + DELTA_CERT, e - DELTA_CERT) if up else (e + DELTA_CERT, g - DELTA_CERT)
+            lo[:, cols], hi[:, cols] = _strip(graph[row[cols]][:, ranks].T, image[row[cols]][:, ranks].T, up)
         empty = hi <= lo
         lo[empty], hi[empty] = np.inf, -np.inf
         (words, cols, starts, ends), runs = sweep_rows(lo, hi)
@@ -516,11 +512,11 @@ class DriftClassifier:
             return self._certificates[direction, tag]
         if np.isnan(level):
             return None
-        constant = StepGraph.constant(self.base, level)
-        outcome = _drift_outcome(constant, _image_graph(self.product_window, self._maps, self._slots, constant))
-        if outcome.direction != direction.lower():
+        graph = StepGraph.constant(self.base, level)
+        window, g, _, found, margin = _drift(graph, _image_graph(self.product_window, self._maps, self._slots, graph))
+        if found != direction.lower():
             raise RuntimeError(f"internal inconsistency: refined level {level} is not {direction}")
-        return DriftCertificate(direction.lower(), outcome.graph, outcome.margin, self._fingerprint)
+        return DriftCertificate(found, StepGraph(self.base, window, g), margin, self._fingerprint)
 
     def _search(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool, narrow: bool = False):
         """Per point: Up and Down index tags (-1 for none), then Up and Down refined levels (NaN for none).
@@ -601,8 +597,9 @@ class DriftClassifier:
             image = values[slot, np.arange(len(active))]
             # rounding is monotone, so min_k fl(f_k(c) - c) is fl(min_k f_k(c) - c)
             drifting = values.min(axis=0) - level - 2.0 * EPS_ROUND >= DELTA_CERT
-            move_lo = drifting & (image - x < DELTA_CERT)
-            move_hi = ~drifting | (~move_lo & (x - level < DELTA_CERT))
+            bottom, top = _strip(level, image, up=True)  # on negated values it is the Down strip
+            move_lo = drifting & (x > top)
+            move_hi = ~drifting | (~move_lo & (x < bottom))
             lower, upper = np.where(move_lo, level, lower), np.where(move_hi, level, upper)
             moved = move_lo | move_hi
             if not moved.all():

@@ -517,8 +517,10 @@ def map_from_json(record: dict) -> FiberMap:
         raise TypeError(f"a map and its parameters must be objects, got {record!r}")
     form = record.get("form")
     params = record.get("parameters", {})
+    if form != "bump_composed" and form not in _FORMS:
+        raise ValueError(f"unknown map form {form!r}")
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in params.values()):
+        raise TypeError(f"map parameters must be numbers, got {params!r}")
     if form == "bump_composed":
         return BumpComposed(amount=float(params["amount"]), inner=map_from_json(record["inner"]))
-    if form not in _FORMS:
-        raise ValueError(f"unknown map form {form!r}")
     return _FORMS[form](**{k: float(v) for k, v in params.items()})

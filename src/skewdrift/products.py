@@ -126,12 +126,16 @@ class MultistepSkewProduct:
 
     @staticmethod
     def from_json(base: TransitionSystem, chain: MarkovChain, record: dict) -> "MultistepSkewProduct":
-        window = tuple(int(v) for v in record["window"])
-        assignment = {
-            tuple(int(s) for s in entry["word"]): map_from_json(entry["map"])
-            for entry in record["assignment"]
-        }
+        """The product of a JSON record; TypeError unless its window and words are lists of integers (no bools)."""
+        window = _int_tuple(record["window"], "a window")
+        assignment = {_int_tuple(e["word"], "a word"): map_from_json(e["map"]) for e in record["assignment"]}
         return MultistepSkewProduct(base, chain, window, assignment)
+
+
+def _int_tuple(values, name: str) -> tuple[int, ...]:
+    if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+        raise TypeError(f"{name} must be a list of integers, got {values!r}")
+    return tuple(values)
 
 
 def iterate(product: MultistepSkewProduct, point: LabeledPoint, n: int) -> LabeledPoint:

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -304,6 +306,32 @@ class TestBadFilesAndShapes:
         assert code == 2 and err == f"invalid input: {error}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit, error", [
+        (lambda p: p["assignment"][0].update(word=[1.5]), "product: malformed record: "
+         "a word must be a list of integers, got [1.5]"),
+        (lambda p: p["assignment"][0].update(word=["1"]), "product: malformed record: "
+         "a word must be a list of integers, got ['1']"),
+        (lambda p: p.update(window=[0.5, 0]), "product.window: expected an integer, got 0.5"),
+        (lambda p: p.update(window=["0", 0]), "product.window: expected an integer, got '0'"),
+        (lambda p: p.update(window=[0]), "product.window: expected [l, r] with integers l, r >= 0, got [0]"),
+        (lambda p: p.update(window=[0, 0, 0]),
+         "product.window: expected [l, r] with integers l, r >= 0, got [0, 0, 0]"),
+        (lambda p: p.update(window=[-1, 0]), "product.window: expected [l, r] with integers l, r >= 0, got [-1, 0]"),
+        (lambda p: p["assignment"][0]["map"]["parameters"].update(a="0.1"), "product: malformed record: "
+         "map parameters must be numbers, got {'a': '0.1', 'b': 0.8}"),
+        (lambda p: p["assignment"][0]["map"]["parameters"].update(a=True), "product: malformed record: "
+         "map parameters must be numbers, got {'a': True, 'b': 0.8}"),
+    ], ids=["word-float", "word-string", "window-float", "window-string", "window-short", "window-long",
+            "window-negative", "parameter-string", "parameter-bool"])
+    def test_malformed_product_record_exits_2(self, tmp_path, capsys, edit, error):
+        # each of these loaded with a coerced value, or failed at product.assignment with a Python message
+        record = json.loads((CONFIGS / "constant_affine.json").read_text())
+        edit(record["product"])
+        code, err = self.run_main(capsys, "validate", "--config", write_json(tmp_path / "bad.json", record),
+                                  "--out", str(tmp_path / "out"))
+        assert code == 2 and err == f"invalid input: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, line", [
         ("window,x\n-5 1 1 1 1 1 1 1 1 1 1,0.2\n-5 1 1 1 1 1 1 1 1 1 1\n", 3),
         ("x,window\n0.2,-5 1 1 1 1 1 1 1 1 1 1\n0.3\n", 3),
@@ -375,6 +403,14 @@ def readme_cli_commands() -> dict[str, list[str]]:
     return commands
 
 
+def readme_script_commands() -> list[list[str]]:
+    """argv of each `python3 scripts/...` line in the README experiment-scripts block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Experiment scripts", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (shlex.split(line, comments=True) for line in block.splitlines())
+    return [argv for argv in lines if argv[:1] == ["python3"] and argv[1].startswith("scripts/")]
+
+
 class TestReadmeCommands:
     @pytest.mark.parametrize("command", ["validate", "classify", "measure", "sweep", "approx"])
     def test_runs_as_written(self, command, tmp_path, monkeypatch, capsys):
@@ -383,6 +419,18 @@ class TestReadmeCommands:
         (tmp_path / "scripts").symlink_to(ROOT / "scripts", target_is_directory=True)
         monkeypatch.chdir(tmp_path)
         assert main(readme_cli_commands()[command]) == 0
+
+    def test_scripts_run_as_written(self, tmp_path):
+        (tmp_path / "scripts").symlink_to(ROOT / "scripts", target_is_directory=True)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        commands = readme_script_commands()
+        assert sorted(argv[1] for argv in commands) == [
+            "scripts/run_classifier_demo.py", "scripts/run_contraction_baseline.py", "scripts/run_gap_sweep.py",
+        ]
+        for argv in commands:
+            done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+            assert done.returncode == 0, (argv, done.stderr)
+        assert all((tmp_path / "out" / "gap_sweep" / name).is_file() for name in ("sweep.csv", "gaps.csv", "mu.dat"))
 
 
 # SHA-256 of artifacts of the shipped configs, recorded with the earlier

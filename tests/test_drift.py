@@ -982,7 +982,7 @@ class TestInBoxInvariant:
 
 
 def _reference_replay(product, cert, point):
-    """replay_certificate's (ok, margin, reason) from certify_drift and the refined graphs at the point's word."""
+    """replay_certificate's (ok, margin, reason) from certify_drift and the closed strip at the point's word."""
     outcome = sd.certify_drift(product, cert.graph)
     if point is not None:
         L, R = outcome.graph.window
@@ -992,7 +992,8 @@ def _reference_replay(product, cert, point):
     if point is not None:
         level, image = outcome.graph.values[rank], outcome.image.values[rank]
         lo, hi = (level, image) if cert.direction == "up" else (image, level)
-        if not (point.x - lo >= DELTA_CERT and hi - point.x >= DELTA_CERT):
+        lo, hi = lo + DELTA_CERT, hi - DELTA_CERT
+        if not lo <= point.x <= hi:
             return False, outcome.margin, "strip condition fails at the point"
     return True, outcome.margin, None
 
@@ -1037,6 +1038,63 @@ class TestReplayOnKernel:
         outside = sd.LabeledPoint(sd.SymbolWindow(point.window.lo, (3,) + point.window.symbols[1:]), point.x)
         with pytest.raises(ValueError, match="symbol 3"):
             sd.replay_certificate(ms_full, witness, outside)
+
+
+class TestWitnessReplaysAtItsPoint:
+    """Every Up/Down verdict's witness replays on its product at the point it was issued for.
+
+    The index and replay test one closed strip, so points on and next to box
+    edges replay too; so do points only refinement resolves.
+    """
+
+    @staticmethod
+    def check(product, classifier, points) -> Counter:
+        """Assert each witnessed point replays; count witnesses by direction and by refinement."""
+        rows, xs = drift._as_batch([p.window.symbols for p in points], [p.x for p in points])
+        _, _, up_level, down_level = classifier._search(points[0].window.lo, rows, xs, False)
+        seen = Counter()
+        for point, refined in zip(points, ~(np.isnan(up_level) & np.isnan(down_level))):
+            witness = classifier.classify(point).witness
+            if witness is not None:
+                assert sd.replay_certificate(product, witness, point).ok, (point, witness.to_json())
+                seen[witness.direction] += 1
+                seen["refined"] += bool(refined)
+        return seen
+
+    @pytest.mark.parametrize("depth", [2, 6])
+    def test_box_edges(self, const_affine, const_plateau, two_map, ms_full, golden_ms, depth):
+        for product in (const_affine, const_plateau, two_map, ms_full, golden_ms):
+            classifier = sd.DriftClassifier(product, depth)
+            lo, hi = classifier.required_range()
+            points = []
+            for pieces, _ in (classifier._up_index, classifier._down_index):
+                L, R = pieces.window
+                words = product.base.words(L + R + 1)
+                # 200 evenly spaced boxes of each index: the deep ones hold tens of thousands
+                for i in np.unique(np.linspace(0, len(pieces.ranks) - 1, 200).astype(int)).tolist():
+                    a, b = pieces.lo[i], pieces.hi[i]
+                    # symbol 1 may precede and follow every symbol of both bases
+                    window = sd.SymbolWindow(lo, (1,) * (-L - lo) + words[pieces.ranks[i]] + (1,) * (hi - R))
+                    xs = (a, b, 0.5 * (a + b), np.nextafter(a, b), np.nextafter(b, a))
+                    points += [sd.LabeledPoint(window, float(x)) for x in xs]
+            seen = self.check(product, classifier, points)
+            # every box point is witnessed, by the index
+            assert seen["up"] + seen["down"] == len(points) and seen["up"] and seen["down"] and not seen["refined"]
+
+    @pytest.mark.parametrize("tau", [-0.002, 0.0, 0.002])
+    def test_refined_plateau_members(self, const_plateau, tau):
+        family = sd.MonotoneFamily(const_plateau, 1.0, (-0.025, 0.025))
+        member = sd.family_member(family, tau)
+        points = list(sampled_points(member, 10, 400, seed=70))
+        assert self.check(member, sd.get_classifier(member, 10), points)["refined"]
+
+    def test_refined_golden_affine(self):
+        product = load_config(str(CONFIGS / "golden_affine.json")).product
+        offsets = [s * 10.0**-k for k in range(2, 10) for s in (-1, 1)]
+        sampled = sampled_points(product, 6, 320, seed=71)
+        points = [sd.LabeledPoint(p.window, 0.5 + d) for p, d in zip(sampled, offsets * 20)]
+        seen = self.check(product, sd.get_classifier(product, 6), points)
+        assert seen["up"] and seen["down"] and seen["refined"]
 
 
 class TestTagCertificates:
@@ -1220,14 +1278,15 @@ def _old_form_chains(classifier):
                 truncated += len(chains)
                 continue
             for image_window, rows, image_values in drift._minimized(system, raw, image):
-                common, g, e, up, down = drift._drift_arrays(system, window, values[rows], image_window, image_values)
-                is_up = up >= DELTA_CERT
-                hits = np.flatnonzero(is_up | (down >= DELTA_CERT))
+                common, g, e, is_up, ok, margin = drift._drift_arrays(
+                    system, window, values[rows], image_window, image_values
+                )
+                hits = np.flatnonzero(ok)
                 k, parts = found.setdefault(common, (len(found), []))
                 n, start = len(hits), sum(len(margins) for *_, margins in parts)
                 keys.append(np.stack([chains[rows[hits]], np.full(n, step), is_up[hits], np.full(n, k),
                                       np.arange(start, start + n)]))
-                parts.append((g[hits], e[hits], np.where(is_up, up, down)[hits]))
+                parts.append((g[hits], e[hits], margin[hits]))
                 advanced.append((image_window, chains[rows], image_values))
         groups = advanced
     level, step, is_up, group, row = np.concatenate(keys, axis=1)

@@ -11,8 +11,10 @@ sides keeps the newest k records of each side by start time, k the smaller
 count, so a side benchmarked in two batches is not counted twice; the number
 of records dropped this way is written per side. Per workload and side it writes the
 median of every metric over the kept runs (end-to-end metrics from --trace 0
-runs, per-layer metrics from --trace 1 runs), the runs' seeds and failed
-checks, and the after/before ratio of each median. Each side also names its
+runs, per-layer metrics from --trace 1 runs) and its interquartile range, the
+first and third quartiles by statistics.quantiles(n=4, method="inclusive")
+(null for one run), the runs' seeds and failed checks, and the after/before
+ratio of each median. Each side also names its
 git commit, whether src/ differs from that commit, Python and numpy versions,
 nproc, the CPU model and src_lines, the summed line counts of
 src/skewdrift/*.py as wc -l gives them. Records of different versions or
@@ -77,6 +79,17 @@ def paired(before: list[dict], after: list[dict]) -> tuple[list[dict], list[dict
     return [r for runs in old.values() for r in runs], [r for runs in new.values() for r in runs]
 
 
+def metric_summary(entries: list[dict]) -> dict:
+    """Median, interquartile range [first, third quartile] (None for one run) and unit of one metric's runs."""
+    values = [e["value"] for e in entries]
+    quartiles = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else None
+    return {
+        "median": statistics.median(values),
+        "iqr": None if quartiles is None else [quartiles[0], quartiles[2]],
+        "unit": entries[0]["unit"],
+    }
+
+
 def summarise(root: Path, records: list[dict], dropped: int) -> dict:
     digest = src_digest(root)
     host = {(r["result"]["python"], r["result"]["numpy"], r["nproc"], r["cpu_model"]) for r in records}
@@ -108,13 +121,8 @@ def summarise(root: Path, records: list[dict], dropped: int) -> dict:
                 "runs": len(runs),
                 "seeds": sorted({r["seed"] for r in runs}),
                 "failed_checks": sum(r["result"]["checks"]["failed"] for r in runs),
-                "metrics": {
-                    name: {
-                        "median": statistics.median(r["metrics"][name]["value"] for r in runs if name in r["metrics"]),
-                        "unit": next(r["metrics"][name]["unit"] for r in runs if name in r["metrics"]),
-                    }
-                    for name in names
-                },
+                "metrics": {name: metric_summary([r["metrics"][name] for r in runs if name in r["metrics"]])
+                            for name in names},
             }
     return side
 

@@ -22,6 +22,7 @@ from .fibers import map_to_json
 from .measure import (
     _fmt,
     _gap_tolerance_problem,
+    _table,
     detect_gaps,
     estimate_regions,
     family_member,
@@ -100,9 +101,7 @@ def _cmd_classify(cfg: RunConfig, out_dir: Path, points_path: str | None) -> int
     for row in reader:
         line = lines[reader.line_num - 1][0]  # line_num counts the non-comment lines read
         points.append((line, _parse_point_row(row, line)))
-    header = f"# seed={cfg.analysis.seed} depth={depth} samples={len(points)}"
-    csv_lines = [header, "window,x,verdict,margin,depth"]
-    json_lines = []
+    rows, json_lines = [], []
     for line, point in points:
         try:
             result = classify_point(cfg.product, point, depth)
@@ -110,12 +109,13 @@ def _cmd_classify(cfg: RunConfig, out_dir: Path, points_path: str | None) -> int
             raise ConfigError(f"points line {line}", str(exc)) from exc
         margin = "" if result.witness is None else _fmt(result.witness.margin)
         window_txt = " ".join([str(point.window.offset)] + [str(s) for s in point.window.symbols])
-        csv_lines.append(f"{window_txt},{_fmt(point.x)},{result.verdict},{margin},{depth}")
+        rows.append([window_txt, _fmt(point.x), result.verdict, margin, str(depth)])
         record = result.to_json()
         record["window"] = window_txt
         record["x"] = point.x
         json_lines.append(json.dumps(record, sort_keys=True) + "\n")
-    _write(out_dir / "classifications.csv", "\n".join(csv_lines) + "\n")
+    table = _table(cfg.analysis.seed, depth, len(points), "window,x,verdict,margin,depth", rows)
+    _write(out_dir / "classifications.csv", table)
     _write(out_dir / "classifications.jsonl", "".join(json_lines))
     print(f"classified {len(points)} points at depth {depth} -> {out_dir}/classifications.csv")
     return 0
@@ -176,11 +176,10 @@ def _cmd_approx(cfg: RunConfig, out_dir: Path) -> int:
     _write(out_dir / "approx_product.json", _product_text(ladder[m]))
     rungs = range(max(0, m - 3), m)
     ladder.update((k, multistep_approximation(cfg.continuous, k)) for k in rungs)
-    lines = [f"# seed={cfg.analysis.seed} depth={m} samples={cfg.analysis.samples}", "m,distance_to_next,bound"]
-    for k in rungs:
-        d = distance(ladder[k], ladder[k + 1])
-        lines.append(f"{k},{_fmt(d)},{_fmt(approximation_distance_bound(cfg.continuous, k))}")
-    _write(out_dir / "approx_ladder.csv", "\n".join(lines) + "\n")
+    rows = ([str(k), _fmt(distance(ladder[k], ladder[k + 1])), _fmt(approximation_distance_bound(cfg.continuous, k))]
+            for k in rungs)
+    table = _table(cfg.analysis.seed, m, cfg.analysis.samples, "m,distance_to_next,bound", rows)
+    _write(out_dir / "approx_ladder.csv", table)
     print(f"truncated at m={m}; ladder -> {out_dir}/approx_ladder.csv")
     return 0
 

@@ -17,7 +17,9 @@ Schema (all sections are plain JSON, UTF-8, no comments):
     }
 
 Exactly one of "product" / "continuous" is required; "family" is optional and
-applies to the product section.
+applies to the product section. A map's "parameters" are exactly those of its
+form: "affine" a, b; "bumped_affine" a, b, c; "plateau" c1, j_lo, j_hi; and
+"bump_composed" amount, with its "inner" map record beside "parameters".
 """
 
 from __future__ import annotations

@@ -163,23 +163,19 @@ def _chains(products: list, depth: int):
     advance together, rows (product, level) of one array per current window,
     and stop where the next image window would exceed WINDOW_CAP. Rows map by
     their product's slot row into the products' maps joined by value, as in
-    map_slots (one product by its own map_slots, per word), so each product
-    gets, when the returned iterator reaches it, what a pass of its own gives:
-    its witnesses on one common window form a group (window, graph rows,
-    image rows, margins), in order of first appearance, and each direction
-    tags its witnesses 0.. by level, then step, placing tag t at row row[t] of
-    group group[t].
+    map_slots, so each product gets, when the returned iterator reaches it,
+    what a pass of its own gives: its witnesses on one common window form a
+    group (window, graph rows, image rows, margins), in order of first
+    appearance, and each direction tags its witnesses 0.. by level, then
+    step, placing tag t at row row[t] of group group[t].
     """
     if not products:
         return iter(())
     system, product_window, count = products[0].base, products[0].window, len(products)
     levels = np.array(LEVEL_GRID)
-    if count == 1:
-        maps, slots = products[0].map_slots
-    else:
-        maps = MapStack(dict.fromkeys(f for p in products for f in p.map_slots[0].maps))
-        index = {f: i for i, f in enumerate(maps.maps)}
-        slots = np.array([np.array([index[f] for f in p.map_slots[0].maps])[p.map_slots[1]] for p in products])
+    maps = MapStack(dict.fromkeys(f for p in products for f in p.map_slots[0].maps))
+    index = {f: i for i, f in enumerate(maps.maps)}
+    slots = np.array([np.array([index[f] for f in p.map_slots[0].maps])[p.map_slots[1]] for p in products])
     # (window, chains product * len(levels) + level, values)
     values = np.repeat(np.tile(levels, count)[:, None], system.alphabet_size, axis=1)
     groups = [((0, 0), np.arange(count * len(levels)), values)]
@@ -189,8 +185,7 @@ def _chains(products: list, depth: int):
         advanced = []
         for window, chains, values in groups:
             try:
-                row_slots = slots[chains // len(levels)] if count > 1 else slots
-                raw, image = _image_arrays(system, product_window, maps, row_slots, window, values)
+                raw, image = _image_arrays(system, product_window, maps, slots[chains // len(levels)], window, values)
             except ResourceBoundError:
                 truncated += np.bincount(chains // len(levels), minlength=count)
                 continue

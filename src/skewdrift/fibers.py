@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,9 +98,6 @@ class Affine:
             return ClassCheck(False, f"f(1) = {self.a + self.b} is not < 1")
         return _OK
 
-    def params(self) -> dict:
-        return {"a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class BumpedAffine:
@@ -139,9 +136,6 @@ class BumpedAffine:
         if self.a + self.b >= 1:
             return ClassCheck(False, f"f(1) = {self.a + self.b} is not < 1")
         return _OK
-
-    def params(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c}
 
 
 @dataclass(frozen=True)
@@ -201,9 +195,6 @@ class Plateau:
         if slope_lb <= 0:
             return ClassCheck(False, f"derivative bound {slope_lb} is not positive")
         return _OK
-
-    def params(self) -> dict:
-        return {"c1": self.c1, "j_lo": self.j_lo, "j_hi": self.j_hi}
 
 
 def _bump(y, amount):
@@ -274,13 +265,15 @@ class BumpComposed:
             return ClassCheck(False, f"f(1) = {f1} is not < 1")
         return _OK
 
-    def params(self) -> dict:
-        return {"amount": self.amount}
-
 
 FiberMap = Affine | BumpedAffine | Plateau | BumpComposed
 
-_FORMS = {"affine": Affine, "bumped_affine": BumpedAffine, "plateau": Plateau}
+_FORMS = {"affine": Affine, "bumped_affine": BumpedAffine, "plateau": Plateau, "bump_composed": BumpComposed}
+
+
+def _params(f: FiberMap) -> dict:
+    """A map's parameters by name: its dataclass fields in order, a bump_composed's inner map left out."""
+    return {k.name: getattr(f, k.name) for k in fields(f) if k.name != "inner"}
 
 
 def _form_key(f: FiberMap) -> str:
@@ -289,7 +282,8 @@ def _form_key(f: FiberMap) -> str:
 
 def _stacked(maps) -> FiberMap:
     """One map of the maps' common form whose parameters are arrays over the maps."""
-    params = {name: np.array([m.params()[name] for m in maps], dtype=float) for name in maps[0].params()}
+    rows = [_params(m) for m in maps]
+    params = {name: np.array([row[name] for row in rows], dtype=float) for name in rows[0]}
     if isinstance(maps[0], BumpComposed):
         return BumpComposed(inner=_stacked([m.inner for m in maps]), **params)
     return type(maps[0])(**params)
@@ -297,7 +291,7 @@ def _stacked(maps) -> FiberMap:
 
 def _indexed(f: FiberMap, index) -> FiberMap:
     """A stacked map with every parameter array indexed by index."""
-    params = {name: v[index] for name, v in f.params().items()}
+    params = {name: v[index] for name, v in _params(f).items()}
     if isinstance(f, BumpComposed):
         return BumpComposed(inner=_indexed(f.inner, index), **params)
     return type(f)(**params)
@@ -506,21 +500,24 @@ def interval_image(f: FiberMap, iv: RealInterval) -> RealInterval:
 
 
 def map_to_json(f: FiberMap) -> dict:
-    record = {"form": f.form, "parameters": f.params()}
+    record = {"form": f.form, "parameters": _params(f)}
     if isinstance(f, BumpComposed):
         record["inner"] = map_to_json(f.inner)
     return record
 
 
 def map_from_json(record: dict) -> FiberMap:
+    """The map of a {"form", "parameters"} record (and "inner", a map record, for bump_composed).
+
+    ValueError for an unknown form; TypeError for a parameter that is missing, unknown or no number.
+    """
     if not (isinstance(record, dict) and isinstance(record.get("parameters", {}), dict)):
         raise TypeError(f"a map and its parameters must be objects, got {record!r}")
     form = record.get("form")
     params = record.get("parameters", {})
-    if form != "bump_composed" and form not in _FORMS:
+    if form not in _FORMS:
         raise ValueError(f"unknown map form {form!r}")
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in params.values()):
         raise TypeError(f"map parameters must be numbers, got {params!r}")
-    if form == "bump_composed":
-        return BumpComposed(amount=float(params["amount"]), inner=map_from_json(record["inner"]))
-    return _FORMS[form](**{k: float(v) for k, v in params.items()})
+    inner = {"inner": map_from_json(record["inner"])} if form == "bump_composed" else {}
+    return _FORMS[form](**{k: float(v) for k, v in params.items()}, **inner)

@@ -284,40 +284,29 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _table(seed: int, depth: int, n: int, columns: str, rows, sep: str = ",") -> str:
+    """A table artifact: the run line, the column line, then each row's fields joined by sep."""
+    lines = [f"# seed={seed} depth={depth} samples={n}", columns, *(sep.join(row) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
 def sweep_to_csv(result: SweepResult, seed: int, depth: int, n: int) -> str:
     """Fixed 17-significant-digit CSV; reruns with the same seed are byte-identical."""
-    lines = [f"# seed={seed} depth={depth} samples={n}"]
-    lines.append("tau,certified_up,certified_down,mc_up,mc_down,mc_unknown,radius,n,depth,seed")
-    for tau, est, up_lo, down_lo in zip(result.grid, result.estimates, result.mu_lower, result.down_lower):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(tau),
-                    _fmt(up_lo),
-                    _fmt(down_lo),
-                    _fmt(est.mc_up),
-                    _fmt(est.mc_down),
-                    _fmt(est.mc_unknown),
-                    _fmt(est.radius),
-                    str(est.n_samples),
-                    str(est.depth),
-                    str(seed),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    columns = "tau,certified_up,certified_down,mc_up,mc_down,mc_unknown,radius,n,depth,seed"
+    rows = (
+        [_fmt(tau), _fmt(up_lo), _fmt(down_lo), _fmt(est.mc_up), _fmt(est.mc_down), _fmt(est.mc_unknown),
+         _fmt(est.radius), str(est.n_samples), str(est.depth), str(seed)]
+        for tau, est, up_lo, down_lo in zip(result.grid, result.estimates, result.mu_lower, result.down_lower)
+    )
+    return _table(seed, depth, n, columns, rows)
 
 
 def gaps_to_csv(gaps, seed: int, depth: int, n: int) -> str:
-    lines = [f"# seed={seed} depth={depth} samples={n}", "tau_lo,tau_hi,gap_lower_bound"]
-    for gap in gaps:
-        lines.append(",".join([_fmt(gap.tau_lo), _fmt(gap.tau_hi), _fmt(gap.lower_bound)]))
-    return "\n".join(lines) + "\n"
+    rows = ([_fmt(gap.tau_lo), _fmt(gap.tau_hi), _fmt(gap.lower_bound)] for gap in gaps)
+    return _table(seed, depth, n, "tau_lo,tau_hi,gap_lower_bound", rows)
 
 
 def mu_data_file(result: SweepResult, seed: int, depth: int, n: int) -> str:
     """Plot-ready whitespace table of the sampled and certified up-measure curves."""
-    lines = [f"# seed={seed} depth={depth} samples={n}", "# tau mu_mc mu_lower"]
-    for tau, mc, lower in zip(result.grid, result.mu_mc, result.mu_lower):
-        lines.append(f"{_fmt(tau)} {_fmt(mc)} {_fmt(lower)}")
-    return "\n".join(lines) + "\n"
+    rows = (map(_fmt, row) for row in zip(result.grid, result.mu_mc, result.mu_lower))
+    return _table(seed, depth, n, "# tau mu_mc mu_lower", rows, sep=" ")

@@ -89,7 +89,9 @@ class TransitionSystem:
         return self._successors[symbol - 1]
 
     def admits(self, symbols) -> bool:
-        """True iff consecutive symbols follow allowed transitions."""
+        """True iff every symbol is in 1..N and consecutive symbols follow allowed transitions."""
+        if not all(1 <= s <= self.alphabet_size for s in symbols):
+            return False
         for a, b in zip(symbols, symbols[1:]):
             if not self.transitions[a - 1, b - 1]:
                 return False

@@ -1,4 +1,4 @@
-"""scripts/bench_summary.py on two synthetic checkouts: record filtering, medians, ratios, host check."""
+"""scripts/bench_summary.py on two synthetic checkouts: record filtering, medians, spreads, ratios, host check."""
 
 import importlib.util
 import json
@@ -82,10 +82,12 @@ def test_medians_and_ratios(sides, tmp_path):
     side = report["after"]
     assert (side["python"], side["numpy"], side["nproc"], side["cpu_model"]) == ("3.11.7", "2.4.6", 2, "cpu A")
     sections = side["workloads"]["plateau_sweep"]
-    assert sections["end_to_end"]["metrics"]["wall_s"] == {"median": 1.25, "unit": "s"}
+    assert sections["end_to_end"]["metrics"]["wall_s"] == {"median": 1.25, "iqr": [1.125, 1.375], "unit": "s"}
     assert sections["end_to_end"]["failed_checks"] == 1
     assert sections["per_layer"]["runs"] == 1
-    assert sections["per_layer"]["metrics"]["cli.run_s"]["median"] == 3.0
+    assert sections["per_layer"]["metrics"]["cli.run_s"] == {"median": 3.0, "iqr": None, "unit": "s"}
+    # the spread of a side's own runs: inclusive quartiles of 1, 2, 3
+    assert report["before"]["workloads"]["plateau_sweep"]["end_to_end"]["metrics"]["wall_s"]["iqr"] == [1.5, 2.5]
     # a zero median before gives no ratio
     assert report["ratio_after_to_before"] == {
         "plateau_sweep": {"wall_s": 0.625, "setup_s": 0.5, "cli.run_s": 0.75}

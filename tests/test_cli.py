@@ -321,8 +321,11 @@ class TestBadFilesAndShapes:
          "map parameters must be numbers, got {'a': '0.1', 'b': 0.8}"),
         (lambda p: p["assignment"][0]["map"]["parameters"].update(a=True), "product: malformed record: "
          "map parameters must be numbers, got {'a': True, 'b': 0.8}"),
+        (lambda p: [entry.update(map={"form": "bump_composed", "parameters": {"amount": 0.1, "zz": 5},
+                                      "inner": entry["map"]}) for entry in p["assignment"]],
+         "product: malformed record: BumpComposed.__init__() got an unexpected keyword argument 'zz'"),
     ], ids=["word-float", "word-string", "window-float", "window-string", "window-short", "window-long",
-            "window-negative", "parameter-string", "parameter-bool"])
+            "window-negative", "parameter-string", "parameter-bool", "bump-composed-unknown-parameter"])
     def test_malformed_product_record_exits_2(self, tmp_path, capsys, edit, error):
         # each of these loaded with a coerced value, or failed at product.assignment with a Python message
         record = json.loads((CONFIGS / "constant_affine.json").read_text())
@@ -379,7 +382,7 @@ class TestApproxCommand:
     @pytest.mark.parametrize("field, value, error", [
         ("symbol_params", [1, 2], "not iterable"),
         ("symbol_params", [{"a": 0.1, "b": 0.8, "zz": 1}, {"a": 0.12, "b": 0.8}], "zz"),
-        ("template", "bump_composed", "'amount'"),
+        ("template", "bump_composed", "'inner'"),
     ])
     def test_malformed_continuous_section_exits_2(self, tmp_path, capsys, field, value, error):
         record = json.loads((CONFIGS / "continuous_geometric.json").read_text())

@@ -243,6 +243,12 @@ class TestPeriodicOps:
         with pytest.raises(ValueError, match="cyclically"):
             sd.periodic_fiber_map(golden_ms, sd.PeriodicWord((2,)))
 
+    @pytest.mark.parametrize("symbols", [(0, 1), (1, 3)])
+    def test_word_outside_the_alphabet_rejected(self, golden_ms, symbols):
+        # 0 would index the last transition row and raise KeyError at the assignment, 3 no row (IndexError)
+        with pytest.raises(ValueError, match="cyclically"):
+            sd.periodic_fiber_map(golden_ms, sd.PeriodicWord(symbols))
+
     def test_return_fixed_point(self, two_map):
         word = sd.PeriodicWord((1, 2))
         maps = sd.periodic_fiber_map(two_map, word)
@@ -1409,7 +1415,7 @@ class TestBatchedChains:
         assert [chains[3] for chains in slices] == [len(LEVEL_GRID), 0, len(LEVEL_GRID), 0]
 
     def test_slot_gathers(self, monkeypatch):
-        # a single product maps by one slot per word; a batch by one slot row per (member, level) row
+        # a single product, as a batch of one, and a batch both map by one slot row per (member, level) row
         dims = []
         original = MapStack.eval_columns
 
@@ -1421,7 +1427,7 @@ class TestBatchedChains:
         cfg = load_config(str(CONFIGS / "plateau_family.json"))
         members = [sd.family_member(cfg.family, tau) for tau in (-0.002, 0.0, 0.002)]
         sd.DriftClassifier(members[0], 4)
-        assert set(dims) == {1}
+        assert set(dims) == {2}
         dims.clear()
         list(drift._chains(members, 4))
         assert set(dims) == {2}

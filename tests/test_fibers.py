@@ -480,9 +480,18 @@ class TestComposeAndIntervals:
 
 class TestSerialization:
     def test_round_trip(self):
-        for f in sample_maps():
+        for f in sample_maps() + [sd.BumpComposed(0.1, sd.BumpComposed(-0.2, sd.BumpedAffine(0.1, 0.7, 0.2)))]:
             back = sd.map_from_json(sd.map_to_json(f))
             assert back == f
+
+    @pytest.mark.parametrize("parameters, missing", [({"amount": 0.1, "zz": 5}, "unexpected keyword argument 'zz'"),
+                                                     ({}, "missing 1 required positional argument: 'amount'")],
+                             ids=["unknown", "missing"])
+    def test_bump_composed_parameters_checked(self, parameters, missing):
+        # like the plain forms: an unknown parameter is not dropped, a missing one not defaulted
+        inner = sd.map_to_json(sd.Affine(0.1, 0.8))
+        with pytest.raises(TypeError, match=missing):
+            sd.map_from_json({"form": "bump_composed", "parameters": parameters, "inner": inner})
 
     def test_unknown_form(self):
         with pytest.raises(ValueError):

@@ -194,6 +194,13 @@ class TestPeriodicWords:
         with pytest.raises(ValueError):
             sd.periodic_words(full2, 0)
 
+    def test_admits_only_symbols_of_the_alphabet(self, golden):
+        assert golden.admits((1, 2)) and golden.admits((2, 1)) and not golden.admits((2, 2))
+        # 0 would index the last row (an allowed 2 -> 1), 3 no row at all
+        assert not golden.admits((0, 1))
+        assert not golden.admits((1, 3))
+        assert not golden.admits((3,))
+
 
 class TestSampling:
     def test_reproducible(self, uniform_chain):

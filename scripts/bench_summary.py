@@ -14,7 +14,10 @@ median of every metric over the kept runs (end-to-end metrics from --trace 0
 runs, per-layer metrics from --trace 1 runs) and its interquartile range, the
 first and third quartiles by statistics.quantiles(n=4, method="inclusive")
 (null for one run), the runs' seeds and failed checks, and the after/before
-ratio of each median. Each side also names its
+ratio of each median. The kept --trace 0 runs of a (workload, seed) pair up
+across the sides in start-time order, and "pairs" counts, per workload and
+end-to-end metric, the pairs whose after value is lower, higher or equal.
+Each side also names its
 git commit, whether src/ differs from that commit, Python and numpy versions,
 nproc, the CPU model and src_lines, the summed line counts of
 src/skewdrift/*.py as wc -l gives them. Records of different versions or
@@ -62,21 +65,37 @@ def current_records(root: Path) -> list[dict]:
     return records
 
 
+def by_run(records: list[dict]) -> dict:
+    """Records grouped by (workload, trace, seed), each group in start-time order."""
+    groups: dict = {}
+    for r in sorted(records, key=lambda r: r["host_start"]["time"]):
+        groups.setdefault((r["workload"], r["trace"], r["seed"]), []).append(r)
+    return groups
+
+
 def paired(before: list[dict], after: list[dict]) -> tuple[list[dict], list[dict]]:
     """Both sides with each (workload, trace, seed) of both cut to its newest k records, k the smaller count."""
-    def by_key(records):
-        groups: dict = {}
-        for r in records:
-            groups.setdefault((r["workload"], r["trace"], r["seed"]), []).append(r)
-        return groups
-
-    old, new = by_key(before), by_key(after)
+    old, new = by_run(before), by_run(after)
     for key in old.keys() & new.keys():
         k = min(len(old[key]), len(new[key]))
-        for groups in (old, new):
-            if len(groups[key]) > k:
-                groups[key] = sorted(groups[key], key=lambda r: r["host_start"]["time"])[-k:]
+        old[key], new[key] = old[key][-k:], new[key][-k:]
     return [r for runs in old.values() for r in runs], [r for runs in new.values() for r in runs]
+
+
+def pair_counts(before: list[dict], after: list[dict]) -> dict:
+    """Per workload and end-to-end metric, how many run pairs read lower, higher or equal after than before.
+
+    The --trace 0 runs of a (workload, seed) on each side pair up in start-time order.
+    """
+    old, new = by_run(before), by_run(after)
+    counts: dict = {}
+    for key in sorted(k for k in old.keys() & new.keys() if k[1] == 0):
+        for b, a in zip(old[key], new[key]):
+            for name in sorted(a["metrics"].keys() & b["metrics"].keys()):
+                diff = a["metrics"][name]["value"] - b["metrics"][name]["value"]
+                tally = counts.setdefault(key[0], {}).setdefault(name, {"lower": 0, "higher": 0, "equal": 0})
+                tally["lower" if diff < 0 else "higher" if diff > 0 else "equal"] += 1
+    return counts
 
 
 def metric_summary(entries: list[dict]) -> dict:
@@ -150,7 +169,8 @@ def main(argv=None) -> int:
     kept = paired(*records)
     before, after = (summarise(root, runs, len(all_runs) - len(runs))
                      for root, runs, all_runs in zip(roots, kept, records))
-    report = {"before": before, "after": after, "ratio_after_to_before": ratios(before, after)}
+    report = {"before": before, "after": after, "ratio_after_to_before": ratios(before, after),
+              "pairs": pair_counts(*kept)}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

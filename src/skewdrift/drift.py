@@ -43,7 +43,7 @@ class StepGraph:
     """Function on the base space constant on cylinders of window (L, R).
 
     values is a read-only row of levels in (0, 1), one per admissible word on
-    coordinates -L..R, in the lexicographic order of system.words(L + R + 1).
+    coordinates -L..R, in the lexicographic order of system.word_array(L + R + 1).
     """
 
     system: TransitionSystem
@@ -54,14 +54,15 @@ class StepGraph:
         L, R = self.window
         if L < 0 or R < 0:
             raise ValueError("graph window offsets must be nonnegative")
-        words = self.system.words(L + R + 1)
+        words = self.system.word_array(L + R + 1)
         values = np.array(self.values, dtype=float)
         if values.shape != (len(words),):
             raise ValueError(f"graph needs {len(words)} values, one per admissible word, got shape {values.shape}")
         inside = (0.0 < values) & (values < 1.0)
         if not inside.all():
             i = inside.argmin()
-            raise ValueError(f"graph value {values[i]} for word {words[i]} is not strictly inside (0, 1)")
+            word = tuple(words[i].tolist())
+            raise ValueError(f"graph value {values[i]} for word {word} is not strictly inside (0, 1)")
         values.flags.writeable = False
         object.__setattr__(self, "window", (int(L), int(R)))
         object.__setattr__(self, "values", values)
@@ -77,14 +78,14 @@ class StepGraph:
 
 def _point_rank(system: TransitionSystem, window, point_window) -> int:
     """Rank of a point window's word on coordinates -L..R; ValueError unless the window is a base word covering them."""
-    _check_admissible(system, point_window.lo, np.array([point_window.symbols], dtype=np.int64))
+    system.check_rows(point_window.lo, np.array([point_window.symbols], dtype=np.int64))
     L, R = window
     return int(system.word_ranks(np.array([point_window.word(-L, R)]), 0, L + R + 1)[0])
 
 
 # Graphs inside the kernel below are (window, values): values is an array
 # (k, W) holding k graphs over the W lexicographically ordered words of
-# system.words(L + R + 1).
+# system.word_array(L + R + 1).
 
 
 def _image_arrays(system: TransitionSystem, product_window, maps: MapStack, slots, window, values):
@@ -286,11 +287,11 @@ class DriftCertificate:
 
     def to_json(self) -> dict:
         L, R = self.graph.window
-        words = self.graph.system.words(L + R + 1)
+        words = self.graph.system.word_array(L + R + 1).tolist()
         return {
             "direction": self.direction,
             "window": list(self.graph.window),
-            "values": [{"word": w, "value": v} for w, v in zip(map(list, words), self.graph.values.tolist())],
+            "values": [{"word": w, "value": v} for w, v in zip(words, self.graph.values.tolist())],
             "margin": self.margin,
             "product_fingerprint": self.product_fingerprint,
         }
@@ -345,25 +346,6 @@ class Classification:
         if self.witness is not None:
             record["witness"] = self.witness.to_json()
         return record
-
-
-def _check_admissible(system: TransitionSystem, lo: int, rows: np.ndarray):
-    """Raise ValueError unless every row of symbols on lo.. is an admissible word."""
-    n = system.alphabet_size
-    outside = (rows < 1) | (rows > n)
-    if outside.any():
-        i, j = np.argwhere(outside)[0]
-        raise ValueError(f"symbol {rows[i, j]} at coordinate {lo + j} of point {i} is not in the alphabet 1..{n}")
-    pairs = rows[:, :-1] * n
-    pairs += rows[:, 1:]
-    pairs -= n + 1
-    forbidden = system.transitions.ravel()[pairs] == 0
-    if forbidden.any():
-        i, j = np.argwhere(forbidden)[0]
-        raise ValueError(
-            f"transition {rows[i, j]} -> {rows[i, j + 1]} at coordinates {lo + j}, {lo + j + 1} "
-            f"of point {i} is forbidden"
-        )
 
 
 def _as_batch(rows, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -428,7 +410,7 @@ class DriftClassifier:
         group, row = places
         used = np.flatnonzero(np.bincount(group, minlength=len(witnesses))).tolist()
         window = tuple(max((witnesses[k][0][i] for k in used), default=0) for i in (0, 1))
-        count = len(system.words(window[0] + window[1] + 1))
+        count = len(system.word_array(window[0] + window[1] + 1))
         lo, hi = np.empty((2, count, len(group)))
         for k in used:
             wit_window, graph, image, _ = witnesses[k]
@@ -526,7 +508,7 @@ class DriftClassifier:
         have_hi = lo + rows.shape[1] - 1
         if not (lo <= need_lo and need_hi <= have_hi):
             raise WindowTooShortError((need_lo, need_hi), (lo, have_hi), f"classification at depth {self.depth}")
-        _check_admissible(self.base, lo, rows)
+        self.base.check_rows(lo, rows)
         inside = (xs > 0.0) & (xs < 1.0)
         indices = (self._up_index, self._down_index)
         windows = {pieces.window for pieces, _ in indices}  # one rank search when both share a window

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -331,7 +330,7 @@ class ContinuousProductSpec:
 
     def tail_midrange(self, symbol: int) -> float:
         row = self.rho[symbol - 1]
-        return 0.5 * (float(row.min()) + float(row.max()))
+        return 0.5 * (float(row.min()) + float(row.max())) + 0.0  # a zero midrange is 0.0 in any row order
 
 
 def multistep_approximation(spec: ContinuousProductSpec, m: int) -> MultistepSkewProduct:
@@ -348,7 +347,7 @@ def multistep_approximation(spec: ContinuousProductSpec, m: int) -> MultistepSke
     if 2 * m + 1 > WINDOW_CAP:
         raise ResourceBoundError(f"window size {2 * m + 1} exceeds the bound {WINDOW_CAP}")
     assignment: dict[tuple[int, ...], FiberMap] = {}
-    maps: dict[tuple[int, float, float], FiberMap] = {}
+    maps: dict[tuple[int, float], FiberMap] = {}
     tails = [2.0 ** (1 - m) * spec.tail_midrange(s) for s in range(1, spec.base.alphabet_size + 1)]
     # one entry per word, summed with the additions of the series in their per-word order
     w = spec.base.word_array(2 * m + 1) - 1
@@ -356,10 +355,9 @@ def multistep_approximation(spec: ContinuousProductSpec, m: int) -> MultistepSke
     values = np.array([p[spec.designated] for p in spec.symbol_params], dtype=float)[s]
     for j in range(1, m + 1):
         values += 2.0 ** (-j) * (spec.rho[s, w[:, m - j]] + spec.rho[s, w[:, m + j]])
-    values += np.array(tails)[s]
+    values += np.array(tails)[s]  # last: x + 0.0 is never -0.0, so value keys need no sign
     for word, value in zip(spec.base.words(2 * m + 1), values.tolist()):
-        # the sign keeps -0.0 apart from 0.0, whose JSON differs
-        key = (word[m], value, math.copysign(1.0, value))
+        key = (word[m], value)
         fmap = maps.get(key)
         if fmap is None:
             fmap = maps[key] = spec.make_map(word[m], value)

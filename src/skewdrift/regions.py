@@ -70,7 +70,7 @@ def sweep_rows(lo: np.ndarray, hi: np.ndarray):
 class BoxRegion:
     """Union of boxes sharing one cylinder window (L, R).
 
-    Box i is the cylinder of word ranks[i] of system.words(L + R + 1) times
+    Box i is the cylinder of word ranks[i] of system.word_array(L + R + 1) times
     the fiber interval [lo[i], hi[i]]. Boxes are sorted by (rank, lo) and
     disjoint on each word.
     """
@@ -87,18 +87,20 @@ class BoxRegion:
         lo, hi = np.array(self.lo, dtype=float), np.array(self.hi, dtype=float)
         if not (ranks.ndim == 1 and ranks.shape == lo.shape == hi.shape):
             raise InvalidRegionError("ranks, lo and hi must be 1-d arrays of one length")
-        words = self.system.words(L + R + 1)
+        words = self.system.word_array(L + R + 1)
         bad = (ranks < 0) | (ranks >= len(words))
         if bad.any():
             raise InvalidRegionError(f"word rank {ranks[bad][0]} is not in 0..{len(words) - 1}")
         bad = ~((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
         if bad.any():
             i = bad.argmax()
-            raise InvalidRegionError(f"[{lo[i]}, {hi[i]}] on word {words[ranks[i]]} is not an interval inside [0, 1]")
+            word = tuple(words[ranks[i]].tolist())
+            raise InvalidRegionError(f"[{lo[i]}, {hi[i]}] on word {word} is not an interval inside [0, 1]")
         bad = (ranks[1:] < ranks[:-1]) | ((ranks[1:] == ranks[:-1]) & (lo[1:] < hi[:-1]))
         if bad.any():
             i = bad.argmax() + 1
-            raise InvalidRegionError(f"interval {i} on word {words[ranks[i]]} overlaps or is out of (rank, lo) order")
+            word = tuple(words[ranks[i]].tolist())
+            raise InvalidRegionError(f"interval {i} on word {word} overlaps or is out of (rank, lo) order")
         for name, arr in (("ranks", ranks), ("lo", lo), ("hi", hi)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -167,7 +169,7 @@ def region_union(a: BoxRegion, b: BoxRegion) -> BoxRegion:
     order = np.argsort(ranks, kind="stable")
     ranks, lo, hi = ranks[order], lo[order], hi[order]
     col = np.arange(len(ranks)) - np.searchsorted(ranks, ranks)  # place among the word's intervals
-    shape = (len(a.system.words(window[0] + window[1] + 1)), col.max(initial=-1) + 1)
+    shape = (len(a.system.word_array(window[0] + window[1] + 1)), col.max(initial=-1) + 1)
     rows_lo, rows_hi = np.full(shape, np.inf), np.full(shape, -np.inf)
     rows_lo[ranks, col], rows_hi[ranks, col] = lo, hi
     return BoxRegion(a.system, window, *sweep_rows(rows_lo, rows_hi)[1])

@@ -74,40 +74,44 @@ class TransitionSystem:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "transitions", arr)
-        succ = tuple(
-            tuple(int(j) + 1 for j in np.nonzero(arr[i])[0]) for i in range(arr.shape[0])
-        )
-        object.__setattr__(self, "_successors", succ)
-        object.__setattr__(self, "_word_cache", {})
-        object.__setattr__(self, "_table_cache", {})
+        object.__setattr__(self, "_table_cache", {("words", 1): np.arange(1, len(arr) + 1, dtype=np.int64)[:, None]})
 
     @property
     def alphabet_size(self) -> int:
         return self.transitions.shape[0]
 
     def successors(self, symbol: int) -> tuple[int, ...]:
-        return self._successors[symbol - 1]
+        if not self.admits((symbol,)):
+            raise ValueError(f"symbol {symbol} is not in the alphabet 1..{self.alphabet_size}")
+        return tuple(int(j) + 1 for j in np.flatnonzero(self.transitions[symbol - 1]))
+
+    def _fault(self, rows: np.ndarray):
+        """(i, j) of the first symbol outside 1..N, else of the first one its next may not follow; None if none."""
+        n = self.alphabet_size
+        bad = (rows < 1) | (rows > n)
+        if not bad.any():
+            pairs = rows[:, :-1] * n
+            pairs += rows[:, 1:]
+            pairs -= n + 1
+            bad = self.transitions.ravel()[pairs.astype(np.intp, copy=False)] == 0
+        return tuple(np.argwhere(bad)[0]) if bad.any() else None
+
+    def check_rows(self, lo: int, rows: np.ndarray):
+        """Raise ValueError unless every row of symbols on lo.. is an admissible word."""
+        fault = self._fault(rows)
+        if fault is None:
+            return
+        (i, j), n = fault, self.alphabet_size
+        if not 1 <= rows[i, j] <= n:
+            raise ValueError(f"symbol {rows[i, j]} at coordinate {lo + j} of point {i} is not in the alphabet 1..{n}")
+        raise ValueError(
+            f"transition {rows[i, j]} -> {rows[i, j + 1]} at coordinates {lo + j}, {lo + j + 1} "
+            f"of point {i} is forbidden"
+        )
 
     def admits(self, symbols) -> bool:
         """True iff every symbol is in 1..N and consecutive symbols follow allowed transitions."""
-        if not all(1 <= s <= self.alphabet_size for s in symbols):
-            return False
-        for a, b in zip(symbols, symbols[1:]):
-            if not self.transitions[a - 1, b - 1]:
-                return False
-        return True
-
-    def words(self, length: int) -> tuple[tuple[int, ...], ...]:
-        """All admissible words of the given length, lexicographically ordered."""
-        if length < 1:
-            raise ValueError("word length must be >= 1")
-        cache = self._word_cache
-        if length not in cache:
-            level = [(s,) for s in range(1, self.alphabet_size + 1)]
-            for _ in range(length - 1):
-                level = [w + (t,) for w in level for t in self._successors[w[-1] - 1]]
-            cache[length] = tuple(level)
-        return cache[length]
+        return self._fault(np.array([tuple(symbols)])) is None
 
     def _table(self, key: tuple, build):
         if key not in self._table_cache:
@@ -115,8 +119,21 @@ class TransitionSystem:
         return self._table_cache[key]
 
     def word_array(self, length: int) -> np.ndarray:
-        """words(length) as an int array (count, length); row i is word i."""
-        return self._table(("words", length), lambda: np.array(self.words(length), dtype=np.int64).reshape(-1, length))
+        """All admissible words of the given length as an int array (count, length), lexicographically ordered.
+
+        np.nonzero extends the shorter words by their last symbols' successors row by row, which keeps the order.
+        """
+        if length < 1:
+            raise ValueError("word length must be >= 1")
+        if ("words", length) not in self._table_cache:
+            shorter = self.word_array(length - 1)
+            rows, last = np.nonzero(self.transitions[shorter[:, -1] - 1])
+            self._table_cache["words", length] = np.column_stack([shorter[rows], last + 1])
+        return self._table_cache["words", length]
+
+    def words(self, length: int) -> tuple[tuple[int, ...], ...]:
+        """word_array(length) as tuples, for callers that key by word."""
+        return self._table(("tuples", length), lambda: tuple(map(tuple, self.word_array(length).tolist())))
 
     def word_ranks(self, rows: np.ndarray, start: int, length: int) -> np.ndarray:
         """Rank in words(length) of each row's admissible word in columns start..start+length-1.
@@ -292,18 +309,16 @@ def metric(a: SymbolWindow, b: SymbolWindow) -> WindowMetric:
 
 
 def cylinder_measure(chain: MarkovChain, window: SymbolWindow) -> float:
-    """Markov measure of the cylinder fixed by the window; 0 if a transition is forbidden.
+    """Markov measure of the cylinder fixed by the window; 0 if the window is not a word of the base.
 
     Shift-invariant: the offset does not enter.
     """
     syms = window.symbols
-    P = chain.stochastic
+    if not chain.base.admits(syms):
+        return 0.0
     m = float(chain.stationary[syms[0] - 1])
     for a, b in zip(syms, syms[1:]):
-        p = P[a - 1, b - 1]
-        if p == 0.0:
-            return 0.0
-        m *= float(p)
+        m *= float(chain.stochastic[a - 1, b - 1])
     return m
 
 
@@ -339,11 +354,7 @@ def periodic_words(system: TransitionSystem, n: int) -> list[PeriodicWord]:
     """All cyclically admissible words of length n; count equals trace(transitions^n)."""
     if n < 1:
         raise ValueError("period length must be >= 1")
-    out = []
-    for w in system.words(n):
-        if system.transitions[w[-1] - 1, w[0] - 1]:
-            out.append(PeriodicWord(w))
-    return out
+    return [PeriodicWord(w) for w in system.words(n) if system.transitions[w[-1] - 1, w[0] - 1]]
 
 
 def sample_window(chain: MarkovChain, left: int, right: int, rng: np.random.Generator) -> SymbolWindow:

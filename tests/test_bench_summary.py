@@ -1,4 +1,5 @@
-"""scripts/bench_summary.py on two synthetic checkouts: record filtering, medians, spreads, ratios, host check."""
+"""scripts/bench_summary.py on two synthetic checkouts: record filtering, medians, spreads, ratios, pair counts,
+host check."""
 
 import importlib.util
 import json
@@ -20,7 +21,7 @@ def checkout(root: Path, source: str) -> Path:
 
 
 def record(root: Path, name: str, *, workload="plateau_sweep", trace=0, seed=1, metrics, digest=None,
-           profile="standard", cpu_model="cpu A", failed=0, host_start=None):
+           profile="standard", cpu_model="cpu A", failed=0, start=0.0):
     data = {
         "src_sha256": digest or bench_summary.src_digest(root),
         "profile": profile,
@@ -31,9 +32,8 @@ def record(root: Path, name: str, *, workload="plateau_sweep", trace=0, seed=1, 
         "cpu_model": cpu_model,
         "result": {"python": "3.11.7", "numpy": "2.4.6", "checks": {"failed": failed}},
         "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()},
+        "host_start": {"time": start},
     }
-    if host_start is not None:
-        data["host_start"] = host_start
     (root / ".bench_run" / "records" / f"{name}.json").write_text(json.dumps(data))
 
 
@@ -108,9 +108,9 @@ def test_a_side_run_twice_keeps_its_newest_batch(tmp_path):
     after = checkout(tmp_path / "after", "x = 2\n")
     for batch, (start, wall) in enumerate(((100.0, 9.0), (200.0, 2.0))):
         for run in range(3):
-            record(before, f"b{batch}{run}", metrics={"wall_s": wall + run}, host_start={"time": start + run})
+            record(before, f"b{batch}{run}", metrics={"wall_s": wall + run}, start=start + run)
     for run in range(3):
-        record(after, f"a{run}", metrics={"wall_s": 1.0 + run}, host_start={"time": 300.0 + run})
+        record(after, f"a{run}", metrics={"wall_s": 1.0 + run}, start=300.0 + run)
     report = summarise(before, after, tmp_path)
     old = report["before"]["workloads"]["plateau_sweep"]["end_to_end"]
     new = report["after"]["workloads"]["plateau_sweep"]["end_to_end"]
@@ -128,3 +128,29 @@ def test_source_line_count(tmp_path):
         record(root, "run", metrics={"wall_s": 1.0})
     report = summarise(before, after, tmp_path)
     assert (report["before"]["src_lines"], report["after"]["src_lines"]) == (1, 4)
+
+
+def test_pair_counts(sides, tmp_path):
+    before, after = sides
+    report = summarise(before, after, tmp_path)
+    # seed 0: wall 1.0 -> 1.0, seed 1: 3.0 -> 1.5; seed 2 ran only before, and traced runs are not counted
+    assert report["pairs"] == {
+        "plateau_sweep": {
+            "setup_s": {"lower": 2, "higher": 0, "equal": 0},
+            "wall_s": {"lower": 1, "higher": 0, "equal": 1},
+        }
+    }
+
+
+def test_pairs_follow_start_time(tmp_path):
+    # runs of one seed pair up in start-time order, not file-name order, among the kept newest runs
+    before = checkout(tmp_path / "before", "x = 1\n")
+    after = checkout(tmp_path / "after", "x = 2\n")
+    for name, start, wall in (("b0", 30.0, 1.0), ("b1", 20.0, 5.0), ("b2", 10.0, 9.0)):
+        record(before, name, metrics={"wall_s": wall}, start=start)
+    for name, start, wall in (("a0", 40.0, 6.0), ("a1", 50.0, 2.0)):
+        record(after, name, metrics={"wall_s": wall}, start=start)
+    report = summarise(before, after, tmp_path)
+    # kept before: 5.0 (t = 20), 1.0 (t = 30); after: 6.0 (t = 40), 2.0 (t = 50); by name both pairs would differ
+    assert report["pairs"] == {"plateau_sweep": {"wall_s": {"lower": 0, "higher": 2, "equal": 0}}}
+    assert report["before"]["dropped_records"] == 1

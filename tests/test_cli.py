@@ -414,7 +414,21 @@ def readme_script_commands() -> list[list[str]]:
     return [argv for argv in lines if argv[:1] == ["python3"] and argv[1].startswith("scripts/")]
 
 
+def readme_library_sketch() -> str:
+    """The python block under the README's Library sketch heading."""
+    text = (ROOT / "README.md").read_text()
+    return text.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
 class TestReadmeCommands:
+    def test_library_sketch_runs_as_written(self):
+        names: dict = {}
+        exec(compile(readme_library_sketch(), "README.md", "exec"), names)
+        # the three results its comments state
+        assert names["result"].verdict == "Up"
+        assert [names["sd"].VERDICTS[c] for c in names["codes"]] == ["Up", "Unknown", "Down"]
+        assert names["classifier"].truncated_chains == 0
+
     @pytest.mark.parametrize("command", ["validate", "classify", "measure", "sweep", "approx"])
     def test_runs_as_written(self, command, tmp_path, monkeypatch, capsys):
         # the README paths are relative to the repository root; a linked

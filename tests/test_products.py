@@ -32,11 +32,20 @@ def geometric_spec(full2, uniform_chain, scale=0.01):
 
 
 def signed_zero_spec(full2, uniform_chain):
-    """A spec where one word's designated value sums to -0.0 and the others to 0.0."""
+    """A spec whose designated values are all zero, summed from -0.0 and 0.0 terms."""
     return sd.ContinuousProductSpec(
         full2, uniform_chain, "bumped_affine", "c",
         ({"a": 0.1, "b": 0.8, "c": -0.0}, {"a": 0.12, "b": 0.8, "c": 0.0}),
         np.array([[0.0, -0.0], [0.0, 0.0]]),
+    )
+
+
+def parameter_zero_spec(full2, uniform_chain):
+    """A spec whose two symbols' maps are == but print c as -0.0 (symbol 1) and 0.0 (symbol 2)."""
+    return sd.ContinuousProductSpec(
+        full2, uniform_chain, "bumped_affine", "a",
+        ({"a": 0.1, "b": 0.8, "c": -0.0}, {"a": 0.1, "b": 0.8, "c": 0.0}),
+        np.zeros((2, 2)),
     )
 
 
@@ -413,10 +422,11 @@ class TestProductText:
         assert_dumped(product)
 
     def test_signed_zero_spec(self, full2, uniform_chain):
-        spec = signed_zero_spec(full2, uniform_chain)
+        # value-equal maps that print different zeros: symbol 1 is the middle of half the words
+        spec = parameter_zero_spec(full2, uniform_chain)
         for m in (0, 1, 2):
             text = assert_dumped(sd.multistep_approximation(spec, m))
-        assert text.count('"c": -0.0') == 1
+            assert text.count('"c": -0.0') == text.count('"c": 0.0') == 4**m
 
     def test_shipped_ladder(self, shipped_ladder):
         for approx in shipped_ladder.values():
@@ -438,23 +448,26 @@ class TestMultistepApproximation:
         for m in (0, 1, 3):
             assert sd.multistep_approximation(spec, m).to_json() == reference_approximation(spec, m).to_json()
 
-    def test_signed_zero_value_keeps_its_sign(self, full2, uniform_chain):
-        # numpy's min and max of [0.0, -0.0] both read -0.0, so the tail term
-        # is -0.0 and word (2, 1, 2) sums to -0.0 where every other symbol-1
-        # word sums to 0.0; the two maps are == but print differently
+    def test_zero_midrange_gives_positive_zero(self, full2, uniform_chain):
+        # numpy's min and max of [0.0, -0.0] both read -0.0, but the midrange is 0.0; it is
+        # added last, so no designated value sums to -0.0, not even symbol 1's -0.0 at m = 0
         spec = signed_zero_spec(full2, uniform_chain)
-        for m in (1, 2):
+        assert str(spec.tail_midrange(1)) == "0.0"
+        for m in (0, 1, 2):
             text = json.dumps(sd.multistep_approximation(spec, m).to_json())
             assert text == json.dumps(reference_approximation(spec, m).to_json())
-            assert text.count('"c": -0.0') == 1
+            assert '"c": -0.0' not in text
 
-    @pytest.mark.parametrize("name", ["shipped", "random 3", "random 29", "signed zero", "three symbols"])
+    @pytest.mark.parametrize(
+        "name", ["shipped", "random 3", "random 29", "signed zero", "parameter zero", "three symbols"]
+    )
     def test_array_values_equal_per_word_sums(self, full2, uniform_chain, name):
         spec = {
             "shipped": lambda: load_config(str(CONTINUOUS_GEOMETRIC), {}).continuous,
             "random 3": lambda: random_spec(full2, uniform_chain, 3),
             "random 29": lambda: random_spec(full2, uniform_chain, 29, offset=0.05),
             "signed zero": lambda: signed_zero_spec(full2, uniform_chain),
+            "parameter zero": lambda: parameter_zero_spec(full2, uniform_chain),
             "three symbols": lambda: three_symbol_spec(11),
         }[name]()
         for m in range(6):
@@ -488,12 +501,12 @@ class TestMultistepApproximation:
             assert str(info.value) == f"word {word}: {sd.validate_class(fmap).reason}"
 
     def test_padding_keeps_signed_zero(self, full2, uniform_chain):
-        spec = signed_zero_spec(full2, uniform_chain)
+        spec = parameter_zero_spec(full2, uniform_chain)
         approx = sd.multistep_approximation(spec, 1)
         text = json.dumps(sd.pad_to_window(approx, (2, 2)).to_json())
         assert text == json.dumps(reference_pad(approx, (2, 2)).to_json())
-        # (2, 1, 2) is the middle of four words on (2, 2)
-        assert text.count('"c": -0.0') == 4
+        # symbol 1 is the middle of 16 of the 32 words on (2, 2)
+        assert text.count('"c": -0.0') == 16
 
     def test_no_dependence_equals_one_step(self, full2, uniform_chain):
         spec = geometric_spec(full2, uniform_chain, scale=0.0)

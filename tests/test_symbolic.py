@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from skewdrift.errors import (
     InvalidMatrixError,
     NotErgodicError,
 )
-from skewdrift.drift import _check_admissible
 from skewdrift.symbolic import _symbols_from_uniforms
 
 from conftest import FULL2, GOLDEN
@@ -202,6 +203,105 @@ class TestPeriodicWords:
         assert not golden.admits((3,))
 
 
+def transitive_matrix(data, n):
+    """A random 0/1 matrix on n symbols whose cycle 1 -> 2 -> ... -> n -> 1 keeps it strongly connected."""
+    extra = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n), label="support")
+    return (np.array(extra).reshape(n, n) | np.roll(np.eye(n, dtype=bool), 1, axis=1)).astype(int)
+
+
+def brute_words(matrix, length):
+    """Admissible words in lexicographic order, by filtering every word of the alphabet."""
+    n = len(matrix)
+    every = itertools.product(range(1, n + 1), repeat=length)
+    return [w for w in every if all(matrix[a - 1][b - 1] for a, b in zip(w, w[1:]))]
+
+
+def brute_fault(matrix, rows):
+    """(i, j) of the first symbol outside 1..N, else of the first forbidden transition j -> j + 1, else None."""
+    n = len(matrix)
+    outside = [(i, j) for i, row in enumerate(rows) for j, s in enumerate(row) if not 1 <= s <= n]
+    if outside:
+        return outside[0]
+    forbidden = [
+        (i, j) for i, row in enumerate(rows) for j in range(len(row) - 1) if not matrix[row[j] - 1][row[j + 1] - 1]
+    ]
+    return forbidden[0] if forbidden else None
+
+
+class TestWordTable:
+    """word_array is the one word table; check_rows, admits, successors and cylinder_measure share one rule."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_word_array_equals_brute_force(self, data):
+        matrix = transitive_matrix(data, data.draw(st.integers(2, 4), label="alphabet size"))
+        system = sd.TransitionSystem(matrix)
+        for length in data.draw(st.permutations(range(1, 7)), label="build order"):
+            table = system.word_array(length)
+            assert table.dtype == np.int64 and table.shape == (len(table), length)
+            assert table.tolist() == [list(w) for w in brute_words(matrix.tolist(), length)]
+            assert system.words(length) == tuple(map(tuple, table.tolist()))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_check_rows_and_admits_agree_with_brute_force(self, data):
+        n = data.draw(st.integers(2, 4), label="alphabet size")
+        matrix = transitive_matrix(data, n)
+        system = sd.TransitionSystem(matrix)
+        width = data.draw(st.integers(1, 6), label="width")
+        row = st.lists(st.integers(0, n + 1), min_size=width, max_size=width)
+        rows = data.draw(st.lists(row, min_size=1, max_size=6), label="rows")
+        lo = data.draw(st.integers(-5, 0), label="lo")
+        for r in rows:
+            assert system.admits(r) is (brute_fault(matrix, [r]) is None)
+        fault = brute_fault(matrix, rows)
+        if fault is None:
+            system.check_rows(lo, np.array(rows, dtype=np.int64))
+            return
+        i, j = fault
+        if not 1 <= rows[i][j] <= n:
+            message = f"symbol {rows[i][j]} at coordinate {lo + j} of point {i} is not in the alphabet 1..{n}"
+        else:
+            message = (
+                f"transition {rows[i][j]} -> {rows[i][j + 1]} at coordinates {lo + j}, {lo + j + 1} "
+                f"of point {i} is forbidden"
+            )
+        with pytest.raises(ValueError) as info:
+            system.check_rows(lo, np.array(rows, dtype=np.int64))
+        assert str(info.value) == message
+
+    def test_admits_symbols_too_large_for_int64(self, golden):
+        assert not golden.admits((1, 2**70)) and not golden.admits((-(2**70), 1))
+
+    @pytest.mark.parametrize("matrix", [FULL2, GOLDEN])
+    def test_successors_only_of_symbols_of_the_alphabet(self, matrix):
+        system = sd.TransitionSystem(np.array(matrix))
+        assert [system.successors(s) for s in (1, 2)] == [
+            tuple(w[1] for w in brute_words(matrix, 2) if w[0] == s) for s in (1, 2)
+        ]
+        for symbol in (0, 3):
+            with pytest.raises(ValueError, match=f"symbol {symbol} is not in the alphabet 1..2"):
+                system.successors(symbol)
+
+    def test_cylinder_of_a_symbol_above_the_alphabet_measures_zero(self, golden_chain):
+        assert sd.cylinder_measure(golden_chain, sd.SymbolWindow(0, (1, 3))) == 0.0
+
+    def test_graphs_regions_and_certificates_build_no_word_tuples(self, monkeypatch):
+        def no_tuples(self, length):
+            raise AssertionError("word tuples built")
+
+        system = sd.TransitionSystem(np.array(FULL2))  # fresh: no table cached yet
+        monkeypatch.setattr(sd.TransitionSystem, "words", no_tuples)
+        graph = sd.StepGraph(system, (12, 0), np.full(2**13, 0.5))
+        region = sd.BoxRegion(system, (12, 0), [0, 2**13 - 1], [0.1, 0.2], [0.3, 0.4])
+        assert region.ranks.tolist() == [0, 2**13 - 1]
+        values = sd.DriftCertificate("up", graph, 1e-3, "0" * 16).to_json()["values"]
+        assert len(values) == 2**13
+        assert values[0] == {"word": [1] * 13, "value": 0.5} and values[-1]["word"] == [2] * 13
+        with pytest.raises(ValueError, match=r"for word \(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2\) is not strictly"):
+            sd.StepGraph(system, (12, 0), np.r_[0.5, 1.0, np.full(2**13 - 2, 0.5)])
+
+
 class TestSampling:
     def test_reproducible(self, uniform_chain):
         a = sd.sample_window(uniform_chain, -2, 2, np.random.default_rng(11))
@@ -326,7 +426,7 @@ class TestRowsEndingInZeros:
         rows = _symbols_from_uniforms(chain, u)
         assert rows.tolist() == [[1, 3], [1, 2], [1, 1]]
         assert np.array_equal(rows, _reference_symbols(chain, u))
-        _check_admissible(system, 0, rows)
+        system.check_rows(0, rows)
         # sample_window draws with the same sampler
         assert sd.sample_window(chain, 0, 1, _FixedUniforms([0.0, top])).symbols == (1, 3)
 
@@ -334,20 +434,19 @@ class TestRowsEndingInZeros:
     @settings(max_examples=150, deadline=None)
     def test_sampled_rows_admissible(self, data):
         n = data.draw(st.integers(2, 5), label="alphabet size")
-        # a cycle keeps the support strongly connected; other entries, trailing ones too, may be 0
-        extra = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n), label="support")
-        support = np.array(extra).reshape(n, n) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
+        # entries off the cycle, trailing ones too, may be 0
+        support = transitive_matrix(data, n)
         # tenths and other short fractions, whose float sums often miss 1 by an ulp
         weights = np.array(data.draw(st.lists(st.integers(1, 9), min_size=n * n, max_size=n * n), label="weights"))
         weights = weights.reshape(n, n) * support
         stochastic = weights / weights.sum(axis=1, keepdims=True)
-        system = sd.TransitionSystem(support.astype(int))
+        system = sd.TransitionSystem(support)
         chain = sd.MarkovChain(system, stochastic)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         u = _edge_uniforms(chain, rng, (300, 6))
         u[::7, 1:] = np.nextafter(1.0, 0.0)
         rows = _symbols_from_uniforms(chain, u)
-        _check_admissible(system, 0, rows)
+        system.check_rows(0, rows)
         assert np.array_equal(rows, _reference_symbols(chain, u))
         window = sd.sample_window(chain, -2, 3, _FixedUniforms(u[0]))
         assert system.admits(window.symbols)

@@ -86,8 +86,6 @@ def _cmd_validate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_classify(cfg: RunConfig, out_dir: Path, points_path: str | None) -> int:
-    if cfg.product is None:
-        raise ConfigError("product", "classify needs a 'product' section")
     if not points_path:
         raise ConfigError("points", "classify needs --points CSV")
     depth = cfg.analysis.depth
@@ -122,8 +120,6 @@ def _cmd_classify(cfg: RunConfig, out_dir: Path, points_path: str | None) -> int
 
 
 def _cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
-    if cfg.product is None:
-        raise ConfigError("product", "measure needs a 'product' section")
     est = estimate_regions(cfg.product, cfg.analysis.depth, cfg.analysis.samples, cfg.analysis.seed)
     _write(out_dir / "region_estimate.json", json.dumps(est.to_json(), indent=2, sort_keys=True) + "\n")
     print(
@@ -134,8 +130,6 @@ def _cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
-    if cfg.family is None:
-        raise ConfigError("family", "sweep needs a 'family' section")
     if not cfg.analysis.grid:
         raise ConfigError("analysis.grid", "sweep needs a parameter grid")
     a = cfg.analysis
@@ -169,8 +163,6 @@ def _product_text(product: MultistepSkewProduct) -> str:
 
 
 def _cmd_approx(cfg: RunConfig, out_dir: Path) -> int:
-    if cfg.continuous is None:
-        raise ConfigError("continuous", "approx needs a 'continuous' section")
     m = cfg.analysis.depth
     ladder = {m: multistep_approximation(cfg.continuous, m)}
     _write(out_dir / "approx_product.json", _product_text(ladder[m]))
@@ -184,24 +176,23 @@ def _cmd_approx(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+# each command, the config section it needs (None if it needs none) and its function
+COMMANDS = {"validate": (None, _cmd_validate), "classify": ("product", _cmd_classify),
+            "measure": ("product", _cmd_measure), "sweep": ("family", _cmd_sweep), "approx": ("continuous", _cmd_approx)}
+
+
 def run(command: str, config_path: str, *, seed=None, depth=None, samples=None,
         grid=None, out=".", points=None) -> int:
     """Run one subcommand; returns the process exit code."""
     try:
         cfg = load_config(config_path, {"seed": seed, "depth": depth, "samples": samples, "grid": grid})
-        out_dir = Path(out)
-        if command == "validate":
-            return _cmd_validate(cfg, out_dir)
-        if command == "classify":
-            return _cmd_classify(cfg, out_dir, points)
-        if command == "measure":
-            return _cmd_measure(cfg, out_dir)
-        if command == "sweep":
-            return _cmd_sweep(cfg, out_dir)
-        if command == "approx":
-            return _cmd_approx(cfg, out_dir)
-        print(f"unknown command {command!r}", file=sys.stderr)
-        return 2
+        if command not in COMMANDS:
+            print(f"unknown command {command!r}", file=sys.stderr)
+            return 2
+        section, cmd = COMMANDS[command]
+        if section is not None and getattr(cfg, section) is None:
+            raise ConfigError(section, f"{command} needs a '{section}' section")
+        return cmd(cfg, Path(out), points) if cmd is _cmd_classify else cmd(cfg, Path(out))
     except (ResourceBoundError, MemoryError) as exc:  # numpy raises MemoryError for an array it cannot allocate
         print(f"resource bound: {exc}", file=sys.stderr)
         return 3
@@ -215,7 +206,7 @@ def main(argv=None) -> int:
         prog="skewdrift",
         description="Certified drift analysis for interval skew products over subshifts of finite type.",
     )
-    parser.add_argument("command", choices=["validate", "classify", "measure", "sweep", "approx"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--seed", type=int, default=None, help="override analysis.seed")
     parser.add_argument("--depth", type=int, default=None, help="override analysis.depth (m for approx)")

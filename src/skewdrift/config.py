@@ -117,6 +117,18 @@ def parse_grid_spec(text: str) -> list[float]:
     return [lo + i * step for i in range(count + 1) if lo + i * step <= hi + 1e-12]
 
 
+def _grid(value, path: str) -> list[float]:
+    if isinstance(value, str):
+        return parse_grid_spec(value)
+    if isinstance(value, list):
+        return [_number(t, f"{path}[{i}]") for i, t in enumerate(value)]
+    raise ConfigError(path, "expected a list or a lo:hi:step string")
+
+
+# each analysis field and its parser, in the order a config's fields are checked
+_ANALYSIS_FIELDS = {"depth": _integer, "samples": _integer, "seed": _integer, "gap_epsilon": _number, "grid": _grid}
+
+
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -127,11 +139,10 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise _file_error("config", path, exc) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be an object")
-    return parse_config(raw, overrides or {})
+    return parse_config(raw, overrides)
 
 
 def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
-    overrides = overrides or {}
     base_rec = _expect(raw, "base", "config")
     transitions, stochastic = (_expect(base_rec, key, "base") for key in ("transitions", "stochastic"))
     with _anchored("base.transitions"):
@@ -182,28 +193,11 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     rec = raw.get("analysis", {})
     if not isinstance(rec, dict):
         raise ConfigError("analysis", "must be an object")
-    if "depth" in rec:
-        analysis.depth = _integer(rec["depth"], "analysis.depth")
-    if "samples" in rec:
-        analysis.samples = _integer(rec["samples"], "analysis.samples")
-    if "seed" in rec:
-        analysis.seed = _integer(rec["seed"], "analysis.seed")
-    if "gap_epsilon" in rec:
-        analysis.gap_epsilon = _number(rec["gap_epsilon"], "analysis.gap_epsilon")
-    if "grid" in rec:
-        grid = rec["grid"]
-        if isinstance(grid, str):
-            analysis.grid = parse_grid_spec(grid)
-        elif isinstance(grid, list):
-            analysis.grid = [_number(t, f"analysis.grid[{i}]") for i, t in enumerate(grid)]
-        else:
-            raise ConfigError("analysis.grid", "expected a list or a lo:hi:step string")
-
-    for key in ("depth", "samples", "seed"):
-        if overrides.get(key) is not None:
-            setattr(analysis, key, int(overrides[key]))
-    if overrides.get("grid") is not None:
-        analysis.grid = parse_grid_spec(overrides["grid"])
+    # a flag passes its field's checks after the file's own fields
+    for values in (rec, {key: v for key, v in (overrides or {}).items() if v is not None}):
+        for key, parse in _ANALYSIS_FIELDS.items():
+            if key in values:
+                setattr(analysis, key, parse(values[key], f"analysis.{key}"))
     if analysis.depth < 0:
         raise ConfigError("analysis.depth", "must be nonnegative")
     if analysis.seed < 0:

@@ -78,7 +78,7 @@ class StepGraph:
 
 def _point_rank(system: TransitionSystem, window, point_window) -> int:
     """Rank of a point window's word on coordinates -L..R; ValueError unless the window is a base word covering them."""
-    system.check_rows(point_window.lo, np.array([point_window.symbols], dtype=np.int64))
+    system.check_rows(point_window.lo, _symbol_rows([point_window.symbols]))
     L, R = window
     return int(system.word_ranks(np.array([point_window.word(-L, R)]), 0, L + R + 1)[0])
 
@@ -348,9 +348,16 @@ class Classification:
         return record
 
 
+def _symbol_rows(rows) -> np.ndarray:
+    """rows as int64, or as Python ints if a symbol is beyond int64, for check_rows to refuse it by value."""
+    try:
+        return np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(rows, dtype=object)
+
+
 def _as_batch(rows, xs) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.asarray(rows, dtype=np.int64)
-    xs = np.asarray(xs, dtype=float)
+    rows, xs = _symbol_rows(rows), np.asarray(xs, dtype=float)
     if rows.ndim != 2 or xs.ndim != 1 or len(rows) != len(xs):
         raise ValueError(f"need symbol rows (n, width) and n fiber coordinates, got shapes {rows.shape} and {xs.shape}")
     return rows, xs

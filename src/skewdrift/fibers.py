@@ -23,7 +23,7 @@ EPS_ROUND = 1e-13
 INVERT_TOL = 1e-12
 _BISECT_STEPS = 60
 # Bisection rounds whose midpoint lo + 2^-k is a dyadic of at most 53 bits.
-# Affine maps run only the last few, in a bracket verified on every column;
+# Affine maps run only the last two, in a bracket verified on every column;
 # monotone rounding makes the result exact (see _affine_start).
 _DYADIC_STEPS = 53
 
@@ -362,11 +362,11 @@ def invert(f: FiberMap, y):
     y must lie in [f(0), f(1)] up to INVERT_TOL slack, else ValueError (NaN
     included). Accepts scalars or arrays. A stacked map, whose parameters are
     (k,) arrays, inverts the columns of an (n, k) y in lockstep, column j by
-    map j, with the bits of k separate calls. An affine map starts the
-    bisection from a bracket around (y - a)/b instead of from 0: four units
-    of 2^-53 wide if every column passes its check, else the proven width,
-    else none (see _affine_start). It ends the dyadic rounds on the same lo,
-    so the result has the same bits.
+    map j, with the bits of k separate calls. An affine map whose every
+    column passes its check starts the bisection from a bracket four units of
+    2^-53 wide around (y - a)/b instead of from 0, and otherwise runs all 53
+    rounds (see _affine_start). It ends the dyadic rounds on the same lo, so
+    the result has the same bits.
     """
     scalar = np.isscalar(y) or (isinstance(y, np.ndarray) and y.ndim == 0)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
@@ -446,42 +446,24 @@ def _affine_start(f: Affine, ys):
     For b > 0, m -> fl(a + fl(b*m)) is non-decreasing (rounding to nearest is
     monotone), so the test f(j*2^-53) < y is true up to some j and false
     after it. The 53 rounds from 0 then end at J*2^-53, with J the largest j
-    in [1, 2^53) passing the test, or 0. A bracket [A, A + 2^p] in units of
-    2^-53 holds J when A passes the test (or is 0) and A + 2^p fails it (or
-    is 2^53); rounds 54-p..53 from A*2^-53 then find J. With the guess
-    G = floor(fl(fl(y - a)/b) * 2^53), two widths are tried, one p for the
-    block each. First [G - 3, G + 1] (p = 2): the rounding of y - a, of the
-    division and of f(m) near the root puts J a few units below G or at it,
-    and on the shipped ladder J - G is in {-3, ..., 0} for every target.
-    Then the proven bracket centred on G: f(m) is within
-    3*2^-53*max(|y|, |a|) of a + b*m and G within 2 units of
-    (y - a)/b * 2^53, so J lies within 3*max(|y|, |a|)/b + 3 units of G
-    unless b*m underflows; the half-width 4*max(|y|, |a|)/b + 4 covers that.
-    Exactness rests on the check of every column, not on either bound: a
-    width is used only if every column passes, and if neither does, or p
-    would reach 53, the block runs all 53 rounds. Other forms always run
-    all 53: their float evaluation is not provably monotone.
+    in [1, 2^53) passing the test, or 0. With G = floor(fl(fl(y - a)/b) * 2^53),
+    the bracket [G - 3, G + 1] in units of 2^-53 (clipped to [0, 2^53]) holds
+    J when its lower end passes the test (or is 0) and its upper end fails it
+    (or is 2^53); rounds 52 and 53 from the lower end then find J. Rounding
+    puts J a few units below G or at it: on the shipped ladder J - G is in
+    {-3, ..., 0} for every target. Exactness rests on the check of every
+    column, not on that bound: if any column fails it, the block runs all 53
+    rounds, as other forms always do (their float evaluation is not provably monotone).
     """
-    a, b = np.asarray(f.a, dtype=float), np.asarray(f.b, dtype=float)
-    if not (b > 0.0).all():
+    if not np.all(f.b > 0.0):
         return None
     units = 2.0**_DYADIC_STEPS
-    guess = np.floor((ys - a) / b * units)
-    p, below = 2, 3.0  # [G - 3, G + 1] first
+    lo = np.clip(np.floor((ys - f.a) / f.b * units) - 3.0, 0.0, units - 4.0) / units
+    hi = lo + 2.0 ** (2 - _DYADIC_STEPS)
     val = np.empty_like(ys)
-    while True:
-        lo = np.clip(guess - below, 0.0, units - 2.0**p) / units
-        hi = lo + 2.0 ** (p - _DYADIC_STEPS)
-        holds = ((lo == 0.0) | (_eval_into(f, lo, val) < ys)).all()
-        if holds and ((hi == 1.0) | (_eval_into(f, hi, val) >= ys)).all():
-            return _dyadic_rounds(f, ys, lo, _DYADIC_STEPS + 1 - p)
-        if p > 2:
-            return None
-        half = 4.0 * float(np.max(np.maximum(np.abs(ys), np.abs(a)) / b)) + 4.0
-        if not half < 2.0 ** (_DYADIC_STEPS - 2):  # p <= 52; NaN fails too
-            return None
-        p = math.ceil(math.log2(2.0 * half))
-        below = 2.0 ** (p - 1)
+    if ((lo == 0.0) | (_eval_into(f, lo, val) < ys)).all() and ((hi == 1.0) | (_eval_into(f, hi, val) >= ys)).all():
+        return _dyadic_rounds(f, ys, lo, _DYADIC_STEPS - 1)
+    return None
 
 
 def compose_along_word(maps, x):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 from pathlib import Path
@@ -146,6 +147,7 @@ class TestClassifyCommand:
     @pytest.mark.parametrize("window, message", [
         ("-5 1 1 1 1 1 3 1 1 1 1", "symbol 3 at coordinate 0"),
         ("-5 1 1 1 1 1 2 2 1 1 1", "transition 2 -> 2 at coordinates 0, 1"),
+        ("-5 1 1 1 1 1 1180591620717411303424 1 1 1 1", "symbol 1180591620717411303424 at coordinate 0"),
     ])
     def test_point_outside_base_space_exits_2(self, tmp_path, capsys, window, message):
         points = tmp_path / "points.csv"
@@ -210,12 +212,43 @@ class TestBadRunInput:
         with pytest.raises(ResourceBoundError):
             parse_grid_spec(f"0:{MAX_GRID_POINTS}:1")
 
-    def test_negative_seed_rejected_at_config_time(self, tmp_path, capsys):
+    @pytest.mark.parametrize("field, value, error", [
+        ("seed", -1, "analysis.seed: must be nonnegative"),
+        ("depth", -1, "analysis.depth: must be nonnegative"),
+        ("samples", 50, "analysis.samples: need at least 100 samples"),
+    ], ids=["seed", "depth", "samples"])
+    def test_negative_seed_rejected_at_config_time(self, tmp_path, capsys, field, value, error):
+        # a flag and the same value in the file give the same text
         args = ["sweep", "--config", small_plateau_config(tmp_path), "--out", str(tmp_path / "out")]
-        assert main([*args, "--seed", "-1"]) == 2
-        assert capsys.readouterr().err == "invalid input: analysis.seed: must be nonnegative\n"
-        assert main(["sweep", "--config", small_plateau_config(tmp_path, seed=-1), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == "invalid input: analysis.seed: must be nonnegative\n"
+        assert main([*args, f"--{field}", str(value)]) == 2
+        assert capsys.readouterr().err == f"invalid input: {error}\n"
+        config = small_plateau_config(tmp_path, **{field: value})
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"invalid input: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_field_fails_under_its_flag(self, tmp_path, capsys):
+        record = json.loads((CONFIGS / "constant_affine.json").read_text())
+        record["analysis"]["depth"] = "x"
+        path = write_json(tmp_path / "depth.json", record)
+        assert main(["validate", "--config", path, "--depth", "4", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "invalid input: analysis.depth: expected an integer, got 'x'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config, section", [
+        ("classify", "continuous_geometric.json", "product"),
+        ("measure", "continuous_geometric.json", "product"),
+        ("sweep", "constant_affine.json", "family"),
+        ("approx", "constant_affine.json", "continuous"),
+    ])
+    def test_command_without_its_section_exits_2(self, tmp_path, capsys, command, config, section):
+        assert run(command, str(CONFIGS / config), out=str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"invalid input: {section}: {command} needs a '{section}' section\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_command_exits_2(self, tmp_path, capsys):
+        assert run("bogus", str(CONFIGS / "golden_affine.json"), out=str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "unknown command 'bogus'\n"
         assert not (tmp_path / "out").exists()
 
     def test_sample_count_beyond_memory_exits_3(self, tmp_path, capsys):
@@ -436,6 +469,16 @@ class TestReadmeCommands:
         (tmp_path / "scripts").symlink_to(ROOT / "scripts", target_is_directory=True)
         monkeypatch.chdir(tmp_path)
         assert main(readme_cli_commands()[command]) == 0
+
+    def test_commands_match_the_cli(self, capsys):
+        # the usage block and the Commands: bullets list the commands argparse accepts, in its order
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        accepted = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
+        section = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+        bullets = re.findall(r"^- `([a-z]+)` - ", section.split("Commands:", 1)[1], flags=re.MULTILINE)
+        assert list(readme_cli_commands()) == accepted
+        assert bullets == accepted
 
     def test_scripts_run_as_written(self, tmp_path):
         (tmp_path / "scripts").symlink_to(ROOT / "scripts", target_is_directory=True)

@@ -891,6 +891,25 @@ class TestInadmissiblePoints:
         with pytest.raises(ValueError, match="symbol 3 at coordinate -1"):
             sd.StepGraph.constant(full2, 0.3).value_at(sd.SymbolWindow(-1, (3, 3, 3)))
 
+    def test_symbol_beyond_int64_is_outside_the_alphabet(self, golden, golden_chain, golden_ms):
+        # 2^70 does not fit an int64 row; every entry point refuses it as it refuses 3
+        huge, message = 2**70, "symbol 1180591620717411303424 at coordinate 0 of point 0 is not in the alphabet 1..2"
+        classifier = sd.get_classifier(golden_ms, 4)
+        lo, hi = classifier.required_range()
+        row = [1] * (hi - lo + 1)
+        row[-lo] = huge
+        with pytest.raises(ValueError, match=message):
+            classifier.classify_arrays(lo, [row], [0.5])
+        point = sd.LabeledPoint(sd.SymbolWindow(lo, tuple(row)), 0.5)
+        with pytest.raises(ValueError, match=message):
+            sd.classify_point(golden_ms, point, 4)
+        product = constant_product(golden, golden_chain, sd.Affine(0.1, 0.8))
+        cert = sd.classify_point(product, sd.LabeledPoint(sd.SymbolWindow(-8, (1, 2) * 8), 0.2), 6).witness
+        with pytest.raises(ValueError, match=message):
+            sd.replay_certificate(product, cert, sd.LabeledPoint(sd.SymbolWindow(-1, (1, huge, 1)), 0.2))
+        with pytest.raises(ValueError, match=message):
+            sd.StepGraph.constant(golden, 0.3).value_at(sd.SymbolWindow(-1, (1, huge, 1)))
+
 
 class TestPointWindowCoverage:
     """A point window that does not cover the graph's window raises WindowTooShortError."""

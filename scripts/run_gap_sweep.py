@@ -7,44 +7,42 @@ post-composing with tau * x * (1 - x) tilts the plateau. For tau < 0 the
 anchored set is a single attracting level, for tau = 0 it is the whole block
 of measure 0.2, and the up-measure curve jumps by that amount across 0.
 
-Usage: python3 scripts/run_gap_sweep.py [--samples N] [--depth M] [--out DIR]
+The family, grid, depth, seed and gap epsilon are those of
+scripts/configs/plateau_family.json; the flags override them.
+
+Usage: python3 scripts/run_gap_sweep.py [--samples N] [--depth M] [--seed S] [--eps E] [--out DIR]
 """
 
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 import skewdrift as sd
+from skewdrift.config import load_config
 from skewdrift.measure import gaps_to_csv, mu_data_file, sweep_to_csv
+
+CONFIG = Path(__file__).resolve().parent / "configs" / "plateau_family.json"
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=int, default=20_000)
-    parser.add_argument("--depth", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--eps", type=float, default=0.05)
+    parser.add_argument("--samples", type=int, default=20_000, help="override analysis.samples")
+    parser.add_argument("--depth", type=int, default=None, help="override analysis.depth")
+    parser.add_argument("--seed", type=int, default=None, help="override analysis.seed")
+    parser.add_argument("--eps", type=float, default=None, help="override analysis.gap_epsilon")
     parser.add_argument("--out", type=str, default="out/gap_sweep")
     args = parser.parse_args()
 
-    system = sd.TransitionSystem(np.array([[1, 1], [1, 1]]))
-    chain = sd.MarkovChain(system, np.array([[0.5, 0.5], [0.5, 0.5]]))
-    plateau = sd.Plateau(0.5, 0.4, 0.6)
-    product = sd.MultistepSkewProduct(
-        system, chain, (0, 0), {(1,): plateau, (2,): plateau}
-    )
-    family = sd.MonotoneFamily(product, 1.0, (-0.025, 0.025))
-    grid = [(i - 10) * 0.002 for i in range(21)]
-
-    result = sd.sweep(family, grid, args.depth, args.samples, args.seed)
-    gaps = sd.detect_gaps(result, args.eps)
+    overrides = {"samples": args.samples, "depth": args.depth, "seed": args.seed, "gap_epsilon": args.eps}
+    cfg = load_config(str(CONFIG), overrides)
+    a = cfg.analysis
+    result = sd.sweep(cfg.family, a.grid, a.depth, a.samples, a.seed)
+    gaps = sd.detect_gaps(result, a.gap_epsilon)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(sweep_to_csv(result, args.seed, args.depth, args.samples))
-    (out / "gaps.csv").write_text(gaps_to_csv(gaps, args.seed, args.depth, args.samples))
-    (out / "mu.dat").write_text(mu_data_file(result, args.seed, args.depth, args.samples))
+    (out / "sweep.csv").write_text(sweep_to_csv(result, a.seed, a.depth, a.samples))
+    (out / "gaps.csv").write_text(gaps_to_csv(gaps, a.seed, a.depth, a.samples))
+    (out / "mu.dat").write_text(mu_data_file(result, a.seed, a.depth, a.samples))
 
     print(f"{'tau':>8} {'mc_up':>8} {'mu_lower':>9}")
     for tau, mc, lower in zip(result.grid, result.mu_mc, result.mu_lower):

@@ -22,6 +22,7 @@ from .fibers import map_to_json
 from .measure import (
     _fmt,
     _gap_tolerance_problem,
+    _grid_problem,
     _table,
     detect_gaps,
     estimate_regions,
@@ -133,6 +134,9 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     if not cfg.analysis.grid:
         raise ConfigError("analysis.grid", "sweep needs a parameter grid")
     a = cfg.analysis
+    problem = _grid_problem(a.grid, cfg.family.tau_range)
+    if problem:  # refused before any member is built
+        raise ConfigError("analysis.grid", str(problem))
     problem = _gap_tolerance_problem(a.gap_epsilon, a.samples, hoeffding_radius(a.samples))
     if problem:  # detect_gaps would refuse eps only after every member is swept
         raise ConfigError("analysis.gap_epsilon", problem)

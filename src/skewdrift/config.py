@@ -76,9 +76,9 @@ def _number(value, path: str) -> float:
 
 
 @contextmanager
-def _anchored(path: str, malformed: str | None = None):
-    """A section's ValueError as a ConfigError at path and, if malformed is given,
-    its KeyError or TypeError as a malformed record there; a ConfigError passes through."""
+def _anchored(path: str, malformed: str):
+    """A section's ValueError as a ConfigError at path and its KeyError or TypeError
+    as a malformed record at malformed; a ConfigError passes through."""
     try:
         yield
     except ConfigError:
@@ -86,8 +86,6 @@ def _anchored(path: str, malformed: str | None = None):
     except ValueError as exc:
         raise ConfigError(path, str(exc))
     except (KeyError, TypeError) as exc:
-        if malformed is None:
-            raise
         raise ConfigError(malformed, f"malformed record: {exc}")
 
 
@@ -101,15 +99,15 @@ def parse_grid_spec(text: str) -> list[float]:
     """Inclusive "lo:hi:step" grid of finite numbers, with at most MAX_GRID_POINTS points."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError("grid", f"expected lo:hi:step, got {text!r}")
+        raise ConfigError("analysis.grid", f"expected lo:hi:step, got {text!r}")
     try:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         lo = hi = step = math.nan
     if not all(map(math.isfinite, (lo, hi, step))):
-        raise ConfigError("grid", f"lo, hi and step must be finite numbers, got {text!r}")
+        raise ConfigError("analysis.grid", f"lo, hi and step must be finite numbers, got {text!r}")
     if step <= 0 or hi < lo:
-        raise ConfigError("grid", "need step > 0 and hi >= lo")
+        raise ConfigError("analysis.grid", "need step > 0 and hi >= lo")
     steps = (hi - lo) / step  # inf where hi - lo overflows
     count = round(steps) if math.isfinite(steps) else math.inf
     if count >= MAX_GRID_POINTS:
@@ -145,7 +143,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     base_rec = _expect(raw, "base", "config")
     transitions, stochastic = (_expect(base_rec, key, "base") for key in ("transitions", "stochastic"))
-    with _anchored("base.transitions"):
+    with _anchored("base.transitions", "base.transitions"):
         base = TransitionSystem(np.asarray(transitions))
     declared = _integer(_expect(base_rec, "alphabet_size", "base"), "base.alphabet_size")
     if declared != base.alphabet_size:
@@ -186,7 +184,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         if not (isinstance(tau_range, list) and len(tau_range) == 2):
             raise ConfigError("family.tau_range", "expected [tau_min, tau_max]")
         taus = tuple(_number(t, f"family.tau_range[{i}]") for i, t in enumerate(tau_range))
-        with _anchored("family"):
+        with _anchored("family", "family"):
             family = MonotoneFamily(product, kappa, taus)
 
     analysis = AnalysisConfig()

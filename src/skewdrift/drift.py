@@ -20,7 +20,7 @@ from .errors import IncompatibleProductsError, InvalidRegionError, ResourceBound
 from .fibers import EPS_ROUND, FiberMap, MapStack, compose_along_word
 from .products import WINDOW_CAP, LabeledPoint, MultistepSkewProduct
 from .regions import BoxRegion, joined_boxes, sweep_rows
-from .symbolic import PeriodicWord, TransitionSystem
+from .symbolic import PeriodicWord, TransitionSystem, _symbol_rows
 
 # Strictness margin for every certified inequality: four orders above
 # accumulated rounding at composition depth <= 64, far below problem scales.
@@ -346,14 +346,6 @@ class Classification:
         if self.witness is not None:
             record["witness"] = self.witness.to_json()
         return record
-
-
-def _symbol_rows(rows) -> np.ndarray:
-    """rows as int64, or as Python ints if a symbol is beyond int64, for check_rows to refuse it by value."""
-    try:
-        return np.asarray(rows, dtype=np.int64)
-    except OverflowError:
-        return np.asarray(rows, dtype=object)
 
 
 def _as_batch(rows, xs) -> tuple[np.ndarray, np.ndarray]:

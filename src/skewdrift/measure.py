@@ -10,6 +10,7 @@ not just statistically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -192,12 +193,17 @@ class SweepResult:
 
 def _running_union_measures(regions: list[BoxRegion], chain) -> list[float]:
     """Measure of the union of regions[0..i], for each i."""
-    measures = []
-    acc = None
-    for region in regions:
-        acc = region if acc is None else region_union(acc, region)
-        measures.append(acc.measure(chain))
-    return measures
+    return [u.measure(chain) for u in itertools.accumulate(regions, region_union)]
+
+
+def _grid_problem(grid: list[float], tau_range: tuple[float, float]) -> ValueError | None:
+    """The error sweep raises for a grid that is not strictly increasing or leaves tau_range, or None."""
+    lo, hi = tau_range
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        return ValueError("grid must be strictly increasing")
+    if grid and not (lo <= grid[0] and grid[-1] <= hi):
+        return FamilyRangeError(f"grid leaves the family range [{lo}, {hi}]")
+    return None
 
 
 def sweep(
@@ -213,12 +219,9 @@ def sweep(
     members (DriftClassifier(member, depth, pending)) just before its estimate.
     """
     grid = [float(t) for t in grid]
-    lo, hi = family.tau_range
-    for a, b in zip(grid, grid[1:]):
-        if a >= b:
-            raise ValueError("grid must be strictly increasing")
-    if grid and not (lo <= grid[0] and grid[-1] <= hi):
-        raise FamilyRangeError(f"grid leaves the family range [{lo}, {hi}]")
+    problem = _grid_problem(grid, family.tau_range)
+    if problem:
+        raise problem
     chain = family.base_product.chain
     members, depth = [family_member(family, tau) for tau in grid], _search_depth(depth)
     pending = _chains([m for m in members if depth not in m._classifiers], depth)

@@ -34,7 +34,7 @@ from .fibers import (
     map_to_json,
     validate_class,
 )
-from .symbolic import MarkovChain, SymbolWindow, TransitionSystem
+from .symbolic import MarkovChain, SymbolWindow, TransitionSystem, _symbol_rows
 
 # Hard cap on dependence-window size, shared with the drift-witness machinery.
 WINDOW_CAP = 12
@@ -68,7 +68,7 @@ class MultistepSkewProduct:
     chain: MarkovChain
     window: tuple[int, int]
     assignment: dict[tuple[int, ...], FiberMap]
-    # drift classifiers by depth, filled only by drift.get_classifier; they live as long as the product
+    # drift classifiers by depth, filled by drift.get_classifier and measure.sweep; they live as long as the product
     _classifiers: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -138,11 +138,12 @@ def _int_tuple(values, name: str) -> tuple[int, ...]:
 
 
 def iterate(product: MultistepSkewProduct, point: LabeledPoint, n: int) -> LabeledPoint:
-    """Apply the skew product n times; the output window is re-offset by -n."""
+    """Apply the skew product n times to a point whose window is a base word; the output window is re-offset by -n."""
     if n < 1:
         raise ValueError("iteration count must be >= 1")
     l, r = product.window
     win = point.window
+    product.base.check_rows(win.lo, _symbol_rows([win.symbols]))
     needed = (-l, r + n - 1)
     if not win.covers(*needed):
         raise WindowTooShortError(needed, (win.lo, win.hi), f"{n}-step iteration")
@@ -217,16 +218,10 @@ def compare_order(F: MultistepSkewProduct, G: MultistepSkewProduct) -> ProductOr
         raise IncompatibleProductsError(
             f"windows {F.window} and {G.window} differ; pad the narrower product first"
         )
-    first_below = True
-    second_below = True
-    for f, g in _map_pairs(F, G):
-        first_below = first_below and _strictly_below(f, g)
-        second_below = second_below and _strictly_below(g, f)
-        if not first_below and not second_below:
-            return ProductOrder.INCOMPARABLE
-    if first_below:
+    pairs = _map_pairs(F, G)
+    if all(_strictly_below(f, g) for f, g in pairs):
         return ProductOrder.FIRST_BELOW
-    if second_below:
+    if all(_strictly_below(g, f) for f, g in pairs):
         return ProductOrder.SECOND_BELOW
     return ProductOrder.INCOMPARABLE
 

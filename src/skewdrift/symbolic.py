@@ -15,6 +15,7 @@ from .errors import (
     IncomparableWindowsError,
     InvalidMatrixError,
     NotErgodicError,
+    ResourceBoundError,
     WindowTooShortError,
 )
 
@@ -138,8 +139,11 @@ class TransitionSystem:
     def word_ranks(self, rows: np.ndarray, start: int, length: int) -> np.ndarray:
         """Rank in words(length) of each row's admissible word in columns start..start+length-1.
 
-        Positional codes of words of one length are in lexicographic order.
+        Positional codes of words of one length are in lexicographic order. They are int64, so
+        ResourceBoundError if N^length exceeds 2^63, where a code could wrap onto another word's.
         """
+        if self.alphabet_size**length > 2**63:
+            raise ResourceBoundError(f"words of length {length} over {self.alphabet_size} symbols exceed int64 codes")
         place = self._table(("place", length), lambda: self.alphabet_size ** np.arange(length, dtype=np.int64)[::-1])
         codes = self._table(("codes", length), lambda: (self.word_array(length) - 1) @ place)
         return np.searchsorted(codes, (rows[:, start : start + length] - 1) @ place)
@@ -226,6 +230,22 @@ class MarkovChain:
         object.__setattr__(self, "_cum_rows", np.cumsum(P, axis=1))
 
 
+def _symbols(values) -> tuple[int, ...]:
+    """values as a tuple of ints; ValueError if one is a float, a bool or a string (numpy integers pass)."""
+    syms = tuple(values)
+    if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in syms):
+        raise ValueError(f"symbols must be integers, got {syms!r}")
+    return tuple(map(int, syms))
+
+
+def _symbol_rows(rows) -> np.ndarray:
+    """rows as int64, or as Python ints if a symbol is beyond int64, for check_rows to refuse it by value."""
+    try:
+        return np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(rows, dtype=object)
+
+
 @dataclass(frozen=True)
 class SymbolWindow:
     """Finite two-sided window: symbols occupying indices offset..offset+len-1.
@@ -240,7 +260,7 @@ class SymbolWindow:
     def __post_init__(self):
         if not isinstance(self.offset, int) or self.offset > 0:
             raise ValueError("window offset must be an integer <= 0")
-        syms = tuple(int(s) for s in self.symbols)
+        syms = _symbols(self.symbols)
         if not syms:
             raise ValueError("window must be nonempty")
         if any(s < 1 for s in syms):
@@ -330,7 +350,7 @@ class PeriodicWord:
     minimal_period: int = field(init=False)
 
     def __post_init__(self):
-        syms = tuple(int(s) for s in self.symbols)
+        syms = _symbols(self.symbols)
         if not syms:
             raise ValueError("periodic word must be nonempty")
         object.__setattr__(self, "symbols", syms)

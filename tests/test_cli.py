@@ -11,6 +11,7 @@ import pytest
 from skewdrift.cli import main, run
 from skewdrift.config import MAX_GRID_POINTS, load_config, parse_grid_spec
 from skewdrift.errors import ConfigError, ResourceBoundError
+from skewdrift.symbolic import TransitionSystem
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "scripts" / "configs"
@@ -195,9 +196,9 @@ class TestSweepCommand:
 
 class TestBadRunInput:
     @pytest.mark.parametrize("grid, code, error", [
-        ("0:inf:0.1", 2, "invalid input: grid: lo, hi and step must be finite numbers, got '0:inf:0.1'"),
-        ("0:0.01:nan", 2, "invalid input: grid: lo, hi and step must be finite numbers"),
-        ("a:b:c", 2, "invalid input: grid: lo, hi and step must be finite numbers, got 'a:b:c'"),
+        ("0:inf:0.1", 2, "invalid input: analysis.grid: lo, hi and step must be finite numbers, got '0:inf:0.1'"),
+        ("0:0.01:nan", 2, "invalid input: analysis.grid: lo, hi and step must be finite numbers"),
+        ("a:b:c", 2, "invalid input: analysis.grid: lo, hi and step must be finite numbers, got 'a:b:c'"),
         ("0:0.02:1e-15", 3, "resource bound: grid '0:0.02:1e-15' has more than 100000 points"),
         ("-1e308:1e308:1", 3, "resource bound: grid"),  # hi - lo overflows
     ], ids=["infinite", "nan", "not-a-number", "too-many-points", "overflowing-span"])
@@ -206,6 +207,23 @@ class TestBadRunInput:
                      "--out", str(tmp_path / "out")]) == code
         assert capsys.readouterr().err.startswith(error)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid, error", [
+        ("0:1", "expected lo:hi:step, got '0:1'"),
+        ("0.01:0:0.01", "need step > 0 and hi >= lo"),
+        ([0.01, 0.0], "grid must be strictly increasing"),
+        ([0.0, 0.0], "grid must be strictly increasing"),
+        ("-0.03:0.03:0.01", "grid leaves the family range [-0.025, 0.025]"),
+    ], ids=["two-parts", "decreasing-spec", "decreasing-list", "repeated-point", "outside-family"])
+    def test_grid_errors_are_anchored_before_sweeping(self, tmp_path, capsys, monkeypatch, grid, error):
+        import skewdrift.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "sweep", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", small_plateau_config(tmp_path, grid=grid), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"invalid input: analysis.grid: {error}\n"
+        assert calls == [] and not out.exists()
 
     def test_grid_point_bound(self):
         assert len(parse_grid_spec(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
@@ -256,6 +274,21 @@ class TestBadRunInput:
         assert main(["sweep", "--config", small_plateau_config(tmp_path), "--samples", "1000000000000",
                      "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("resource bound: Unable to allocate ")
+
+    def test_word_codes_beyond_int64_exit_3(self, tmp_path, capsys):
+        # the cycle 1 -> ... -> 60 -> 1 plus 1 -> 1: 60^11 > 2^63, so window (5, 5) words have no int64 codes
+        transitions = [[int(j == (i + 1) % 60 or i == j == 0) for j in range(60)] for i in range(60)]
+        stochastic = [[v / sum(row) for v in row] for row in transitions]
+        affine = {"form": "affine", "parameters": {"a": 0.1, "b": 0.8}}
+        words = TransitionSystem(transitions).words(11)
+        config = write_json(tmp_path / "cycle60.json", {
+            "base": {"alphabet_size": 60, "transitions": transitions, "stochastic": stochastic},
+            "product": {"window": [5, 5], "assignment": [{"word": list(w), "map": affine} for w in words]},
+            "analysis": {"depth": 2, "samples": 200, "seed": 1},
+        })
+        assert main(["measure", "--config", config, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "resource bound: words of length 11 over 60 symbols exceed int64 codes\n"
+        assert not (tmp_path / "out").exists()
 
     def test_gap_epsilon_checked_before_sweeping(self, tmp_path, capsys, monkeypatch):
         # eps = 0.05 needs 2 * hoeffding_radius(n) < 0.05, first true at n = 2952

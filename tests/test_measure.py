@@ -368,8 +368,14 @@ class TestSweep:
 
     def test_grid_must_increase(self, const_affine):
         fam = sd.MonotoneFamily(const_affine, 1.0, (-0.01, 0.12))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             sd.sweep(fam, [0.0, 0.0], 4, 400, 0)
+        assert type(info.value) is ValueError and str(info.value) == "grid must be strictly increasing"
+
+    def test_grid_must_stay_in_the_family_range(self, const_affine):
+        fam = sd.MonotoneFamily(const_affine, 1.0, (-0.01, 0.12))
+        with pytest.raises(FamilyRangeError, match=r"grid leaves the family range \[-0.01, 0.12\]"):
+            sd.sweep(fam, [0.0, 0.13], 4, 400, 0)
 
     def test_down_curve_must_not_increase(self, const_affine, monkeypatch):
         # the first call accumulates up-regions (a good non-decreasing curve);

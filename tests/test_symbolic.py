@@ -10,6 +10,7 @@ from skewdrift.errors import (
     IncomparableWindowsError,
     InvalidMatrixError,
     NotErgodicError,
+    ResourceBoundError,
 )
 from skewdrift.symbolic import _symbols_from_uniforms
 
@@ -169,6 +170,23 @@ class TestCylinderMeasure:
         assert total == pytest.approx(sd.cylinder_measure(golden_chain, sd.SymbolWindow(0, w)), abs=1e-12)
 
 
+class TestSymbolInput:
+    """SymbolWindow and PeriodicWord take integer symbols only, numpy integers included."""
+
+    @pytest.mark.parametrize("make", [lambda s: sd.SymbolWindow(0, s), sd.PeriodicWord], ids=["window", "periodic"])
+    @pytest.mark.parametrize("symbols", [(1.7, 2), (1, True), (1, np.True_), ("1", 2), "12", (1, 2.0)],
+                             ids=["float", "bool", "numpy-bool", "string", "string-word", "integral-float"])
+    def test_non_integer_symbols_are_refused(self, make, symbols):
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            make(symbols)
+
+    @pytest.mark.parametrize("make", [lambda s: sd.SymbolWindow(0, s), sd.PeriodicWord], ids=["window", "periodic"])
+    def test_numpy_integers_become_ints(self, make):
+        for symbols in ((np.int64(1), np.uint8(2)), np.array([1, 2], dtype=np.int32)):
+            made = make(symbols)
+            assert made.symbols == (1, 2) and all(type(s) is int for s in made.symbols)
+
+
 class TestPeriodicWords:
     def test_full_shift_period_two(self, full2):
         assert len(sd.periodic_words(full2, 2)) == 4
@@ -214,6 +232,13 @@ def brute_words(matrix, length):
     n = len(matrix)
     every = itertools.product(range(1, n + 1), repeat=length)
     return [w for w in every if all(matrix[a - 1][b - 1] for a, b in zip(w, w[1:]))]
+
+
+def cycle_with_loop(n: int) -> np.ndarray:
+    """The cycle 1 -> 2 -> ... -> n -> 1 plus the loop 1 -> 1: few words of each length over a large alphabet."""
+    matrix = np.roll(np.eye(n, dtype=int), 1, axis=1)
+    matrix[0, 0] = 1
+    return matrix
 
 
 def brute_fault(matrix, rows):
@@ -282,6 +307,17 @@ class TestWordTable:
         for symbol in (0, 3):
             with pytest.raises(ValueError, match=f"symbol {symbol} is not in the alphabet 1..2"):
                 system.successors(symbol)
+
+    def test_word_ranks_up_to_the_longest_length_with_int64_codes(self):
+        # 40^11 < 2^63 < 40^12: positional codes of 11 symbols fit int64, those of 12 could wrap
+        system = sd.TransitionSystem(cycle_with_loop(40))
+        table = system.word_array(12)
+        index = {w: k for k, w in enumerate(system.words(11))}
+        for start in (0, 1):
+            want = [index[tuple(row[start : start + 11])] for row in table.tolist()]
+            assert system.word_ranks(table, start, 11).tolist() == want
+        with pytest.raises(ResourceBoundError, match="words of length 12 over 40 symbols exceed int64 codes"):
+            system.word_ranks(table, 0, 12)
 
     def test_cylinder_of_a_symbol_above_the_alphabet_measures_zero(self, golden_chain):
         assert sd.cylinder_measure(golden_chain, sd.SymbolWindow(0, (1, 3))) == 0.0

@@ -2,6 +2,7 @@
 """Summarise the benchmark records of two checkouts into one BENCH_*.json file.
 
     python3 scripts/bench_summary.py --before ../parent --after . --out BENCH_6.json
+    python3 scripts/bench_summary.py --before ../parent --after . --control ../control --out BENCH_25.json
 
 bench/run.py writes one record per run to .bench_run/records/ of the checkout
 it runs in. This script reads the records of each checkout and keeps those
@@ -22,6 +23,12 @@ git commit, whether src/ differs from that commit, Python and numpy versions,
 nproc, the CPU model and src_lines, the summed line counts of
 src/skewdrift/*.py as wc -l gives them. Records of different versions or
 hosts on one side are refused.
+
+With --control, a third checkout (the parent plus a change that does
+nothing, to show how far source layout alone moves the metrics) is read like
+the change: "control" is its side, "ratio_control_to_before" its ratios to
+the before medians, and "control_pairs" its pair counts against before, with
+its runs and the parent's paired as for the change.
 """
 
 from __future__ import annotations
@@ -162,6 +169,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--before", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--after", type=Path, default=Path("."), help="checkout of the change")
+    parser.add_argument("--control", type=Path, help="checkout of the parent plus a change that does nothing")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_*.json file to write")
     args = parser.parse_args(argv)
     roots = args.before.resolve(), args.after.resolve()
@@ -171,6 +179,13 @@ def main(argv=None) -> int:
                      for root, runs, all_runs in zip(roots, kept, records))
     report = {"before": before, "after": after, "ratio_after_to_before": ratios(before, after),
               "pairs": pair_counts(*kept)}
+    if args.control:
+        root = args.control.resolve()
+        runs = current_records(root)
+        old, new = paired(records[0], runs)
+        report["control"] = summarise(root, new, len(runs) - len(new))
+        report["ratio_control_to_before"] = ratios(before, report["control"])
+        report["control_pairs"] = pair_counts(old, new)
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

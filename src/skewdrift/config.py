@@ -89,6 +89,13 @@ def _anchored(path: str, malformed: str):
         raise ConfigError(malformed, f"malformed record: {exc}")
 
 
+def _matrix(value, dtype=None) -> np.ndarray:
+    """A JSON matrix as an array; ValueError for a boolean entry, which numpy would read as 0 or 1."""
+    if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).flat):
+        raise ValueError("entries must be numbers, not booleans")
+    return np.asarray(value, dtype=dtype)
+
+
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
@@ -144,12 +151,12 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     base_rec = _expect(raw, "base", "config")
     transitions, stochastic = (_expect(base_rec, key, "base") for key in ("transitions", "stochastic"))
     with _anchored("base.transitions", "base.transitions"):
-        base = TransitionSystem(np.asarray(transitions))
+        base = TransitionSystem(_matrix(transitions))
     declared = _integer(_expect(base_rec, "alphabet_size", "base"), "base.alphabet_size")
     if declared != base.alphabet_size:
         raise ConfigError("base.alphabet_size", f"declared {declared}, matrix has {base.alphabet_size}")
     with _anchored("base.stochastic", "base.stochastic"):
-        chain = MarkovChain(base, np.asarray(stochastic, dtype=float))
+        chain = MarkovChain(base, _matrix(stochastic, float))
 
     product = None
     continuous = None

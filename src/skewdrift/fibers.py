@@ -369,20 +369,22 @@ def invert(f: FiberMap, y):
     """
     scalar = np.isscalar(y) or (isinstance(y, np.ndarray) and y.ndim == 0)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    f0 = f.eval(np.zeros(1))
-    f1 = f.eval(np.ones(1))
-    outside = ~((ys >= f0 - INVERT_TOL) & (ys <= f1 + INVERT_TOL))
-    if outside.any():
-        at = np.unravel_index(np.argmax(outside), outside.shape)
-        f0, f1, _ = np.broadcast_arrays(f0, f1, ys)
+    f0, f1 = f.eval(np.zeros(1)), f.eval(np.ones(1))
+    # f(0) and f(1) are constant down a column, so its least and greatest target decide; NaN reaches both
+    y_min, y_max = ys.min(axis=0, initial=np.inf), ys.max(axis=0, initial=-np.inf)
+    if not ((y_min >= f0 - INVERT_TOL) & (y_max <= f1 + INVERT_TOL)).all():
+        f0, f1, ys = np.broadcast_arrays(f0, f1, ys)
+        at = np.unravel_index(np.argmax(~((ys >= f0 - INVERT_TOL) & (ys <= f1 + INVERT_TOL))), ys.shape)
         raise ValueError(f"value outside the image [{f0[at]}, {f1[at]}]")
-    ys = np.clip(ys, f0, f1)
+    if (y_min < f0).any() or (y_max > f1).any():
+        ys = np.clip(ys, f0, f1)
     lo = _affine_start(f, ys) if isinstance(f, Affine) and ys.size else None
     if lo is None:
         lo = _dyadic_rounds(f, ys, np.zeros_like(ys), 1)
     hi = lo + 2.0**-_DYADIC_STEPS
-    # lo passes the test or is 0, hi fails it or is 1: a midpoint rounding to either changes nothing,
-    # then or later, so a round runs on the rows from the first to the last with one inside (lo, hi)
+    # lo passes the test or is 0, hi fails it or is 1: a midpoint rounding to either changes nothing, then or
+    # later, so a round runs on the rows from the first to the last with one inside (lo, hi). lo stays 0 or at
+    # least hi - lo and mid >= hi/2, so mid - lo and hi - mid are exact (Sterbenz): an update lands on mid or adds 0
     rows, cols = slice(0, len(ys)), tuple(range(1, ys.ndim))
     for _ in range(_BISECT_STEPS - _DYADIC_STEPS):
         mid = 0.5 * (lo[rows] + hi[rows])
@@ -392,20 +394,17 @@ def invert(f: FiberMap, y):
         mid = mid[moving[0] : moving[-1] + 1]
         rows = slice(rows.start + moving[0], rows.start + moving[-1] + 1)
         below = f.eval(mid) < ys[rows]
-        np.copyto(lo[rows], mid, where=below)
-        np.copyto(hi[rows], mid, where=~below)
+        lo[rows] += below * (mid - lo[rows])
+        hi[rows] -= ~below * (hi[rows] - mid)
     x = 0.5 * (lo + hi)
     step = np.empty_like(x)
     for _ in range(2):
-        # an affine slope is b everywhere: dividing by it broadcast runs the ops of f.derivative(x)'s array
         step = _eval_into(f, x, step)
         step -= ys
-        step /= f.b if isinstance(f, Affine) else f.derivative(x)
+        step /= _slope(f, x)
         np.subtract(x, step, out=x)
         np.clip(x, 0.0, 1.0, out=x)
-    if scalar:
-        return float(x[0])
-    return x
+    return float(x[0]) if scalar else x
 
 
 def _eval_into(f: FiberMap, x, out):
@@ -419,6 +418,11 @@ def _eval_into(f: FiberMap, x, out):
     if isinstance(f, Affine):
         return np.add(f.a, np.multiply(f.b, x, out=out), out=out)
     return f.eval(x)
+
+
+def _slope(f: FiberMap, x):
+    """f.derivative(x), except that an affine map gives its b: broadcast, it has the values of the full array."""
+    return f.b if isinstance(f, Affine) else f.derivative(x)
 
 
 def _dyadic_rounds(f: FiberMap, ys, lo, first: int):

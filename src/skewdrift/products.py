@@ -28,6 +28,7 @@ from .fibers import (
     MapStack,
     _form_key,
     _indexed,
+    _slope,
     _stacked,
     invert,
     map_from_json,
@@ -261,21 +262,19 @@ def distance(F: MultistepSkewProduct, G: MultistepSkewProduct) -> float:
             fs, gs = zip(*pairs[start : start + _DISTANCE_BLOCK])
             f, g = _stacked(fs), _stacked(gs)
             fv, gv = f.eval(x), g.eval(x)
-            best = max(best, float(np.abs(fv - gv).max()), float(np.abs(f.derivative(x) - g.derivative(x)).max()))
-            y_lo = np.maximum(fv[0], gv[0])
-            y_hi = np.minimum(fv[-1], gv[-1])
+            best = max(best, float(np.abs(fv - gv).max()), float(np.abs(_slope(f, x) - _slope(g, x)).max()))
+            y_lo, y_hi = np.maximum(fv[0], gv[0]), np.minimum(fv[-1], gv[-1])
             overlap = y_lo < y_hi
             if overlap.any():
                 # a column's linspace matches the pair's own unless some step
                 # (y_hi - y_lo) / 1024 underflows to 0, which needs both ends below 2^-1012
                 ys = np.linspace(y_lo[overlap], y_hi[overlap], 1025)
                 f, g = _indexed(f, overlap), _indexed(g, overlap)
-                xf = invert(f, ys)
-                xg = invert(g, ys)
+                xf, xg = invert(f, ys), invert(g, ys)
                 best = max(
                     best,
                     float(np.abs(xf - xg).max()),
-                    float(np.abs(1.0 / f.derivative(xf) - 1.0 / g.derivative(xg)).max()),
+                    float(np.abs(1.0 / _slope(f, xf) - 1.0 / _slope(g, xg)).max()),
                 )
     return best
 

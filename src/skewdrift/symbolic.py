@@ -231,10 +231,12 @@ class MarkovChain:
 
 
 def _symbols(values) -> tuple[int, ...]:
-    """values as a tuple of ints; ValueError if one is a float, a bool or a string (numpy integers pass)."""
+    """values as a tuple of ints; ValueError if one is a float, a bool, a string or below 1 (numpy integers pass)."""
     syms = tuple(values)
     if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in syms):
         raise ValueError(f"symbols must be integers, got {syms!r}")
+    if any(s < 1 for s in syms):
+        raise ValueError("symbols are 1-based positive integers")
     return tuple(map(int, syms))
 
 
@@ -263,8 +265,6 @@ class SymbolWindow:
         syms = _symbols(self.symbols)
         if not syms:
             raise ValueError("window must be nonempty")
-        if any(s < 1 for s in syms):
-            raise ValueError("symbols are 1-based positive integers")
         object.__setattr__(self, "symbols", syms)
 
     @property

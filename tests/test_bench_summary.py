@@ -37,9 +37,9 @@ def record(root: Path, name: str, *, workload="plateau_sweep", trace=0, seed=1, 
     (root / ".bench_run" / "records" / f"{name}.json").write_text(json.dumps(data))
 
 
-def summarise(before: Path, after: Path, tmp_path: Path) -> dict:
+def summarise(before: Path, after: Path, tmp_path: Path, *control: str) -> dict:
     out = tmp_path / "BENCH.json"
-    assert bench_summary.main(["--before", str(before), "--after", str(after), "--out", str(out)]) == 0
+    assert bench_summary.main(["--before", str(before), "--after", str(after), *control, "--out", str(out)]) == 0
     return json.loads(out.read_text())
 
 
@@ -154,3 +154,28 @@ def test_pairs_follow_start_time(tmp_path):
     # kept before: 5.0 (t = 20), 1.0 (t = 30); after: 6.0 (t = 40), 2.0 (t = 50); by name both pairs would differ
     assert report["pairs"] == {"plateau_sweep": {"wall_s": {"lower": 0, "higher": 2, "equal": 0}}}
     assert report["before"]["dropped_records"] == 1
+
+
+def test_control_side(sides, tmp_path):
+    before, after = sides
+    assert not {"control", "control_pairs", "ratio_control_to_before"} & summarise(before, after, tmp_path).keys()
+    control = checkout(tmp_path / "control", "x = 1\n\n\ndef unused():\n    pass\n")
+    # seed 0 twice: the control keeps the newest of its two runs, paired with before's one
+    for name, seed, wall, start in (("c0", 0, 9.0, 1.0), ("c0b", 0, 0.5, 2.0), ("c1", 1, 4.0, 1.0)):
+        record(control, name, seed=seed, metrics={"wall_s": wall, "setup_s": 0.5}, start=start)
+    report = summarise(before, after, tmp_path, "--control", str(control))
+    side = report["control"]
+    assert side["src_sha256"] == bench_summary.src_digest(control) and side["src_lines"] == 5
+    assert side["dropped_records"] == 1
+    end_to_end = side["workloads"]["plateau_sweep"]["end_to_end"]
+    assert end_to_end["runs"] == 2 and end_to_end["metrics"]["wall_s"]["median"] == 2.25
+    # before's wall_s median is 2.0 over seeds 0-2; seed 0: 1.0 -> 0.5, seed 1: 3.0 -> 4.0
+    assert report["ratio_control_to_before"] == {"plateau_sweep": {"wall_s": 1.125, "setup_s": 1.0}}
+    assert report["control_pairs"] == {
+        "plateau_sweep": {
+            "setup_s": {"lower": 0, "higher": 0, "equal": 2},
+            "wall_s": {"lower": 1, "higher": 1, "equal": 0},
+        }
+    }
+    # the change's sections are those of a run without --control
+    assert report["after"] == summarise(before, after, tmp_path)["after"]

@@ -363,7 +363,15 @@ class TestBadFilesAndShapes:
          "{'form': 'affine', 'parameters': [1]}"),
         ("plateau_family.json", lambda r: r["family"].update(tau_range=["x", 0.02]),
          "family.tau_range[0]: expected a number, got 'x'"),
-    ], ids=["stochastic-not-a-matrix", "map-null", "parameters-a-list", "tau-not-a-number"])
+        # numpy reads a JSON boolean as 0 or 1, so each of these loaded as the golden matrices
+        ("golden_affine.json", lambda r: r["base"].update(transitions=[[True, True], [True, False]]),
+         "base.transitions: entries must be numbers, not booleans"),
+        ("golden_affine.json", lambda r: r["base"].update(transitions=[[1, True], [1, 0]]),
+         "base.transitions: entries must be numbers, not booleans"),
+        ("golden_affine.json", lambda r: r["base"].update(stochastic=[r["base"]["stochastic"][0], [True, False]]),
+         "base.stochastic: entries must be numbers, not booleans"),
+    ], ids=["stochastic-not-a-matrix", "map-null", "parameters-a-list", "tau-not-a-number",
+            "transitions-bools", "transitions-mixed-bool", "stochastic-bool-row"])
     def test_malformed_section_exits_2(self, tmp_path, capsys, name, edit, error):
         record = json.loads((CONFIGS / name).read_text())
         edit(record)

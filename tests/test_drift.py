@@ -245,8 +245,9 @@ class TestPeriodicOps:
 
     @pytest.mark.parametrize("symbols", [(0, 1), (1, 3)])
     def test_word_outside_the_alphabet_rejected(self, golden_ms, symbols):
-        # 0 would index the last transition row and raise KeyError at the assignment, 3 no row (IndexError)
-        with pytest.raises(ValueError, match="cyclically"):
+        # 0 would index the last transition row and raise KeyError at the assignment, 3 no row (IndexError);
+        # PeriodicWord itself refuses a symbol below 1, as SymbolWindow does
+        with pytest.raises(ValueError, match="1-based positive" if min(symbols) < 1 else "cyclically"):
             sd.periodic_fiber_map(golden_ms, sd.PeriodicWord(symbols))
 
     def test_return_fixed_point(self, two_map):

@@ -405,6 +405,21 @@ class TestInvert:
             assert sd.invert(_stacked(maps), ys[:0]).shape == (0, len(maps))
             assert sd.invert(maps[0], ys[:0, 0]).shape == (0,)
 
+    def test_stacked_block_with_one_column_in_the_slack(self):
+        # column 0 ends on f(0), or on a target inside the INVERT_TOL slack below it, which inverts like f(0)
+        # (to 2^-61) only if the block is clipped, else to 0; column 1 has targets at g(0) and below g(2^-7),
+        # and a root at 0 runs all seven halvings
+        rng = np.random.default_rng(31)
+        for form in FORM_KEYS:
+            f, g = [m for m in sample_maps() + invert_maps() if fibers._form_key(m) == form][:2]
+            f0 = float(f.eval(0.0))
+            low = np.concatenate([[float(g.eval(0.0))], np.asarray(g.eval(rng.random(50) * 2.0**-7))])
+            for bottom in (f0, f0 - 0.5 * INVERT_TOL):
+                ys = np.stack([np.append(np.asarray(f.eval(rng.random(50))), bottom), low], axis=1)
+                got = sd.invert(_stacked([f, g]), ys)
+                for j, m in enumerate((f, g)):
+                    assert np.array_equal(got[:, j].view(np.int64), bisection_invert(m, ys[:, j]).view(np.int64)), m
+
     def test_stacked_equals_per_map(self):
         rng = np.random.default_rng(24)
         for form in FORM_KEYS:

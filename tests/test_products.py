@@ -292,7 +292,7 @@ class TestDistance:
 
 
 class TestDistanceByValue:
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4])
     def test_shipped_rungs_equal_reference(self, shipped_ladder, m):
         F, G = shipped_ladder[m], shipped_ladder[m + 1]
         assert sd.distance(F, G) == reference_distance(F, G)

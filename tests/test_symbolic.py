@@ -181,6 +181,13 @@ class TestSymbolInput:
             make(symbols)
 
     @pytest.mark.parametrize("make", [lambda s: sd.SymbolWindow(0, s), sd.PeriodicWord], ids=["window", "periodic"])
+    @pytest.mark.parametrize("symbols", [(0, -1), (1, 0), (2, -3), (np.int64(0),)],
+                             ids=["zero-and-negative", "zero", "negative", "numpy-zero"])
+    def test_non_positive_symbols_are_refused(self, make, symbols):
+        with pytest.raises(ValueError, match="symbols are 1-based positive integers"):
+            make(symbols)
+
+    @pytest.mark.parametrize("make", [lambda s: sd.SymbolWindow(0, s), sd.PeriodicWord], ids=["window", "periodic"])
     def test_numpy_integers_become_ints(self, make):
         for symbols in ((np.int64(1), np.uint8(2)), np.array([1, 2], dtype=np.int32)):
             made = make(symbols)

@@ -156,6 +156,13 @@ def _strip(g, e, up: bool):
     return (g + DELTA_CERT, e - DELTA_CERT) if up else (e + DELTA_CERT, g - DELTA_CERT)
 
 
+def _joined(stacks: list) -> tuple[MapStack, list]:
+    """The stacks' maps joined by value into one MapStack, and per stack the index there of each of its maps."""
+    maps = MapStack(dict.fromkeys(f for stack in stacks for f in stack.maps))
+    index = {f: i for i, f in enumerate(maps.maps)}
+    return maps, [np.array([index[f] for f in stack.maps]) for stack in stacks]
+
+
 def _chains(products: list, depth: int):
     """Per product of one base and window: its chains' witness groups, Up and Down places and chains cut short.
 
@@ -174,9 +181,8 @@ def _chains(products: list, depth: int):
         return iter(())
     system, product_window, count = products[0].base, products[0].window, len(products)
     levels = np.array(LEVEL_GRID)
-    maps = MapStack(dict.fromkeys(f for p in products for f in p.map_slots[0].maps))
-    index = {f: i for i, f in enumerate(maps.maps)}
-    slots = np.array([np.array([index[f] for f in p.map_slots[0].maps])[p.map_slots[1]] for p in products])
+    maps, keys = _joined([p.map_slots[0] for p in products])
+    slots = np.array([key[p.map_slots[1]] for key, p in zip(keys, products)])
     # (window, chains product * len(levels) + level, values)
     values = np.repeat(np.tile(levels, count)[:, None], system.alphabet_size, axis=1)
     groups = [((0, 0), np.arange(count * len(levels)), values)]
@@ -355,14 +361,14 @@ def _as_batch(rows, xs) -> tuple[np.ndarray, np.ndarray]:
     return rows, xs
 
 
-def _search_depth(depth) -> int:
-    """The depth as a plain int; ValueError unless it is an integer >= 0 (a bool is not)."""
+def _at_least(value, least: int, what: str) -> int:
+    """The value as a plain int; ValueError unless it is an integer >= least (a bool is not)."""
     try:
-        if not isinstance(depth, bool) and operator.index(depth) >= 0:
-            return operator.index(depth)
+        if not isinstance(value, bool) and operator.index(value) >= least:
+            return operator.index(value)
     except TypeError:
         pass
-    raise ValueError(f"search depth must be an integer >= 0, got {depth!r}")
+    raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 class DriftClassifier:
@@ -371,15 +377,16 @@ class DriftClassifier:
     The family is the 64-level grid of constant graphs iterated up to the
     depth (truncated_chains counts chains cut short at the window cap), kept
     as array groups like graphs and regions, plus per-point binary refinement
-    of the level near the queried fiber coordinate. It keeps only what it
-    reads of the product (base, window, map_slots, fingerprint), never the product,
+    of the level near the queried fiber coordinate (the points its index leaves
+    open are a _refine part, refined alone or in sweep's batches). It keeps only
+    what it reads of the product (base, window, map_slots, fingerprint), never the product,
     and the certificate of each index tag once a query has hit it.
     Its witness chains are the next share of chains, an iterator over the
     shares of one _chains pass at the depth (sweep's), or of a pass of its own.
     """
 
     def __init__(self, product: MultistepSkewProduct, depth: int, chains=None):
-        self.depth = depth = _search_depth(depth)
+        self.depth = depth = _at_least(depth, 0, "search depth")
         # an unnamed pass of its own is freed once next returns, with the parts its share was cut from
         share = next(_chains([product], depth) if chains is None else chains)
         witnesses, self._up, self._down, self.truncated_chains = share
@@ -457,12 +464,8 @@ class DriftClassifier:
         base (a symbol outside the alphabet or a forbidden transition)
         raises ValueError.
         """
-        return self._codes(lo, rows, xs, narrow=False)
-
-    def _codes(self, lo: int, rows, xs, narrow: bool) -> np.ndarray:
-        """classify_arrays; narrow rows need to reach only _read_hi, the last coordinate a query reads."""
         rows, xs = _as_batch(rows, xs)
-        up_tag, down_tag, up_level, down_level = self._search(lo, rows, xs, False, narrow)
+        up_tag, down_tag, up_level, down_level = self._search(lo, rows, xs, False)
         codes = np.full(len(xs), _UNKNOWN_CODE, dtype=np.int8)
         codes[(up_tag >= 0) | ~np.isnan(up_level)] = _UP_CODE
         codes[(down_tag >= 0) | ~np.isnan(down_level)] = _DOWN_CODE
@@ -494,12 +497,10 @@ class DriftClassifier:
             raise RuntimeError(f"internal inconsistency: refined level {level} is not {direction}")
         return DriftCertificate(found, StepGraph(self.base, window, g), margin, self._fingerprint)
 
-    def _search(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool, narrow: bool = False):
-        """Per point: Up and Down index tags (-1 for none), then Up and Down refined levels (NaN for none).
+    def _lookup(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool, narrow: bool = False):
+        """Per point Up and Down index tags (-1 for none), then the open points and their part (see _refine).
 
-        Refinement runs only for points the index leaves open. A point's Down
-        search counts only when Up found nothing, unless the search is
-        exhaustive. Rows cover required_range, with narrow only up to _read_hi.
+        Rows cover required_range, with narrow only up to _read_hi, the last coordinate a query reads.
         Raises ValueError for a row that is not a word of the base space.
         """
         need_lo, need_hi = self.required_range()
@@ -520,73 +521,78 @@ class DriftClassifier:
         open_up, open_down = inside & (up_tag < 0), inside & (down_tag < 0)
         if not exhaustive:
             open_up = open_down = open_up & open_down
-        return (up_tag, down_tag, *self._refine(lo, rows, xs, open_up, open_down, exhaustive))
-
-    def _refine(self, lo: int, rows: np.ndarray, xs: np.ndarray, up, down, exhaustive: bool):
-        """Binary search, per point, for a constant-graph level whose strip straddles it.
-
-        up and down mark the points searched in each direction. Returns rows
-        of Up and Down levels, NaN where a search fails or does not run.
-        Sound for any system; complete only when the fiber displacement over
-        the searched side changes sign once, which covers the witness gaps
-        the 64-level grid leaves near slow equilibria.
-
-        All searches bisect in lockstep, and each step decides as
-        certify_drift(product, StepGraph.constant(level)) would. The image of
-        the constant graph at level c takes the value f_k(c) over every base
-        point whose predecessor defining word, on coordinates [-l-1, r-1], is
-        k. Refining and minimizing graphs only re-key those floats, and in a
-        transitive SFT every defining word extends to a word of the common
-        window. So the drift margins are min_k and max_k of f_k(c) - c over
-        all of the product's maps, and the image level at a point is f_k(c)
-        at its own k. Map values on arrays are bit-identical to scalar ones,
-        so every decision is the scalar one, bit for bit.
-
-        Down runs as Up on the negated map values, level and x: negation is
-        exact, min(-v) == -max(v) and -fl(a - b) == fl(-a + b), so every
-        decision keeps its bits. Unless the search is exhaustive, a point's
-        Down search stops, and its level is dropped, once its Up search finds one.
-        """
-        out = np.full((2, len(xs)), np.nan)
-        points = np.concatenate([np.flatnonzero(up), np.flatnonzero(down)])
-        if not len(points):
-            return out
-        m = int(up.sum())  # searches 0..m-1 are Up, the rest Down
+        points = np.flatnonzero(open_up | open_down)
         l, r = self.product_window
         size = l + 2 + max(r - 1, 0)
-        if size > WINDOW_CAP:
+        if len(points) and size > WINDOW_CAP:
             raise ResourceBoundError(f"image window size {size} exceeds the bound {WINDOW_CAP}")
-        slot = self._slots[self.base.word_ranks(rows[points], -l - 1 - lo, l + r + 1)]
-        levels = np.full(len(points), np.nan)
-        active, s = np.arange(len(points)), np.where(np.arange(len(points)) < m, 1.0, -1.0)
-        x = upper = s * xs[points]
-        lower, stop = np.minimum(s, 0.0), np.zeros(len(points), dtype=bool)
-        for _ in range(REFINE_STEPS):
-            level = 0.5 * (lower + upper)
-            # level lies in [lower, upper] inside [0, x] or [-1, x], so only the lower end 0 or -1 can be hit
-            valid = level > np.minimum(s, 0.0)
-            if not valid.all():
-                active, s, x, slot, lower, upper, level = (v[valid] for v in (active, s, x, slot, lower, upper, level))
-            if not len(active):
-                break
-            values = self._maps.eval_all(s * level) * s
-            image = values[slot, np.arange(len(active))]
-            # rounding is monotone, so min_k fl(f_k(c) - c) is fl(min_k f_k(c) - c)
-            drifting = values.min(axis=0) - level - 2.0 * EPS_ROUND >= DELTA_CERT
-            bottom, top = _strip(level, image, up=True)  # on negated values it is the Down strip
-            move_lo = drifting & (x > top)
-            move_hi = ~drifting | (~move_lo & (x < bottom))
-            lower, upper = np.where(move_lo, level, lower), np.where(move_hi, level, upper)
-            moved = move_lo | move_hi
-            if not moved.all():
-                done = active[~moved]
-                levels[done] = level[~moved]
-                if not exhaustive:  # search m + i is the Down search of Up search i's point
-                    stop[done[done < m] + m] = True
-                keep = moved & ~stop[active]
-                active, s, x, slot, lower, upper = (v[keep] for v in (active, s, x, slot, lower, upper))
-        out[0, points[:m]], out[1, points[m:]] = levels[:m], np.where(stop[m:], np.nan, -levels[m:])
-        return out
+        ranks = self.base.word_ranks(rows[points], -l - 1 - lo, l + r + 1) if len(points) else points
+        part = (self._maps, self._slots[ranks], xs[points], open_up[points], open_down[points])
+        return up_tag, down_tag, points, part
+
+    def _search(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool, narrow: bool = False):
+        """Per point: Up and Down index tags (-1 for none), then Up and Down refined levels (NaN for none)."""
+        up_tag, down_tag, points, part = self._lookup(lo, rows, xs, exhaustive, narrow)
+        levels = np.full((2, len(xs)), np.nan)
+        if len(points):  # most scalar queries end at the index
+            levels[:, points] = _refine([part], exhaustive)[0]
+        return up_tag, down_tag, *levels
+
+
+def _refine(parts: list, exhaustive: bool) -> list:
+    """Binary search, per open point of each part, for a constant-graph level whose strip straddles it.
+
+    A part is one classifier's open points (maps, slots, xs, up, down): its MapStack, each point's slot
+    (the map of its predecessor's defining word) and x, and the masks searched Up and Down, equal unless
+    exhaustive. Returns per part its (2, len(xs)) Up and Down levels, NaN where a search fails or does
+    not run. All searches bisect in lockstep, a search on its own part's maps only: several parts' maps
+    are joined by value and padded by repeating one, which changes no min or max. So each step decides
+    as certify_drift would on the point's own product, whatever the batch (README, "Refinement").
+    """
+    out = [np.full((2, len(xs)), np.nan) for _, _, xs, _, _ in parts]
+    # Up searches part by part, then Down ones: unless exhaustive, Up search i and Down search m + i share a point
+    points = [np.flatnonzero(part[3]) for part in parts] + [np.flatnonzero(part[4]) for part in parts]
+    counts = list(map(len, points))
+    total, m = sum(counts), sum(counts[: len(parts)])
+    slot, x = (np.concatenate([part[i][p] for part, p in zip(parts * 2, points)]) for i in (1, 2))
+    active, sign = np.arange(total), np.where(np.arange(total) < m, 1.0, -1.0)
+    x = upper = sign * x
+    s, lower, stop, levels = sign, np.minimum(sign, 0.0), np.zeros(total, dtype=bool), np.full(total, np.nan)
+    maps, keys = _joined([part[0] for part in parts]) if len(parts) > 1 else (parts[0][0], [])
+    table = np.array([np.pad(key, (0, max(map(len, keys)) - len(key)), mode="edge") for key in keys])
+    rows = table[np.repeat(np.tile(np.arange(len(parts)), 2), counts)] if keys else None  # each search's part's maps
+    for _ in range(REFINE_STEPS):
+        level = 0.5 * (lower + upper)
+        # level lies in [lower, upper] inside [0, x] or [-1, x], so only the lower end 0 or -1 can be hit
+        valid = level > np.minimum(s, 0.0)
+        if not valid.all():
+            active, s, x, slot, lower, upper, level = (v[valid] for v in (active, s, x, slot, lower, upper, level))
+        if not len(active):
+            break
+        if rows is None:
+            values = maps.eval_all(s * level) * s
+        else:  # (maps, searches): each column its own part's maps
+            which = rows[active].T
+            values = maps.eval_columns(which, np.broadcast_to(s * level, which.shape)) * s
+        image = values[0] if len(values) == 1 else values[slot, np.arange(len(active))]  # one map: every slot is 0
+        # rounding is monotone, so min_k fl(f_k(c) - c) is fl(min_k f_k(c) - c)
+        drifting = values.min(axis=0) - level - 2.0 * EPS_ROUND >= DELTA_CERT
+        bottom, top = _strip(level, image, up=True)  # on negated values it is the Down strip
+        move_lo = drifting & (x > top)
+        move_hi = ~drifting | (~move_lo & (x < bottom))
+        lower, upper = np.where(move_lo, level, lower), np.where(move_hi, level, upper)
+        moved = move_lo | move_hi
+        if not moved.all():
+            done = active[~moved]
+            levels[done] = level[~moved]
+            if not exhaustive:
+                stop[done[done < m] + m] = True
+            keep = moved & ~stop[active]
+            active, s, x, slot, lower, upper = (v[keep] for v in (active, s, x, slot, lower, upper))
+    levels = np.where(stop, np.nan, sign * levels)
+    for k, found in enumerate(np.split(levels, np.cumsum(counts)[:-1])):
+        out[k % len(parts)][k // len(parts), points[k]] = found
+    return out
 
 
 def get_classifier(product: MultistepSkewProduct, depth: int) -> DriftClassifier:
@@ -595,7 +601,7 @@ def get_classifier(product: MultistepSkewProduct, depth: int) -> DriftClassifier
     The product keeps one classifier per depth, so the classifier lives as
     long as the product; an equal but distinct product gets its own.
     """
-    depth = _search_depth(depth)
+    depth = _at_least(depth, 0, "search depth")
     if depth not in product._classifiers:
         product._classifiers[depth] = DriftClassifier(product, depth)
     return product._classifiers[depth]

@@ -10,13 +10,14 @@ not just statistically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drift import DOWN, UNKNOWN, UP, VERDICTS, DriftClassifier, _chains, _search_depth, get_classifier
+from .drift import DOWN, UP, DriftClassifier, _at_least, _chains, _refine, get_classifier
 from .errors import FamilyRangeError, ToleranceError
 from .fibers import Affine, BumpComposed, BumpedAffine, FiberMap, validate_class
 from .products import MultistepSkewProduct, ProductOrder, compare_order
@@ -79,34 +80,52 @@ def estimate_regions(product: MultistepSkewProduct, depth: int, n: int, seed) ->
     is a pure function of the seed regardless of execution order. A row holds
     a uniform per coordinate of required_range, then x, but symbols are drawn
     (left to right) and checked only up to the last coordinate a query reads.
+    n must be an integer >= 100. This is sweep's _estimates for one product.
     """
-    if n < 100:
-        raise ValueError("need at least 100 samples")
-    classifier = get_classifier(product, depth)
+    return _estimates([product], depth, _at_least(n, 100, "sample count"), [seed])[0]
+
+
+# Most searches (two per open point) one _refine batch of consecutive members holds, a larger part
+# alone: parameters per search cost more than one part's broadcast ones (README, "Refinement").
+REFINE_BATCH = 2**14
+
+
+def _estimates(members: list, depth, n: int, seeds, chains=None) -> list[RegionEstimate]:
+    """Estimates at the seeds; a member gets a classifier from chains if it has none and is dropped after its lookup."""
+    looked = []
+    for i, seed in enumerate(seeds):
+        if chains is not None and depth not in members[i]._classifiers:
+            members[i]._classifiers[depth] = DriftClassifier(members[i], depth, chains)
+        looked.append(_looked_up(get_classifier(members[i], depth), members[i].chain, n, seed))
+        members[i] = None
+    counts, batches, held = [hits for hits, _, _ in looked], [], 0
+    for k, (_, part, _) in enumerate(looked):
+        held += 2 * len(part[2])
+        if held > REFINE_BATCH or not batches:
+            batches, held = batches + [[]], 2 * len(part[2])
+        batches[-1].append(k)
+    for batch in batches:
+        for k, levels in zip(batch, _refine([looked[k][1] for k in batch], False)):
+            counts[k] = counts[k] + (~np.isnan(levels)).sum(axis=1)
+    return [estimate(mc_up=up / n, mc_down=down / n, mc_unknown=(n - up - down) / n)
+            for (up, down), (_, _, estimate) in zip((c.tolist() for c in counts), looked)]
+
+
+def _looked_up(classifier: DriftClassifier, chain, n: int, seed) -> tuple:
+    """One member's Up and Down index hits, its part of open points and the rest of its estimate."""
     lo, hi = classifier.required_range()
     width = hi - lo + 1
     rng = np.random.default_rng(seed)
     uniforms = rng.random((n, width + 1))
     xs = uniforms[:, width].copy()
-    symbol_rows = _symbols_from_uniforms(product.chain, uniforms[:, : classifier._read_hi - lo + 1])
+    symbol_rows = _symbols_from_uniforms(chain, uniforms[:, : classifier._read_hi - lo + 1])
     del uniforms  # classification needs only the symbols and xs
-    codes = classifier._codes(lo, symbol_rows, xs, narrow=True)
-    counts = dict(zip(VERDICTS, np.bincount(codes, minlength=len(VERDICTS)).tolist()))
-    up_region = classifier.certified_boxes(UP)
-    down_region = classifier.certified_boxes(DOWN)
-    return RegionEstimate(
-        certified_up_measure=up_region.measure(product.chain),
-        certified_down_measure=down_region.measure(product.chain),
-        mc_up=counts[UP] / n,
-        mc_down=counts[DOWN] / n,
-        mc_unknown=counts[UNKNOWN] / n,
-        radius=hoeffding_radius(n),
-        n_samples=n,
-        depth=classifier.depth,
-        seed=seed,
-        up_region=up_region,
-        down_region=down_region,
-    )
+    up_tag, down_tag, _, part = classifier._lookup(lo, symbol_rows, xs, False, narrow=True)
+    up_region, down_region = classifier.certified_boxes(UP), classifier.certified_boxes(DOWN)
+    estimate = functools.partial(RegionEstimate, up_region.measure(chain), down_region.measure(chain),
+                                 radius=hoeffding_radius(n), n_samples=n, depth=classifier.depth, seed=seed,
+                                 up_region=up_region, down_region=down_region)
+    return np.array([(up_tag >= 0).sum(), (down_tag >= 0).sum()]), part, estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,21 +235,18 @@ def sweep(
     smaller parameter remain valid at larger ones, which makes the recorded
     lower curves monotone by construction. A member without a classifier at
     the depth gets one built from its share of one chain pass over all such
-    members (DriftClassifier(member, depth, pending)) just before its estimate.
+    members (DriftClassifier(member, depth, pending)) just before its lookup;
+    the open points of consecutive members are refined in lockstep batches.
     """
     grid = [float(t) for t in grid]
     problem = _grid_problem(grid, family.tau_range)
     if problem:
         raise problem
     chain = family.base_product.chain
-    members, depth = [family_member(family, tau) for tau in grid], _search_depth(depth)
+    n, depth = _at_least(n, 100, "sample count"), _at_least(depth, 0, "search depth")
+    members = [family_member(family, tau) for tau in grid]
     pending = _chains([m for m in members if depth not in m._classifiers], depth)
-    estimates = []
-    for i in range(len(members)):
-        member, members[i] = members[i], None  # dropped, and its classifier with it, after its estimate
-        if depth not in member._classifiers:
-            member._classifiers[depth] = DriftClassifier(member, depth, pending)
-        estimates.append(estimate_regions(member, depth, n, (seed, i)))
+    estimates = _estimates(members, depth, n, [(seed, i) for i in range(len(grid))], pending)
     mu_lower = _running_union_measures([e.up_region for e in estimates], chain)
     down_lower = _running_union_measures([e.down_region for e in reversed(estimates)], chain)[::-1]
     for a, b in zip(mu_lower, mu_lower[1:]):

@@ -1219,8 +1219,43 @@ class TestLockstepRefine:
         self.check(product, 6, points)
 
 
+class TestMixedPartRefine:
+    """One _refine call over parts of different products gives each part, bit for bit, its levels alone."""
+
+    @staticmethod
+    def parts(const_plateau, full2, uniform_chain, ms_full, exhaustive):
+        family = sd.MonotoneFamily(const_plateau, 1.0, (-0.025, 0.025))
+        products = [(sd.family_member(family, 0.002), 10), (const_plateau, 10), (ms_full, 8)]
+        products.append((_mixed_form_product(full2, uniform_chain), 6))
+        parts = []
+        for k, (product, depth) in enumerate(products):
+            points = list(sampled_points(product, depth, 300, seed=70 + k))
+            rows, xs = drift._as_batch([p.window.symbols for p in points], [p.x for p in points])
+            parts.append(sd.get_classifier(product, depth)._lookup(points[0].window.lo, rows, xs, exhaustive)[3])
+        maps, slots, xs, up, down = parts[2]
+        return parts[:2] + [(maps, slots[:0], xs[:0], up[:0], down[:0])] + parts[2:]  # and a part with no open point
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_batch_equals_each_part_alone(self, const_plateau, full2, uniform_chain, ms_full, exhaustive):
+        parts = self.parts(const_plateau, full2, uniform_chain, ms_full, exhaustive)
+        # a bump member's one map, the base's plateau, eight affine maps and three forms: joined and padded
+        assert [len(maps.maps) for maps, *_ in parts] == [1, 1, 8, 8, 8]
+        assert [len(xs) > 0 for _, _, xs, _, _ in parts] == [True, True, False, True, True]
+        batch = drift._refine(parts, exhaustive)
+        for part, got in zip(parts, batch):
+            [want] = drift._refine([part], exhaustive)
+            assert got.shape == want.shape == (2, len(part[2])) and got.tobytes() == want.tobytes()
+        found = np.concatenate([~np.isnan(levels) for levels in batch], axis=1)
+        assert found[0].any() and found[1].any() and not (found[0] & found[1]).any()
+
+
 class TestNarrowRows:
-    """The private entry estimate_regions uses reads rows only up to the last coordinate a query reads."""
+    """The private entry sampled estimates use reads rows only up to the last coordinate a query reads."""
+
+    @staticmethod
+    def narrow_search(classifier, lo, rows, xs):
+        """Index tags and refined levels from rows that reach only _read_hi, as _lookup reads them for sampling."""
+        return classifier._search(lo, *drift._as_batch(rows, xs), False, narrow=True)
 
     @staticmethod
     def products(const_plateau, full2, uniform_chain, ms_full):
@@ -1247,9 +1282,9 @@ class TestNarrowRows:
             assert np.array_equal(narrow, full[:, : read - lo + 1])
             xs = uniforms[:, -1]
             xs[:4] = (0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0))
-            codes = classifier._codes(lo, narrow, xs, narrow=True)
-            assert np.array_equal(codes, classifier.classify_arrays(lo, full, xs))
-            assert len(set(codes.tolist())) == 3
+            got, want = self.narrow_search(classifier, lo, narrow, xs), classifier._search(lo, full, xs, False)
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+            assert len(set(classifier.classify_arrays(lo, full, xs).tolist())) == 3
 
     def test_rows_short_of_read_hi(self, const_plateau, full2, uniform_chain, ms_full):
         for product, depth in self.products(const_plateau, full2, uniform_chain, ms_full):
@@ -1257,10 +1292,10 @@ class TestNarrowRows:
             lo, hi = classifier.required_range()
             read = classifier._read_hi
             rows = np.array([sd.sample_window(product.chain, lo, read, np.random.default_rng(3)).symbols] * 2)
-            assert classifier._codes(lo, rows, [0.3, 0.7], narrow=True).shape == (2,)
+            assert len(self.narrow_search(classifier, lo, rows, [0.3, 0.7])[0]) == 2
             for start, short in ((lo, rows[:, :-1]), (lo + 1, rows[:, 1:])):
                 with pytest.raises(WindowTooShortError) as err:
-                    classifier._codes(start, short, [0.3, 0.7], narrow=True)
+                    self.narrow_search(classifier, start, short, [0.3, 0.7])
                 assert err.value.needed == (lo, read)
                 assert err.value.have == (start, start + short.shape[1] - 1)
             # the public entry still needs the whole required range
@@ -1276,11 +1311,11 @@ class TestNarrowRows:
         rows = np.ones((2, hi - lo + 1), dtype=np.int64)
         rows[1, read - lo - 1 : read - lo + 1] = 2
         with pytest.raises(ValueError, match=f"transition 2 -> 2 at coordinates {read - 1}, {read} of point 1"):
-            classifier._codes(lo, rows[:, : read - lo + 1], [0.3, 0.7], narrow=True)
+            TestNarrowRows.narrow_search(classifier, lo, rows[:, : read - lo + 1], [0.3, 0.7])
         # past read_hi only the public entry, which checks every column it is given, sees a forbidden pair
         rows[1] = 1
         rows[1, hi - lo - 1 :] = 2
-        assert classifier._codes(lo, rows[:, : read - lo + 1], [0.3, 0.7], narrow=True).shape == (2,)
+        assert len(TestNarrowRows.narrow_search(classifier, lo, rows[:, : read - lo + 1], [0.3, 0.7])[0]) == 2
         with pytest.raises(ValueError, match="of point 1 is forbidden"):
             classifier.classify_arrays(lo, rows, [0.3, 0.7])
 

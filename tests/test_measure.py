@@ -251,6 +251,17 @@ class TestEstimateRegions:
         est = sd.estimate_regions(const_affine, np.int64(2), 200, 1)
         assert type(est.depth) is int and json.loads(json.dumps(est.to_json()))["depth"] == 2
 
+    def test_numpy_sample_count_serializes(self, const_affine):
+        est = sd.estimate_regions(const_affine, 4, np.int64(150), 1)
+        assert type(est.n_samples) is int and json.loads(json.dumps(est.to_json()))["n"] == 150
+
+    @pytest.mark.parametrize("n", [150.0, True, 99, "150"])
+    def test_sample_count_must_be_an_integer_from_100(self, const_affine, n):
+        with pytest.raises(ValueError) as info:
+            sd.estimate_regions(const_affine, 4, n, 1)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"sample count must be an integer >= 100, got {n!r}"
+
     def test_invariant_enforced_on_construction(self):
         with pytest.raises(ValueError, match="sum to 1"):
             RegionEstimate(0.0, 0.0, 0.5, 0.4, 0.2, 0.1, 1000, 4, 0)
@@ -366,6 +377,14 @@ class TestSweep:
         result = sd.sweep(fam, [], 4, 400, 0)
         assert result.grid == () and result.estimates == ()
 
+    def test_sample_count_checked_before_the_chain_pass(self, const_plateau, monkeypatch):
+        passes = []
+        monkeypatch.setattr(measure, "_chains", lambda products, depth: passes.append(len(products)))
+        family = sd.MonotoneFamily(const_plateau, 1.0, (-0.025, 0.025))
+        with pytest.raises(ValueError, match="sample count must be an integer >= 100, got 50"):
+            sd.sweep(family, [-0.02 + 0.002 * i for i in range(21)], 10, 50, 1)
+        assert passes == []
+
     def test_grid_must_increase(self, const_affine):
         fam = sd.MonotoneFamily(const_affine, 1.0, (-0.01, 0.12))
         with pytest.raises(ValueError) as info:
@@ -461,17 +480,60 @@ class TestSweepChainPass:
 
     def test_one_assembled_classifier_alive_at_a_time(self, full2, uniform_chain, monkeypatch):
         family = self.family(full2, uniform_chain)
-        built, alive, estimate = self.record_builds(monkeypatch), [], measure.estimate_regions
+        built, alive, look_up = self.record_builds(monkeypatch), [], measure._looked_up
 
-        def counting_estimate(*args):
+        def counting_look_up(*args):
             alive.append(sum(ref() is not None for ref in built))
-            return estimate(*args)
+            return look_up(*args)
 
-        monkeypatch.setattr(measure, "estimate_regions", counting_estimate)
+        monkeypatch.setattr(measure, "_looked_up", counting_look_up)
         grid = [tau for tau in self.GRID if tau != 0.0]  # the base member keeps its classifier
         sd.sweep(family, grid, 6, 300, 4)
         assert len(built) == len(grid) and alive == [1] * len(grid)
         assert all(ref() is None for ref in built)
+
+
+class TestRefineBatches:
+    """The members' open points are refined in batches of consecutive members; the cap moves no estimate."""
+
+    def test_estimates_do_not_depend_on_the_cap(self, full2, uniform_chain, monkeypatch):
+        batches, refine = [], measure._refine
+
+        def recording_refine(parts, exhaustive):
+            batches[-1].append(len(parts))
+            return refine(parts, exhaustive)
+
+        monkeypatch.setattr(measure, "_refine", recording_refine)
+        results = []
+        for cap in (1, measure.REFINE_BATCH, 10**9):
+            monkeypatch.setattr(measure, "REFINE_BATCH", cap)
+            batches.append([])
+            family = TestSweepChainPass.family(full2, uniform_chain)
+            results.append(sd.sweep(family, TestSweepChainPass.GRID, 6, 300, 4))
+        count = len(TestSweepChainPass.GRID)
+        assert batches == [[1] * count, [count], [count]]  # at n = 300 the default cap holds every member
+        for result in results[1:]:
+            assert result == results[0]
+            for est, first in zip(result.estimates, results[0].estimates):
+                assert same_boxes(est.up_region, first.up_region) and same_boxes(est.down_region, first.down_region)
+
+    def test_part_over_the_cap_is_refined_alone(self, full2, uniform_chain, monkeypatch):
+        sizes, refine = [], measure._refine
+
+        def recording_refine(parts, exhaustive):
+            sizes.append([2 * len(part[2]) for part in parts])
+            return refine(parts, exhaustive)
+
+        monkeypatch.setattr(measure, "_refine", recording_refine)
+        grid = TestSweepChainPass.GRID
+        alone = sd.sweep(TestSweepChainPass.family(full2, uniform_chain), grid, 6, 300, 4)
+        searches = [s for batch in sizes for s in batch]
+        cap = sorted(searches)[len(searches) // 2]
+        monkeypatch.setattr(measure, "REFINE_BATCH", cap)
+        sizes.clear()
+        assert sd.sweep(TestSweepChainPass.family(full2, uniform_chain), grid, 6, 300, 4) == alone
+        assert [s for batch in sizes for s in batch] == searches
+        assert all(len(batch) == 1 or sum(batch) <= cap for batch in sizes) and len(sizes) > 1
 
 
 def synthetic_sweep(mc_values, radius=0.01):

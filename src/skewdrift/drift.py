@@ -11,7 +11,6 @@ here are sound but deliberately incomplete: Unknown never lies.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .errors import IncompatibleProductsError, InvalidRegionError, ResourceBound
 from .fibers import EPS_ROUND, FiberMap, MapStack, compose_along_word
 from .products import WINDOW_CAP, LabeledPoint, MultistepSkewProduct
 from .regions import BoxRegion, joined_boxes, sweep_rows
-from .symbolic import PeriodicWord, TransitionSystem, _symbol_rows
+from .symbolic import PeriodicWord, TransitionSystem, _at_least, _symbol_rows
 
 # Strictness margin for every certified inequality: four orders above
 # accumulated rounding at composition depth <= 64, far below problem scales.
@@ -51,9 +50,7 @@ class StepGraph:
     values: np.ndarray
 
     def __post_init__(self):
-        L, R = self.window
-        if L < 0 or R < 0:
-            raise ValueError("graph window offsets must be nonnegative")
+        L, R = (_at_least(k, 0, "graph window offset") for k in self.window)
         words = self.system.word_array(L + R + 1)
         values = np.array(self.values, dtype=float)
         if values.shape != (len(words),):
@@ -64,7 +61,7 @@ class StepGraph:
             word = tuple(words[i].tolist())
             raise ValueError(f"graph value {values[i]} for word {word} is not strictly inside (0, 1)")
         values.flags.writeable = False
-        object.__setattr__(self, "window", (int(L), int(R)))
+        object.__setattr__(self, "window", (L, R))
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -361,16 +358,6 @@ def _as_batch(rows, xs) -> tuple[np.ndarray, np.ndarray]:
     return rows, xs
 
 
-def _at_least(value, least: int, what: str) -> int:
-    """The value as a plain int; ValueError unless it is an integer >= least (a bool is not)."""
-    try:
-        if not isinstance(value, bool) and operator.index(value) >= least:
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
-
-
 class DriftClassifier:
     """Witness family for one product at one depth, shared across point queries.
 
@@ -382,7 +369,8 @@ class DriftClassifier:
     what it reads of the product (base, window, map_slots, fingerprint), never the product,
     and the certificate of each index tag once a query has hit it.
     Its witness chains are the next share of chains, an iterator over the
-    shares of one _chains pass at the depth (sweep's), or of a pass of its own.
+    shares of one _chains pass at the depth (sweep's, handed on by get_classifier),
+    or of a pass of its own.
     """
 
     def __init__(self, product: MultistepSkewProduct, depth: int, chains=None):
@@ -595,15 +583,16 @@ def _refine(parts: list, exhaustive: bool) -> list:
     return out
 
 
-def get_classifier(product: MultistepSkewProduct, depth: int) -> DriftClassifier:
+def get_classifier(product: MultistepSkewProduct, depth: int, chains=None) -> DriftClassifier:
     """Classifier shared across queries for one (product, depth) pair.
 
     The product keeps one classifier per depth, so the classifier lives as
-    long as the product; an equal but distinct product gets its own.
+    long as the product; an equal but distinct product gets its own. A new
+    classifier takes its witness chains from chains (DriftClassifier's), if given.
     """
     depth = _at_least(depth, 0, "search depth")
     if depth not in product._classifiers:
-        product._classifiers[depth] = DriftClassifier(product, depth)
+        product._classifiers[depth] = DriftClassifier(product, depth, chains)
     return product._classifiers[depth]
 
 

@@ -17,19 +17,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drift import DOWN, UP, DriftClassifier, _at_least, _chains, _refine, get_classifier
+from .drift import DOWN, UP, DriftClassifier, _chains, _refine, get_classifier
 from .errors import FamilyRangeError, ToleranceError
 from .fibers import Affine, BumpComposed, BumpedAffine, FiberMap, validate_class
 from .products import MultistepSkewProduct, ProductOrder, compare_order
 from .regions import BoxRegion, region_union
-from .symbolic import _symbols_from_uniforms
+from .symbolic import _at_least, _symbols_from_uniforms
 
 CONFIDENCE = 0.95
 
 
 def hoeffding_radius(n: int) -> float:
-    """Distribution-free two-sided CONFIDENCE radius for a [0,1] mean."""
-    return math.sqrt(math.log(2.0 / (1.0 - CONFIDENCE)) / (2.0 * n))
+    """Distribution-free two-sided CONFIDENCE radius for a [0,1] mean of n >= 1 samples."""
+    return math.sqrt(math.log(2.0 / (1.0 - CONFIDENCE)) / (2.0 * _at_least(n, 1, "sample count")))
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,10 @@ REFINE_BATCH = 2**14
 
 
 def _estimates(members: list, depth, n: int, seeds, chains=None) -> list[RegionEstimate]:
-    """Estimates at the seeds; a member gets a classifier from chains if it has none and is dropped after its lookup."""
+    """Estimates at the seeds; a member gets get_classifier(member, depth, chains) and is dropped after its lookup."""
     looked = []
     for i, seed in enumerate(seeds):
-        if chains is not None and depth not in members[i]._classifiers:
-            members[i]._classifiers[depth] = DriftClassifier(members[i], depth, chains)
-        looked.append(_looked_up(get_classifier(members[i], depth), members[i].chain, n, seed))
+        looked.append(_looked_up(get_classifier(members[i], depth, chains), members[i].chain, n, seed))
         members[i] = None
     counts, batches, held = [hits for hits, _, _ in looked], [], 0
     for k, (_, part, _) in enumerate(looked):
@@ -235,7 +233,7 @@ def sweep(
     smaller parameter remain valid at larger ones, which makes the recorded
     lower curves monotone by construction. A member without a classifier at
     the depth gets one built from its share of one chain pass over all such
-    members (DriftClassifier(member, depth, pending)) just before its lookup;
+    members (get_classifier(member, depth, pending)) just before its lookup;
     the open points of consecutive members are refined in lockstep batches.
     """
     grid = [float(t) for t in grid]

@@ -35,7 +35,7 @@ from .fibers import (
     map_to_json,
     validate_class,
 )
-from .symbolic import MarkovChain, SymbolWindow, TransitionSystem, _symbol_rows
+from .symbolic import MarkovChain, SymbolWindow, TransitionSystem, _at_least, _symbol_rows
 
 # Hard cap on dependence-window size, shared with the drift-witness machinery.
 WINDOW_CAP = 12
@@ -69,13 +69,11 @@ class MultistepSkewProduct:
     chain: MarkovChain
     window: tuple[int, int]
     assignment: dict[tuple[int, ...], FiberMap]
-    # drift classifiers by depth, filled by drift.get_classifier and measure.sweep; they live as long as the product
+    # drift classifiers by depth, filled only by drift.get_classifier; they live as long as the product
     _classifiers: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        l, r = self.window
-        if l < 0 or r < 0:
-            raise ValueError("window offsets must be nonnegative")
+        l, r = (_at_least(k, 0, "window offset") for k in self.window)
         size = l + r + 1
         if size > WINDOW_CAP:
             raise ResourceBoundError(f"window size {size} exceeds the bound {WINDOW_CAP}")
@@ -94,7 +92,7 @@ class MultistepSkewProduct:
             check = validate_class(assignment[w])
             if not check:
                 raise ValueError(f"fiber map for word {w}: {check.reason}")
-        object.__setattr__(self, "window", (int(l), int(r)))
+        object.__setattr__(self, "window", (l, r))
         object.__setattr__(self, "assignment", assignment)
 
     @functools.cached_property
@@ -140,8 +138,7 @@ def _int_tuple(values, name: str) -> tuple[int, ...]:
 
 def iterate(product: MultistepSkewProduct, point: LabeledPoint, n: int) -> LabeledPoint:
     """Apply the skew product n times to a point whose window is a base word; the output window is re-offset by -n."""
-    if n < 1:
-        raise ValueError("iteration count must be >= 1")
+    n = _at_least(n, 1, "iteration count")
     l, r = product.window
     win = point.window
     product.base.check_rows(win.lo, _symbol_rows([win.symbols]))
@@ -161,40 +158,31 @@ class ProductOrder(Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _refine_below(f, g, u, v, du, dv, curv, depth) -> bool:
-    if du >= 0.0 or dv >= 0.0:
-        return False
-    if max(du, dv) + curv * (v - u) ** 2 / 8.0 + 4.0 * EPS_ROUND < 0.0:
-        return True
-    if depth == 0:
-        return False
-    m = 0.5 * (u + v)
-    dm = float(f.eval(m) - g.eval(m))
-    return _refine_below(f, g, u, m, du, dm, curv, depth - 1) and _refine_below(
-        f, g, m, v, dm, dv, curv, depth - 1
-    )
-
-
 def _strictly_below(f: FiberMap, g: FiberMap) -> bool:
     """Certified f(x) < g(x) for all x in [0, 1].
 
-    Chord-plus-curvature bound on each grid subinterval, with local bisection
-    of inconclusive subintervals; failure means "not certified", never a
-    claim about the true order.
+    Chord-plus-curvature bound on each grid cell; the inconclusive cells are
+    bisected all at once, up to _ORDER_EXTRA_DEPTH times. Failure means "not
+    certified", never a claim about the true order.
     """
     d = np.asarray(f.eval(_XGRID) - g.eval(_XGRID), dtype=float)
     if (d >= 0.0).any():
         return False
     curv = f.second_derivative_bound() + g.second_derivative_bound()
-    w = _XGRID[1] - _XGRID[0]
-    bound = np.maximum(d[:-1], d[1:]) + curv * w * w / 8.0 + 4.0 * EPS_ROUND
-    for i in np.nonzero(bound >= 0.0)[0]:
-        if not _refine_below(
-            f, g, float(_XGRID[i]), float(_XGRID[i + 1]), float(d[i]), float(d[i + 1]),
-            curv, _ORDER_EXTRA_DEPTH,
-        ):
+    u, v, du, dv = _XGRID[:-1], _XGRID[1:], d[:-1], d[1:]
+    for depth in range(_ORDER_EXTRA_DEPTH + 1):
+        open_ = ~(np.maximum(du, dv) + curv * (v - u) ** 2 / 8.0 + 4.0 * EPS_ROUND < 0.0)
+        if not open_.any():
+            return True
+        if depth == _ORDER_EXTRA_DEPTH:
             return False
-    return True
+        u, v, du, dv = u[open_], v[open_], du[open_], dv[open_]
+        m = 0.5 * (u + v)
+        dm = f.eval(m) - g.eval(m)
+        if (dm >= 0.0).any():
+            return False
+        u, v = np.concatenate([u, m]), np.concatenate([m, v])
+        du, dv = np.concatenate([du, dm]), np.concatenate([dm, dv])
 
 
 def _map_pairs(F: MultistepSkewProduct, G: MultistepSkewProduct) -> list[tuple[FiberMap, FiberMap]]:
@@ -336,8 +324,7 @@ def multistep_approximation(spec: ContinuousProductSpec, m: int) -> MultistepSke
     share the object: since rho[s][a] + rho[s][b] == rho[s][b] + rho[s][a],
     there are at most (N(N+1)/2)^m values per symbol, not N^(2m).
     """
-    if m < 0:
-        raise ValueError("truncation depth must be >= 0")
+    m = _at_least(m, 0, "truncation depth")
     if 2 * m + 1 > WINDOW_CAP:
         raise ResourceBoundError(f"window size {2 * m + 1} exceeds the bound {WINDOW_CAP}")
     assignment: dict[tuple[int, ...], FiberMap] = {}

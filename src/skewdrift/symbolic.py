@@ -7,6 +7,7 @@ every operation that consumes a window states how much of it it needs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,22 +33,15 @@ def _as_binary_matrix(transitions) -> np.ndarray:
     return arr.astype(np.int8)
 
 
-def _reaches_all(arr: np.ndarray, start: int) -> bool:
-    n = arr.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(arr[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
-
-
 def _strongly_connected(arr: np.ndarray) -> bool:
-    return _reaches_all(arr, 0) and _reaches_all(arr.T, 0)
+    """True iff the sets reached from symbol 1 forward and backward, grown a step a round, hold every symbol."""
+    links = arr != 0
+    ahead = behind = np.arange(len(links)) == 0
+    while True:
+        grown = ahead | links[ahead].any(axis=0), behind | links[:, behind].any(axis=1)
+        if np.array_equal(grown[0], ahead) and np.array_equal(grown[1], behind):
+            return bool(ahead.all() and behind.all())
+        ahead, behind = grown
 
 
 def validate_transitive(transitions) -> bool:
@@ -240,6 +234,16 @@ def _symbols(values) -> tuple[int, ...]:
     return tuple(map(int, syms))
 
 
+def _at_least(value, least: int, what: str) -> int:
+    """The value as a plain int; ValueError unless it is an integer >= least (a bool is not)."""
+    try:
+        if not isinstance(value, bool) and operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 def _symbol_rows(rows) -> np.ndarray:
     """rows as int64, or as Python ints if a symbol is beyond int64, for check_rows to refuse it by value."""
     try:
@@ -372,9 +376,7 @@ class PeriodicWord:
 
 def periodic_words(system: TransitionSystem, n: int) -> list[PeriodicWord]:
     """All cyclically admissible words of length n; count equals trace(transitions^n)."""
-    if n < 1:
-        raise ValueError("period length must be >= 1")
-    return [PeriodicWord(w) for w in system.words(n) if system.transitions[w[-1] - 1, w[0] - 1]]
+    return [PeriodicWord(w) for w in system.words(_at_least(n, 1, "period length")) if system.transitions[w[-1] - 1, w[0] - 1]]
 
 
 def sample_window(chain: MarkovChain, left: int, right: int, rng: np.random.Generator) -> SymbolWindow:

@@ -4,6 +4,7 @@ import os
 import re
 import shlex
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -345,7 +346,7 @@ class TestBadFilesAndShapes:
                                   "--samples", "200", "--depth", "2", "--out", str(taken))
         assert code == 2 and err == f"invalid input: out: {taken}: File exists\n"
 
-    @pytest.mark.parametrize("section", ["base", "family"])
+    @pytest.mark.parametrize("section", ["base", "family", "analysis"])
     def test_section_that_is_not_an_object(self, tmp_path, capsys, section):
         record = json.loads((CONFIGS / "plateau_family.json").read_text())
         record[section] = 5
@@ -405,6 +406,30 @@ class TestBadFilesAndShapes:
         record = json.loads((CONFIGS / "constant_affine.json").read_text())
         edit(record["product"])
         code, err = self.run_main(capsys, "validate", "--config", write_json(tmp_path / "bad.json", record),
+                                  "--out", str(tmp_path / "out"))
+        assert code == 2 and err == f"invalid input: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, command, edit, error", [
+        ("plateau_family.json", "validate", lambda r: r["family"].update(kappa=float("inf")),
+         "family.kappa: must be finite"),  # json.dumps writes the number as Infinity
+        ("plateau_family.json", "validate", lambda r: r["analysis"].update(grid=5),
+         "analysis.grid: expected a list or a lo:hi:step string"),
+        ("golden_affine.json", "validate", lambda r: [r], "config: top level must be an object"),
+        ("golden_affine.json", "validate", lambda r: r["base"].update(alphabet_size=3),
+         "base.alphabet_size: declared 3, matrix has 2"),
+        ("continuous_geometric.json", "validate", lambda r: r.update(family={"kappa": 1.0, "tau_range": [0, 1]}),
+         "family: a family needs a 'product' section as its base"),
+        ("plateau_family.json", "validate", lambda r: r["family"].update(tau_range=[0.01]),
+         "family.tau_range: expected [tau_min, tau_max]"),
+        ("plateau_family.json", "sweep", lambda r: r["analysis"].pop("grid") and None,
+         "analysis.grid: sweep needs a parameter grid"),
+    ], ids=["number-infinite", "grid-a-number", "top-level-a-list", "alphabet-size-disagrees",
+            "family-beside-continuous", "tau-range-short", "sweep-without-grid"])
+    def test_config_error_anchors(self, tmp_path, capsys, name, command, edit, error):
+        record = json.loads((CONFIGS / name).read_text())
+        record = edit(record) or record
+        code, err = self.run_main(capsys, command, "--config", write_json(tmp_path / "bad.json", record),
                                   "--out", str(tmp_path / "out"))
         assert code == 2 and err == f"invalid input: {error}\n"
         assert not (tmp_path / "out").exists()
@@ -520,6 +545,17 @@ class TestReadmeCommands:
         bullets = re.findall(r"^- `([a-z]+)` - ", section.split("Commands:", 1)[1], flags=re.MULTILINE)
         assert list(readme_cli_commands()) == accepted
         assert bullets == accepted
+
+    def test_module_entry_point(self, tmp_path, capsys):
+        # `python -m skewdrift.cli` runs main and exits with its code
+        config = str(CONFIGS / "golden_affine.json")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-m", "skewdrift.cli", "validate", "--config", config],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert main(["validate", "--config", config, "--out", str(tmp_path / "in_process")]) == 0
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == capsys.readouterr().out
+        assert (tmp_path / "validate_report.txt").read_text() == done.stdout
 
     def test_scripts_run_as_written(self, tmp_path):
         (tmp_path / "scripts").symlink_to(ROOT / "scripts", target_is_directory=True)

@@ -11,7 +11,9 @@ import skewdrift as sd
 import skewdrift.products as products
 from skewdrift.cli import _product_text
 from skewdrift.config import load_config
+from skewdrift.fibers import EPS_ROUND
 from skewdrift.errors import (
+    FamilyRangeError,
     IncompatibleProductsError,
     InvalidApproximationError,
     ResourceBoundError,
@@ -140,6 +142,78 @@ def value_copy(product):
     """The same product with every word holding its own value-equal map object."""
     assignment = {w: sd.map_from_json(sd.map_to_json(f)) for w, f in product.assignment.items()}
     return sd.MultistepSkewProduct(product.base, product.chain, product.window, assignment)
+
+
+# how the recursive reference's refinements ended: a midpoint at or above zero, or out of depth
+REFINE_EXITS = Counter()
+
+
+def reference_refine_below(f, g, u, v, du, dv, curv, depth) -> bool:
+    """The recursive refinement `_strictly_below` once ran cell by cell, with scalar map calls."""
+    if du >= 0.0 or dv >= 0.0:
+        REFINE_EXITS["midpoint"] += 1
+        return False
+    if max(du, dv) + curv * (v - u) ** 2 / 8.0 + 4.0 * EPS_ROUND < 0.0:
+        return True
+    if depth == 0:
+        REFINE_EXITS["depth"] += 1
+        return False
+    m = 0.5 * (u + v)
+    dm = float(f.eval(m) - g.eval(m))
+    return reference_refine_below(f, g, u, m, du, dm, curv, depth - 1) and reference_refine_below(
+        f, g, m, v, dm, dv, curv, depth - 1
+    )
+
+
+def reference_strictly_below(f, g) -> tuple[bool, bool]:
+    """The recursive `_strictly_below`: (its decision, whether some grid cell was refined)."""
+    grid = products._XGRID
+    d = np.asarray(f.eval(grid) - g.eval(grid), dtype=float)
+    if (d >= 0.0).any():
+        return False, False
+    curv = f.second_derivative_bound() + g.second_derivative_bound()
+    w = grid[1] - grid[0]
+    bound = np.maximum(d[:-1], d[1:]) + curv * w * w / 8.0 + 4.0 * EPS_ROUND
+    for i in np.nonzero(bound >= 0.0)[0]:
+        if not reference_refine_below(
+            f, g, float(grid[i]), float(grid[i + 1]), float(d[i]), float(d[i + 1]),
+            curv, products._ORDER_EXTRA_DEPTH,
+        ):
+            return False, True
+    return True, bool((bound >= 0.0).any())
+
+
+MAP_FORMS = ("affine", "bumped_affine", "plateau", "bump_composed")
+
+
+def random_map(rng, form):
+    if form == "affine":
+        return sd.Affine(rng.uniform(0.05, 0.3), rng.uniform(0.3, 0.65))
+    if form == "bumped_affine":
+        b = rng.uniform(0.4, 0.65)
+        return sd.BumpedAffine(rng.uniform(0.05, 0.3), b, rng.uniform(-0.9, 0.9) * b)
+    if form == "plateau":
+        return sd.Plateau(rng.uniform(0.1, 0.6), rng.uniform(0.3, 0.5), rng.uniform(0.5, 0.7))
+    return sd.BumpComposed(rng.uniform(-0.5, 0.5), random_map(rng, MAP_FORMS[rng.integers(3)]))
+
+
+def near_equal_pair(rng):
+    """Two maps at most about 1e-5 apart, in either order: a map and a tiny bump after it, an affine or
+    bumped affine map and its copy with a nudged a, or two bumped affine maps whose difference
+    tiny - k (x - x0)^2 may cross zero between grid points."""
+    form = MAP_FORMS[rng.integers(4)]
+    f = random_map(rng, form)
+    tiny = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-13, -5)
+    kind = rng.choice(3, p=(0.1, 0.3, 0.6))
+    if kind == 0:
+        g = sd.BumpComposed(tiny, f)
+    elif kind == 1 and form in ("affine", "bumped_affine"):
+        g = type(f)(**{**vars(f), "a": f.a + tiny})
+    else:
+        k, x0 = rng.uniform(0.01, 1.0), rng.choice((rng.uniform(0.0, 1.0), (rng.integers(1024) + 0.5) / 1024))
+        f = sd.BumpedAffine(rng.uniform(0.2, 0.4), rng.uniform(0.3, 0.5), rng.uniform(-0.2, 0.2))
+        g = sd.BumpedAffine(f.a - (tiny - k * x0 * x0), f.b - (2.0 * k * x0 - k), f.c - k)
+    return (f, g) if rng.random() < 0.5 else (g, f)
 
 
 class TestConstruction:
@@ -271,6 +345,32 @@ class TestCompareOrder:
         G = constant_product(full2, uniform_chain, sd.Affine(0.15, 0.8))
         assert sd.compare_order(F, G) is sd.ProductOrder.FIRST_BELOW
         assert sd.distance(F, G) > 0
+
+
+class TestOrderRefinement:
+    """`_strictly_below` bisects all inconclusive cells at once; its decisions are the recursion's."""
+
+    def test_same_decisions_as_the_recursion(self):
+        rng = np.random.default_rng(2027)
+        REFINE_EXITS.clear()
+        outcomes = Counter()
+        for _ in range(2000):
+            f, g = near_equal_pair(rng)
+            decision, refined = reference_strictly_below(f, g)
+            assert products._strictly_below(f, g) is decision, (f, g)
+            outcomes[decision, refined] += 1
+        # every path is taken: passes and fails on the grid, after refinement, and inside it both ways
+        assert min(outcomes[key] for key in ((True, False), (True, True), (False, False), (False, True))) >= 100
+        assert min(REFINE_EXITS["midpoint"], REFINE_EXITS["depth"]) >= 20
+
+    @pytest.mark.parametrize("radius, ordered", [(1e-9, True), (1e-10, False)])
+    def test_family_endpoints_near_zero(self, const_plateau, radius, ordered):
+        # on the plateau [0.4, 0.6] the endpoint members differ by only 2 * radius * x * (1 - x)
+        if ordered:
+            sd.MonotoneFamily(const_plateau, 1.0, (-radius, radius))
+        else:
+            with pytest.raises(FamilyRangeError, match="^family endpoints are not certifiably ordered$"):
+                sd.MonotoneFamily(const_plateau, 1.0, (-radius, radius))
 
 
 class TestDistance:

@@ -46,7 +46,7 @@ class TestValidateTransitive:
         assert sd.validate_transitive(GOLDEN) is dfs_strongly_connected(GOLDEN)
         assert sd.validate_transitive(GOLDEN) is True
 
-    @given(st.integers(2, 5), st.randoms(use_true_random=False))
+    @given(st.integers(1, 8), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_matches_dfs_oracle_on_random_matrices(self, n, rnd):
         matrix = [[1 if rnd.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)]
@@ -493,3 +493,59 @@ class TestRowsEndingInZeros:
         assert np.array_equal(rows, _reference_symbols(chain, u))
         window = sd.sample_window(chain, -2, 3, _FixedUniforms(u[0]))
         assert system.admits(window.symbols)
+
+
+def _spec(system, chain):
+    rho = np.array([[0.01, -0.01], [0.006, -0.006]])
+    return sd.ContinuousProductSpec(system, chain, "affine", "a", ({"a": 0.1, "b": 0.8}, {"a": 0.12, "b": 0.8}), rho)
+
+
+def _constant(system, chain):
+    return sd.MultistepSkewProduct(system, chain, (0, 0), {w: sd.Affine(0.1, 0.8) for w in system.words(1)})
+
+
+_POINT = sd.LabeledPoint(sd.SymbolWindow(0, (1, 2, 1)), 0.5)
+
+
+class TestIntegerArguments:
+    """Counts, depths, lengths and window offsets follow one rule: an integer (numpy's too, never a bool) at or
+    above a least value, else `<what> must be an integer >= k, got X`."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda s, c: sd.iterate(_constant(s, c), _POINT, True), "iteration count must be an integer >= 1, got True"),
+        (lambda s, c: sd.multistep_approximation(_spec(s, c), True),
+         "truncation depth must be an integer >= 0, got True"),
+        (lambda s, c: sd.multistep_approximation(_spec(s, c), 2.0),
+         "truncation depth must be an integer >= 0, got 2.0"),
+        (lambda s, c: sd.periodic_words(s, 2.0), "period length must be an integer >= 1, got 2.0"),
+        (lambda s, c: sd.periodic_words(s, True), "period length must be an integer >= 1, got True"),
+        (lambda s, c: sd.periodic_words(s, 1.5), "period length must be an integer >= 1, got 1.5"),
+        (lambda s, c: sd.MultistepSkewProduct(s, c, (True, 0), {}), "window offset must be an integer >= 0, got True"),
+        (lambda s, c: sd.MultistepSkewProduct(s, c, (0.0, 0), {}), "window offset must be an integer >= 0, got 0.0"),
+        (lambda s, c: sd.MultistepSkewProduct(s, c, (0.5, 0), {}), "window offset must be an integer >= 0, got 0.5"),
+        (lambda s, c: sd.StepGraph(s, (True, 0), [0.5] * 4), "graph window offset must be an integer >= 0, got True"),
+        (lambda s, c: sd.StepGraph(s, (0.0, 0), [0.5] * 2), "graph window offset must be an integer >= 0, got 0.0"),
+        (lambda s, c: sd.StepGraph(s, (0.5, 0), [0.5] * 2), "graph window offset must be an integer >= 0, got 0.5"),
+        (lambda s, c: sd.hoeffding_radius(0), "sample count must be an integer >= 1, got 0"),
+        (lambda s, c: sd.hoeffding_radius(-5), "sample count must be an integer >= 1, got -5"),
+        (lambda s, c: sd.hoeffding_radius(2.5), "sample count must be an integer >= 1, got 2.5"),
+        (lambda s, c: sd.hoeffding_radius(True), "sample count must be an integer >= 1, got True"),
+    ], ids=["iterate-bool", "approximation-bool", "approximation-float", "period-float", "period-bool",
+            "period-fraction", "window-bool", "window-float", "window-fraction", "graph-bool", "graph-float",
+            "graph-fraction", "radius-zero", "radius-negative", "radius-fraction", "radius-bool"])
+    def test_refused(self, full2, uniform_chain, call, message):
+        with pytest.raises(ValueError) as info:
+            call(full2, uniform_chain)
+        assert str(info.value) == message
+
+    def test_numpy_integers_become_ints(self, full2, uniform_chain):
+        product = _constant(full2, uniform_chain)
+        assert sd.iterate(product, _POINT, np.int64(2)) == sd.iterate(product, _POINT, 2)
+        windows = [sd.MultistepSkewProduct(full2, uniform_chain, (np.int64(1), np.int8(0)), dict.fromkeys(
+                       full2.words(2), sd.Affine(0.1, 0.8))).window,
+                   sd.StepGraph(full2, (np.int64(1), np.int8(0)), [0.5] * 4).window,
+                   sd.multistep_approximation(_spec(full2, uniform_chain), np.int64(1)).window]
+        assert windows == [(1, 0), (1, 0), (1, 1)]
+        assert all(type(k) is int for window in windows for k in window)
+        assert sd.periodic_words(full2, np.int64(2)) == sd.periodic_words(full2, 2)
+        assert sd.hoeffding_radius(np.int64(100)) == sd.hoeffding_radius(100)

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Baseline experiment: a single contracting affine fiber map over the full
-2-shift. Prints how the sampled Up/Down split and the certified region
-measures converge as the witness depth grows.
+"""Baseline experiment: the single contracting affine fiber map of
+scripts/configs/constant_affine.json over the full 2-shift. Prints how the
+sampled Up/Down split and the certified region measures converge as the
+witness depth grows.
 
 Usage: python3 scripts/run_contraction_baseline.py [--samples N] [--seed S]
 """
 
 import argparse
-
-import numpy as np
+from pathlib import Path
 
 import skewdrift as sd
+from skewdrift.config import load_config
+
+CONFIG = Path(__file__).resolve().parent / "configs" / "constant_affine.json"
 
 
 def main():
@@ -19,14 +22,10 @@ def main():
     parser.add_argument("--seed", type=int, default=2026)
     args = parser.parse_args()
 
-    system = sd.TransitionSystem(np.array([[1, 1], [1, 1]]))
-    chain = sd.MarkovChain(system, np.array([[0.5, 0.5], [0.5, 0.5]]))
-    fmap = sd.Affine(0.1, 0.8)
-    product = sd.MultistepSkewProduct(
-        system, chain, (0, 0), {(1,): fmap, (2,): fmap}
-    )
+    product = load_config(str(CONFIG)).product
+    fmap = product.assignment[(1,)]
 
-    print(f"fiber map a + b*x with a=0.1, b=0.8; invariant level at 0.5")
+    print(f"fiber map a + b*x with a={fmap.a}, b={fmap.b}; invariant level at {fmap.a / (1 - fmap.b):g}")
     print(f"{'depth':>5} {'mc_up':>8} {'mc_down':>8} {'mc_unk':>8} {'cert_up':>8} {'cert_down':>9}")
     for depth in (0, 2, 4, 8, 12):
         est = sd.estimate_regions(product, depth, args.samples, args.seed)

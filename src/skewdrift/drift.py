@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibleProductsError, InvalidRegionError, ResourceBoundError, WindowTooShortError
-from .fibers import EPS_ROUND, FiberMap, MapStack, compose_along_word
+from .fibers import EPS_ROUND, FiberMap, MapStack, _joined, compose_along_word
 from .products import WINDOW_CAP, LabeledPoint, MultistepSkewProduct
 from .regions import BoxRegion, joined_boxes, sweep_rows
 from .symbolic import PeriodicWord, TransitionSystem, _at_least, _symbol_rows
@@ -153,13 +153,6 @@ def _strip(g, e, up: bool):
     return (g + DELTA_CERT, e - DELTA_CERT) if up else (e + DELTA_CERT, g - DELTA_CERT)
 
 
-def _joined(stacks: list) -> tuple[MapStack, list]:
-    """The stacks' maps joined by value into one MapStack, and per stack the index there of each of its maps."""
-    maps = MapStack(dict.fromkeys(f for stack in stacks for f in stack.maps))
-    index = {f: i for i, f in enumerate(maps.maps)}
-    return maps, [np.array([index[f] for f in stack.maps]) for stack in stacks]
-
-
 def _chains(products: list, depth: int):
     """Per product of one base and window: its chains' witness groups, Up and Down places and chains cut short.
 
@@ -167,8 +160,8 @@ def _chains(products: list, depth: int):
     depth; a step whose graph certifiably drifts gives a witness. All chains
     advance together, rows (product, level) of one array per current window,
     and stop where the next image window would exceed WINDOW_CAP. Rows map by
-    their product's slot row into the products' maps joined by value, as in
-    map_slots, so each product gets, when the returned iterator reaches it,
+    their product's slot row into the products' maps joined by value by
+    _joined, so each product gets, when the returned iterator reaches it,
     what a pass of its own gives: its witnesses on one common window form a
     group (window, graph rows, image rows, margins), in order of first
     appearance, and each direction tags its witnesses 0.. by level, then
@@ -178,7 +171,7 @@ def _chains(products: list, depth: int):
         return iter(())
     system, product_window, count = products[0].base, products[0].window, len(products)
     levels = np.array(LEVEL_GRID)
-    maps, keys = _joined([p.map_slots[0] for p in products])
+    maps, keys = _joined([p.map_slots[0].maps for p in products])
     slots = np.array([key[p.map_slots[1]] for key, p in zip(keys, products)])
     # (window, chains product * len(levels) + level, values)
     values = np.repeat(np.tile(levels, count)[:, None], system.alphabet_size, axis=1)
@@ -518,9 +511,9 @@ class DriftClassifier:
         part = (self._maps, self._slots[ranks], xs[points], open_up[points], open_down[points])
         return up_tag, down_tag, points, part
 
-    def _search(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool, narrow: bool = False):
+    def _search(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool):
         """Per point: Up and Down index tags (-1 for none), then Up and Down refined levels (NaN for none)."""
-        up_tag, down_tag, points, part = self._lookup(lo, rows, xs, exhaustive, narrow)
+        up_tag, down_tag, points, part = self._lookup(lo, rows, xs, exhaustive)
         levels = np.full((2, len(xs)), np.nan)
         if len(points):  # most scalar queries end at the index
             levels[:, points] = _refine([part], exhaustive)[0]
@@ -534,8 +527,8 @@ def _refine(parts: list, exhaustive: bool) -> list:
     (the map of its predecessor's defining word) and x, and the masks searched Up and Down, equal unless
     exhaustive. Returns per part its (2, len(xs)) Up and Down levels, NaN where a search fails or does
     not run. All searches bisect in lockstep, a search on its own part's maps only: several parts' maps
-    are joined by value and padded by repeating one, which changes no min or max. So each step decides
-    as certify_drift would on the point's own product, whatever the batch (README, "Refinement").
+    are joined by value (_joined) and padded by repeating one, which changes no min or max. So each step
+    decides as certify_drift would on the point's own product, whatever the batch (README, "Refinement").
     """
     out = [np.full((2, len(xs)), np.nan) for _, _, xs, _, _ in parts]
     # Up searches part by part, then Down ones: unless exhaustive, Up search i and Down search m + i share a point
@@ -546,7 +539,7 @@ def _refine(parts: list, exhaustive: bool) -> list:
     active, sign = np.arange(total), np.where(np.arange(total) < m, 1.0, -1.0)
     x = upper = sign * x
     s, lower, stop, levels = sign, np.minimum(sign, 0.0), np.zeros(total, dtype=bool), np.full(total, np.nan)
-    maps, keys = _joined([part[0] for part in parts]) if len(parts) > 1 else (parts[0][0], [])
+    maps, keys = _joined([part[0].maps for part in parts]) if len(parts) > 1 else (parts[0][0], [])
     table = np.array([np.pad(key, (0, max(map(len, keys)) - len(key)), mode="edge") for key in keys])
     rows = table[np.repeat(np.tile(np.arange(len(parts)), 2), counts)] if keys else None  # each search's part's maps
     for _ in range(REFINE_STEPS):

@@ -338,6 +338,19 @@ class MapStack:
         return out
 
 
+def _joined(groups) -> tuple[MapStack, list]:
+    """The groups' maps joined by value into one MapStack, and per group the index there of each of its maps.
+
+    Maps are frozen dataclasses, so equal parameters run identical float operations and any one of
+    them gives the same results bit for bit. The one case where == does not mean identical bits is
+    -0.0 against 0.0, and an in-class map only ever adds such a parameter's term to a nonzero value
+    (c in a + b*x + c*x*(1-x) and b + c*(1-2x), a bump amount in y + amount*y*(1-y)) or takes its abs.
+    """
+    maps = MapStack(dict.fromkeys(f for group in groups for f in group))
+    index = {f: i for i, f in enumerate(maps.maps)}
+    return maps, [np.array([index[f] for f in group], dtype=np.int64) for group in groups]
+
+
 def validate_class(f: FiberMap) -> ClassCheck:
     """Closed-form check that f is an increasing diffeomorphism sending [0,1] strictly inside."""
     return f.class_check()

@@ -247,12 +247,10 @@ def sweep(
     estimates = _estimates(members, depth, n, [(seed, i) for i in range(len(grid))], pending)
     mu_lower = _running_union_measures([e.up_region for e in estimates], chain)
     down_lower = _running_union_measures([e.down_region for e in reversed(estimates)], chain)[::-1]
-    for a, b in zip(mu_lower, mu_lower[1:]):
-        if b < a - 1e-12:
-            raise RuntimeError("certified up-measure curve lost monotonicity")
-    for a, b in zip(down_lower, down_lower[1:]):
-        if b > a + 1e-12:
-            raise RuntimeError("certified down-measure curve lost monotonicity")
+    # negation is exact, so b < a - 1e-12 on -down_lower is b > a + 1e-12 on down_lower
+    for name, curve in (("up", mu_lower), ("down", [-v for v in down_lower])):
+        if any(b < a - 1e-12 for a, b in zip(curve, curve[1:])):
+            raise RuntimeError(f"certified {name}-measure curve lost monotonicity")
     return SweepResult(tuple(grid), tuple(estimates), tuple(mu_lower), tuple(down_lower))
 
 

@@ -28,6 +28,7 @@ from .fibers import (
     MapStack,
     _form_key,
     _indexed,
+    _joined,
     _slope,
     _stacked,
     invert,
@@ -97,19 +98,10 @@ class MultistepSkewProduct:
 
     @functools.cached_property
     def map_slots(self) -> tuple[MapStack, np.ndarray]:
-        """The distinct fiber maps, ordered by form, and for each word of the window (by rank) the index of its map.
-
-        Maps are merged by value (they are frozen dataclasses): equal
-        parameters run identical float operations, so any one of them gives
-        the same results bit for bit. The one case where == does not mean
-        identical bits is -0.0 against 0.0, and an in-class map only ever adds
-        such a parameter's term to a nonzero value (c in a + b*x + c*x*(1-x)
-        and b + c*(1-2x), a bump amount in y + amount*y*(1-y)) or takes its abs.
-        """
-        maps = MapStack(dict.fromkeys(self.assignment.values()))
-        index = {fmap: i for i, fmap in enumerate(maps.maps)}
+        """The distinct fiber maps, joined by value (_joined), and per word of the window (by rank) its map's index."""
         words = self.base.words(self.window[0] + self.window[1] + 1)
-        return maps, np.array([index[self.assignment[w]] for w in words], dtype=np.int64)
+        maps, [slots] = _joined([[self.assignment[w] for w in words]])
+        return maps, slots
 
     def fingerprint(self) -> str:
         return hashlib.sha256(json.dumps(self.to_json(), sort_keys=True).encode()).hexdigest()[:16]

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidRegionError
 from .fibers import RealInterval
-from .symbolic import MarkovChain, TransitionSystem, cylinder_measure
+from .symbolic import MarkovChain, TransitionSystem, _at_least, cylinder_measure
 
 
 def measure_boxes(chain: MarkovChain, boxes) -> float:
@@ -82,7 +82,7 @@ class BoxRegion:
     hi: np.ndarray
 
     def __post_init__(self):
-        L, R = window = (int(self.window[0]), int(self.window[1]))
+        L, R = window = tuple(_at_least(k, 0, "region window offset") for k in self.window)
         ranks = np.array(self.ranks, dtype=np.int64)
         lo, hi = np.array(self.lo, dtype=float), np.array(self.hi, dtype=float)
         if not (ranks.ndim == 1 and ranks.shape == lo.shape == hi.shape):

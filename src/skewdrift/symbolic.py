@@ -264,11 +264,13 @@ class SymbolWindow:
     symbols: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.offset, int) or self.offset > 0:
+        # the integer rule of _at_least: any integer, numpy's too, never a bool
+        if isinstance(self.offset, bool) or not isinstance(self.offset, (int, np.integer)) or self.offset > 0:
             raise ValueError("window offset must be an integer <= 0")
         syms = _symbols(self.symbols)
         if not syms:
             raise ValueError("window must be nonempty")
+        object.__setattr__(self, "offset", int(self.offset))
         object.__setattr__(self, "symbols", syms)
 
     @property

@@ -72,6 +72,34 @@ class TestImageGraph:
             assert g.window == (0, 0)
 
 
+def _wide_left_product(system, chain):
+    """Window (11, 0): a step's image window, and so a refinement step's, is 13 > WINDOW_CAP symbols wide."""
+    return sd.MultistepSkewProduct(system, chain, (11, 0), dict.fromkeys(system.words(12), sd.Affine(0.1, 0.8)))
+
+
+class TestWindowCaps:
+    """The window caps of refinement and of a graph's common window with its image refuse one symbol past WINDOW_CAP."""
+
+    def test_refinement_image_window(self, full2, uniform_chain):
+        # every chain is cut at its first step, so every point is left to refinement, whose
+        # constant-graph image needs the same 13-symbol window as certify_drift's
+        product = _wide_left_product(full2, uniform_chain)
+        with pytest.raises(ResourceBoundError, match="image window size 13 exceeds the bound 12"):
+            sd.certify_drift(product, sd.StepGraph.constant(full2, 0.3))
+        with pytest.raises(ResourceBoundError, match="image window size 13 exceeds the bound 12"):
+            sd.classify_point(product, wide_point(product, 0, seed=5, x=0.3), 0)
+        with pytest.raises(ResourceBoundError, match="image window size 13 exceeds the bound 12"):
+            sd.estimate_regions(product, 0, 100, 0)
+
+    def test_common_window_of_graph_and_image(self, full2, const_affine):
+        # the image of a (0, 11) graph under a (0, 0) product lies on (1, 10): each fits, their union (1, 11) does not
+        values = np.random.default_rng(7).uniform(0.1, 0.9, len(full2.word_array(12)))
+        graph = sd.StepGraph(full2, (0, 11), values)
+        assert sd.image_graph(const_affine, graph).window == (1, 10)
+        with pytest.raises(ResourceBoundError, match="common window size 13 exceeds the bound 12"):
+            sd.certify_drift(const_affine, graph)
+
+
 class TestCertifyDrift:
     def test_upward_level(self, const_affine):
         out = sd.certify_drift(const_affine, sd.StepGraph.constant(const_affine.base, 0.1))
@@ -779,6 +807,14 @@ class TestArrayBuild:
         assert sd.DriftClassifier(ms_full, 10).truncated_chains == len(LEVEL_GRID)
         assert sd.DriftClassifier(const_affine, 10).truncated_chains == 0
 
+    def test_every_chain_cut_at_its_first_step(self, full2, uniform_chain):
+        # no witness in either direction, and both regions empty on the default window
+        classifier, up, down = self.check(_wide_left_product(full2, uniform_chain), 0)
+        assert classifier.truncated_chains == len(LEVEL_GRID) and not up and not down
+        for direction in (UP, DOWN):
+            region = classifier.certified_boxes(direction)
+            assert region.window == (0, 0) and len(region.ranks) == 0
+
 
 class _ScalarMaps:
     """Test-side MapStack that evaluates every map on Python floats, one value at a time.
@@ -1254,8 +1290,11 @@ class TestNarrowRows:
 
     @staticmethod
     def narrow_search(classifier, lo, rows, xs):
-        """Index tags and refined levels from rows that reach only _read_hi, as _lookup reads them for sampling."""
-        return classifier._search(lo, *drift._as_batch(rows, xs), False, narrow=True)
+        """_search's index tags and refined levels from rows that reach only _read_hi, as sampling looks them up."""
+        up_tag, down_tag, points, part = classifier._lookup(lo, *drift._as_batch(rows, xs), False, narrow=True)
+        levels = np.full((2, len(up_tag)), np.nan)
+        levels[:, points] = drift._refine([part], False)[0]
+        return up_tag, down_tag, *levels
 
     @staticmethod
     def products(const_plateau, full2, uniform_chain, ms_full):
@@ -1320,43 +1359,6 @@ class TestNarrowRows:
             classifier.classify_arrays(lo, rows, [0.3, 0.7])
 
 
-def _old_form_chains(classifier):
-    """_chains with its keys built as before: a (5, n) block stacked per step, first rows by a running sum."""
-    system = classifier.base
-    levels = np.array(LEVEL_GRID)
-    groups = [((0, 0), np.arange(len(levels)), np.repeat(levels[:, None], system.alphabet_size, axis=1))]
-    found = {}
-    keys = [np.empty((5, 0), dtype=np.int64)]
-    truncated = 0
-    for step in range(classifier.depth + 1):
-        advanced = []
-        for window, chains, values in groups:
-            try:
-                raw, image = drift._image_arrays(
-                    system, classifier.product_window, classifier._maps, classifier._slots, window, values
-                )
-            except ResourceBoundError:
-                truncated += len(chains)
-                continue
-            for image_window, rows, image_values in drift._minimized(system, raw, image):
-                common, g, e, is_up, ok, margin = drift._drift_arrays(
-                    system, window, values[rows], image_window, image_values
-                )
-                hits = np.flatnonzero(ok)
-                k, parts = found.setdefault(common, (len(found), []))
-                n, start = len(hits), sum(len(margins) for *_, margins in parts)
-                keys.append(np.stack([chains[rows[hits]], np.full(n, step), is_up[hits], np.full(n, k),
-                                      np.arange(start, start + n)]))
-                parts.append((g[hits], e[hits], margin[hits]))
-                advanced.append((image_window, chains[rows], image_values))
-        groups = advanced
-    level, step, is_up, group, row = np.concatenate(keys, axis=1)
-    order = np.lexsort((step, level))
-    up, down = order[is_up[order] == 1], order[is_up[order] == 0]
-    witnesses = [(window, *map(np.concatenate, zip(*parts))) for window, (_, parts) in found.items()]
-    return witnesses, (group[up], row[up]), (group[down], row[down]), truncated
-
-
 def _same_arrays(got, want):
     return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
@@ -1371,14 +1373,23 @@ def _assert_same_chains(got, want):
 
 
 class TestChainKeys:
-    """Witness keys built once per classifier give the tags, groups and rows of the per-step stacked keys."""
+    """The chain pass's Up and Down places give the dict reference's witnesses in (level, step) order."""
 
     def check(self, product, depth):
-        classifier = sd.DriftClassifier(product, depth)
-        got, want = next(drift._chains([product], depth)), _old_form_chains(classifier)
-        assert got[3] == classifier.truncated_chains
-        _assert_same_chains(got, want)
-        return classifier
+        witnesses, *places, truncated = next(drift._chains([product], depth))
+        *references, want_truncated = _reference_chains(product, depth)
+        assert truncated == want_truncated
+        system = product.base
+        for (group, row), reference in zip(places, references, strict=True):
+            assert group.dtype == row.dtype == np.int64 and len(group) == len(row) == len(reference)
+            for k, r, (g, e, margin, _key) in zip(group, row, reference):
+                window, graphs, images, margins = witnesses[k]
+                L, R = window
+                words = system.words(L + R + 1)
+                assert g[0] == e[0] == window and margins[r] == margin
+                assert graphs[r].tolist() == [g[1][w] for w in words]
+                assert images[r].tolist() == [e[1][w] for w in words]
+        return truncated
 
     def test_fixture_systems(self, const_affine, const_plateau, two_map, ms_full, golden_ms):
         for product in (const_affine, const_plateau, two_map, ms_full, golden_ms):
@@ -1393,17 +1404,9 @@ class TestChainKeys:
         # window (1, 1) at depth 8 and 10: many groups, chains cut short at the cap
         for product in (ms_full, multistep_affines(full2, uniform_chain, base_offset=0.09)):
             self.check(product, 8)
-        assert self.check(ms_full, 10).truncated_chains == len(LEVEL_GRID)
+        assert self.check(ms_full, 10) == len(LEVEL_GRID)
         for window in [(1, 0), (1, 1)]:
             self.check(_three_symbol_product(window, sd.Affine(0.1, 0.8)), 4)
-
-    def test_one_direction_and_no_witness(self, full2, uniform_chain):
-        self.check(constant_product(full2, uniform_chain, sd.Affine(0.0499, 0.95)), 3)
-        # every chain is cut short at its first step: no witness in either direction
-        wide = sd.MultistepSkewProduct(full2, uniform_chain, (11, 0), {w: sd.Affine(0.1, 0.8) for w in full2.words(12)})
-        classifier = self.check(wide, 0)
-        assert classifier.truncated_chains == len(LEVEL_GRID)
-        assert all(len(place) == 0 for place in (*classifier._up, *classifier._down))
 
 
 def _assert_same_classifier(got, want):
@@ -1431,7 +1434,7 @@ class TestBatchedChains:
         assert len(slices) == len(members)
         for k, (member, chains) in enumerate(zip(members, slices)):
             alone = sd.DriftClassifier(member, depth)
-            _assert_same_chains(chains, _old_form_chains(alone))
+            _assert_same_chains(chains, next(drift._chains([member], depth)))
             assembled = sd.DriftClassifier(member, depth, iter([chains]))
             _assert_same_classifier(assembled, alone)
             points = list(sampled_points(member, depth, 300, seed + k))

@@ -396,22 +396,28 @@ class TestSweep:
         with pytest.raises(FamilyRangeError, match=r"grid leaves the family range \[-0.01, 0.12\]"):
             sd.sweep(fam, [0.0, 0.13], 4, 400, 0)
 
-    def test_down_curve_must_not_increase(self, const_affine, monkeypatch):
-        # the first call accumulates up-regions (a good non-decreasing curve);
-        # the second one accumulates down-regions from the right, and its
-        # decreasing curve becomes an increasing down_lower
+    @staticmethod
+    def check_curve(const_affine, monkeypatch, broken_call, name):
+        # sweep accumulates up-regions, then down-regions from the right: on good regions both running
+        # measures increase (so down_lower, read back to front, decreases); the broken call's decreases
         calls = []
 
-        def broken(regions, chain):
+        def curves(regions, chain):
             calls.append(len(regions))
             curve = [0.1 * i for i in range(len(regions))]
-            return curve if len(calls) == 1 else curve[::-1]
+            return curve[::-1] if len(calls) == broken_call else curve
 
-        monkeypatch.setattr(measure, "_running_union_measures", broken)
+        monkeypatch.setattr(measure, "_running_union_measures", curves)
         fam = sd.MonotoneFamily(const_affine, 1.0, (-0.01, 0.12))
-        with pytest.raises(RuntimeError, match="down-measure curve lost monotonicity"):
+        with pytest.raises(RuntimeError, match=f"^certified {name}-measure curve lost monotonicity$"):
             sd.sweep(fam, [0.0, 0.01, 0.02], 2, 200, 0)
         assert calls == [3, 3]
+
+    def test_up_curve_must_not_decrease(self, const_affine, monkeypatch):
+        self.check_curve(const_affine, monkeypatch, 1, "up")
+
+    def test_down_curve_must_not_increase(self, const_affine, monkeypatch):
+        self.check_curve(const_affine, monkeypatch, 2, "down")
 
 
 class TestSweepChainPass:

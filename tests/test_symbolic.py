@@ -509,7 +509,8 @@ _POINT = sd.LabeledPoint(sd.SymbolWindow(0, (1, 2, 1)), 0.5)
 
 class TestIntegerArguments:
     """Counts, depths, lengths and window offsets follow one rule: an integer (numpy's too, never a bool) at or
-    above a least value, else `<what> must be an integer >= k, got X`."""
+    above a least value, else `<what> must be an integer >= k, got X`. A SymbolWindow offset is such an integer
+    at most 0, else `window offset must be an integer <= 0`."""
 
     @pytest.mark.parametrize("call, message", [
         (lambda s, c: sd.iterate(_constant(s, c), _POINT, True), "iteration count must be an integer >= 1, got True"),
@@ -526,13 +527,21 @@ class TestIntegerArguments:
         (lambda s, c: sd.StepGraph(s, (True, 0), [0.5] * 4), "graph window offset must be an integer >= 0, got True"),
         (lambda s, c: sd.StepGraph(s, (0.0, 0), [0.5] * 2), "graph window offset must be an integer >= 0, got 0.0"),
         (lambda s, c: sd.StepGraph(s, (0.5, 0), [0.5] * 2), "graph window offset must be an integer >= 0, got 0.5"),
+        (lambda s, c: sd.BoxRegion(s, (0.7, 0), [], [], []), "region window offset must be an integer >= 0, got 0.7"),
+        (lambda s, c: sd.BoxRegion(s, (True, 0), [], [], []), "region window offset must be an integer >= 0, got True"),
+        (lambda s, c: sd.BoxRegion(s, (-1, 1), [], [], []), "region window offset must be an integer >= 0, got -1"),
+        (lambda s, c: sd.SymbolWindow(False, (1, 2)), "window offset must be an integer <= 0"),
+        (lambda s, c: sd.SymbolWindow(-1.0, (1, 2)), "window offset must be an integer <= 0"),
+        (lambda s, c: sd.SymbolWindow(np.int64(1), (1, 2)), "window offset must be an integer <= 0"),
         (lambda s, c: sd.hoeffding_radius(0), "sample count must be an integer >= 1, got 0"),
         (lambda s, c: sd.hoeffding_radius(-5), "sample count must be an integer >= 1, got -5"),
         (lambda s, c: sd.hoeffding_radius(2.5), "sample count must be an integer >= 1, got 2.5"),
         (lambda s, c: sd.hoeffding_radius(True), "sample count must be an integer >= 1, got True"),
     ], ids=["iterate-bool", "approximation-bool", "approximation-float", "period-float", "period-bool",
             "period-fraction", "window-bool", "window-float", "window-fraction", "graph-bool", "graph-float",
-            "graph-fraction", "radius-zero", "radius-negative", "radius-fraction", "radius-bool"])
+            "graph-fraction", "region-fraction", "region-bool", "region-negative", "symbol-window-bool",
+            "symbol-window-float", "symbol-window-positive", "radius-zero", "radius-negative", "radius-fraction",
+            "radius-bool"])
     def test_refused(self, full2, uniform_chain, call, message):
         with pytest.raises(ValueError) as info:
             call(full2, uniform_chain)
@@ -544,8 +553,11 @@ class TestIntegerArguments:
         windows = [sd.MultistepSkewProduct(full2, uniform_chain, (np.int64(1), np.int8(0)), dict.fromkeys(
                        full2.words(2), sd.Affine(0.1, 0.8))).window,
                    sd.StepGraph(full2, (np.int64(1), np.int8(0)), [0.5] * 4).window,
+                   sd.BoxRegion(full2, (np.int64(1), np.int8(0)), [3], [0.2], [0.4]).window,
                    sd.multistep_approximation(_spec(full2, uniform_chain), np.int64(1)).window]
-        assert windows == [(1, 0), (1, 0), (1, 1)]
+        assert windows == [(1, 0), (1, 0), (1, 0), (1, 1)]
         assert all(type(k) is int for window in windows for k in window)
+        offset = sd.SymbolWindow(np.int64(-1), (1, 2)).offset
+        assert offset == -1 and type(offset) is int
         assert sd.periodic_words(full2, np.int64(2)) == sd.periodic_words(full2, 2)
         assert sd.hoeffding_radius(np.int64(100)) == sd.hoeffding_radius(100)

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleProductsError, InvalidRegionError, ResourceBoundError, WindowTooShortError
+from .errors import IncompatibleProductsError, ResourceBoundError, WindowTooShortError
 from .fibers import EPS_ROUND, FiberMap, MapStack, _joined, compose_along_word
 from .products import WINDOW_CAP, LabeledPoint, MultistepSkewProduct
 from .regions import BoxRegion, joined_boxes, sweep_rows
-from .symbolic import PeriodicWord, TransitionSystem, _at_least, _symbol_rows
+from .symbolic import PeriodicWord, TransitionSystem, _at_least, _symbol_rows, _window_pair
 
 # Strictness margin for every certified inequality: four orders above
 # accumulated rounding at composition depth <= 64, far below problem scales.
@@ -50,7 +50,7 @@ class StepGraph:
     values: np.ndarray
 
     def __post_init__(self):
-        L, R = (_at_least(k, 0, "graph window offset") for k in self.window)
+        L, R = _window_pair(self.window, "graph window")
         words = self.system.word_array(L + R + 1)
         values = np.array(self.values, dtype=float)
         if values.shape != (len(words),):
@@ -85,6 +85,15 @@ def _point_rank(system: TransitionSystem, window, point_window) -> int:
 # system.word_array(L + R + 1).
 
 
+def _image_window(product_window, window) -> tuple[int, int]:
+    """Raw window of a graph's image (see image_graph); ResourceBoundError past WINDOW_CAP."""
+    (l, r), (L, R) = product_window, window
+    Lp, Rp = max(L, l) + 1, max(max(R, r) - 1, 0)
+    if Lp + Rp + 1 > WINDOW_CAP:
+        raise ResourceBoundError(f"image window size {Lp + Rp + 1} exceeds the bound {WINDOW_CAP}")
+    return Lp, Rp
+
+
 def _image_arrays(system: TransitionSystem, product_window, maps: MapStack, slots, window, values):
     """Raw image window and image values of k graphs given as values (k, W) on a window.
 
@@ -93,13 +102,9 @@ def _image_arrays(system: TransitionSystem, product_window, maps: MapStack, slot
     word are gathers by subword rank, and the maps are evaluated on the
     gathered columns, one array call per map form.
     """
-    l, r = product_window
-    L, R = window
-    Lp = max(L, l) + 1
-    Rp = max(max(R, r) - 1, 0)
+    (l, r), (L, R) = product_window, window
+    Lp, Rp = _image_window(product_window, window)
     size = Lp + Rp + 1
-    if size > WINDOW_CAP:
-        raise ResourceBoundError(f"image window size {size} exceeds the bound {WINDOW_CAP}")
     slot = slots[..., system.sub_ranks(size, Lp - l - 1, l + r + 1)]
     graph_rank = system.sub_ranks(size, Lp - L - 1, L + R + 1)
     return (Lp, Rp), maps.eval_columns(slot, values[:, graph_rank])
@@ -381,7 +386,7 @@ class DriftClassifier:
         self._read_hi = max(self._up_index[0].window[1], self._down_index[0].window[1], self.product_window[1] - 1)
         self._witnesses = [(window, graphs, margins) for window, graphs, _, margins in witnesses]  # no images
         self._certificates = {}  # (direction, tag) -> certificate of an index hit
-        self._check_disjoint()
+        self._verdict_index = self._check_disjoint()  # what verdict-only queries read
 
     def _build_index(self, witnesses: list, places, up: bool) -> tuple[tuple[BoxRegion, np.ndarray], BoxRegion]:
         """Witness-tagged strips for point lookup, and their union as a region.
@@ -409,14 +414,20 @@ class DriftClassifier:
         (words, cols, starts, ends), runs = sweep_rows(lo, hi)
         return (BoxRegion(system, window, words, starts, ends), np.append(cols, -1)), BoxRegion(system, window, *runs)
 
-    def _check_disjoint(self):
-        # certified Up and Down strips can never overlap; a hit is a bug
-        window, ranks, lo, hi = joined_boxes(self._up_region, self._down_region)
+    def _check_disjoint(self) -> tuple[BoxRegion, np.ndarray]:
+        """The Up and Down runs as one region, and each box's verdict code (the codes end with Unknown, box -1's).
+
+        Closed Up and Down strips can never meet, and runs of one direction never do (sweep_rows merges
+        touching pieces), so a box meeting the one before it on its word is an Up/Down contact: a bug.
+        """
+        window, ups, ranks, lo, hi = joined_boxes(self._up_region, self._down_region)
         order = np.lexsort((hi, lo, ranks))
-        try:
-            BoxRegion(self.base, window, ranks[order], lo[order], hi[order])
-        except InvalidRegionError as exc:
-            raise RuntimeError(f"internal inconsistency: Up and Down strips overlap: {exc}") from exc
+        ranks, lo, hi = ranks[order], lo[order], hi[order]
+        meet = 1 + np.flatnonzero((ranks[1:] == ranks[:-1]) & (lo[1:] <= hi[:-1]))
+        if len(meet):
+            raise RuntimeError(f"internal inconsistency: Up and Down strips meet at {lo[meet[0]]}, word rank {ranks[meet[0]]}")
+        codes = np.append(np.where(order < ups, _UP_CODE, _DOWN_CODE), _UNKNOWN_CODE).astype(np.int8)
+        return BoxRegion(self.base, window, ranks, lo, hi), codes
 
     def required_range(self) -> tuple[int, int]:
         l, r = self.product_window
@@ -445,11 +456,10 @@ class DriftClassifier:
         base (a symbol outside the alphabet or a forbidden transition)
         raises ValueError.
         """
-        rows, xs = _as_batch(rows, xs)
-        up_tag, down_tag, up_level, down_level = self._search(lo, rows, xs, False)
-        codes = np.full(len(xs), _UNKNOWN_CODE, dtype=np.int8)
-        codes[(up_tag >= 0) | ~np.isnan(up_level)] = _UP_CODE
-        codes[(down_tag >= 0) | ~np.isnan(down_level)] = _DOWN_CODE
+        codes, points, part = self._lookup(lo, *_as_batch(rows, xs), False, verdicts=True)
+        if len(points):
+            up, down = ~np.isnan(_refine([part], False)[0])
+            codes[points[up]], codes[points[down]] = _UP_CODE, _DOWN_CODE
         return codes
 
     def _point_certificates(self, point: LabeledPoint, exhaustive: bool):
@@ -478,9 +488,12 @@ class DriftClassifier:
             raise RuntimeError(f"internal inconsistency: refined level {level} is not {direction}")
         return DriftCertificate(found, StepGraph(self.base, window, g), margin, self._fingerprint)
 
-    def _lookup(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool, narrow: bool = False):
+    def _lookup(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool, narrow=False, verdicts=False):
         """Per point Up and Down index tags (-1 for none), then the open points and their part (see _refine).
 
+        With verdicts, one array of verdict codes from the joint Up and Down runs takes the place of the
+        tags, which only certificates need. A point inside (0, 1) is open where no index hits it, or, if
+        exhaustive, in each direction whose index misses it.
         Rows cover required_range, with narrow only up to _read_hi, the last coordinate a query reads.
         Raises ValueError for a row that is not a word of the base space.
         """
@@ -491,29 +504,25 @@ class DriftClassifier:
             raise WindowTooShortError((need_lo, need_hi), (lo, have_hi), f"classification at depth {self.depth}")
         self.base.check_rows(lo, rows)
         inside = (xs > 0.0) & (xs < 1.0)
-        indices = (self._up_index, self._down_index)
+        indices = (self._verdict_index,) if verdicts else (self._up_index, self._down_index)
         windows = {pieces.window for pieces, _ in indices}  # one rank search when both share a window
         ranks = {(L, R): self.base.word_ranks(rows, -L - lo, L + R + 1) for L, R in windows}
-        up_tag, down_tag = (
-            np.where(inside, tags[pieces._locate(ranks[pieces.window], xs)], -1) for pieces, tags in indices
-        )
-        if not exhaustive and ((up_tag >= 0) & (down_tag >= 0)).any():
-            raise RuntimeError("internal inconsistency: point certified both Up and Down")
-        open_up, open_down = inside & (up_tag < 0), inside & (down_tag < 0)
-        if not exhaustive:
-            open_up = open_down = open_up & open_down
+        hits = [tags[np.where(inside, pieces._locate(ranks[pieces.window], xs), -1)] for pieces, tags in indices]
+        opens = [inside & (hit == tags[-1]) for hit, (_, tags) in zip(hits, indices)]
+        open_up, open_down = opens if exhaustive else [opens[0] & opens[-1]] * 2  # open in every index
         points = np.flatnonzero(open_up | open_down)
         l, r = self.product_window
-        size = l + 2 + max(r - 1, 0)
-        if len(points) and size > WINDOW_CAP:
-            raise ResourceBoundError(f"image window size {size} exceeds the bound {WINDOW_CAP}")
+        if len(points):
+            _image_window(self.product_window, (0, 0))  # refinement tries constant graphs
         ranks = self.base.word_ranks(rows[points], -l - 1 - lo, l + r + 1) if len(points) else points
         part = (self._maps, self._slots[ranks], xs[points], open_up[points], open_down[points])
-        return up_tag, down_tag, points, part
+        return *hits, points, part
 
     def _search(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool):
         """Per point: Up and Down index tags (-1 for none), then Up and Down refined levels (NaN for none)."""
         up_tag, down_tag, points, part = self._lookup(lo, rows, xs, exhaustive)
+        if not exhaustive and ((up_tag >= 0) & (down_tag >= 0)).any():
+            raise RuntimeError("internal inconsistency: point certified both Up and Down")
         levels = np.full((2, len(xs)), np.nan)
         if len(points):  # most scalar queries end at the index
             levels[:, points] = _refine([part], exhaustive)[0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drift import DOWN, UP, DriftClassifier, _chains, _refine, get_classifier
+from .drift import _DOWN_CODE, _UP_CODE, DOWN, UP, VERDICTS, DriftClassifier, _chains, _refine, get_classifier
 from .errors import FamilyRangeError, ToleranceError
 from .fibers import Affine, BumpComposed, BumpedAffine, FiberMap, validate_class
 from .products import MultistepSkewProduct, ProductOrder, compare_order
@@ -118,12 +118,12 @@ def _looked_up(classifier: DriftClassifier, chain, n: int, seed) -> tuple:
     xs = uniforms[:, width].copy()
     symbol_rows = _symbols_from_uniforms(chain, uniforms[:, : classifier._read_hi - lo + 1])
     del uniforms  # classification needs only the symbols and xs
-    up_tag, down_tag, _, part = classifier._lookup(lo, symbol_rows, xs, False, narrow=True)
+    codes, _, part = classifier._lookup(lo, symbol_rows, xs, False, narrow=True, verdicts=True)
     up_region, down_region = classifier.certified_boxes(UP), classifier.certified_boxes(DOWN)
     estimate = functools.partial(RegionEstimate, up_region.measure(chain), down_region.measure(chain),
                                  radius=hoeffding_radius(n), n_samples=n, depth=classifier.depth, seed=seed,
                                  up_region=up_region, down_region=down_region)
-    return np.array([(up_tag >= 0).sum(), (down_tag >= 0).sum()]), part, estimate
+    return np.bincount(codes, minlength=len(VERDICTS))[[_UP_CODE, _DOWN_CODE]], part, estimate
 
 
 @dataclass(frozen=True, eq=False)

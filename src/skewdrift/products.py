@@ -36,7 +36,7 @@ from .fibers import (
     map_to_json,
     validate_class,
 )
-from .symbolic import MarkovChain, SymbolWindow, TransitionSystem, _at_least, _symbol_rows
+from .symbolic import MarkovChain, SymbolWindow, TransitionSystem, _at_least, _symbol_rows, _window_pair
 
 # Hard cap on dependence-window size, shared with the drift-witness machinery.
 WINDOW_CAP = 12
@@ -74,7 +74,7 @@ class MultistepSkewProduct:
     _classifiers: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        l, r = (_at_least(k, 0, "window offset") for k in self.window)
+        l, r = _window_pair(self.window, "window")
         size = l + r + 1
         if size > WINDOW_CAP:
             raise ResourceBoundError(f"window size {size} exceeds the bound {WINDOW_CAP}")

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidRegionError
 from .fibers import RealInterval
-from .symbolic import MarkovChain, TransitionSystem, _at_least, cylinder_measure
+from .symbolic import MarkovChain, TransitionSystem, _window_pair, cylinder_measure
 
 
 def measure_boxes(chain: MarkovChain, boxes) -> float:
@@ -82,7 +82,7 @@ class BoxRegion:
     hi: np.ndarray
 
     def __post_init__(self):
-        L, R = window = tuple(_at_least(k, 0, "region window offset") for k in self.window)
+        L, R = window = _window_pair(self.window, "region window")
         ranks = np.array(self.ranks, dtype=np.int64)
         lo, hi = np.array(self.lo, dtype=float), np.array(self.hi, dtype=float)
         if not (ranks.ndim == 1 and ranks.shape == lo.shape == hi.shape):
@@ -155,17 +155,18 @@ class BoxRegion:
 
 
 def joined_boxes(a: BoxRegion, b: BoxRegion):
-    """The common window of two regions, and the ranks, lo and hi of both regions' boxes on it, a's first."""
+    """The common window of two regions, a's box count on it, and both regions' box ranks, lo and hi on it, a's first."""
     if not a.system.same_base(b.system):
         raise InvalidRegionError("regions live over different bases")
     window = (max(a.window[0], b.window[0]), max(a.window[1], b.window[1]))
     ra, rb = a.refined(window), b.refined(window)
-    return (window, *(np.concatenate(pair) for pair in zip((ra.ranks, ra.lo, ra.hi), (rb.ranks, rb.lo, rb.hi))))
+    boxes = (np.concatenate(pair) for pair in zip((ra.ranks, ra.lo, ra.hi), (rb.ranks, rb.lo, rb.hi)))
+    return (window, len(ra.ranks), *boxes)
 
 
 def region_union(a: BoxRegion, b: BoxRegion) -> BoxRegion:
     """Set union of two box regions, exact on the common refined window."""
-    window, ranks, lo, hi = joined_boxes(a, b)
+    window, _, ranks, lo, hi = joined_boxes(a, b)
     order = np.argsort(ranks, kind="stable")
     ranks, lo, hi = ranks[order], lo[order], hi[order]
     col = np.arange(len(ranks)) - np.searchsorted(ranks, ranks)  # place among the word's intervals

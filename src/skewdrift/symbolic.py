@@ -244,6 +244,14 @@ def _at_least(value, least: int, what: str) -> int:
     raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
+def _window_pair(window, what: str) -> tuple[int, int]:
+    """The window's two offsets as plain ints >= 0 (see _at_least); ValueError naming the window unless it is a pair."""
+    offsets = tuple(window)
+    if len(offsets) != 2:
+        raise ValueError(f"{what} must be a pair of offsets, got {window!r}")
+    return tuple(_at_least(k, 0, f"{what} offset") for k in offsets)
+
+
 def _symbol_rows(rows) -> np.ndarray:
     """rows as int64, or as Python ints if a symbol is beyond int64, for check_rows to refuse it by value."""
     try:

@@ -1285,16 +1285,21 @@ class TestMixedPartRefine:
         assert found[0].any() and found[1].any() and not (found[0] & found[1]).any()
 
 
+def _index_codes(up_tag, down_tag):
+    """Verdict codes of the tagged-piece lookups: Up where an Up piece holds the point, Down where a Down one does."""
+    return np.select([up_tag >= 0, down_tag >= 0], [drift._UP_CODE, drift._DOWN_CODE], drift._UNKNOWN_CODE)
+
+
 class TestNarrowRows:
     """The private entry sampled estimates use reads rows only up to the last coordinate a query reads."""
 
     @staticmethod
     def narrow_search(classifier, lo, rows, xs):
-        """_search's index tags and refined levels from rows that reach only _read_hi, as sampling looks them up."""
-        up_tag, down_tag, points, part = classifier._lookup(lo, *drift._as_batch(rows, xs), False, narrow=True)
-        levels = np.full((2, len(up_tag)), np.nan)
+        """Index verdict codes, open points and refined levels from rows that reach only _read_hi, as sampling reads them."""
+        codes, points, part = classifier._lookup(lo, *drift._as_batch(rows, xs), False, narrow=True, verdicts=True)
+        levels = np.full((2, len(codes)), np.nan)
         levels[:, points] = drift._refine([part], False)[0]
-        return up_tag, down_tag, *levels
+        return codes, points, levels
 
     @staticmethod
     def products(const_plateau, full2, uniform_chain, ms_full):
@@ -1321,8 +1326,13 @@ class TestNarrowRows:
             assert np.array_equal(narrow, full[:, : read - lo + 1])
             xs = uniforms[:, -1]
             xs[:4] = (0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0))
-            got, want = self.narrow_search(classifier, lo, narrow, xs), classifier._search(lo, full, xs, False)
-            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+            # every point: the index verdict, whether it is open, and its refined levels, against full-row _search
+            codes, points, levels = self.narrow_search(classifier, lo, narrow, xs)
+            up_tag, down_tag, *want_levels = classifier._search(lo, full, xs, False)
+            assert codes.dtype == np.int8 and np.array_equal(codes, _index_codes(up_tag, down_tag))
+            inside = (xs > 0.0) & (xs < 1.0)
+            assert np.array_equal(points, np.flatnonzero(inside & (up_tag < 0) & (down_tag < 0)))
+            assert np.array_equal(levels, want_levels, equal_nan=True)
             assert len(set(classifier.classify_arrays(lo, full, xs).tolist())) == 3
 
     def test_rows_short_of_read_hi(self, const_plateau, full2, uniform_chain, ms_full):
@@ -1357,6 +1367,88 @@ class TestNarrowRows:
         assert len(TestNarrowRows.narrow_search(classifier, lo, rows[:, : read - lo + 1], [0.3, 0.7])[0]) == 2
         with pytest.raises(ValueError, match="of point 1 is forbidden"):
             classifier.classify_arrays(lo, rows, [0.3, 0.7])
+
+
+def _extended_rows(system, words, left: int, right: int) -> np.ndarray:
+    """Admissible rows: each word with left symbols before it and right after, each the first one allowed."""
+    first_before = system.transitions.argmax(axis=0) + 1  # per symbol, its least allowed predecessor
+    first_after = system.transitions.argmax(axis=1) + 1
+    columns = list(np.asarray(words, dtype=np.int64).T)
+    for _ in range(left):
+        columns.insert(0, first_before[columns[0] - 1])
+    for _ in range(right):
+        columns.append(first_after[columns[-1] - 1])
+    return np.array(columns).T
+
+
+class TestVerdictRoute:
+    """Verdict-only lookups read one joint region of Up and Down runs; its codes are the tagged pieces' hits."""
+
+    @staticmethod
+    def shipped():
+        for name in ("constant_affine.json", "golden_affine.json"):
+            cfg = load_config(str(CONFIGS / name))
+            yield cfg.product, cfg.analysis.depth
+        cfg = load_config(str(CONFIGS / "plateau_family.json"))
+        yield from ((sd.family_member(cfg.family, tau), cfg.analysis.depth) for tau in cfg.analysis.grid)
+
+    @staticmethod
+    def endpoint_points(classifier):
+        """(word rank, x) on the joint window: every piece and run endpoint, each one ulp either side, and four edges."""
+        region, _ = classifier._verdict_index
+        indices = [classifier._up_index[0], classifier._down_index[0]]
+        boxes = [r.refined(region.window) for r in indices + [classifier.certified_boxes(d) for d in (UP, DOWN)]]
+        ranks = np.concatenate([np.tile(b.ranks, 2) for b in boxes])
+        ends = np.concatenate([np.concatenate((b.lo, b.hi)) for b in boxes])
+        near = np.stack((np.nextafter(ends, -np.inf), ends, np.nextafter(ends, np.inf)), axis=1).ravel()
+        words = np.unique(ranks)
+        edges = np.tile([0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0)], len(words))
+        return np.concatenate([np.repeat(ranks, 3), np.repeat(words, 4)]), np.concatenate((near, edges))
+
+    def check(self, product, depth):
+        classifier = sd.get_classifier(product, depth)
+        region, codes = classifier._verdict_index
+        assert codes.dtype == np.int8 and codes[-1] == drift._UNKNOWN_CODE and len(codes) == len(region.ranks) + 1
+        ranks, xs = self.endpoint_points(classifier)
+        lo, hi = classifier.required_range()
+        (L, R), words = region.window, product.base.word_array(sum(region.window) + 1)
+        rows = _extended_rows(product.base, words[ranks], -L - lo, hi - R)
+        verdicts, points, _ = classifier._lookup(lo, rows, xs, False, verdicts=True)
+        up_tag, down_tag, tag_points, _ = classifier._lookup(lo, rows, xs, False)
+        assert np.array_equal(verdicts, _index_codes(up_tag, down_tag)) and np.array_equal(points, tag_points)
+        assert not ((up_tag >= 0) & (down_tag >= 0)).any()
+        return len(xs), set(verdicts.tolist())
+
+    def test_shipped_configs(self):
+        seen = [self.check(product, depth) for product, depth in self.shipped()]
+        assert sum(n for n, _ in seen) > 250000
+        assert set().union(*(codes for _, codes in seen)) == {drift._UP_CODE, drift._DOWN_CODE, drift._UNKNOWN_CODE}
+
+    def test_narrow_rows_products(self, const_plateau, full2, uniform_chain, ms_full):
+        for product, depth in TestNarrowRows.products(const_plateau, full2, uniform_chain, ms_full):
+            self.check(product, depth)
+
+    def test_touching_up_and_down_runs_raise(self, const_affine):
+        classifier = sd.get_classifier(const_affine, 2)
+        system = const_affine.base
+
+        def joint(up, down):
+            classifier._up_region, classifier._down_region = up, down
+            return classifier._check_disjoint()
+
+        # Up [0.2, 0.5] and Down [0.5, 0.8] on word (1,) share the point 0.5, also when Down lies on a wider window
+        up = sd.BoxRegion(system, (0, 0), [0], [0.2], [0.5])
+        for down in (sd.BoxRegion(system, (0, 0), [0, 1], [0.5, 0.5], [0.8, 0.8]),
+                     sd.BoxRegion(system, (1, 0), [2], [0.5], [0.8])):  # word (2, 1) on coordinates -1, 0
+            with pytest.raises(RuntimeError, match="Up and Down strips meet at 0.5, word rank"):
+                joint(up, down)
+            with pytest.raises(RuntimeError, match="Up and Down strips meet at 0.3, word rank"):
+                joint(up, sd.BoxRegion(system, down.window, down.ranks, down.lo - 0.2, down.hi))
+        # one ulp apart they are disjoint: the joint region keeps both, in (rank, lo) order with their codes
+        down = sd.BoxRegion(system, (0, 0), [0, 1], [np.nextafter(0.5, 1.0), 0.3], [0.8, 0.4])
+        region, codes = joint(up, down)
+        assert region.ranks.tolist() == [0, 0, 1] and region.lo.tolist() == [0.2, np.nextafter(0.5, 1.0), 0.3]
+        assert codes.tolist() == [drift._UP_CODE, drift._DOWN_CODE, drift._DOWN_CODE, drift._UNKNOWN_CODE]
 
 
 def _same_arrays(got, want):

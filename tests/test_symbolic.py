@@ -510,7 +510,8 @@ _POINT = sd.LabeledPoint(sd.SymbolWindow(0, (1, 2, 1)), 0.5)
 class TestIntegerArguments:
     """Counts, depths, lengths and window offsets follow one rule: an integer (numpy's too, never a bool) at or
     above a least value, else `<what> must be an integer >= k, got X`. A SymbolWindow offset is such an integer
-    at most 0, else `window offset must be an integer <= 0`."""
+    at most 0, else `window offset must be an integer <= 0`. A product, graph or region window is a pair of
+    such offsets, else `<what> must be a pair of offsets, got W`."""
 
     @pytest.mark.parametrize("call, message", [
         (lambda s, c: sd.iterate(_constant(s, c), _POINT, True), "iteration count must be an integer >= 1, got True"),
@@ -530,6 +531,12 @@ class TestIntegerArguments:
         (lambda s, c: sd.BoxRegion(s, (0.7, 0), [], [], []), "region window offset must be an integer >= 0, got 0.7"),
         (lambda s, c: sd.BoxRegion(s, (True, 0), [], [], []), "region window offset must be an integer >= 0, got True"),
         (lambda s, c: sd.BoxRegion(s, (-1, 1), [], [], []), "region window offset must be an integer >= 0, got -1"),
+        (lambda s, c: sd.MultistepSkewProduct(s, c, (0, 0, 0), {}), "window must be a pair of offsets, got (0, 0, 0)"),
+        (lambda s, c: sd.MultistepSkewProduct(s, c, (0,), {}), "window must be a pair of offsets, got (0,)"),
+        (lambda s, c: sd.StepGraph(s, (0, 0, 0), [0.5] * 8), "graph window must be a pair of offsets, got (0, 0, 0)"),
+        (lambda s, c: sd.StepGraph(s, (0,), [0.5] * 2), "graph window must be a pair of offsets, got (0,)"),
+        (lambda s, c: sd.BoxRegion(s, (0, 0, 0), [], [], []), "region window must be a pair of offsets, got (0, 0, 0)"),
+        (lambda s, c: sd.BoxRegion(s, (0,), [], [], []), "region window must be a pair of offsets, got (0,)"),
         (lambda s, c: sd.SymbolWindow(False, (1, 2)), "window offset must be an integer <= 0"),
         (lambda s, c: sd.SymbolWindow(-1.0, (1, 2)), "window offset must be an integer <= 0"),
         (lambda s, c: sd.SymbolWindow(np.int64(1), (1, 2)), "window offset must be an integer <= 0"),
@@ -539,7 +546,8 @@ class TestIntegerArguments:
         (lambda s, c: sd.hoeffding_radius(True), "sample count must be an integer >= 1, got True"),
     ], ids=["iterate-bool", "approximation-bool", "approximation-float", "period-float", "period-bool",
             "period-fraction", "window-bool", "window-float", "window-fraction", "graph-bool", "graph-float",
-            "graph-fraction", "region-fraction", "region-bool", "region-negative", "symbol-window-bool",
+            "graph-fraction", "region-fraction", "region-bool", "region-negative", "window-triple", "window-single",
+            "graph-triple", "graph-single", "region-triple", "region-single", "symbol-window-bool",
             "symbol-window-float", "symbol-window-positive", "radius-zero", "radius-negative", "radius-fraction",
             "radius-bool"])
     def test_refused(self, full2, uniform_chain, call, message):

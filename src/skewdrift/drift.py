@@ -382,11 +382,11 @@ class DriftClassifier:
         self._maps, self._slots = product.map_slots
         self._up_index, self._up_region = self._build_index(witnesses, self._up, up=True)
         self._down_index, self._down_region = self._build_index(witnesses, self._down, up=False)
-        # the last coordinate a query reads: an index window's right end, or r - 1 for refinement
-        self._read_hi = max(self._up_index[0].window[1], self._down_index[0].window[1], self.product_window[1] - 1)
         self._witnesses = [(window, graphs, margins) for window, graphs, _, margins in witnesses]  # no images
         self._certificates = {}  # (direction, tag) -> certificate of an index hit
-        self._verdict_index = self._check_disjoint()  # what verdict-only queries read
+        self._verdict_index = self._check_disjoint()  # where every query reads a point's verdict
+        # the last coordinate a query reads: the joint window's right end, or r - 1 for refinement
+        self._read_hi = max(self._verdict_index[0].window[1], self.product_window[1] - 1)
 
     def _build_index(self, witnesses: list, places, up: bool) -> tuple[tuple[BoxRegion, np.ndarray], BoxRegion]:
         """Witness-tagged strips for point lookup, and their union as a region.
@@ -421,12 +421,10 @@ class DriftClassifier:
         touching pieces), so a box meeting the one before it on its word is an Up/Down contact: a bug.
         """
         window, ups, ranks, lo, hi = joined_boxes(self._up_region, self._down_region)
-        order = np.lexsort((hi, lo, ranks))
-        ranks, lo, hi = ranks[order], lo[order], hi[order]
         meet = 1 + np.flatnonzero((ranks[1:] == ranks[:-1]) & (lo[1:] <= hi[:-1]))
         if len(meet):
             raise RuntimeError(f"internal inconsistency: Up and Down strips meet at {lo[meet[0]]}, word rank {ranks[meet[0]]}")
-        codes = np.append(np.where(order < ups, _UP_CODE, _DOWN_CODE), _UNKNOWN_CODE).astype(np.int8)
+        codes = np.append(np.where(ups, _UP_CODE, _DOWN_CODE), _UNKNOWN_CODE).astype(np.int8)
         return BoxRegion(self.base, window, ranks, lo, hi), codes
 
     def required_range(self) -> tuple[int, int]:
@@ -438,13 +436,12 @@ class DriftClassifier:
         return self._up_region if direction == UP else self._down_region
 
     def classify(self, point: LabeledPoint) -> Classification:
-        up_cert, down_cert = self._point_certificates(point, exhaustive=False)
-        verdict = UP if up_cert is not None else DOWN if down_cert is not None else UNKNOWN
-        return Classification(verdict, up_cert or down_cert, self.depth)
+        code, up_cert, down_cert = self._point_certificates(point, exhaustive=False)
+        return Classification(VERDICTS[code], up_cert or down_cert, self.depth)
 
     def search_certificates(self, point: LabeledPoint) -> tuple[DriftCertificate | None, DriftCertificate | None]:
         """Exhaustive independent searches in both directions (soundness testing)."""
-        return self._point_certificates(point, exhaustive=True)
+        return self._point_certificates(point, exhaustive=True)[1:]
 
     def classify_arrays(self, lo: int, rows, xs) -> np.ndarray:
         """Verdict codes, indices into VERDICTS, for a batch of points.
@@ -456,19 +453,19 @@ class DriftClassifier:
         base (a symbol outside the alphabet or a forbidden transition)
         raises ValueError.
         """
-        codes, points, part = self._lookup(lo, *_as_batch(rows, xs), False, verdicts=True)
-        if len(points):
-            up, down = ~np.isnan(_refine([part], False)[0])
-            codes[points[up]], codes[points[down]] = _UP_CODE, _DOWN_CODE
-        return codes
+        return self._search(lo, *_as_batch(rows, xs), False)[0]
 
     def _point_certificates(self, point: LabeledPoint, exhaustive: bool):
-        rows, xs = _as_batch([point.window.symbols], [point.x])
-        up_tag, down_tag, up_level, down_level = self._search(point.window.lo, rows, xs, exhaustive)
-        return (
-            self._certificate(UP, int(up_tag[0]), float(up_level[0])),
-            self._certificate(DOWN, int(down_tag[0]), float(down_level[0])),
-        )
+        """A point's verdict code, Up and Down certificates; only an index hit's tag is read, from its pieces."""
+        lo, (rows, xs) = point.window.lo, _as_batch([point.window.symbols], [point.x])
+        (code,), *levels = self._search(lo, rows, xs, exhaustive)
+        hit = [-1, -1]  # per direction the tag of an index hit: a code no refined level set
+        if code != _UNKNOWN_CODE and np.isnan(levels[code][0]):
+            pieces, tags = (self._up_index, self._down_index)[code]
+            hit[code] = int(tags[pieces._locate(lo, rows, xs)[0]])
+            if hit[code] < 0:
+                raise RuntimeError(f"internal inconsistency: no {VERDICTS[code]} piece holds a point its runs hold")
+        return code, *(self._certificate(d, tag, float(level[0])) for d, tag, level in zip((UP, DOWN), hit, levels))
 
     def _certificate(self, direction: str, tag: int, level: float) -> DriftCertificate | None:
         """Witness of an index hit (tag >= 0, built once per tag) or of a refined level (not NaN)."""
@@ -488,45 +485,45 @@ class DriftClassifier:
             raise RuntimeError(f"internal inconsistency: refined level {level} is not {direction}")
         return DriftCertificate(found, StepGraph(self.base, window, g), margin, self._fingerprint)
 
-    def _lookup(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool, narrow=False, verdicts=False):
-        """Per point Up and Down index tags (-1 for none), then the open points and their part (see _refine).
+    def _check_cover(self, lo: int, rows: np.ndarray, hi: int):
+        """WindowTooShortError unless rows on coordinates lo.. cover required_range()[0] up to hi."""
+        need, have = (self.required_range()[0], hi), (lo, lo + rows.shape[1] - 1)
+        if not (have[0] <= need[0] and need[1] <= have[1]):
+            raise WindowTooShortError(need, have, f"classification at depth {self.depth}")
 
-        With verdicts, one array of verdict codes from the joint Up and Down runs takes the place of the
-        tags, which only certificates need. A point inside (0, 1) is open where no index hits it, or, if
-        exhaustive, in each direction whose index misses it.
-        Rows cover required_range, with narrow only up to _read_hi, the last coordinate a query reads.
-        Raises ValueError for a row that is not a word of the base space.
+    def _lookup(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool):
+        """Per point its verdict code, one lookup in the joint Up and Down runs, then the open points and their part.
+
+        A point inside (0, 1) is open (see _refine) where it is coded Unknown, or, if exhaustive, in each
+        direction it is not coded: the runs are the pieces' union and never meet (_check_disjoint).
+        Rows cover required_range()[0] up to _read_hi, the last coordinate a query reads; a row that is
+        not a word of the base space raises ValueError.
         """
-        need_lo, need_hi = self.required_range()
-        need_hi = self._read_hi if narrow else need_hi
-        have_hi = lo + rows.shape[1] - 1
-        if not (lo <= need_lo and need_hi <= have_hi):
-            raise WindowTooShortError((need_lo, need_hi), (lo, have_hi), f"classification at depth {self.depth}")
+        self._check_cover(lo, rows, self._read_hi)
         self.base.check_rows(lo, rows)
+        region, codes = self._verdict_index
         inside = (xs > 0.0) & (xs < 1.0)
-        indices = (self._verdict_index,) if verdicts else (self._up_index, self._down_index)
-        windows = {pieces.window for pieces, _ in indices}  # one rank search when both share a window
-        ranks = {(L, R): self.base.word_ranks(rows, -L - lo, L + R + 1) for L, R in windows}
-        hits = [tags[np.where(inside, pieces._locate(ranks[pieces.window], xs), -1)] for pieces, tags in indices]
-        opens = [inside & (hit == tags[-1]) for hit, (_, tags) in zip(hits, indices)]
-        open_up, open_down = opens if exhaustive else [opens[0] & opens[-1]] * 2  # open in every index
+        code = codes[np.where(inside, region._locate(lo, rows, xs), -1)]
+        unknown = inside & (code == _UNKNOWN_CODE)
+        open_up, open_down = (inside & (code != c) for c in (_UP_CODE, _DOWN_CODE)) if exhaustive else (unknown,) * 2
         points = np.flatnonzero(open_up | open_down)
         l, r = self.product_window
         if len(points):
             _image_window(self.product_window, (0, 0))  # refinement tries constant graphs
         ranks = self.base.word_ranks(rows[points], -l - 1 - lo, l + r + 1) if len(points) else points
         part = (self._maps, self._slots[ranks], xs[points], open_up[points], open_down[points])
-        return *hits, points, part
+        return code, points, part
 
     def _search(self, lo: int, rows: np.ndarray, xs: np.ndarray, exhaustive: bool):
-        """Per point: Up and Down index tags (-1 for none), then Up and Down refined levels (NaN for none)."""
-        up_tag, down_tag, points, part = self._lookup(lo, rows, xs, exhaustive)
-        if not exhaustive and ((up_tag >= 0) & (down_tag >= 0)).any():
-            raise RuntimeError("internal inconsistency: point certified both Up and Down")
+        """Per point: verdict codes (the index's if exhaustive), then Up and Down refined levels (NaN for none)."""
+        self._check_cover(lo, rows, self.required_range()[1])
+        codes, points, part = self._lookup(lo, rows, xs, exhaustive)
         levels = np.full((2, len(xs)), np.nan)
         if len(points):  # most scalar queries end at the index
             levels[:, points] = _refine([part], exhaustive)[0]
-        return up_tag, down_tag, *levels
+            if not exhaustive:
+                codes[~np.isnan(levels[0])], codes[~np.isnan(levels[1])] = _UP_CODE, _DOWN_CODE
+        return codes, *levels
 
 
 def _refine(parts: list, exhaustive: bool) -> list:

@@ -77,12 +77,13 @@ def estimate_regions(product: MultistepSkewProduct, depth: int, n: int, seed) ->
     """Classify n sampled points at the given depth and measure certified boxes.
 
     Sampling draws a private row of uniforms per point up front, so the result
-    is a pure function of the seed regardless of execution order. A row holds
-    a uniform per coordinate of required_range, then x, but symbols are drawn
+    is a pure function of the seed, an integer >= 0 or a tuple of them. A row
+    holds a uniform per coordinate of required_range, then x; symbols are drawn
     (left to right) and checked only up to the last coordinate a query reads.
     n must be an integer >= 100. This is sweep's _estimates for one product.
     """
-    return _estimates([product], depth, _at_least(n, 100, "sample count"), [seed])[0]
+    seed = tuple(_at_least(v, 0, "seed") for v in seed) if isinstance(seed, tuple) else _at_least(seed, 0, "seed")
+    return _estimates([product], _at_least(depth, 0, "search depth"), _at_least(n, 100, "sample count"), [seed])[0]
 
 
 # Most searches (two per open point) one _refine batch of consecutive members holds, a larger part
@@ -90,9 +91,9 @@ def estimate_regions(product: MultistepSkewProduct, depth: int, n: int, seed) ->
 REFINE_BATCH = 2**14
 
 
-def _estimates(members: list, depth, n: int, seeds, chains=None) -> list[RegionEstimate]:
-    """Estimates at the seeds; a member gets get_classifier(member, depth, chains) and is dropped after its lookup."""
-    looked = []
+def _estimates(members: list, depth, n: int, seeds) -> list[RegionEstimate]:
+    """Estimates at the seeds, from one chain pass over the members without a classifier; each goes after its lookup."""
+    chains, looked = _chains([m for m in members if depth not in m._classifiers], depth), []
     for i, seed in enumerate(seeds):
         looked.append(_looked_up(get_classifier(members[i], depth, chains), members[i].chain, n, seed))
         members[i] = None
@@ -118,7 +119,7 @@ def _looked_up(classifier: DriftClassifier, chain, n: int, seed) -> tuple:
     xs = uniforms[:, width].copy()
     symbol_rows = _symbols_from_uniforms(chain, uniforms[:, : classifier._read_hi - lo + 1])
     del uniforms  # classification needs only the symbols and xs
-    codes, _, part = classifier._lookup(lo, symbol_rows, xs, False, narrow=True, verdicts=True)
+    codes, _, part = classifier._lookup(lo, symbol_rows, xs, False)
     up_region, down_region = classifier.certified_boxes(UP), classifier.certified_boxes(DOWN)
     estimate = functools.partial(RegionEstimate, up_region.measure(chain), down_region.measure(chain),
                                  radius=hoeffding_radius(n), n_samples=n, depth=classifier.depth, seed=seed,
@@ -233,18 +234,17 @@ def sweep(
     smaller parameter remain valid at larger ones, which makes the recorded
     lower curves monotone by construction. A member without a classifier at
     the depth gets one built from its share of one chain pass over all such
-    members (get_classifier(member, depth, pending)) just before its lookup;
-    the open points of consecutive members are refined in lockstep batches.
+    members just before its lookup (see _estimates); the open points of
+    consecutive members are refined in lockstep batches.
     """
     grid = [float(t) for t in grid]
     problem = _grid_problem(grid, family.tau_range)
     if problem:
         raise problem
     chain = family.base_product.chain
-    n, depth = _at_least(n, 100, "sample count"), _at_least(depth, 0, "search depth")
+    n, depth, seed = _at_least(n, 100, "sample count"), _at_least(depth, 0, "search depth"), _at_least(seed, 0, "seed")
     members = [family_member(family, tau) for tau in grid]
-    pending = _chains([m for m in members if depth not in m._classifiers], depth)
-    estimates = _estimates(members, depth, n, [(seed, i) for i in range(len(grid))], pending)
+    estimates = _estimates(members, depth, n, [(seed, i) for i in range(len(grid))])
     mu_lower = _running_union_measures([e.up_region for e in estimates], chain)
     down_lower = _running_union_measures([e.down_region for e in reversed(estimates)], chain)[::-1]
     # negation is exact, so b < a - 1e-12 on -down_lower is b > a + 1e-12 on down_lower

@@ -127,17 +127,18 @@ class BoxRegion:
         keys.imag = self.lo
         return keys
 
-    def _locate(self, ranks: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    def _locate(self, lo: int, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Index of the box holding each point, -1 where none does.
 
-        ranks are the points' word ranks on the window (admissible words, as the
-        classifier checks) and xs their fiber coordinates. Boxes are keyed by (rank,
-        lo) as one complex number; numpy orders complex numbers lexicographically,
-        so one searchsorted finds each point's last box of its word at or below it.
+        rows hold the points' symbols on coordinates lo.. (admissible words covering the window,
+        as the classifier checks) and xs their fiber coordinates. Boxes are keyed by (rank, lo)
+        as one complex number; numpy orders complex numbers lexicographically, so one
+        searchsorted finds each point's last box of its word at or below it.
         """
         if not len(self.ranks):
             return np.full(len(xs), -1)
-        keys = ranks.astype(complex)
+        L, R = self.window
+        keys = self.system.word_ranks(rows, -L - lo, L + R + 1).astype(complex)
         keys.imag = xs
         i = np.searchsorted(self._keys, keys, side="right") - 1
         return np.where((i >= 0) & (self.ranks[i] == keys.real) & (xs <= self.hi[i]), i, -1)
@@ -155,20 +156,19 @@ class BoxRegion:
 
 
 def joined_boxes(a: BoxRegion, b: BoxRegion):
-    """The common window of two regions, a's box count on it, and both regions' box ranks, lo and hi on it, a's first."""
+    """Common window of two regions, and both regions' boxes on it by (rank, lo, hi): is-a's mask, ranks, lo, hi."""
     if not a.system.same_base(b.system):
         raise InvalidRegionError("regions live over different bases")
     window = (max(a.window[0], b.window[0]), max(a.window[1], b.window[1]))
     ra, rb = a.refined(window), b.refined(window)
-    boxes = (np.concatenate(pair) for pair in zip((ra.ranks, ra.lo, ra.hi), (rb.ranks, rb.lo, rb.hi)))
-    return (window, len(ra.ranks), *boxes)
+    ranks, lo, hi = (np.concatenate(pair) for pair in zip((ra.ranks, ra.lo, ra.hi), (rb.ranks, rb.lo, rb.hi)))
+    order = np.lexsort((hi, lo, ranks))
+    return window, order < len(ra.ranks), ranks[order], lo[order], hi[order]
 
 
 def region_union(a: BoxRegion, b: BoxRegion) -> BoxRegion:
     """Set union of two box regions, exact on the common refined window."""
     window, _, ranks, lo, hi = joined_boxes(a, b)
-    order = np.argsort(ranks, kind="stable")
-    ranks, lo, hi = ranks[order], lo[order], hi[order]
     col = np.arange(len(ranks)) - np.searchsorted(ranks, ranks)  # place among the word's intervals
     shape = (len(a.system.word_array(window[0] + window[1] + 1)), col.max(initial=-1) + 1)
     rows_lo, rows_hi = np.full(shape, np.inf), np.full(shape, -np.inf)

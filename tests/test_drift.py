@@ -1113,7 +1113,7 @@ class TestWitnessReplaysAtItsPoint:
     def check(product, classifier, points) -> Counter:
         """Assert each witnessed point replays; count witnesses by direction and by refinement."""
         rows, xs = drift._as_batch([p.window.symbols for p in points], [p.x for p in points])
-        _, _, up_level, down_level = classifier._search(points[0].window.lo, rows, xs, False)
+        _, up_level, down_level = classifier._search(points[0].window.lo, rows, xs, False)
         seen = Counter()
         for point, refined in zip(points, ~(np.isnan(up_level) & np.isnan(down_level))):
             witness = classifier.classify(point).witness
@@ -1168,8 +1168,10 @@ class TestTagCertificates:
         by_tag, refined = {}, []
         for point in sampled_points(ms_full, 8, 400, seed=5):
             rows, xs = drift._as_batch([point.window.symbols], [point.x])
-            up_tag, down_tag, up_level, down_level = classifier._search(point.window.lo, rows, xs, False)
+            up_tag, down_tag = _reference_tags(classifier, point.window.lo, rows, xs)
+            (code,), _, _ = classifier._search(point.window.lo, rows, xs, False)
             result = classifier.classify(point)
+            assert drift.VERDICTS[code] == result.verdict
             if up_tag[0] >= 0 or down_tag[0] >= 0:
                 key = (UP, int(up_tag[0])) if up_tag[0] >= 0 else (DOWN, int(down_tag[0]))
                 by_tag.setdefault(key, []).append(result.witness)
@@ -1221,9 +1223,15 @@ class TestLockstepRefine:
         classifier = sd.get_classifier(product, depth)
         rows, xs = drift._as_batch([p.window.symbols for p in points], [p.x for p in points])
         reference = functools.cache(lambda i, up: _reference_refine(product, points[i], up))
+        up_tag, down_tag = _reference_tags(classifier, points[0].window.lo, rows, xs)
         seen = Counter()
         for exhaustive in (False, True):
-            up_tag, down_tag, up_level, down_level = classifier._search(points[0].window.lo, rows, xs, exhaustive)
+            codes, up_level, down_level = classifier._search(points[0].window.lo, rows, xs, exhaustive)
+            # the index's codes, and unless exhaustive each refined level's direction where the index has none
+            want = _index_codes(up_tag, down_tag)
+            if not exhaustive:
+                want[~np.isnan(up_level)], want[~np.isnan(down_level)] = drift._UP_CODE, drift._DOWN_CODE
+            assert codes.dtype == np.int8 and np.array_equal(codes, want)
             for i, point in enumerate(points):
                 inside = 0.0 < point.x < 1.0
                 want_up = reference(i, True) if inside and up_tag[i] < 0 and (exhaustive or down_tag[i] < 0) else None
@@ -1267,7 +1275,7 @@ class TestMixedPartRefine:
         for k, (product, depth) in enumerate(products):
             points = list(sampled_points(product, depth, 300, seed=70 + k))
             rows, xs = drift._as_batch([p.window.symbols for p in points], [p.x for p in points])
-            parts.append(sd.get_classifier(product, depth)._lookup(points[0].window.lo, rows, xs, exhaustive)[3])
+            parts.append(sd.get_classifier(product, depth)._lookup(points[0].window.lo, rows, xs, exhaustive)[2])
         maps, slots, xs, up, down = parts[2]
         return parts[:2] + [(maps, slots[:0], xs[:0], up[:0], down[:0])] + parts[2:]  # and a part with no open point
 
@@ -1285,9 +1293,38 @@ class TestMixedPartRefine:
         assert found[0].any() and found[1].any() and not (found[0] & found[1]).any()
 
 
+def _reference_tags(classifier, lo, rows, xs):
+    """Per point its Up and Down piece tags (-1 for none), located in each direction's pieces; no point is in both."""
+    inside = (xs > 0.0) & (xs < 1.0)
+    up, down = (tags[np.where(inside, pieces._locate(lo, rows, xs), -1)]
+                for pieces, tags in (classifier._up_index, classifier._down_index))
+    assert not ((up >= 0) & (down >= 0)).any()
+    return up, down
+
+
 def _index_codes(up_tag, down_tag):
     """Verdict codes of the tagged-piece lookups: Up where an Up piece holds the point, Down where a Down one does."""
     return np.select([up_tag >= 0, down_tag >= 0], [drift._UP_CODE, drift._DOWN_CODE], drift._UNKNOWN_CODE)
+
+
+def _assert_lookup_matches_pieces(classifier, lo, rows, xs, full_rows=None):
+    """_lookup's codes and open points, in both modes, equal those of the reference tags on full_rows (default rows).
+
+    Open points are the inside points no piece holds, or, if exhaustive, per direction those no piece of it holds.
+    Returns the non-exhaustive codes, open points and part.
+    """
+    up, down = _reference_tags(classifier, lo, rows if full_rows is None else full_rows, xs)
+    inside = (xs > 0.0) & (xs < 1.0)
+    for exhaustive in (True, False):
+        codes, points, part = classifier._lookup(lo, rows, xs, exhaustive)
+        open_up, open_down = inside & (up < 0), inside & (down < 0)
+        if not exhaustive:
+            open_up = open_down = open_up & open_down
+        want = np.flatnonzero(open_up | open_down)
+        assert codes.dtype == np.int8 and np.array_equal(codes, _index_codes(up, down)), exhaustive
+        assert np.array_equal(points, want) and np.array_equal(part[2], xs[want]), exhaustive
+        assert np.array_equal(part[3], open_up[want]) and np.array_equal(part[4], open_down[want]), exhaustive
+    return codes, points, part
 
 
 class TestNarrowRows:
@@ -1296,7 +1333,7 @@ class TestNarrowRows:
     @staticmethod
     def narrow_search(classifier, lo, rows, xs):
         """Index verdict codes, open points and refined levels from rows that reach only _read_hi, as sampling reads them."""
-        codes, points, part = classifier._lookup(lo, *drift._as_batch(rows, xs), False, narrow=True, verdicts=True)
+        codes, points, part = classifier._lookup(lo, *drift._as_batch(rows, xs), False)
         levels = np.full((2, len(codes)), np.nan)
         levels[:, points] = drift._refine([part], False)[0]
         return codes, points, levels
@@ -1326,13 +1363,12 @@ class TestNarrowRows:
             assert np.array_equal(narrow, full[:, : read - lo + 1])
             xs = uniforms[:, -1]
             xs[:4] = (0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0))
-            # every point: the index verdict, whether it is open, and its refined levels, against full-row _search
-            codes, points, levels = self.narrow_search(classifier, lo, narrow, xs)
-            up_tag, down_tag, *want_levels = classifier._search(lo, full, xs, False)
-            assert codes.dtype == np.int8 and np.array_equal(codes, _index_codes(up_tag, down_tag))
-            inside = (xs > 0.0) & (xs < 1.0)
-            assert np.array_equal(points, np.flatnonzero(inside & (up_tag < 0) & (down_tag < 0)))
-            assert np.array_equal(levels, want_levels, equal_nan=True)
+            # every point: the index verdict and whether it is open, against the pieces on full rows,
+            # and its refined levels, against full-row _search
+            _, points, _ = _assert_lookup_matches_pieces(classifier, lo, narrow, xs, full)
+            _, narrow_points, levels = self.narrow_search(classifier, lo, narrow, xs)
+            _, *want_levels = classifier._search(lo, full, xs, False)
+            assert np.array_equal(narrow_points, points) and np.array_equal(levels, want_levels, equal_nan=True)
             assert len(set(classifier.classify_arrays(lo, full, xs).tolist())) == 3
 
     def test_rows_short_of_read_hi(self, const_plateau, full2, uniform_chain, ms_full):
@@ -1347,10 +1383,13 @@ class TestNarrowRows:
                     self.narrow_search(classifier, start, short, [0.3, 0.7])
                 assert err.value.needed == (lo, read)
                 assert err.value.have == (start, start + short.shape[1] - 1)
-            # the public entry still needs the whole required range
+            # the public entries still need the whole required range
             with pytest.raises(WindowTooShortError) as err:
                 classifier.classify_arrays(lo, rows, [0.3, 0.7])
             assert err.value.needed == (lo, hi)
+            with pytest.raises(WindowTooShortError) as err:
+                classifier.classify(sd.LabeledPoint(sd.SymbolWindow(lo, tuple(rows[0].tolist())), 0.3))
+            assert err.value.needed == (lo, hi) and err.value.have == (lo, read)
 
     def test_admissibility_checked_up_to_read_hi(self):
         product = load_config(str(CONFIGS / "golden_affine.json")).product
@@ -1382,7 +1421,7 @@ def _extended_rows(system, words, left: int, right: int) -> np.ndarray:
 
 
 class TestVerdictRoute:
-    """Verdict-only lookups read one joint region of Up and Down runs; its codes are the tagged pieces' hits."""
+    """Every lookup reads one joint region of Up and Down runs; its codes and open points are the tagged pieces'."""
 
     @staticmethod
     def shipped():
@@ -1413,10 +1452,7 @@ class TestVerdictRoute:
         lo, hi = classifier.required_range()
         (L, R), words = region.window, product.base.word_array(sum(region.window) + 1)
         rows = _extended_rows(product.base, words[ranks], -L - lo, hi - R)
-        verdicts, points, _ = classifier._lookup(lo, rows, xs, False, verdicts=True)
-        up_tag, down_tag, tag_points, _ = classifier._lookup(lo, rows, xs, False)
-        assert np.array_equal(verdicts, _index_codes(up_tag, down_tag)) and np.array_equal(points, tag_points)
-        assert not ((up_tag >= 0) & (down_tag >= 0)).any()
+        verdicts, _, _ = _assert_lookup_matches_pieces(classifier, lo, rows, xs)
         return len(xs), set(verdicts.tolist())
 
     def test_shipped_configs(self):
@@ -1427,6 +1463,30 @@ class TestVerdictRoute:
     def test_narrow_rows_products(self, const_plateau, full2, uniform_chain, ms_full):
         for product, depth in TestNarrowRows.products(const_plateau, full2, uniform_chain, ms_full):
             self.check(product, depth)
+
+    @pytest.mark.parametrize("direction", [UP, DOWN])
+    def test_run_hit_without_a_piece_raises(self, ms_full, monkeypatch, direction):
+        # the witness of an index hit is the tag of the piece holding the point, read only to build its certificate
+        classifier = sd.DriftClassifier(ms_full, 6)
+        points = list(sampled_points(ms_full, 6, 300, seed=8))
+        rows, xs = drift._as_batch([p.window.symbols for p in points], [p.x for p in points])
+        codes, *levels = classifier._search(points[0].window.lo, rows, xs, False)
+        code = drift.VERDICTS.index(direction)
+        hits = (codes == code) & np.isnan(levels[code])
+        refined = ~np.isnan(levels[0]) | ~np.isnan(levels[1])
+        assert hits.any() and (~hits & (codes != drift._UNKNOWN_CODE)).any() and refined.any()
+        name = "_up_index" if direction == UP else "_down_index"
+        pieces, tags = getattr(classifier, name)
+        monkeypatch.setattr(classifier, name, (sd.BoxRegion(ms_full.base, pieces.window, [], [], []), tags[-1:]))
+        for point, hit, verdict in zip(points, hits, codes):
+            if hit:
+                message = f"internal inconsistency: no {direction} piece holds a point its runs hold"
+                for query in (classifier.classify, classifier.search_certificates):
+                    with pytest.raises(RuntimeError, match=message):
+                        query(point)
+            else:  # the other direction's hits, refined points and Unknown ones read no emptied piece
+                assert classifier.classify(point).verdict == drift.VERDICTS[verdict]
+        assert np.array_equal(classifier.classify_arrays(points[0].window.lo, rows, xs), codes)
 
     def test_touching_up_and_down_runs_raise(self, const_affine):
         classifier = sd.get_classifier(const_affine, 2)

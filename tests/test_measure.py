@@ -275,6 +275,52 @@ class TestEstimateRegions:
         assert est.mc_up + est.mc_down + est.mc_unknown == pytest.approx(1.0, abs=1e-12)
 
 
+class TestSeedRule:
+    """A seed is an integer >= 0 (numpy's too, never a bool), or for estimate_regions a tuple of them, as sweep's
+    (seed, grid index); anything else raises `seed must be an integer >= 0, got X` before any sampling."""
+
+    REFUSED = [(-1, -1), (True, True), (None, None), (1.0, 1.0), ("1", "1"), ([1, 2], [1, 2]), ((1, -1), -1),
+               ((1, True), True), ((1.5,), 1.5)]
+
+    def test_numpy_seed_serializes(self, const_affine):
+        est = sd.estimate_regions(const_affine, 2, 200, np.int64(1))
+        assert type(est.seed) is int and json.loads(json.dumps(est.to_json()))["seed"] == 1
+        assert est == sd.estimate_regions(const_affine, 2, 200, 1)
+
+    def test_numpy_tuple_seed_serializes(self, const_affine):
+        est = sd.estimate_regions(const_affine, 2, 200, (np.int64(4), np.int8(2)))
+        assert est.seed == (4, 2) and all(type(k) is int for k in est.seed)
+        assert json.loads(json.dumps(est.to_json()))["seed"] == [4, 2]
+        assert est == sd.estimate_regions(const_affine, 2, 200, (4, 2))
+
+    def test_numpy_sweep_seed_serializes(self, const_affine):
+        fam = sd.MonotoneFamily(const_affine, 1.0, (-0.01, 0.12))
+        result = sd.sweep(fam, [0.0, 0.01], 2, 200, np.int64(7))
+        assert [json.loads(json.dumps(e.to_json()))["seed"] for e in result.estimates] == [[7, 0], [7, 1]]
+        assert result == sd.sweep(fam, [0.0, 0.01], 2, 200, 7)
+
+    @pytest.mark.parametrize("seed, named", REFUSED)
+    def test_estimate_refuses(self, full2, uniform_chain, monkeypatch, seed, named):
+        product = constant_product(full2, uniform_chain, sd.Affine(0.1, 0.8))  # no classifier yet
+        sampled = []
+        monkeypatch.setattr(measure, "_looked_up", lambda *args: sampled.append(args))
+        with pytest.raises(ValueError) as info:
+            sd.estimate_regions(product, 2, 200, seed)
+        assert type(info.value) is ValueError and str(info.value) == f"seed must be an integer >= 0, got {named!r}"
+        assert sampled == [] and not product._classifiers
+
+    @pytest.mark.parametrize("seed, named", REFUSED[:5] + [((1, 2), (1, 2))])
+    def test_sweep_refuses(self, const_affine, monkeypatch, seed, named):
+        passes = []
+        monkeypatch.setattr(measure, "_chains", lambda products, depth: passes.append(len(products)))
+        fam = sd.MonotoneFamily(const_affine, 1.0, (-0.01, 0.12))
+        for grid in ([0.0, 0.01], []):
+            with pytest.raises(ValueError) as info:
+                sd.sweep(fam, grid, 2, 200, seed)
+            assert type(info.value) is ValueError and str(info.value) == f"seed must be an integer >= 0, got {named!r}"
+        assert passes == []
+
+
 class TestClassifierSharing:
     def test_estimate_builds_one_classifier(self, full2, uniform_chain, monkeypatch):
         product = constant_product(full2, uniform_chain, sd.Affine(0.1, 0.8))

@@ -61,7 +61,7 @@ from .products import (
     multistep_approximation,
     pad_to_window,
 )
-from .regions import BoxRegion, measure_boxes, region_union
+from .regions import BoxRegion, difference, intersect, measure_boxes, region_union
 from .symbolic import (
     MarkovChain,
     PeriodicWord,

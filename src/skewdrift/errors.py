@@ -40,7 +40,9 @@ class FamilyRangeError(ValueError):
 
 
 class InvalidRegionError(ValueError):
-    """Boxes on a single cylinder overlap."""
+    """Boxes that form no region: arrays of different lengths, ranks that are not integers or not
+    in the word table, intervals outside [0, 1], boxes on one word that overlap or are out of
+    (rank, lo) order, or regions over different bases."""
 
 
 class ToleranceError(ValueError):

@@ -1,4 +1,4 @@
-"""Box unions (cylinder x fiber-interval) with exact standard measure."""
+"""Box regions (cylinder x fiber interval): exact measure, region_union, complement, intersect and difference."""
 
 from __future__ import annotations
 
@@ -83,7 +83,10 @@ class BoxRegion:
 
     def __post_init__(self):
         L, R = window = _window_pair(self.window, "region window")
-        ranks = np.array(self.ranks, dtype=np.int64)
+        ranks = np.asarray(self.ranks)
+        if ranks.size and not np.issubdtype(ranks.dtype, np.integer):
+            raise InvalidRegionError(f"word ranks must be integers, got {ranks.dtype}")
+        ranks = ranks.astype(np.int64)
         lo, hi = np.array(self.lo, dtype=float), np.array(self.hi, dtype=float)
         if not (ranks.ndim == 1 and ranks.shape == lo.shape == hi.shape):
             raise InvalidRegionError("ranks, lo and hi must be 1-d arrays of one length")
@@ -109,17 +112,14 @@ class BoxRegion:
     def measure(self, chain: MarkovChain) -> float:
         """Sum of cylinder measure times interval length, box by box in (rank, lo) order.
 
-        Weights multiply transition probabilities left to right and the sum is
-        sequential, so the result equals measure_boxes on these boxes bit for bit.
+        Weights multiply transition probabilities left to right and the sum runs
+        on from 0.0, so the result equals measure_boxes on these boxes bit for bit.
         """
-        if not len(self.ranks):
-            return 0.0
-        L, R = self.window
-        words = self.system.word_array(L + R + 1)[self.ranks] - 1
+        words = self.system.word_array(sum(self.window) + 1)[self.ranks] - 1
         weights = chain.stationary[words[:, 0]]
         for a, b in zip(words.T, words.T[1:]):
             weights = weights * chain.stochastic[a, b]
-        return float(np.add.accumulate(weights * (self.hi - self.lo))[-1])
+        return float(np.add.accumulate(np.append(0.0, weights * (self.hi - self.lo)))[-1])
 
     @functools.cached_property
     def _keys(self) -> np.ndarray:
@@ -142,6 +142,14 @@ class BoxRegion:
         keys.imag = xs
         i = np.searchsorted(self._keys, keys, side="right") - 1
         return np.where((i >= 0) & (self.ranks[i] == keys.real) & (xs <= self.hi[i]), i, -1)
+
+    def complement(self) -> "BoxRegion":
+        """Closed gaps of [0, 1] between each window word's boxes: the closure of the true complement, which is open."""
+        words = np.arange(len(self.system.word_array(sum(self.window) + 1)))
+        start, stop = np.searchsorted(self.ranks, words), np.searchsorted(self.ranks, words, side="right")
+        lo, hi = np.insert(self.hi, start, 0.0), np.insert(self.lo, stop, 1.0)  # gap k is [hi[k - 1], lo[k]]
+        keep = lo < hi  # zero-length gaps go, and a word without boxes gets [0, 1]
+        return BoxRegion(self.system, self.window, np.insert(self.ranks, start, words)[keep], lo[keep], hi[keep])
 
     def refined(self, window: tuple[int, int]) -> "BoxRegion":
         """The same set on a wider window: each word takes the boxes of its restriction."""
@@ -174,3 +182,13 @@ def region_union(a: BoxRegion, b: BoxRegion) -> BoxRegion:
     rows_lo, rows_hi = np.full(shape, np.inf), np.full(shape, -np.inf)
     rows_lo[ranks, col], rows_hi[ranks, col] = lo, hi
     return BoxRegion(a.system, window, *sweep_rows(rows_lo, rows_hi)[1])
+
+
+def intersect(a: BoxRegion, b: BoxRegion) -> BoxRegion:
+    """Set intersection on the common refined window, exact except at box endpoints (finitely many per word)."""
+    return region_union(a.complement(), b.complement()).complement()
+
+
+def difference(a: BoxRegion, b: BoxRegion) -> BoxRegion:
+    """The points of a outside b on the common refined window: intersect(a, b.complement())."""
+    return intersect(a, b.complement())

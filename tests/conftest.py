@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import skewdrift as sd
 
@@ -111,6 +112,29 @@ def box_region(system, window, intervals):
     rank = {w: i for i, w in enumerate(system.words(L + R + 1))}
     boxes = sorted((rank[w], lo, hi) for w, ivs in intervals.items() for lo, hi in ivs)
     return sd.BoxRegion(system, window, *(list(zip(*boxes)) or [(), (), ()]))
+
+
+# Markov bases for random regions, and the grid their box ends are drawn from.
+REGION_CHAINS = (
+    sd.MarkovChain(sd.TransitionSystem(np.array(FULL2)), np.array([[0.5, 0.5], [0.5, 0.5]])),
+    sd.MarkovChain(sd.TransitionSystem(np.array(GOLDEN)), np.array([[2 / 3, 1 / 3], [1.0, 0.0]])),
+)
+REGION_ENDS = tuple(k / 10 for k in range(11))
+
+
+@st.composite
+def box_regions(draw, system):
+    """A random BoxRegion on system: window up to (2, 2), box ends from REGION_ENDS.
+
+    Each word pairs up a sorted draw of ends, so boxes may touch, repeat or be
+    degenerate, and many words get none.
+    """
+    window = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    intervals = {}
+    for word in system.words(window[0] + window[1] + 1):
+        ends = sorted(draw(st.lists(st.sampled_from(REGION_ENDS), max_size=6)))
+        intervals[word] = list(zip(ends[::2], ends[1::2]))
+    return box_region(system, window, intervals)
 
 
 def same_boxes(a, b):

@@ -1,6 +1,7 @@
 import json
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +11,25 @@ from hypothesis.extra.numpy import arrays
 
 import skewdrift as sd
 from skewdrift import measure
+from skewdrift.config import load_config
 from skewdrift.drift import DriftClassifier
 from skewdrift.errors import FamilyRangeError, InvalidRegionError, ToleranceError
 from skewdrift.measure import RegionEstimate
 from skewdrift.regions import sweep_rows
 
-from conftest import box_region, constant_product, merge_intervals, multistep_affines, region_dict, same_boxes
+from conftest import (
+    REGION_CHAINS,
+    REGION_ENDS,
+    box_region,
+    box_regions,
+    constant_product,
+    merge_intervals,
+    multistep_affines,
+    region_dict,
+    same_boxes,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 def boxes_of(region):
@@ -203,6 +217,9 @@ class TestRegionArrays:
         ([0, 0, 1], [0.1, 0.2, 0.5], [0.3, 0.4, 0.6], "interval 1 on word \\(1,\\) overlaps or is out of"),
         ([2], [0.1], [0.2], "word rank 2 is not in 0..1"),
         ([0, 1], [0.1], [0.2], "one length"),
+        ([0.7], [0.1], [0.2], "word ranks must be integers, got float64"),
+        ([True], [0.1], [0.2], "word ranks must be integers, got bool"),
+        (["1"], [0.1], [0.2], "word ranks must be integers, got <U1"),
     ])
     def test_invalid_boxes_rejected(self, full2, ranks, lo, hi, message):
         with pytest.raises(InvalidRegionError, match=message):
@@ -211,6 +228,89 @@ class TestRegionArrays:
     def test_touching_and_degenerate_boxes_accepted(self, full2):
         region = sd.BoxRegion(full2, (0, 0), [0, 0, 0, 0, 1], [0.1, 0.2, 0.2, 0.2, 0.5], [0.2, 0.2, 0.2, 0.3, 0.5])
         assert region_dict(region) == {(1,): ((0.1, 0.2), (0.2, 0.2), (0.2, 0.2), (0.2, 0.3)), (2,): ((0.5, 0.5),)}
+
+
+def covers(boxes, x):
+    return any(lo <= x <= hi for lo, hi in boxes)
+
+
+def membership(region, window):
+    """Point membership in region, read off its boxes word by word, for points whose symbols cover window."""
+    boxes, L, (l, r) = region_dict(region), window[0], region.window
+    return lambda word, x: covers(boxes.get(word[L - l:L + r + 1], ()), x)
+
+
+def one_ulp(x):
+    """The floats of [0, 1] next to x."""
+    return [y for y in (np.nextafter(x, -1.0), np.nextafter(x, 2.0)) if 0.0 <= y <= 1.0]
+
+
+class TestSetAlgebra:
+    """complement, intersect, difference and region_union against per-word point membership."""
+
+    @given(chain=st.sampled_from(REGION_CHAINS), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_point_membership(self, chain, data):
+        system = chain.base
+        a, b = data.draw(box_regions(system)), data.draw(box_regions(system))
+        window = (max(a.window[0], b.window[0]), max(a.window[1], b.window[1]))
+        in_a, in_b = membership(a, window), membership(b, window)
+        ops = [
+            ("union", membership(sd.region_union(a, b), window), lambda p, q: p or q),
+            ("intersect", membership(sd.intersect(a, b), window), lambda p, q: p and q),
+            ("difference", membership(sd.difference(a, b), window), lambda p, q: p and not q),
+            ("complement", membership(a.complement(), window), lambda p, q: not p),
+        ]
+        # off box endpoints membership is exact: a grid missing every end, and every end +- 1 ulp
+        ends = {0.0, 1.0, *a.lo.tolist(), *a.hi.tolist(), *b.lo.tolist(), *b.hi.tolist()}
+        xs = [(u + v) / 2 for u, v in zip(REGION_ENDS, REGION_ENDS[1:])] + [y for e in ends for y in one_ulp(e)]
+        for word in system.words(window[0] + window[1] + 1):
+            for x in xs:
+                p, q = in_a(word, x), in_b(word, x)
+                for name, member, rule in ops:
+                    assert member(word, x) == rule(p, q), (name, word, x)
+
+        # an end lies in a, and in a's complement (its closure) exactly where it bounds a
+        boxes, gaps = region_dict(a), region_dict(a.complement())
+        for word, ivs in boxes.items():
+            for e in {end for box in ivs for end in box}:
+                assert covers(ivs, e)
+                assert covers(gaps.get(word, ()), e) == any(not covers(ivs, y) for y in one_ulp(e))
+
+        L, R = a.window
+        words = system.words(L + R + 1)
+        total = sum(sd.cylinder_measure(chain, sd.SymbolWindow(-L, w)) for w in words)
+        assert abs(a.measure(chain) + a.complement().measure(chain) - total) <= 1e-12
+        empty = sd.BoxRegion(system, a.window, [], [], [])
+        assert region_dict(empty.complement()) == {w: ((0.0, 1.0),) for w in words}
+
+    def test_closed_contact_is_no_intersection(self, full2):
+        # De Morgan over closures: the one shared point of two closed boxes is lost
+        up, down = sd.BoxRegion(full2, (0, 0), [0], [0.2], [0.5]), sd.BoxRegion(full2, (0, 0), [0], [0.5], [0.8])
+        assert len(sd.intersect(up, down).ranks) == 0
+        assert region_dict(sd.difference(up, down)) == {(1,): ((0.2, 0.5),)}
+
+
+class TestUncoveredMass:
+    """What the certified Up and Down boxes leave uncovered at depth 10 on the shipped configs."""
+
+    @pytest.mark.parametrize("name, tau", [
+        ("constant_affine.json", None),
+        ("golden_affine.json", None),  # index window (11, 0)
+        ("plateau_family.json", -0.02),
+        ("plateau_family.json", 0.0),
+        ("plateau_family.json", 0.02),
+    ])
+    def test_up_down_and_uncovered_fill_the_space(self, name, tau):
+        cfg = load_config(str(CONFIGS / name))
+        product = cfg.product if tau is None else sd.family_member(cfg.family, tau)
+        up, down = sd.certified_regions(product, depth=10)
+        uncovered = sd.region_union(up, down).complement().measure(product.chain)
+        assert abs(up.measure(product.chain) + down.measure(product.chain) + uncovered - 1.0) <= 1e-12
+        assert len(sd.intersect(up, down).ranks) == 0
+        if tau == 0.0:
+            # every map is the identity on [0.4, 0.6], and no witness covers a fixed point
+            assert uncovered >= 0.2
 
 
 class TestHoeffding:

@@ -17,9 +17,12 @@ Schema (all sections are plain JSON, UTF-8, no comments):
     }
 
 Exactly one of "product" / "continuous" is required; "family" is optional and
-applies to the product section. A map's "parameters" are exactly those of its
-form: "affine" a, b; "bumped_affine" a, b, c; "plateau" c1, j_lo, j_hi; and
-"bump_composed" amount, with its "inner" map record beside "parameters".
+applies to the product section. The top level and each section hold only the
+fields shown (any of "analysis"'s may be left out); any other key, such as a
+misspelled one, is refused as an unknown field. A map's "parameters" are
+exactly those of its form: "affine" a, b; "bumped_affine" a, b, c; "plateau"
+c1, j_lo, j_hi; and "bump_composed" amount, with its "inner" map record beside
+"parameters".
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ResourceBoundError, _file_error
-from .measure import MonotoneFamily
+from .measure import MIN_SAMPLES, MonotoneFamily
 from .products import ContinuousProductSpec, MultistepSkewProduct
 from .symbolic import MarkovChain, TransitionSystem
 
@@ -132,6 +135,23 @@ def _grid(value, path: str) -> list[float]:
 
 # each analysis field and its parser, in the order a config's fields are checked
 _ANALYSIS_FIELDS = {"depth": _integer, "samples": _integer, "seed": _integer, "gap_epsilon": _number, "grid": _grid}
+# the fields of each section, and the sections are the top level's fields
+_SECTION_FIELDS = {
+    "base": ("alphabet_size", "transitions", "stochastic"),
+    "product": ("window", "assignment"),
+    "continuous": ("template", "designated", "symbol_params", "rho"),
+    "family": ("kappa", "tau_range"),
+    "analysis": tuple(_ANALYSIS_FIELDS),
+}
+
+
+def _refuse_unknown_fields(raw: dict) -> None:
+    """ConfigError at the first key outside its section's fields, in the top level, then section by section."""
+    sections = [("config", raw, _SECTION_FIELDS)] + [(k, raw.get(k), v) for k, v in _SECTION_FIELDS.items()]
+    for path, record, fields in sections:
+        for key in record if isinstance(record, dict) else ():  # a section that is no object fails later
+            if key not in fields:
+                raise ConfigError(f"{path}.{key}", "unknown field")
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -148,6 +168,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 
 
 def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
+    if isinstance(raw, dict):  # a misspelled section is named before the sections it leaves missing
+        _refuse_unknown_fields(raw)
     base_rec = _expect(raw, "base", "config")
     transitions, stochastic = (_expect(base_rec, key, "base") for key in ("transitions", "stochastic"))
     with _anchored("base.transitions", "base.transitions"):
@@ -207,7 +229,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError("analysis.depth", "must be nonnegative")
     if analysis.seed < 0:
         raise ConfigError("analysis.seed", "must be nonnegative")
-    if analysis.samples < 100:
-        raise ConfigError("analysis.samples", "need at least 100 samples")
+    if analysis.samples < MIN_SAMPLES:
+        raise ConfigError("analysis.samples", f"need at least {MIN_SAMPLES} samples")
 
     return RunConfig(base, chain, product, continuous, family, analysis)

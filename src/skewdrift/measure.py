@@ -19,12 +19,13 @@ import numpy as np
 
 from .drift import _DOWN_CODE, _UP_CODE, DOWN, UP, VERDICTS, DriftClassifier, _chains, _refine, get_classifier
 from .errors import FamilyRangeError, ToleranceError
-from .fibers import Affine, BumpComposed, BumpedAffine, FiberMap, validate_class
+from .fibers import Affine, BumpComposed, BumpedAffine, FiberMap
 from .products import MultistepSkewProduct, ProductOrder, compare_order
 from .regions import BoxRegion, region_union
 from .symbolic import _at_least, _symbols_from_uniforms
 
 CONFIDENCE = 0.95
+MIN_SAMPLES = 100  # fewest samples an estimate or a sweep takes
 
 
 def hoeffding_radius(n: int) -> float:
@@ -80,10 +81,10 @@ def estimate_regions(product: MultistepSkewProduct, depth: int, n: int, seed) ->
     is a pure function of the seed, an integer >= 0 or a tuple of them. A row
     holds a uniform per coordinate of required_range, then x; symbols are drawn
     (left to right) and checked only up to the last coordinate a query reads.
-    n must be an integer >= 100. This is sweep's _estimates for one product.
+    n must be an integer >= MIN_SAMPLES. This is sweep's _estimates for one product.
     """
     seed = tuple(_at_least(v, 0, "seed") for v in seed) if isinstance(seed, tuple) else _at_least(seed, 0, "seed")
-    return _estimates([product], _at_least(depth, 0, "search depth"), _at_least(n, 100, "sample count"), [seed])[0]
+    return _estimates([product], _at_least(depth, 0, "search depth"), _at_least(n, MIN_SAMPLES, "sample count"), [seed])[0]
 
 
 # Most searches (two per open point) one _refine batch of consecutive members holds, a larger part
@@ -166,22 +167,20 @@ def _bump_after(fmap: FiberMap, amount: float) -> FiberMap:
 
 
 def family_member(family: MonotoneFamily, tau: float) -> MultistepSkewProduct:
-    """The product at parameter tau; tau = 0 returns the base unchanged."""
+    """The product at parameter tau; tau = 0 returns the base unchanged. Words sharing a base map share its bump."""
     lo, hi = family.tau_range
     if not (lo <= tau <= hi):
         raise FamilyRangeError(f"tau = {tau} outside [{lo}, {hi}]")
     if tau == 0.0:
         return family.base_product
-    amount = tau * family.kappa
-    base = family.base_product
-    assignment = {}
-    for word, fmap in base.assignment.items():
-        composed = _bump_after(fmap, amount)
-        check = validate_class(composed)
-        if not check:
-            raise FamilyRangeError(f"member at tau = {tau}, word {word}: {check.reason}")
-        assignment[word] = composed
-    return MultistepSkewProduct(base.base, base.chain, base.window, assignment)
+    base, amount = family.base_product, tau * family.kappa
+    composed = {id(f): f for f in base.assignment.values()}  # each distinct map object once
+    composed = {key: _bump_after(f, amount) for key, f in composed.items()}
+    assignment = {word: composed[id(f)] for word, f in base.assignment.items()}
+    try:
+        return MultistepSkewProduct(base.base, base.chain, base.window, assignment)
+    except ValueError as exc:  # the product class-checks each composed map at its first word
+        raise FamilyRangeError(f"member at tau = {tau}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,7 @@ def sweep(
     if problem:
         raise problem
     chain = family.base_product.chain
-    n, depth, seed = _at_least(n, 100, "sample count"), _at_least(depth, 0, "search depth"), _at_least(seed, 0, "seed")
+    n, depth, seed = _at_least(n, MIN_SAMPLES, "sample count"), _at_least(depth, 0, "search depth"), _at_least(seed, 0, "seed")
     members = [family_member(family, tau) for tau in grid]
     estimates = _estimates(members, depth, n, [(seed, i) for i in range(len(grid))])
     mu_lower = _running_union_measures([e.up_region for e in estimates], chain)

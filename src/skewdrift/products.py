@@ -31,6 +31,7 @@ from .fibers import (
     _joined,
     _slope,
     _stacked,
+    compose_along_word,
     invert,
     map_from_json,
     map_to_json,
@@ -137,11 +138,8 @@ def iterate(product: MultistepSkewProduct, point: LabeledPoint, n: int) -> Label
     needed = (-l, r + n - 1)
     if not win.covers(*needed):
         raise WindowTooShortError(needed, (win.lo, win.hi), f"{n}-step iteration")
-    x = point.x
-    for k in range(n):
-        x = product.assignment[win.word(k - l, k + r)].eval(x)
-    shifted = SymbolWindow(win.offset - n, win.symbols)
-    return LabeledPoint(shifted, float(x))
+    x = compose_along_word((product.assignment[win.word(k - l, k + r)] for k in range(n)), point.x)
+    return LabeledPoint(SymbolWindow(win.offset - n, win.symbols), float(x))
 
 
 class ProductOrder(Enum):
@@ -179,7 +177,9 @@ def _strictly_below(f: FiberMap, g: FiberMap) -> bool:
 
 def _map_pairs(F: MultistepSkewProduct, G: MultistepSkewProduct) -> list[tuple[FiberMap, FiberMap]]:
     """Each distinct (f, g) pair of map values over the words of the common
-    window, in the order of the pair's first word."""
+    window, in the order of the pair's first word; the products must share a base."""
+    if not F.base.same_base(G.base):
+        raise IncompatibleProductsError("products live over different bases")
     window = (max(F.window[0], G.window[0]), max(F.window[1], G.window[1]))
     (f_maps, f_slots), (g_maps, g_slots) = F.map_slots, G.map_slots
     f = f_slots[F.base.window_ranks(F.window, window)]
@@ -193,13 +193,11 @@ def compare_order(F: MultistepSkewProduct, G: MultistepSkewProduct) -> ProductOr
 
     INCOMPARABLE covers both genuine crossings and pairs too close to certify.
     """
-    if not F.base.same_base(G.base):
-        raise IncompatibleProductsError("products live over different bases")
+    pairs = _map_pairs(F, G)  # checks the bases first
     if F.window != G.window:
         raise IncompatibleProductsError(
             f"windows {F.window} and {G.window} differ; pad the narrower product first"
         )
-    pairs = _map_pairs(F, G)
     if all(_strictly_below(f, g) for f, g in pairs):
         return ProductOrder.FIRST_BELOW
     if all(_strictly_below(g, f) for f, g in pairs):
@@ -230,8 +228,6 @@ def distance(F: MultistepSkewProduct, G: MultistepSkewProduct) -> float:
     whose stacked maps run each step on (1025, block) arrays, one column per
     pair; broadcasting gives every column the bits of a pair on its own.
     """
-    if not F.base.same_base(G.base):
-        raise IncompatibleProductsError("products live over different bases")
     groups: dict[tuple[str, str], list[tuple[FiberMap, FiberMap]]] = {}
     for f, g in _map_pairs(F, G):
         groups.setdefault((_form_key(f), _form_key(g)), []).append((f, g))
@@ -289,18 +285,23 @@ class ContinuousProductSpec:
         for s in range(1, n + 1):
             if self.designated not in params[s - 1]:
                 raise ValueError(f"symbol {s} record lacks designated parameter {self.designated!r}")
-            # worst case over all sequences: the full two-sided series has mass 2
-            for extreme in (2.0 * rho[s - 1].min(), 2.0 * rho[s - 1].max()):
-                m = self.make_map(s, params[s - 1][self.designated] + extreme)
-                check = validate_class(m)
-                if not check:
-                    raise ValueError(f"symbol {s} worst-case parameter leaves the class: {check.reason}")
         object.__setattr__(self, "symbol_params", params)
+        for s, m in self._worst_case_maps():
+            check = validate_class(m)
+            if not check:
+                raise ValueError(f"symbol {s} worst-case parameter leaves the class: {check.reason}")
 
     def make_map(self, symbol: int, designated_value: float) -> FiberMap:
         params = dict(self.symbol_params[symbol - 1])
         params[self.designated] = designated_value
         return map_from_json({"form": self.template_form, "parameters": params})
+
+    def _worst_case_maps(self):
+        """(s, map) at symbol s's designated value plus 2 min and 2 max of rho's row s (the series has mass 2)."""
+        for s in range(1, self.base.alphabet_size + 1):
+            row = self.rho[s - 1]
+            for extreme in (2.0 * row.min(), 2.0 * row.max()):
+                yield s, self.make_map(s, self.symbol_params[s - 1][self.designated] + extreme)
 
     def tail_midrange(self, symbol: int) -> float:
         row = self.rho[symbol - 1]
@@ -312,15 +313,13 @@ def multistep_approximation(spec: ContinuousProductSpec, m: int) -> MultistepSke
 
     The tail is replaced by its midpoint value, so successive approximants are
     within a geometric distance of each other (halving in m). One map is built
-    and validated per distinct (symbol, value), and the words that share it
-    share the object: since rho[s][a] + rho[s][b] == rho[s][b] + rho[s][a],
-    there are at most (N(N+1)/2)^m values per symbol, not N^(2m).
+    per distinct (symbol, value), for the product to class-check, and the words
+    that share it share the object: since rho[s][a] + rho[s][b] == rho[s][b] +
+    rho[s][a], there are at most (N(N+1)/2)^m values per symbol, not N^(2m).
     """
     m = _at_least(m, 0, "truncation depth")
     if 2 * m + 1 > WINDOW_CAP:
         raise ResourceBoundError(f"window size {2 * m + 1} exceeds the bound {WINDOW_CAP}")
-    assignment: dict[tuple[int, ...], FiberMap] = {}
-    maps: dict[tuple[int, float], FiberMap] = {}
     tails = [2.0 ** (1 - m) * spec.tail_midrange(s) for s in range(1, spec.base.alphabet_size + 1)]
     # one entry per word, summed with the additions of the series in their per-word order
     w = spec.base.word_array(2 * m + 1) - 1
@@ -329,16 +328,16 @@ def multistep_approximation(spec: ContinuousProductSpec, m: int) -> MultistepSke
     for j in range(1, m + 1):
         values += 2.0 ** (-j) * (spec.rho[s, w[:, m - j]] + spec.rho[s, w[:, m + j]])
     values += np.array(tails)[s]  # last: x + 0.0 is never -0.0, so value keys need no sign
-    for word, value in zip(spec.base.words(2 * m + 1), values.tolist()):
-        key = (word[m], value)
-        fmap = maps.get(key)
-        if fmap is None:
-            fmap = maps[key] = spec.make_map(word[m], value)
-            check = validate_class(fmap)
-            if not check:
-                raise InvalidApproximationError(f"word {word}: {check.reason}")
-        assignment[word] = fmap
-    return MultistepSkewProduct(spec.base, spec.chain, (m, m), assignment)
+    words = spec.base.words(2 * m + 1)
+    keys = [(word[m], value) for word, value in zip(words, values.tolist())]
+    maps = {key: spec.make_map(*key) for key in dict.fromkeys(keys)}
+    assignment = {word: maps[key] for word, key in zip(words, keys)}
+    try:
+        return MultistepSkewProduct(spec.base, spec.chain, (m, m), assignment)
+    except IncompatibleProductsError:
+        raise
+    except ValueError as exc:
+        raise InvalidApproximationError(str(exc)) from exc
 
 
 def approximation_distance_bound(spec: ContinuousProductSpec, m: int) -> float:
@@ -347,15 +346,9 @@ def approximation_distance_bound(spec: ContinuousProductSpec, m: int) -> float:
     C is read from the coefficient table's per-symbol spread, inflated by
     conservative inverse-branch and derivative factors.
     """
-    spread = 0.0
-    min_slope = np.inf
-    second = 0.0
-    for s in range(1, spec.base.alphabet_size + 1):
-        row = spec.rho[s - 1]
-        spread = max(spread, float(row.max() - row.min()))
-        for extreme in (2.0 * row.min(), 2.0 * row.max()):
-            fmap = spec.make_map(s, spec.symbol_params[s - 1][spec.designated] + extreme)
-            min_slope = min(min_slope, fmap.derivative_range(0.0, 1.0)[0])
-            second = max(second, fmap.second_derivative_bound())
+    spread = max(float(row.max() - row.min()) for row in spec.rho)
+    maps = [fmap for _, fmap in spec._worst_case_maps()]
+    min_slope = min(f.derivative_range(0.0, 1.0)[0] for f in maps)
+    second = max(0.0, *(f.second_derivative_bound() for f in maps))
     c = 0.5 * spread * (2.0 + 2.0 / min_slope + (2.0 + second) / min_slope**2)
     return c * 2.0 ** (-m)

@@ -114,7 +114,10 @@ class BoxRegion:
 
         Weights multiply transition probabilities left to right and the sum runs
         on from 0.0, so the result equals measure_boxes on these boxes bit for bit.
+        The chain must live over the region's base.
         """
+        if not self.system.same_base(chain.base):
+            raise InvalidRegionError("region and chain live over different bases")
         words = self.system.word_array(sum(self.window) + 1)[self.ranks] - 1
         weights = chain.stationary[words[:, 0]]
         for a, b in zip(words.T, words.T[1:]):

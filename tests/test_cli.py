@@ -434,6 +434,26 @@ class TestBadFilesAndShapes:
         assert code == 2 and err == f"invalid input: {error}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, command, edit, path", [
+        ("plateau_family.json", "sweep", lambda r: r.update(analisys=r.pop("analysis")), "config.analisys"),
+        ("golden_affine.json", "measure", lambda r: r["base"].update(alphabet=2), "base.alphabet"),
+        ("golden_affine.json", "classify", lambda r: r["product"].update(windows=[0, 0]), "product.windows"),
+        ("continuous_geometric.json", "approx", lambda r: r["continuous"].update(templates="affine"),
+         "continuous.templates"),
+        ("plateau_family.json", "sweep", lambda r: r["family"].update(kapa=1.0), "family.kapa"),
+        ("constant_affine.json", "measure", lambda r: r.update(analysis={"depth": 4, "sample": 150, "seed": 1}),
+         "analysis.sample"),
+    ], ids=["top-level", "base", "product", "continuous", "family", "analysis"])
+    @pytest.mark.parametrize("through_validate", [False, True], ids=["command", "validate"])
+    def test_unknown_field_exits_2(self, tmp_path, capsys, name, command, edit, path, through_validate):
+        # a misspelled key used to be ignored, and its section's defaults used in its place
+        record = json.loads((CONFIGS / name).read_text())
+        edit(record)
+        args = ["--config", write_json(tmp_path / "bad.json", record), "--out", str(tmp_path / "out")]
+        code, err = self.run_main(capsys, "validate" if through_validate else command, *args)
+        assert code == 2 and err == f"invalid input: {path}: unknown field\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, line", [
         ("window,x\n-5 1 1 1 1 1 1 1 1 1 1,0.2\n-5 1 1 1 1 1 1 1 1 1 1\n", 3),
         ("x,window\n0.2,-5 1 1 1 1 1 1 1 1 1 1\n0.3\n", 3),

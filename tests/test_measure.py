@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import skewdrift as sd
-from skewdrift import measure
+from skewdrift import measure, products
 from skewdrift.config import load_config
 from skewdrift.drift import DriftClassifier
 from skewdrift.errors import FamilyRangeError, InvalidRegionError, ToleranceError
@@ -228,6 +228,15 @@ class TestRegionArrays:
     def test_touching_and_degenerate_boxes_accepted(self, full2):
         region = sd.BoxRegion(full2, (0, 0), [0, 0, 0, 0, 1], [0.1, 0.2, 0.2, 0.2, 0.5], [0.2, 0.2, 0.2, 0.3, 0.5])
         assert region_dict(region) == {(1,): ((0.1, 0.2), (0.2, 0.2), (0.2, 0.2), (0.2, 0.3)), (2,): ((0.5, 0.5),)}
+
+    def test_measure_refuses_a_chain_over_another_base(self, full2, uniform_chain, golden_chain):
+        # over the golden base the full shift's word (2, 2) would weigh 0.0; over 2 symbols rank 2 has no row
+        region = sd.BoxRegion(full2, (1, 0), [3], [0.0], [1.0])
+        assert region.measure(uniform_chain) == 0.25
+        three = sd.BoxRegion(sd.TransitionSystem(np.ones((3, 3), dtype=int)), (0, 0), [2], [0.0], [1.0])
+        for region, chain in ((region, golden_chain), (three, uniform_chain)):
+            with pytest.raises(InvalidRegionError, match="^region and chain live over different bases$"):
+                region.measure(chain)
 
 
 def covers(boxes, x):
@@ -496,6 +505,36 @@ class TestMonotoneFamily:
         # at tau*kappa near 1 the bump slope bound degenerates
         with pytest.raises(FamilyRangeError):
             sd.MonotoneFamily(const_affine, 20.0, (-0.2, 0.2))
+
+    def test_members_equal_per_word_composition(self):
+        # words that share a base map share its composed map; the values are each word's own composition
+        config = load_config(str(CONFIGS / "plateau_family.json"), {})
+        family, base = config.family, config.family.base_product
+        for tau in config.analysis.grid:
+            member = sd.family_member(family, tau)
+            reference = base if tau == 0.0 else sd.MultistepSkewProduct(base.base, base.chain, base.window, {
+                w: measure._bump_after(f, tau * family.kappa) for w, f in base.assignment.items()})
+            assert json.dumps(member.to_json()) == json.dumps(reference.to_json())
+        padded = sd.pad_to_window(base, (1, 1))
+        member = sd.family_member(sd.MonotoneFamily(padded, 1.0, family.tau_range), 0.004)
+        assert {id(f) for f in member.assignment.values()} == {id(member.assignment[(1, w, 1)]) for w in (1, 2)}
+
+    def test_each_member_map_class_checked_once(self, monkeypatch):
+        family = load_config(str(CONFIGS / "plateau_family.json"), {}).family
+        calls = []
+        validate = products.validate_class
+        for module in (products, measure):  # wherever a check of a member's maps would live
+            monkeypatch.setattr(module, "validate_class", lambda f: calls.append(f) or validate(f), raising=False)
+        sd.family_member(family, 0.004)
+        assert len(calls) == 2
+
+    def test_class_violation_names_tau_and_first_word(self, const_affine):
+        family = sd.MonotoneFamily(const_affine, 1.0, (-0.05, 0.05))
+        object.__setattr__(family, "tau_range", (-20.0, 20.0))
+        reason = sd.validate_class(measure._bump_after(sd.Affine(0.1, 0.8), 20.0)).reason
+        with pytest.raises(FamilyRangeError) as info:
+            sd.family_member(family, 20.0)
+        assert str(info.value) == f"member at tau = 20.0: fiber map for word (1,): {reason}"
 
     def test_kappa_positive(self, const_affine):
         with pytest.raises(FamilyRangeError):

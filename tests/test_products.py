@@ -64,6 +64,31 @@ def three_symbol_spec(seed):
     )
 
 
+def cauchy_specs(full2, uniform_chain):
+    """Five affine specs with rho drawn uniformly from [-0.01, 0.01]."""
+    rng = np.random.default_rng(17)
+    return [
+        sd.ContinuousProductSpec(
+            full2, uniform_chain, "affine", "a",
+            ({"a": 0.10, "b": 0.8}, {"a": 0.12, "b": 0.8}), rng.uniform(-0.01, 0.01, (2, 2)),
+        )
+        for _ in range(5)
+    ]
+
+
+def reference_distance_bound(spec, m):
+    """approximation_distance_bound with each symbol's spread and worst-case maps built in one loop."""
+    spread, min_slope, second = 0.0, np.inf, 0.0
+    for s in range(1, spec.base.alphabet_size + 1):
+        row = spec.rho[s - 1]
+        spread = max(spread, float(row.max() - row.min()))
+        for extreme in (2.0 * row.min(), 2.0 * row.max()):
+            fmap = spec.make_map(s, spec.symbol_params[s - 1][spec.designated] + extreme)
+            min_slope = min(min_slope, fmap.derivative_range(0.0, 1.0)[0])
+            second = max(second, fmap.second_derivative_bound())
+    return 0.5 * spread * (2.0 + 2.0 / min_slope + (2.0 + second) / min_slope**2) * 2.0 ** (-m)
+
+
 def random_spec(full2, uniform_chain, seed, offset=0.0):
     rho = np.random.default_rng(seed).uniform(-0.01, 0.01, (2, 2))
     return sd.ContinuousProductSpec(
@@ -321,6 +346,12 @@ class TestCompareOrder:
     def test_window_mismatch(self, const_affine, ms_full):
         with pytest.raises(IncompatibleProductsError):
             sd.compare_order(const_affine, ms_full)
+
+    def test_base_error_before_window_error(self, const_affine, golden_ms):
+        assert const_affine.window != golden_ms.window
+        for call in (sd.compare_order, sd.distance):
+            with pytest.raises(IncompatibleProductsError, match="^products live over different bases$"):
+                call(const_affine, golden_ms)
 
     def test_base_mismatch(self, ms_full, golden_ms):
         with pytest.raises(IncompatibleProductsError):
@@ -608,7 +639,7 @@ class TestMultistepApproximation:
             word, fmap = bad[0]
             with pytest.raises(InvalidApproximationError) as info:
                 sd.multistep_approximation(spec, m)
-            assert str(info.value) == f"word {word}: {sd.validate_class(fmap).reason}"
+            assert str(info.value) == f"fiber map for word {word}: {sd.validate_class(fmap).reason}"
 
     def test_padding_keeps_signed_zero(self, full2, uniform_chain):
         spec = parameter_zero_spec(full2, uniform_chain)
@@ -636,16 +667,27 @@ class TestMultistepApproximation:
             assert d <= sd.approximation_distance_bound(spec, m)
 
     def test_cauchy_decrease_on_random_specs(self, full2, uniform_chain):
-        rng = np.random.default_rng(17)
-        for _ in range(5):
-            rho = rng.uniform(-0.01, 0.01, (2, 2))
-            spec = sd.ContinuousProductSpec(
-                full2, uniform_chain, "affine", "a",
-                ({"a": 0.10, "b": 0.8}, {"a": 0.12, "b": 0.8}), rho,
-            )
+        for spec in cauchy_specs(full2, uniform_chain):
             approx = {m: sd.multistep_approximation(spec, m) for m in range(2, 6)}
             dists = [sd.distance(approx[m], approx[m + 1]) for m in (2, 3, 4)]
             assert dists[0] >= dists[1] >= dists[2]
+
+    def test_distance_bound_equals_per_symbol_rebuild(self, full2, uniform_chain):
+        shipped = load_config(str(CONTINUOUS_GEOMETRIC), {}).continuous
+        for spec in [shipped] + cauchy_specs(full2, uniform_chain):
+            for m in range(6):
+                assert sd.approximation_distance_bound(spec, m) == reference_distance_bound(spec, m)
+
+    def test_each_map_class_checked_once(self, monkeypatch):
+        # one map per distinct (symbol, value), checked only by the product that holds it
+        spec = load_config(str(CONTINUOUS_GEOMETRIC), {}).continuous
+        calls = []
+        validate = products.validate_class
+        monkeypatch.setattr(products, "validate_class", lambda f: calls.append(f) or validate(f))
+        for m, count in zip(range(2, 6), (16, 36, 76, 164)):
+            calls.clear()
+            approx = sd.multistep_approximation(spec, m)
+            assert len(calls) == len({id(f) for f in approx.assignment.values()}) == count
 
     def test_window_cap(self, full2, uniform_chain):
         with pytest.raises(ResourceBoundError):

@@ -19,7 +19,7 @@ from .errors import IncompatibleProductsError, ResourceBoundError, WindowTooShor
 from .fibers import EPS_ROUND, FiberMap, MapStack, _joined, compose_along_word
 from .products import WINDOW_CAP, LabeledPoint, MultistepSkewProduct
 from .regions import BoxRegion, joined_boxes, sweep_rows
-from .symbolic import PeriodicWord, TransitionSystem, _at_least, _symbol_rows, _window_pair
+from .symbolic import PeriodicWord, TransitionSystem, _at_least, _frozen, _symbol_rows, _window_pair
 
 # Strictness margin for every certified inequality: four orders above
 # accumulated rounding at composition depth <= 64, far below problem scales.
@@ -60,9 +60,7 @@ class StepGraph:
             i = inside.argmin()
             word = tuple(words[i].tolist())
             raise ValueError(f"graph value {values[i]} for word {word} is not strictly inside (0, 1)")
-        values.flags.writeable = False
-        object.__setattr__(self, "window", (L, R))
-        object.__setattr__(self, "values", values)
+        _frozen(self, window=(L, R), values=values)
 
     @classmethod
     def constant(cls, system: TransitionSystem, level: float) -> "StepGraph":
@@ -432,7 +430,9 @@ class DriftClassifier:
         return (-(self.depth + l + 1), self.depth + r)
 
     def certified_boxes(self, direction: str) -> BoxRegion:
-        """Certified region for a direction: per-word disjoint fiber intervals."""
+        """Certified region for a direction, UP or DOWN (else ValueError): per-word disjoint fiber intervals."""
+        if direction not in (UP, DOWN):
+            raise ValueError(f"direction must be {UP!r} or {DOWN!r}, got {direction!r}")
         return self._up_region if direction == UP else self._down_region
 
     def classify(self, point: LabeledPoint) -> Classification:

@@ -22,7 +22,7 @@ from .errors import FamilyRangeError, ToleranceError
 from .fibers import Affine, BumpComposed, BumpedAffine, FiberMap
 from .products import MultistepSkewProduct, ProductOrder, compare_order
 from .regions import BoxRegion, region_union
-from .symbolic import _at_least, _symbols_from_uniforms
+from .symbolic import _at_least, _frozen, _symbols_from_uniforms
 
 CONFIDENCE = 0.95
 MIN_SAMPLES = 100  # fewest samples an estimate or a sweep takes
@@ -146,7 +146,7 @@ class MonotoneFamily:
         lo, hi = self.tau_range
         if not (lo < hi):
             raise FamilyRangeError(f"need tau_min < tau_max, got {self.tau_range}")
-        object.__setattr__(self, "tau_range", (float(lo), float(hi)))
+        _frozen(self, tau_range=(float(lo), float(hi)))
         # class membership is monotone in tau, so the endpoints certify the range
         member_lo = family_member(self, lo)
         member_hi = family_member(self, hi)

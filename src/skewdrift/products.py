@@ -37,7 +37,7 @@ from .fibers import (
     map_to_json,
     validate_class,
 )
-from .symbolic import MarkovChain, SymbolWindow, TransitionSystem, _at_least, _symbol_rows, _window_pair
+from .symbolic import MarkovChain, SymbolWindow, TransitionSystem, _at_least, _frozen, _read_only, _symbol_rows, _window_pair
 
 # Hard cap on dependence-window size, shared with the drift-witness machinery.
 WINDOW_CAP = 12
@@ -94,15 +94,14 @@ class MultistepSkewProduct:
             check = validate_class(assignment[w])
             if not check:
                 raise ValueError(f"fiber map for word {w}: {check.reason}")
-        object.__setattr__(self, "window", (l, r))
-        object.__setattr__(self, "assignment", assignment)
+        _frozen(self, window=(l, r), assignment=assignment)
 
     @functools.cached_property
     def map_slots(self) -> tuple[MapStack, np.ndarray]:
         """The distinct fiber maps, joined by value (_joined), and per word of the window (by rank) its map's index."""
         words = self.base.words(self.window[0] + self.window[1] + 1)
         maps, [slots] = _joined([[self.assignment[w] for w in words]])
-        return maps, slots
+        return maps, _read_only(slots)
 
     def fingerprint(self) -> str:
         return hashlib.sha256(json.dumps(self.to_json(), sort_keys=True).encode()).hexdigest()[:16]
@@ -272,20 +271,19 @@ class ContinuousProductSpec:
     rho: np.ndarray
 
     def __post_init__(self):
+        if not self.base.same_base(self.chain.base):
+            raise IncompatibleProductsError("chain support must match the base transitions")
         n = self.base.alphabet_size
-        rho = np.asarray(self.rho, dtype=float)
+        rho = np.array(self.rho, dtype=float)
         if rho.shape != (n, n) or not np.isfinite(rho).all():
             raise ValueError(f"coefficient table must be finite with shape ({n}, {n})")
-        rho = rho.copy()
-        rho.flags.writeable = False
-        object.__setattr__(self, "rho", rho)
-        params = tuple(dict(p) for p in self.symbol_params)
+        params = tuple(_read_only(dict(p)) for p in self.symbol_params)
         if len(params) != n:
             raise ValueError(f"need one parameter record per symbol, got {len(params)}")
         for s in range(1, n + 1):
             if self.designated not in params[s - 1]:
                 raise ValueError(f"symbol {s} record lacks designated parameter {self.designated!r}")
-        object.__setattr__(self, "symbol_params", params)
+        _frozen(self, rho=rho, symbol_params=params)
         for s, m in self._worst_case_maps():
             check = validate_class(m)
             if not check:
@@ -334,8 +332,6 @@ def multistep_approximation(spec: ContinuousProductSpec, m: int) -> MultistepSke
     assignment = {word: maps[key] for word, key in zip(words, keys)}
     try:
         return MultistepSkewProduct(spec.base, spec.chain, (m, m), assignment)
-    except IncompatibleProductsError:
-        raise
     except ValueError as exc:
         raise InvalidApproximationError(str(exc)) from exc
 

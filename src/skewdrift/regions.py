@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidRegionError
 from .fibers import RealInterval
-from .symbolic import MarkovChain, TransitionSystem, _window_pair, cylinder_measure
+from .symbolic import MarkovChain, TransitionSystem, _frozen, _window_pair, cylinder_measure
 
 
 def measure_boxes(chain: MarkovChain, boxes) -> float:
@@ -104,10 +104,7 @@ class BoxRegion:
             i = bad.argmax() + 1
             word = tuple(words[ranks[i]].tolist())
             raise InvalidRegionError(f"interval {i} on word {word} overlaps or is out of (rank, lo) order")
-        for name, arr in (("ranks", ranks), ("lo", lo), ("hi", hi)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "window", window)
+        _frozen(self, window=window, ranks=ranks, lo=lo, hi=hi)
 
     def measure(self, chain: MarkovChain) -> float:
         """Sum of cylinder measure times interval length, box by box in (rank, lo) order.

@@ -8,6 +8,7 @@ every operation that consumes a window states how much of it it needs.
 from __future__ import annotations
 
 import operator
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,21 @@ from .errors import (
 
 STATIONARY_RESIDUAL_TOL = 1e-10
 ROW_SUM_TOL = 1e-12
+
+
+def _read_only(value):
+    """The value as a frozen object stores it: a numpy array made read-only in place, a dict behind a mapping proxy."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, dict):
+        return types.MappingProxyType(value)
+    return value
+
+
+def _frozen(obj, **fields):
+    """Set each field on a frozen dataclass instance, stored through _read_only."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, _read_only(value))
 
 
 def _as_binary_matrix(transitions) -> np.ndarray:
@@ -57,6 +73,7 @@ class TransitionSystem:
     """Alphabet {1..N}, N >= 2, with a strongly connected 0/1 transition matrix."""
 
     transitions: np.ndarray
+    _table_cache: dict = field(default_factory=dict, init=False, repr=False)  # word tables by key, each read-only
 
     def __post_init__(self):
         arr = _as_binary_matrix(self.transitions)
@@ -66,10 +83,8 @@ class TransitionSystem:
             raise InvalidMatrixError("every symbol needs an outgoing and an incoming transition")
         if not _strongly_connected(arr):
             raise InvalidMatrixError("transition digraph must be strongly connected")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "transitions", arr)
-        object.__setattr__(self, "_table_cache", {("words", 1): np.arange(1, len(arr) + 1, dtype=np.int64)[:, None]})
+        _frozen(self, transitions=arr)  # astype made arr a copy: the caller's matrix stays writable
+        self._table_cache["words", 1] = _read_only(np.arange(1, len(arr) + 1, dtype=np.int64)[:, None])
 
     @property
     def alphabet_size(self) -> int:
@@ -110,7 +125,7 @@ class TransitionSystem:
 
     def _table(self, key: tuple, build):
         if key not in self._table_cache:
-            self._table_cache[key] = build()
+            self._table_cache[key] = _read_only(build())
         return self._table_cache[key]
 
     def word_array(self, length: int) -> np.ndarray:
@@ -123,7 +138,7 @@ class TransitionSystem:
         if ("words", length) not in self._table_cache:
             shorter = self.word_array(length - 1)
             rows, last = np.nonzero(self.transitions[shorter[:, -1] - 1])
-            self._table_cache["words", length] = np.column_stack([shorter[rows], last + 1])
+            self._table_cache["words", length] = _read_only(np.column_stack([shorter[rows], last + 1]))
         return self._table_cache["words", length]
 
     def words(self, length: int) -> tuple[tuple[int, ...], ...]:
@@ -208,20 +223,14 @@ class MarkovChain:
     stationary: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        P = np.asarray(self.stochastic, dtype=float)
+        P = np.array(self.stochastic, dtype=float)
         A = self.base.transitions
         if P.shape != A.shape:
             raise InvalidMatrixError("stochastic matrix shape must match the transition matrix")
         if not ((P > 0) == (A == 1)).all():
             raise InvalidMatrixError("stochastic support must match the transition pattern exactly")
         pi = stationary_distribution(P)
-        P = P.copy()
-        P.flags.writeable = False
-        pi.flags.writeable = False
-        object.__setattr__(self, "stochastic", P)
-        object.__setattr__(self, "stationary", pi)
-        object.__setattr__(self, "_cum_start", np.cumsum(pi))
-        object.__setattr__(self, "_cum_rows", np.cumsum(P, axis=1))
+        _frozen(self, stochastic=P, stationary=pi, _cum_start=np.cumsum(pi), _cum_rows=np.cumsum(P, axis=1))
 
 
 def _symbols(values) -> tuple[int, ...]:
@@ -278,8 +287,7 @@ class SymbolWindow:
         syms = _symbols(self.symbols)
         if not syms:
             raise ValueError("window must be nonempty")
-        object.__setattr__(self, "offset", int(self.offset))
-        object.__setattr__(self, "symbols", syms)
+        _frozen(self, offset=int(self.offset), symbols=syms)
 
     @property
     def lo(self) -> int:
@@ -367,14 +375,13 @@ class PeriodicWord:
         syms = _symbols(self.symbols)
         if not syms:
             raise ValueError("periodic word must be nonempty")
-        object.__setattr__(self, "symbols", syms)
         n = len(syms)
         period = n
         for d in range(1, n):
             if n % d == 0 and all(syms[i] == syms[(i + d) % n] for i in range(n)):
                 period = d
                 break
-        object.__setattr__(self, "minimal_period", period)
+        _frozen(self, symbols=syms, minimal_period=period)
 
     def symbol(self, index: int) -> int:
         return self.symbols[index % len(self.symbols)]

@@ -1,5 +1,7 @@
 """Shared systems and products used across the suite."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -159,6 +161,30 @@ def scalar_eval(f, x: float) -> float:
         y = scalar_eval(f.inner, x)
         return y + f.amount * y * (1.0 - y)
     return f.eval(x)
+
+
+def exact_eval(f, x) -> Fraction:
+    """f(x) in exact rational arithmetic, each float parameter read as the rational it is.
+
+    The reference for the sign of f(x) - x, which float evaluation may round
+    away near a fixed point. Plateau (alone or under a bump) branches on x exactly.
+    """
+    x = Fraction(x)
+    if isinstance(f, sd.BumpComposed):
+        y, amount = exact_eval(f.inner, x), Fraction(f.amount)
+        return y + amount * y * (1 - y)
+    p = {name: Fraction(value) for name, value in vars(f).items()}
+    if isinstance(f, sd.Affine):
+        return p["a"] + p["b"] * x
+    if isinstance(f, sd.BumpedAffine):
+        return p["a"] + p["b"] * x + p["c"] * x * (1 - x)
+    if isinstance(f, sd.Plateau):
+        if x < p["j_lo"]:
+            return x + p["c1"] * (p["j_lo"] - x) ** 2
+        if x > p["j_hi"]:
+            return x - p["c1"] * (x - p["j_hi"]) ** 2
+        return x
+    raise TypeError(f"no exact form for {f!r}")
 
 
 def merge_intervals(intervals):

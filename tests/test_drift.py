@@ -2,6 +2,7 @@ import functools
 import json
 import weakref
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from skewdrift.symbolic import _symbols_from_uniforms
 
 from conftest import (
     constant_product,
+    exact_eval,
     graph_dict,
     merge_intervals,
     multistep_affines,
@@ -1643,6 +1645,16 @@ class TestBatchedChains:
         assert set(dims) == {2}
 
 
+class TestCertifiedBoxes:
+    @pytest.mark.parametrize("direction", ["up", "Unknown", None])
+    def test_only_up_or_down_is_a_direction(self, const_affine, direction):
+        # "up" is the spelling of DriftCertificate.direction, not of a verdict
+        classifier = sd.DriftClassifier(const_affine, 4)
+        with pytest.raises(ValueError) as info:
+            classifier.certified_boxes(direction)
+        assert str(info.value) == f"direction must be 'Up' or 'Down', got {direction!r}"
+
+
 class TestFixedPointSoundness:
     """No certificate covers a common fixed point: the plateau's band [0.4, 0.6], constant_affine's 0.5."""
 
@@ -1681,6 +1693,29 @@ class TestFixedPointSoundness:
             for direction in (UP, DOWN):
                 boxes = classifier.certified_boxes(direction)
                 assert len(boxes.lo) and not ((boxes.lo <= 0.5) & (0.5 <= boxes.hi)).any(), (depth, direction)
+
+
+class TestExactEndpoints:
+    """Exact signs at box ends on the 1-D products: every plateau_family grid member and constant_affine carry one
+    map f on every word, so f(hi) > hi at every Up box's hi and f(lo) < lo at every Down box's lo, in Fraction.
+
+    The ends alone prove a box only where f(x) - x changes sign once; a Sturm count that shows this is not here.
+    """
+
+    def test_box_ends_have_the_exact_sign(self):
+        cfg = load_config(str(CONFIGS / "plateau_family.json"))
+        products = [sd.family_member(cfg.family, tau) for tau in cfg.analysis.grid]
+        products.append(load_config(str(CONFIGS / "constant_affine.json")).product)
+        assert len(products) == 22
+        for product in products:
+            [f] = set(product.assignment.values())
+            for depth in (6, 10):
+                classifier = sd.DriftClassifier(product, depth)
+                highs = set(classifier.certified_boxes(UP).hi.tolist())
+                lows = set(classifier.certified_boxes(DOWN).lo.tolist())
+                assert highs and lows, (f, depth)
+                assert all(exact_eval(f, hi) > Fraction(hi) for hi in highs), (f, depth)
+                assert all(exact_eval(f, lo) < Fraction(lo) for lo in lows), (f, depth)
 
 
 class TestWanderingOracle:

@@ -693,6 +693,11 @@ class TestMultistepApproximation:
         with pytest.raises(ResourceBoundError):
             sd.multistep_approximation(geometric_spec(full2, uniform_chain), 6)
 
+    def test_spec_over_another_base_is_refused_first(self, full2, golden_chain):
+        # the chain's base is checked before any other field: this rho has the wrong shape too
+        with pytest.raises(IncompatibleProductsError, match="^chain support must match the base transitions$"):
+            sd.ContinuousProductSpec(full2, golden_chain, "affine", "a", ({"a": 0.1, "b": 0.8},) * 2, np.zeros(3))
+
     def test_worst_case_class_validation(self, full2, uniform_chain):
         rho = np.full((2, 2), 0.06)  # series mass 2 * 0.06 pushes f(1) past 1
         with pytest.raises(ValueError, match="class"):

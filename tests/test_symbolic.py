@@ -569,3 +569,91 @@ class TestIntegerArguments:
         assert offset == -1 and type(offset) is int
         assert sd.periodic_words(full2, np.int64(2)) == sd.periodic_words(full2, 2)
         assert sd.hoeffding_radius(np.int64(100)) == sd.hoeffding_radius(100)
+
+
+class TestFrozenState:
+    """Every array a frozen object stores, and every table a TransitionSystem or a product's map_slots hands out,
+    is read-only, and every mapping it stores is a read-only view: an in-place edit raises. The arrays and dicts a
+    caller passes to a constructor stay the caller's own, writable and unshared."""
+
+    @pytest.fixture
+    def inputs(self):
+        return {
+            "transitions": np.array(GOLDEN),
+            "stochastic": np.array([[2 / 3, 1 / 3], [1.0, 0.0]]),
+            "values": np.full(3, 0.5),
+            "ranks": np.array([0, 2]),
+            "lo": np.array([0.1, 0.2]),
+            "hi": np.array([0.3, 0.4]),
+            "rho": np.full((2, 2), 0.01),
+            "assignment": {(1, 1): sd.Affine(0.1, 0.8), (1, 2): sd.Affine(0.2, 0.7), (2, 1): sd.Affine(0.1, 0.8)},
+            "params": ({"a": 0.1, "b": 0.8}, {"a": 0.12, "b": 0.8}),
+        }
+
+    @pytest.fixture
+    def built(self, inputs):
+        system = sd.TransitionSystem(inputs["transitions"])
+        chain = sd.MarkovChain(system, inputs["stochastic"])
+        return {
+            "system": system,
+            "chain": chain,
+            "graph": sd.StepGraph(system, (1, 0), inputs["values"]),
+            "region": sd.BoxRegion(system, (1, 0), inputs["ranks"], inputs["lo"], inputs["hi"]),
+            "product": sd.MultistepSkewProduct(system, chain, (1, 0), inputs["assignment"]),
+            "spec": sd.ContinuousProductSpec(system, chain, "affine", "a", inputs["params"], inputs["rho"]),
+        }
+
+    def test_stored_and_handed_out_arrays_refuse_edits(self, built):
+        system, chain, product = built["system"], built["chain"], built["product"]
+        arrays = {
+            "transitions": system.transitions,
+            "stochastic": chain.stochastic,
+            "stationary": chain.stationary,
+            "_cum_start": chain._cum_start,
+            "_cum_rows": chain._cum_rows,
+            "graph values": built["graph"].values,
+            "region ranks": built["region"].ranks,
+            "region lo": built["region"].lo,
+            "region hi": built["region"].hi,
+            "rho": built["spec"].rho,
+            "word_array(1)": system.word_array(1),
+            "word_array(3)": system.word_array(3),
+            "sub_ranks": system.sub_ranks(3, 1, 2),
+            "window_ranks": system.window_ranks((1, 0), (1, 1)),
+            "first_extensions": system.first_extensions(3, 1, 2),
+            "map_slots": product.map_slots[1],
+        }
+        system.word_ranks(system.word_array(3), 0, 2)  # caches the place and code tables of length 2
+        arrays.update((f"cached {key}", table) for key, table in system._table_cache.items()
+                      if isinstance(table, np.ndarray))
+        for name, arr in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = arr
+        with pytest.raises(ValueError, match="read-only"):
+            words = system.word_array(2)
+            words -= 1
+        assert system.words(3)[0] == (1, 1, 1)
+        assert built["region"].measure(chain) == pytest.approx(0.15)  # 0.2 * (pi(1) P(1, 1) + pi(2) P(2, 1))
+
+    def test_stored_mappings_refuse_edits(self, built):
+        product, spec = built["product"], built["spec"]
+        with pytest.raises(TypeError):
+            product.assignment[(1, 1)] = sd.Affine(0.9, -0.5)
+        with pytest.raises(TypeError):
+            spec.symbol_params[0]["a"] = 0.5
+        assert product.assignment[(1, 1)] == sd.Affine(0.1, 0.8) and spec.symbol_params[0]["a"] == 0.1
+
+    def test_a_callers_inputs_stay_writable_and_unshared(self, inputs, built):
+        for name in ("transitions", "stochastic", "values", "ranks", "lo", "hi", "rho"):
+            assert inputs[name].flags.writeable, name
+            inputs[name][...] = 0
+        inputs["assignment"][(1, 1)] = sd.Affine(0.3, 0.5)
+        inputs["params"][0]["a"] = 0.3
+        assert built["system"].transitions.tolist() == GOLDEN
+        assert built["chain"].stochastic.tolist() == [[2 / 3, 1 / 3], [1.0, 0.0]]
+        assert built["graph"].values.tolist() == [0.5] * 3
+        region = built["region"]
+        assert (region.ranks.tolist(), region.lo.tolist(), region.hi.tolist()) == ([0, 2], [0.1, 0.2], [0.3, 0.4])
+        assert built["spec"].rho.tolist() == [[0.01, 0.01], [0.01, 0.01]]
+        assert built["product"].assignment[(1, 1)] == sd.Affine(0.1, 0.8)
+        assert built["spec"].symbol_params[0]["a"] == 0.1

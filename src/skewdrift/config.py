@@ -16,13 +16,20 @@ Schema (all sections are plain JSON, UTF-8, no comments):
                    "grid": "-0.02:0.02:0.002", "gap_epsilon": 0.05}
     }
 
-Exactly one of "product" / "continuous" is required; "family" is optional and
-applies to the product section. The top level and each section hold only the
-fields shown (any of "analysis"'s may be left out); any other key, such as a
-misspelled one, is refused as an unknown field. A map's "parameters" are
-exactly those of its form: "affine" a, b; "bumped_affine" a, b, c; "plateau"
-c1, j_lo, j_hi; and "bump_composed" amount, with its "inner" map record beside
-"parameters".
+Each record holds exactly its fields:
+
+- the top level: the sections. "base" is required, and so is exactly one of "product" / "continuous";
+  "family" is optional and applies to the product section;
+- "base", "product", "continuous" and "family": every field shown, all required. "analysis": any of its
+  fields, each of which may be left out;
+- an "assignment" entry: "word" and "map", with each word listed once;
+- a map record: "form" and "parameters", and "inner", a map record, for "bump_composed" and only there;
+- "parameters": exactly those of the form: "affine" a, b; "bumped_affine" a, b, c; "plateau" c1, j_lo, j_hi;
+  "bump_composed" amount.
+
+Any other key, a misspelled one say, is refused as an unknown field and a field left out as a missing one: in
+a section at its path ("base.alphabet_size"), and within an entry or map record as a malformed product or
+continuous section.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ResourceBoundError, _file_error
+from .errors import ConfigError, ResourceBoundError, _file_error, _unfit_key
 from .measure import MIN_SAMPLES, MonotoneFamily
 from .products import ContinuousProductSpec, MultistepSkewProduct
 from .symbolic import MarkovChain, TransitionSystem
@@ -59,14 +66,6 @@ class RunConfig:
     continuous: ContinuousProductSpec | None
     family: MonotoneFamily | None
     analysis: AnalysisConfig
-
-
-def _expect(record: dict, key: str, path: str):
-    if not isinstance(record, dict):
-        raise ConfigError(path, "must be an object")
-    if key not in record:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    return record[key]
 
 
 def _number(value, path: str) -> float:
@@ -133,25 +132,52 @@ def _grid(value, path: str) -> list[float]:
     raise ConfigError(path, "expected a list or a lo:hi:step string")
 
 
-# each analysis field and its parser, in the order a config's fields are checked
-_ANALYSIS_FIELDS = {"depth": _integer, "samples": _integer, "seed": _integer, "gap_epsilon": _number, "grid": _grid}
-# the fields of each section, and the sections are the top level's fields
-_SECTION_FIELDS = {
-    "base": ("alphabet_size", "transitions", "stochastic"),
-    "product": ("window", "assignment"),
-    "continuous": ("template", "designated", "symbol_params", "rho"),
-    "family": ("kappa", "tau_range"),
-    "analysis": tuple(_ANALYSIS_FIELDS),
+def _window(value, path: str) -> list[int]:
+    if not (isinstance(value, list) and len(value) == 2 and all(_integer(v, path) >= 0 for v in value)):
+        raise ConfigError(path, f"expected [l, r] with integers l, r >= 0, got {value!r}")
+    return value
+
+
+def _tau_range(value, path: str) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(path, "expected [tau_min, tau_max]")
+    return tuple(_number(t, f"{path}[{i}]") for i, t in enumerate(value))
+
+
+# each section's fields and their parsers, in the order a config's fields are checked; None where the
+# section's constructor checks the field. The sections are the top level's fields.
+_FIELDS = {
+    "base": {"transitions": None, "stochastic": None, "alphabet_size": _integer},
+    "product": {"window": _window, "assignment": None},
+    "continuous": {"template": None, "designated": None, "symbol_params": None, "rho": None},
+    "family": {"kappa": _number, "tau_range": _tau_range},
+    "analysis": {"depth": _integer, "samples": _integer, "seed": _integer, "gap_epsilon": _number, "grid": _grid},
 }
 
 
-def _refuse_unknown_fields(raw: dict) -> None:
-    """ConfigError at the first key outside its section's fields, in the top level, then section by section."""
-    sections = [("config", raw, _SECTION_FIELDS)] + [(k, raw.get(k), v) for k, v in _SECTION_FIELDS.items()]
-    for path, record, fields in sections:
-        for key in record if isinstance(record, dict) else ():  # a section that is no object fails later
-            if key not in fields:
-                raise ConfigError(f"{path}.{key}", "unknown field")
+def _check_keys(record, fields, required, path: str) -> None:
+    if not isinstance(record, dict):
+        raise ConfigError(path, "must be an object")
+    bad = _unfit_key(record, fields, required)
+    if bad:
+        raise ConfigError(f"{path}.{bad[0]}", bad[1])
+
+
+def _sections(raw: dict, flags: dict) -> dict[str, dict]:
+    """Each present section's fields, parsed, then the flags' analysis fields: ConfigError at the top level's first
+    unknown key or a missing "base", then section by section at the first bad record, key or value."""
+    _check_keys(raw, _FIELDS, ("base",), "config")  # a misspelled section is named before the sections it leaves missing
+    sections = {}
+    for name, parsers in _FIELDS.items():
+        if name in raw:
+            _check_keys(raw[name], parsers, () if name == "analysis" else parsers, name)
+            sections[name] = {key: parse(raw[name][key], f"{name}.{key}") if parse else raw[name][key]
+                              for key, parse in parsers.items() if key in raw[name]}
+    analysis = sections.setdefault("analysis", {})
+    for key, parse in _FIELDS["analysis"].items():
+        if flags.get(key) is not None:
+            analysis[key] = parse(flags[key], f"analysis.{key}")
+    return sections
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -168,63 +194,36 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 
 
 def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
-    if isinstance(raw, dict):  # a misspelled section is named before the sections it leaves missing
-        _refuse_unknown_fields(raw)
-    base_rec = _expect(raw, "base", "config")
-    transitions, stochastic = (_expect(base_rec, key, "base") for key in ("transitions", "stochastic"))
+    sections = _sections(raw, overrides or {})
+    rec = sections["base"]
     with _anchored("base.transitions", "base.transitions"):
-        base = TransitionSystem(_matrix(transitions))
-    declared = _integer(_expect(base_rec, "alphabet_size", "base"), "base.alphabet_size")
-    if declared != base.alphabet_size:
-        raise ConfigError("base.alphabet_size", f"declared {declared}, matrix has {base.alphabet_size}")
+        base = TransitionSystem(_matrix(rec["transitions"]))
+    if rec["alphabet_size"] != base.alphabet_size:
+        raise ConfigError("base.alphabet_size", f"declared {rec['alphabet_size']}, matrix has {base.alphabet_size}")
     with _anchored("base.stochastic", "base.stochastic"):
-        chain = MarkovChain(base, _matrix(stochastic, float))
+        chain = MarkovChain(base, _matrix(rec["stochastic"], float))
 
     product = None
     continuous = None
-    if ("product" in raw) == ("continuous" in raw):
+    if ("product" in sections) == ("continuous" in sections):
         raise ConfigError("config", "exactly one of 'product' or 'continuous' is required")
-    if "product" in raw:
+    if "product" in sections:
         with _anchored("product.assignment", "product"):
-            window = raw["product"]["window"]  # a product that is no object or has no window is a malformed record
-            if not (isinstance(window, list) and len(window) == 2
-                    and all(_integer(v, "product.window") >= 0 for v in window)):
-                raise ConfigError("product.window", f"expected [l, r] with integers l, r >= 0, got {window!r}")
-            product = MultistepSkewProduct.from_json(base, chain, raw["product"])
+            product = MultistepSkewProduct.from_json(base, chain, sections["product"])
     else:
-        rec = raw["continuous"]
+        rec = sections["continuous"]
         with _anchored("continuous", "continuous"):
-            continuous = ContinuousProductSpec(
-                base,
-                chain,
-                template_form=str(_expect(rec, "template", "continuous")),
-                designated=str(_expect(rec, "designated", "continuous")),
-                symbol_params=tuple(_expect(rec, "symbol_params", "continuous")),
-                rho=np.asarray(_expect(rec, "rho", "continuous"), dtype=float),
-            )
+            continuous = ContinuousProductSpec(base, chain, str(rec["template"]), str(rec["designated"]),
+                                               tuple(rec["symbol_params"]), np.asarray(rec["rho"], dtype=float))
 
     family = None
-    if "family" in raw:
+    if "family" in sections:
         if product is None:
             raise ConfigError("family", "a family needs a 'product' section as its base")
-        rec = raw["family"]
-        kappa = _number(_expect(rec, "kappa", "family"), "family.kappa")
-        tau_range = _expect(rec, "tau_range", "family")
-        if not (isinstance(tau_range, list) and len(tau_range) == 2):
-            raise ConfigError("family.tau_range", "expected [tau_min, tau_max]")
-        taus = tuple(_number(t, f"family.tau_range[{i}]") for i, t in enumerate(tau_range))
         with _anchored("family", "family"):
-            family = MonotoneFamily(product, kappa, taus)
+            family = MonotoneFamily(product, sections["family"]["kappa"], sections["family"]["tau_range"])
 
-    analysis = AnalysisConfig()
-    rec = raw.get("analysis", {})
-    if not isinstance(rec, dict):
-        raise ConfigError("analysis", "must be an object")
-    # a flag passes its field's checks after the file's own fields
-    for values in (rec, {key: v for key, v in (overrides or {}).items() if v is not None}):
-        for key, parse in _ANALYSIS_FIELDS.items():
-            if key in values:
-                setattr(analysis, key, parse(values[key], f"analysis.{key}"))
+    analysis = AnalysisConfig(**sections["analysis"])
     if analysis.depth < 0:
         raise ConfigError("analysis.depth", "must be nonnegative")
     if analysis.seed < 0:

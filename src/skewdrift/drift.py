@@ -19,7 +19,7 @@ from .errors import IncompatibleProductsError, ResourceBoundError, WindowTooShor
 from .fibers import EPS_ROUND, FiberMap, MapStack, _joined, compose_along_word
 from .products import WINDOW_CAP, LabeledPoint, MultistepSkewProduct
 from .regions import BoxRegion, joined_boxes, sweep_rows
-from .symbolic import PeriodicWord, TransitionSystem, _at_least, _frozen, _symbol_rows, _window_pair
+from .symbolic import PeriodicWord, TransitionSystem, _at_least, _frozen, _reduce, _symbol_rows, _window_pair
 
 # Strictness margin for every certified inequality: four orders above
 # accumulated rounding at composition depth <= 64, far below problem scales.
@@ -48,6 +48,7 @@ class StepGraph:
     system: TransitionSystem
     window: tuple[int, int]
     values: np.ndarray
+    __reduce__ = _reduce
 
     def __post_init__(self):
         L, R = _window_pair(self.window, "graph window")

@@ -64,3 +64,21 @@ class ConfigError(ValueError):
 def _file_error(field: str, path, exc: OSError | UnicodeDecodeError) -> ConfigError:
     """A file that cannot be opened, read or written, as a ConfigError at the field that names it."""
     return ConfigError(field, f"{getattr(exc, 'filename', None) or path}: {getattr(exc, 'strerror', None) or exc}")
+
+
+def _unfit_key(record: dict, fields, required) -> tuple[str, str] | None:
+    """(key, what is wrong) for the record's first key outside fields, else for the first of required it lacks."""
+    unknown = [(key, "unknown field") for key in record if key not in fields]
+    missing = [(key, "missing required field") for key in required if key not in record]
+    return next(iter(unknown + missing), None)
+
+
+def _exact_record(record, fields, name: str) -> dict:
+    """The record, after a TypeError naming it and its first bad key unless it is an object holding exactly the set
+    fields; missing fields are named in sorted order, which no hash seed changes."""
+    if not isinstance(record, dict):
+        raise TypeError(f"{name} must be an object, got {record!r}")
+    if record.keys() != fields:  # one set comparison when the record fits
+        key, problem = _unfit_key(record, fields, sorted(fields))
+        raise TypeError(f"{name} {key!r}: {problem}")
+    return record

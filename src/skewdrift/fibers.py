@@ -16,6 +16,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import _exact_record
+
 # Outward rounding margin for interval images and certified comparisons.
 # A fixed margin is portable and dominates accumulated rounding at the
 # composition depths used here (<= 64).
@@ -269,6 +271,10 @@ class BumpComposed:
 FiberMap = Affine | BumpedAffine | Plateau | BumpComposed
 
 _FORMS = {"affine": Affine, "bumped_affine": BumpedAffine, "plateau": Plateau, "bump_composed": BumpComposed}
+# the keys of a map record by form, and of its "parameters": the form's fields, a bump_composed's inner map aside
+_RECORD_KEYS = dict.fromkeys(_FORMS, frozenset({"form", "parameters"}))
+_RECORD_KEYS["bump_composed"] = frozenset({"form", "parameters", "inner"})
+_PARAMETER_KEYS = {form: frozenset(k.name for k in fields(cls) if k.name != "inner") for form, cls in _FORMS.items()}
 
 
 def _params(f: FiberMap) -> dict:
@@ -505,16 +511,18 @@ def map_to_json(f: FiberMap) -> dict:
 
 
 def map_from_json(record: dict) -> FiberMap:
-    """The map of a {"form", "parameters"} record (and "inner", a map record, for bump_composed).
+    """The map of a {"form", "parameters"} record (and "inner", a map record, for bump_composed and only there).
 
-    ValueError for an unknown form; TypeError for a parameter that is missing, unknown or no number.
+    ValueError for an unknown form; TypeError for a record key or parameter that is missing or unknown, or a
+    parameter that is no number.
     """
     if not (isinstance(record, dict) and isinstance(record.get("parameters", {}), dict)):
         raise TypeError(f"a map and its parameters must be objects, got {record!r}")
     form = record.get("form")
-    params = record.get("parameters", {})
     if form not in _FORMS:
         raise ValueError(f"unknown map form {form!r}")
+    params = _exact_record(record, _RECORD_KEYS[form], "a map record")["parameters"]
+    _exact_record(params, _PARAMETER_KEYS[form], f"{form} parameters")
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in params.values()):
         raise TypeError(f"map parameters must be numbers, got {params!r}")
     inner = {"inner": map_from_json(record["inner"])} if form == "bump_composed" else {}

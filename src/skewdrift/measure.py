@@ -22,7 +22,7 @@ from .errors import FamilyRangeError, ToleranceError
 from .fibers import Affine, BumpComposed, BumpedAffine, FiberMap
 from .products import MultistepSkewProduct, ProductOrder, compare_order
 from .regions import BoxRegion, region_union
-from .symbolic import _at_least, _frozen, _symbols_from_uniforms
+from .symbolic import _at_least, _frozen, _reduce, _symbols_from_uniforms
 
 CONFIDENCE = 0.95
 MIN_SAMPLES = 100  # fewest samples an estimate or a sweep takes
@@ -139,6 +139,7 @@ class MonotoneFamily:
     base_product: MultistepSkewProduct
     kappa: float
     tau_range: tuple[float, float]
+    __reduce__ = _reduce
 
     def __post_init__(self):
         if not (self.kappa > 0):

@@ -21,6 +21,7 @@ from .errors import (
     InvalidApproximationError,
     ResourceBoundError,
     WindowTooShortError,
+    _exact_record,
 )
 from .fibers import (
     EPS_ROUND,
@@ -37,7 +38,7 @@ from .fibers import (
     map_to_json,
     validate_class,
 )
-from .symbolic import MarkovChain, SymbolWindow, TransitionSystem, _at_least, _frozen, _read_only, _symbol_rows, _window_pair
+from .symbolic import MarkovChain, SymbolWindow, TransitionSystem, _at_least, _frozen, _read_only, _reduce, _symbol_rows, _window_pair
 
 # Hard cap on dependence-window size, shared with the drift-witness machinery.
 WINDOW_CAP = 12
@@ -73,6 +74,7 @@ class MultistepSkewProduct:
     assignment: dict[tuple[int, ...], FiberMap]
     # drift classifiers by depth, filled only by drift.get_classifier; they live as long as the product
     _classifiers: dict = field(default_factory=dict, init=False, repr=False)
+    __reduce__ = _reduce
 
     def __post_init__(self):
         l, r = _window_pair(self.window, "window")
@@ -116,9 +118,15 @@ class MultistepSkewProduct:
 
     @staticmethod
     def from_json(base: TransitionSystem, chain: MarkovChain, record: dict) -> "MultistepSkewProduct":
-        """The product of a JSON record; TypeError unless its window and words are lists of integers (no bools)."""
-        window = _int_tuple(record["window"], "a window")
-        assignment = {_int_tuple(e["word"], "a word"): map_from_json(e["map"]) for e in record["assignment"]}
+        """The product of a {"window", "assignment"} record of {"word", "map"} entries: TypeError for a key that is
+        missing or unknown, or a window or word that is no list of integers (no bools); ValueError for a repeated word."""
+        window = _int_tuple(_exact_record(record, {"window", "assignment"}, "a product record")["window"], "a window")
+        assignment = {}
+        for entry in record["assignment"]:
+            word = _int_tuple(_exact_record(entry, {"word", "map"}, "an assignment entry")["word"], "a word")
+            if word in assignment:
+                raise ValueError(f"assignment lists word {list(word)} twice")
+            assignment[word] = map_from_json(entry["map"])
         return MultistepSkewProduct(base, chain, window, assignment)
 
 
@@ -269,6 +277,7 @@ class ContinuousProductSpec:
     designated: str
     symbol_params: tuple[dict, ...]
     rho: np.ndarray
+    __reduce__ = _reduce
 
     def __post_init__(self):
         if not self.base.same_base(self.chain.base):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidRegionError
 from .fibers import RealInterval
-from .symbolic import MarkovChain, TransitionSystem, _frozen, _window_pair, cylinder_measure
+from .symbolic import MarkovChain, TransitionSystem, _frozen, _reduce, _window_pair, cylinder_measure
 
 
 def measure_boxes(chain: MarkovChain, boxes) -> float:
@@ -80,6 +80,7 @@ class BoxRegion:
     ranks: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    __reduce__ = _reduce
 
     def __post_init__(self):
         L, R = window = _window_pair(self.window, "region window")

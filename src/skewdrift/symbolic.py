@@ -7,6 +7,7 @@ every operation that consumes a window states how much of it it needs.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 import types
 from dataclasses import dataclass, field
@@ -38,6 +39,19 @@ def _frozen(obj, **fields):
     """Set each field on a frozen dataclass instance, stored through _read_only."""
     for name, value in fields.items():
         object.__setattr__(obj, name, _read_only(value))
+
+
+def _thawed(value):
+    """A stored field as its constructor takes it: a mapping proxy as a dict, in a tuple too."""
+    if isinstance(value, types.MappingProxyType):
+        return dict(value)
+    return tuple(map(_thawed, value)) if isinstance(value, tuple) else value
+
+
+def _reduce(obj):
+    """A frozen type's __reduce__: its constructor and init fields, so unpickling re-runs the checks and the
+    freeze, and its caches start empty."""
+    return type(obj), tuple(_thawed(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.init)
 
 
 def _as_binary_matrix(transitions) -> np.ndarray:
@@ -74,6 +88,7 @@ class TransitionSystem:
 
     transitions: np.ndarray
     _table_cache: dict = field(default_factory=dict, init=False, repr=False)  # word tables by key, each read-only
+    __reduce__ = _reduce
 
     def __post_init__(self):
         arr = _as_binary_matrix(self.transitions)
@@ -221,6 +236,7 @@ class MarkovChain:
     base: TransitionSystem
     stochastic: np.ndarray
     stationary: np.ndarray = field(init=False, repr=False)
+    __reduce__ = _reduce
 
     def __post_init__(self):
         P = np.array(self.stochastic, dtype=float)
@@ -279,6 +295,7 @@ class SymbolWindow:
 
     offset: int
     symbols: tuple[int, ...]
+    __reduce__ = _reduce
 
     def __post_init__(self):
         # the integer rule of _at_least: any integer, numpy's too, never a bool
@@ -370,6 +387,7 @@ class PeriodicWord:
 
     symbols: tuple[int, ...]
     minimal_period: int = field(init=False)
+    __reduce__ = _reduce
 
     def __post_init__(self):
         syms = _symbols(self.symbols)

@@ -398,7 +398,7 @@ class TestBadFilesAndShapes:
          "map parameters must be numbers, got {'a': True, 'b': 0.8}"),
         (lambda p: [entry.update(map={"form": "bump_composed", "parameters": {"amount": 0.1, "zz": 5},
                                       "inner": entry["map"]}) for entry in p["assignment"]],
-         "product: malformed record: BumpComposed.__init__() got an unexpected keyword argument 'zz'"),
+         "product: malformed record: bump_composed parameters 'zz': unknown field"),
     ], ids=["word-float", "word-string", "window-float", "window-string", "window-short", "window-long",
             "window-negative", "parameter-string", "parameter-bool", "bump-composed-unknown-parameter"])
     def test_malformed_product_record_exits_2(self, tmp_path, capsys, edit, error):
@@ -453,6 +453,77 @@ class TestBadFilesAndShapes:
         code, err = self.run_main(capsys, "validate" if through_validate else command, *args)
         assert code == 2 and err == f"invalid input: {path}: unknown field\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, section, field", [
+        *[("constant_affine.json", "base", field) for field in ("alphabet_size", "transitions", "stochastic")],
+        *[("constant_affine.json", "product", field) for field in ("window", "assignment")],
+        *[("continuous_geometric.json", "continuous", field)
+          for field in ("template", "designated", "symbol_params", "rho")],
+        *[("plateau_family.json", "family", field) for field in ("kappa", "tau_range")],
+    ], ids=lambda v: v.removesuffix(".json") if isinstance(v, str) else v)
+    def test_missing_required_field_exits_2(self, tmp_path, capsys, name, section, field):
+        # a product without its window or assignment used to fail as "product: malformed record: 'window'"
+        record = json.loads((CONFIGS / name).read_text())
+        del record[section][field]
+        code, err = self.run_main(capsys, "validate", "--config", write_json(tmp_path / "bad.json", record),
+                                  "--out", str(tmp_path / "out"))
+        assert code == 2 and err == f"invalid input: {section}.{field}: missing required field\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, section, value", [
+        ("constant_affine.json", "product", [[0, 0]]),
+        ("constant_affine.json", "product", None),
+        ("continuous_geometric.json", "continuous", "affine"),
+    ], ids=["product-a-list", "product-null", "continuous-a-string"])
+    def test_product_section_that_is_not_an_object(self, tmp_path, capsys, name, section, value):
+        # a product section that was no object used to fail as a malformed record with Python's indexing message
+        record = json.loads((CONFIGS / name).read_text())
+        record[section] = value
+        code, err = self.run_main(capsys, "validate", "--config", write_json(tmp_path / "bad.json", record),
+                                  "--out", str(tmp_path / "out"))
+        assert code == 2 and err == f"invalid input: {section}: must be an object\n"
+
+    def test_a_misspelled_section_is_named_before_the_missing_base(self, tmp_path, capsys):
+        record = json.loads((CONFIGS / "constant_affine.json").read_text())
+        record["bsae"] = record.pop("base")
+        code, err = self.run_main(capsys, "validate", "--config", write_json(tmp_path / "bad.json", record),
+                                  "--out", str(tmp_path / "out"))
+        assert code == 2 and err == "invalid input: config.bsae: unknown field\n"
+
+    def test_a_flag_replaces_an_out_of_range_file_value(self, tmp_path, capsys):
+        # the range checks run after the flags are merged, so the file's depth -1 is never used
+        record = json.loads((CONFIGS / "constant_affine.json").read_text())
+        record["analysis"]["depth"] = -1
+        code, err = self.run_main(capsys, "validate", "--config", write_json(tmp_path / "cfg.json", record),
+                                  "--depth", "4", "--out", str(tmp_path / "out"))
+        assert code == 0 and err == ""
+
+    def test_a_word_assigned_twice_exits_2(self, tmp_path, capsys):
+        # the later map used to win silently, and validate exited 0
+        record = json.loads((CONFIGS / "constant_affine.json").read_text())
+        record["product"]["assignment"].append(
+            {"word": [2], "map": {"form": "affine", "parameters": {"a": 0.2, "b": 0.8}}})
+        code, err = self.run_main(capsys, "validate", "--config", write_json(tmp_path / "bad.json", record),
+                                  "--out", str(tmp_path / "out"))
+        assert code == 2 and err == "invalid input: product.assignment: assignment lists word [2] twice\n"
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda e: e.update(wieght=3), "an assignment entry 'wieght': unknown field"),
+        (lambda e: e.pop("map"), "an assignment entry 'map': missing required field"),
+        (lambda e: e["map"].update(inner=5), "a map record 'inner': unknown field"),
+        (lambda e: e["map"].update(paramters=e["map"].pop("parameters")), "a map record 'paramters': unknown field"),
+        (lambda e: e["map"]["parameters"].pop("b"), "affine parameters 'b': missing required field"),
+        (lambda e: e.update(map={"form": "bump_composed", "parameters": {"amount": 0.1}}),
+         "a map record 'inner': missing required field"),
+    ], ids=["entry-unknown-key", "entry-without-map", "affine-with-inner", "parameters-misspelled",
+            "parameter-missing", "bump-composed-without-inner"])
+    def test_nested_record_keys_exit_2(self, tmp_path, capsys, edit, error):
+        # an unknown key in an entry or map record used to be ignored, and a misspelled one to fail in a constructor
+        record = json.loads((CONFIGS / "constant_affine.json").read_text())
+        edit(record["product"]["assignment"][0])
+        code, err = self.run_main(capsys, "validate", "--config", write_json(tmp_path / "bad.json", record),
+                                  "--out", str(tmp_path / "out"))
+        assert code == 2 and err == f"invalid input: product: malformed record: {error}\n"
 
     @pytest.mark.parametrize("text, line", [
         ("window,x\n-5 1 1 1 1 1 1 1 1 1 1,0.2\n-5 1 1 1 1 1 1 1 1 1 1\n", 3),

@@ -1695,27 +1695,194 @@ class TestFixedPointSoundness:
                 assert len(boxes.lo) and not ((boxes.lo <= 0.5) & (0.5 <= boxes.hi)).any(), (depth, direction)
 
 
-class TestExactEndpoints:
-    """Exact signs at box ends on the 1-D products: every plateau_family grid member and constant_affine carry one
-    map f on every word, so f(hi) > hi at every Up box's hi and f(lo) < lo at every Down box's lo, in Fraction.
+@functools.cache
+def one_map_products() -> tuple:
+    """The 1-D products: the 21 plateau_family grid members (tau = 0 is the plain plateau) and constant_affine,
+    each carrying one map f on every word, so its exact Up, Down and nonwandering sets are those of f alone."""
+    cfg = load_config(str(CONFIGS / "plateau_family.json"))
+    products = [sd.family_member(cfg.family, tau) for tau in cfg.analysis.grid]
+    return tuple(products + [load_config(str(CONFIGS / "constant_affine.json")).product])
 
-    The ends alone prove a box only where f(x) - x changes sign once; a Sturm count that shows this is not here.
+
+class TestExactEndpoints:
+    """Exact signs at box ends on the 1-D products: f(hi) > hi at every Up box's hi and f(lo) < lo at every Down
+    box's lo, in Fraction. TestExactFixedPoints proves by Sturm counts that f(x) - x is positive left of its zeros
+    and negative right of them, so these end checks place every whole box in {f > x} or {f < x}.
     """
 
     def test_box_ends_have_the_exact_sign(self):
-        cfg = load_config(str(CONFIGS / "plateau_family.json"))
-        products = [sd.family_member(cfg.family, tau) for tau in cfg.analysis.grid]
-        products.append(load_config(str(CONFIGS / "constant_affine.json")).product)
+        products = one_map_products()
         assert len(products) == 22
         for product in products:
             [f] = set(product.assignment.values())
             for depth in (6, 10):
-                classifier = sd.DriftClassifier(product, depth)
+                classifier = drift.get_classifier(product, depth)
                 highs = set(classifier.certified_boxes(UP).hi.tolist())
                 lows = set(classifier.certified_boxes(DOWN).lo.tolist())
                 assert highs and lows, (f, depth)
                 assert all(exact_eval(f, hi) > Fraction(hi) for hi in highs), (f, depth)
                 assert all(exact_eval(f, lo) < Fraction(lo) for lo in lows), (f, depth)
+
+
+# Polynomials in Fraction, constant coefficient first, with no trailing zero: [] is the zero polynomial.
+
+
+def _trimmed(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _value(p, x):
+    total = Fraction(0)
+    for c in reversed(p):
+        total = total * x + c
+    return total
+
+
+def _divided(p, d):
+    """(quotient, remainder) of p by the nonzero d."""
+    p, q = list(p), [Fraction(0)] * max(len(p) - len(d) + 1, 0)
+    while len(p) >= len(d):
+        factor, shift = p[-1] / d[-1], len(p) - len(d)
+        q[shift] = factor
+        p = _trimmed(c - factor * d[k - shift] if k >= shift else c for k, c in enumerate(p))
+    return q, p
+
+
+def _derivative(p):
+    return [k * c for k, c in enumerate(p)][1:]  # p has no trailing zero, so neither has this
+
+
+def through_points(xs, ys):
+    """The polynomial of degree < len(xs) through the points: Newton's divided differences, expanded."""
+    coef = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = [coef[-1]]
+    for k in range(len(xs) - 2, -1, -1):
+        poly = [-xs[k] * poly[0] + coef[k]] + [poly[i - 1] - xs[k] * poly[i] for i in range(1, len(poly))] + [poly[-1]]
+    return _trimmed(poly)
+
+
+def root_count(p, lo, hi, lo_in, hi_in) -> int:
+    """Distinct real roots of the nonzero polynomial p between lo and hi, each end counted if in: a Sturm count.
+
+    On the square-free part q = p / gcd(p, p'), the sign variations V of q's Sturm sequence fall by one at each
+    root, and V(lo) - V(hi) counts the roots in (lo, hi].
+    """
+    g, h = p, _derivative(p)
+    while h:
+        g, h = h, _divided(g, h)[1]
+    q = _divided(p, g)[0]
+    sequence = [q, _derivative(q)]
+    while len(sequence[-1]) > 1:
+        sequence.append([-c for c in _divided(sequence[-2], sequence[-1])[1]])
+
+    def variations(x):
+        signs = [v > 0 for v in (_value(r, x) for r in sequence if r) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi) + (lo_in and _value(q, lo) == 0) - (not hi_in and _value(q, hi) == 0)
+
+
+def polynomial_pieces(f):
+    """(lo, hi, lo_in, hi_in, p) for each piece of [0, 1] on which f(x) - x is the polynomial p.
+
+    Plateau's pieces, alone or under a bump, are of degree <= 4; p interpolates exact_eval at five nodes inside
+    the piece, and a sixth node checks it.
+    """
+    plateau = f.inner if isinstance(f, sd.BumpComposed) else f
+    ends = (Fraction(plateau.j_lo), Fraction(plateau.j_hi)) if isinstance(plateau, sd.Plateau) else ()
+    bounds = [Fraction(0), *ends, Fraction(1)]
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        nodes = [lo + (hi - lo) * i / 7 for i in range(1, 7)]
+        values = [exact_eval(f, x) - x for x in nodes]
+        p = through_points(nodes[:5], values[:5])
+        assert _value(p, nodes[5]) == values[5], (f, lo, hi)
+        # the middle piece of a plateau is closed, its outer pieces are open towards it
+        yield lo, hi, k == 0 or k == 1, k == len(bounds) - 2 or k == 1, p
+
+
+@functools.cache
+def exact_masses(f) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """Rational brackets of Leb{f > x} and Leb{f < x}, after proving the sign pattern of f(x) - x.
+
+    Either f(x) - x has one root in (0, 1), isolated to a bracket 2^-40 wide, or it is positive on [0, j_lo),
+    zero on [j_lo, j_hi] and negative on (j_hi, 1]: then both masses are exact.
+    """
+    def g(x):
+        return exact_eval(f, x) - x
+
+    assert g(Fraction(0)) > 0 > g(Fraction(1)), f
+    pieces = list(polynomial_pieces(f))
+    zero = [(lo, hi) for lo, hi, _, _, p in pieces if not p]
+    counts = [root_count(p, lo, hi, lo_in, hi_in) for lo, hi, lo_in, hi_in, p in pieces if p]
+    if zero:
+        [(j_lo, j_hi)] = zero
+        assert counts == [0, 0], f  # so f - x keeps the sign of g(0) left of the block and of g(1) right of it
+        return (j_lo, j_lo), (1 - j_hi, 1 - j_hi)
+    assert sum(counts) == 1, (f, counts)  # one root between g(0) > 0 and g(1) < 0: one sign change
+    lo, hi = Fraction(0), Fraction(1)
+    while hi - lo > Fraction(1, 2**40):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+    return (lo, hi), (1 - hi, 1 - lo)
+
+
+def _exact_box_mass(region, chain) -> Fraction:
+    """The region's measure in Fraction: each box's cylinder weight, from the chain's entries, times its length."""
+    words = region.system.word_array(sum(region.window) + 1)[region.ranks] - 1
+    total = Fraction(0)
+    for word, lo, hi in zip(words.tolist(), region.lo.tolist(), region.hi.tolist()):
+        weight = Fraction(chain.stationary[word[0]])
+        for a, b in zip(word, word[1:]):
+            weight *= Fraction(chain.stochastic[a, b])
+        total += weight * (Fraction(hi) - Fraction(lo))
+    return total
+
+
+class TestExactFixedPoints:
+    """The 1-D products as an exact oracle: Sturm counts of f(x) - x on each polynomial piece of f, in Fraction,
+    give Fix(f) and the exact masses of {f > x} and {f < x}, which bound what the tool certifies."""
+
+    def test_one_sign_change_or_a_fixed_block(self):
+        for product in one_map_products():
+            [f] = set(product.assignment.values())
+            (up_lo, up_hi), (down_lo, down_hi) = exact_masses(f)
+            if up_lo == up_hi:  # only the tau = 0 member has a block of fixed points
+                assert isinstance(f, sd.Plateau) and (up_lo, down_lo) == (Fraction(f.j_lo), 1 - Fraction(f.j_hi))
+                continue
+            assert 0 < up_hi - up_lo <= Fraction(1, 2**40)
+            a, b = 0.0, 1.0  # float bisection of f(x) - x, blind to the exact analysis
+            for _ in range(60):
+                mid = (a + b) / 2
+                a, b = (mid, b) if float(f.eval(mid)) > mid else (a, mid)
+            assert float(up_lo) - 1e-12 <= a <= float(up_hi) + 1e-12, f
+
+    def test_tau_zero_masses(self):
+        assert load_config(str(CONFIGS / "plateau_family.json")).analysis.grid[10] == 0.0  # the grid holds 0 exactly
+        [f] = set(one_map_products()[10].assignment.values())
+        assert exact_masses(f) == ((Fraction(0.4),) * 2, (Fraction(0.4),) * 2)
+
+    def test_certified_masses_stay_below_the_exact_ones(self):
+        for product in one_map_products():
+            [f] = set(product.assignment.values())
+            (up, _), (down, _) = exact_masses(f)
+            for depth in (6, 10):
+                classifier = drift.get_classifier(product, depth)
+                assert _exact_box_mass(classifier.certified_boxes(UP), product.chain) <= up, (f, depth)
+                assert _exact_box_mass(classifier.certified_boxes(DOWN), product.chain) <= down, (f, depth)
+
+    def test_sweep_curves_stay_below_the_exact_masses(self):
+        cfg = load_config(str(CONFIGS / "plateau_family.json"))
+        result = sd.sweep(cfg.family, cfg.analysis.grid, cfg.analysis.depth, 100, cfg.analysis.seed)
+        for product, up_lower, down_lower in zip(one_map_products(), result.mu_lower, result.down_lower):
+            [f] = set(product.assignment.values())
+            (_, up), (_, down) = exact_masses(f)
+            assert up_lower <= float(up) + 1e-12 and down_lower <= float(down) + 1e-12, f
 
 
 class TestWanderingOracle:

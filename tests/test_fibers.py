@@ -500,8 +500,8 @@ class TestSerialization:
             back = sd.map_from_json(sd.map_to_json(f))
             assert back == f
 
-    @pytest.mark.parametrize("parameters, missing", [({"amount": 0.1, "zz": 5}, "unexpected keyword argument 'zz'"),
-                                                     ({}, "missing 1 required positional argument: 'amount'")],
+    @pytest.mark.parametrize("parameters, missing", [({"amount": 0.1, "zz": 5}, "'zz': unknown field"),
+                                                     ({}, "'amount': missing required field")],
                              ids=["unknown", "missing"])
     def test_bump_composed_parameters_checked(self, parameters, missing):
         # like the plain forms: an unknown parameter is not dropped, a missing one not defaulted
@@ -512,3 +512,14 @@ class TestSerialization:
     def test_unknown_form(self):
         with pytest.raises(ValueError):
             sd.map_from_json({"form": "cubic", "parameters": {}})
+
+    @pytest.mark.parametrize("record, message", [
+        ({"form": "affine", "parameters": {"a": 0.1, "b": 0.8}, "inner": 5}, "a map record 'inner': unknown field"),
+        ({"form": "affine", "paramters": {"a": 0.1, "b": 0.8}}, "a map record 'paramters': unknown field"),
+        ({"form": "bump_composed", "parameters": {"amount": 0.1}}, "a map record 'inner': missing required field"),
+        ({"form": "plateau", "parameters": {"c1": 0.5, "j_lo": 0.4}}, "plateau parameters 'j_hi': missing required field"),
+    ], ids=["inner-beside-affine", "parameters-misspelled", "bump-composed-without-inner", "parameter-missing"])
+    def test_record_holds_exactly_its_keys(self, record, message):
+        # the first two loaded (the inner map was ignored), the last two failed with a constructor's message
+        with pytest.raises(TypeError, match=message):
+            sd.map_from_json(record)

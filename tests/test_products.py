@@ -278,6 +278,18 @@ class TestConstruction:
         assert back.assignment == two_map.assignment
         assert back.fingerprint() == two_map.fingerprint()
 
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda r: r.update(extra=1), TypeError, "a product record 'extra': unknown field"),
+        (lambda r: r.pop("window"), TypeError, "a product record 'window': missing required field"),
+        (lambda r: r["assignment"].append(5), TypeError, "an assignment entry must be an object, got 5"),
+        (lambda r: r["assignment"].append(dict(r["assignment"][0])), ValueError, r"assignment lists word \[1\] twice"),
+    ], ids=["record-unknown-key", "record-without-window", "entry-not-an-object", "word-twice"])
+    def test_from_json_refuses_unfit_records(self, two_map, full2, uniform_chain, edit, error, message):
+        record = two_map.to_json()
+        edit(record)
+        with pytest.raises(error, match=message):
+            sd.MultistepSkewProduct.from_json(full2, uniform_chain, record)
+
 
 class TestIterate:
     def test_fixed_point_constant_system(self, const_affine):

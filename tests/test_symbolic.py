@@ -1,4 +1,7 @@
+import dataclasses
 import itertools
+import pickle
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -657,3 +660,34 @@ class TestFrozenState:
         assert built["spec"].rho.tolist() == [[0.01, 0.01], [0.01, 0.01]]
         assert built["product"].assignment[(1, 1)] == sd.Affine(0.1, 0.8)
         assert built["spec"].symbol_params[0]["a"] == 0.1
+
+    def test_a_pickle_round_trip_rebuilds_through_the_constructor(self, built):
+        # unpickling calls each constructor again, so the copy is checked and frozen anew and its caches start empty
+        product, system = built["product"], built["system"]
+        product.map_slots, system.word_array(3)  # fill caches the copies must not carry
+        objects = dict(built, window=sd.SymbolWindow(-2, (1, 2, 1)), word=sd.PeriodicWord((1, 2, 1)),
+                       family=sd.MonotoneFamily(product, 1.0, (-0.01, 0.01)))
+        for name, obj in objects.items():
+            copy = pickle.loads(pickle.dumps(obj))
+            assert same_state(obj, copy), name
+        copy = pickle.loads(pickle.dumps(product))
+        assert ("words", 3) in system._table_cache and ("words", 3) not in copy.base._table_cache
+        assert copy._classifiers == {}
+        assert "map_slots" not in vars(copy) and not copy.map_slots[1].flags.writeable
+        with pytest.raises(TypeError):
+            copy.assignment[(1, 1)] = sd.Affine(0.9, -0.5)
+
+
+def same_state(a, b) -> bool:
+    """a and b hold equal fields through every nested frozen object, b's arrays read-only and its dicts mapping
+    proxies; the caches are left out."""
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b) and not b.flags.writeable
+    if isinstance(a, MappingProxyType):
+        return type(b) is MappingProxyType and a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(same_state, a, b))
+    if dataclasses.is_dataclass(a):
+        names = [f.name for f in dataclasses.fields(a) if f.name not in ("_table_cache", "_classifiers")]
+        return type(a) is type(b) and all(same_state(getattr(a, n), getattr(b, n)) for n in names)
+    return a == b
